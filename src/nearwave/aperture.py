@@ -33,25 +33,36 @@ _SERIES_WINDOW = 1e-3
 _Q_TAIL_START = 1.0e4  # a*kx beyond which the analytic tail expansion takes over
 
 
+def _series_near_zero(direct, u, c0: float, c2: float, c4: float) -> np.ndarray:
+    """Overwrite the entries of ``direct`` where |u| < _SERIES_WINDOW.
+
+    They get the series c0 - u^2/c2 + u^4/c4.  The direct form is thus
+    evaluated once over the whole array and only the few small entries
+    are redone.
+    """
+    out = np.asarray(direct)
+    small = np.abs(u) < _SERIES_WINDOW
+    if small.any():
+        us = u[small]
+        out[small] = c0 - us * us / c2 + us**4 / c4
+    return out
+
+
 def _sin_half_over_u(u):
     """sin(u/2)/u, series-protected near u = 0."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SERIES_WINDOW
-    u_safe = np.where(small, 1.0, u)
-    direct = np.sin(0.5 * u_safe) / u_safe
-    series = 0.5 - u * u / 48.0 + u**4 / 3840.0
-    return np.where(small, series, direct)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = np.sin(0.5 * u) / u
+    return _series_near_zero(direct, u, 0.5, 48.0, 3840.0)
 
 
 def _sin_half_sq_over_u_sq(u):
     """sin(u/2)^2/u^2, series-protected near u = 0."""
     u = np.asarray(u, dtype=float)
-    small = np.abs(u) < _SERIES_WINDOW
-    u_safe = np.where(small, 1.0, u)
-    s = np.sin(0.5 * u_safe)
-    direct = (s * s) / (u_safe * u_safe)
-    series = 0.25 - u * u / 48.0 + u**4 / 1440.0
-    return np.where(small, series, direct)
+    s = np.sin(0.5 * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (s * s) / (u * u)
+    return _series_near_zero(direct, u, 0.25, 48.0, 1440.0)
 
 
 def slit_te_amplitude_sq(kx, a: float):

@@ -29,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from importlib import resources
 
@@ -144,12 +145,10 @@ def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
     ]
     rows = []
     for z in zs:
-        for x in xs:
-            s = nearfield.field_at(float(x), float(z), profile, abs_tol=tol)
-            jx = nearfield.probability_current_x(float(x), float(z), profile, abs_tol=tol)
+        for s, _, jx in nearfield.field_row(xs, float(z), profile, abs_tol=tol):
             tot = s.psi_total
             rows.append([
-                float(x), float(z),
+                s.x, s.z,
                 s.psi_rw.real, s.psi_rw.imag, s.psi_cw.real, s.psi_cw.imag,
                 tot.real, tot.imag, jx,
             ])
@@ -384,6 +383,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name = args.subcommand
     try:
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ConfigError("--tolerance", f"must be a finite positive number, got {args.tolerance!r}")
         if args.check:
             return _run_checks(name, args.out)
         if args.config is not None:

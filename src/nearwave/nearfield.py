@@ -14,6 +14,12 @@ profile makes the integrand negligible; slit profiles additionally supply
 an analytic large-k tail, so the oscillatory 1/k^2 decay at z ~ 0 is not
 left to brute-force panels.
 
+psi and d(psi)/dx come from one vector-valued quadrature per range, which
+evaluates the weighted amplitude once per abscissa and multiplies it by the
+columns cos(k x_j) and -k sin(k x_j).  A row of points at one height shares
+the RW range and the CW range s in [0, acosh 2]; the long CW range [2, k_hi]
+needs panels in proportion to |x| k_hi, so only mirror points +-x share it.
+
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
 """
@@ -21,7 +27,9 @@ profile's (unnormalized) amplitude scale.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,95 +53,87 @@ class FieldSample:
         return self.psi_rw + self.psi_cw
 
 
-def _profile_rate(profile: ApertureProfile) -> float:
-    """Oscillation rate of the amplitude itself, for panel seeding."""
-    if isinstance(profile, SingleSlitProfile):
-        return 0.5 * profile.a
-    return 0.0
+class FieldPoint(NamedTuple):
+    """psi and d(psi)/dx at one point, with J_x = Im(psi* d(psi)/dx)."""
+
+    psi: FieldSample
+    dpsi: FieldSample
+    current_x: float
 
 
-def _cw_pieces(x: float, z: float, profile: ApertureProfile, kernel: str, abs_tol: float, rel_tol: float) -> complex:
-    """Evanescent-range integral with the chosen x-kernel ('cos' or 'dcos').
+def _pass(weight, a: float, b: float, xs: np.ndarray, rate: float, abs_tol: float, rel_tol: float) -> np.ndarray:
+    """integral_a^b w(t) [cos(k x_j), -k sin(k x_j)] dt for every x_j at once.
 
-    Returns 2 * integral_1^inf F(k) e^{-chi z} kernel(k x) dk including the
-    profile's analytic tail when the truncation is set by oscillation
-    rather than by the exponential.
+    ``weight(t)`` returns the wavenumbers k(t) and the weights w(t), which
+    carry the amplitude, the height factor and dk/dt.  Returns shape
+    (2, len(xs)): the psi integrals, then the d/dx ones.
     """
+
+    def integrand(t):
+        k, w = weight(t)
+        kx = np.multiply.outer(k, xs)
+        return np.concatenate([np.cos(kx), -k[:, None] * np.sin(kx)], axis=1) * w[:, None]
+
+    res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
+                        breakpoints=oscillation_breakpoints(a, b, rate))
+    return res.value.reshape(2, len(xs))
+
+
+def field_row(
+    xs,
+    z: float,
+    profile: ApertureProfile,
+    *,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
+) -> list[FieldPoint]:
+    """psi, d(psi)/dx and J_x at every x of one height z >= 0, in one pass."""
+    if z < 0:
+        raise ValueError(f"z must be non-negative (transmission side), got {z!r}")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ax = np.abs(xs)
+    x_max = float(ax.max())
+    rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
+
+    def rw_weight(theta):
+        k, c = np.sin(theta), np.cos(theta)
+        return k, profile.amplitude(k) * np.exp(1j * z * c) * c
+
+    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, xs, math.hypot(x_max, z) + rate0, abs_tol, rel_tol)
+
     k_exp = math.inf if z == 0.0 else math.sqrt(1.0 + (_EXP_CUT / z) ** 2)
     k_profile = profile.cutoff(z)
     k_hi = max(1.5, min(k_profile, k_exp))
     k_mid = min(2.0, k_hi)
-    rate0 = _profile_rate(profile)
 
-    if kernel == "cos":
-        def ker(k):
-            return np.cos(k * x)
-    else:
-        def ker(k):
-            return -k * np.sin(k * x)
-
-    def integrand_s(s):
-        k = np.cosh(s)
-        return profile.amplitude(k) * np.exp(-z * np.sinh(s)) * ker(k) * np.sinh(s)
+    def s_weight(s):
+        k, sh = np.cosh(s), np.sinh(s)
+        return k, profile.amplitude(k) * np.exp(-z * sh) * sh
 
     s_hi = math.acosh(k_mid)
-    rate_s = (abs(x) + z + rate0) * math.sinh(s_hi) if s_hi > 0 else 0.0
-    total = adaptive_quad(
-        integrand_s,
-        0.0,
-        s_hi,
-        abs_tol=0.5 * abs_tol,
-        rel_tol=rel_tol,
-        breakpoints=oscillation_breakpoints(0.0, s_hi, rate_s),
-    ).value
+    cw = _pass(s_weight, 0.0, s_hi, xs, (x_max + z + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
 
     if k_hi > k_mid:
-        def integrand_k(k):
+        def k_weight(k):
             chi = np.sqrt((k - 1.0) * (k + 1.0))
-            return profile.amplitude(k) * np.exp(-z * chi) * ker(k)
+            return k, profile.amplitude(k) * np.exp(-z * chi)
 
-        total += adaptive_quad(
-            integrand_k,
-            k_mid,
-            k_hi,
-            abs_tol=0.5 * abs_tol,
-            rel_tol=rel_tol,
-            breakpoints=oscillation_breakpoints(k_mid, k_hi, abs(x) + rate0),
-        ).value
+        for u in np.unique(ax):
+            at = ax == u
+            psi_k, dpsi_k = _pass(k_weight, k_mid, k_hi, np.array([u]), u + rate0, abs_tol, rel_tol)[:, 0]
+            cw[0, at] += psi_k
+            cw[1, at] += np.where(xs[at] < 0, -dpsi_k, dpsi_k)
 
-    total *= 2.0
+    cw *= 2.0
     if profile.has_analytic_tail() and k_profile <= k_exp:
-        if kernel == "cos":
-            total += profile.field_tail(k_hi, x, z)
-        else:
-            total += profile.field_tail_dx(k_hi, x, z)
-    return total
-
-
-def _rw_piece(x: float, z: float, profile: ApertureProfile, kernel: str, abs_tol: float, rel_tol: float) -> complex:
-    """Running-range integral, k = sin(theta) substitution."""
-    if kernel == "cos":
-        def ker(k):
-            return np.cos(k * x)
-    else:
-        def ker(k):
-            return -k * np.sin(k * x)
-
-    def integrand(theta):
-        k = np.sin(theta)
-        c = np.cos(theta)
-        return profile.amplitude(k) * np.exp(1j * z * c) * ker(k) * c
-
-    rate = math.hypot(x, z) + _profile_rate(profile)
-    res = adaptive_quad(
-        integrand,
-        0.0,
-        0.5 * math.pi,
-        abs_tol=0.5 * abs_tol,
-        rel_tol=rel_tol,
-        breakpoints=oscillation_breakpoints(0.0, 0.5 * math.pi, rate),
-    )
-    return 2.0 * res.value
+        cw[0] += [profile.field_tail(k_hi, x, z) for x in xs]
+        cw[1] += [profile.field_tail_dx(k_hi, x, z) for x in xs]
+    out = []
+    for j, x in enumerate(xs):
+        psi = FieldSample(float(x), z, complex(rw[0, j]), complex(cw[0, j]))
+        dpsi = FieldSample(float(x), z, complex(rw[1, j]), complex(cw[1, j]))
+        out.append(FieldPoint(psi, dpsi, (psi.psi_total.conjugate() * dpsi.psi_total).imag))
+    return out
 
 
 def field_at(
@@ -145,11 +145,7 @@ def field_at(
     rel_tol: float = 1e-10,
 ) -> FieldSample:
     """Evaluate the near-field superposition at one point (z >= 0)."""
-    if z < 0:
-        raise ValueError(f"z must be non-negative (transmission side), got {z!r}")
-    psi_rw = _rw_piece(x, z, profile, "cos", abs_tol, rel_tol)
-    psi_cw = _cw_pieces(x, z, profile, "cos", abs_tol, rel_tol)
-    return FieldSample(x=x, z=z, psi_rw=complex(psi_rw), psi_cw=complex(psi_cw))
+    return field_row(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0].psi
 
 
 def field_dx_at(
@@ -161,11 +157,7 @@ def field_dx_at(
     rel_tol: float = 1e-10,
 ) -> FieldSample:
     """x-derivative of the field, differentiated under the integrals."""
-    if z < 0:
-        raise ValueError(f"z must be non-negative (transmission side), got {z!r}")
-    d_rw = _rw_piece(x, z, profile, "dcos", abs_tol, rel_tol)
-    d_cw = _cw_pieces(x, z, profile, "dcos", abs_tol, rel_tol)
-    return FieldSample(x=x, z=z, psi_rw=complex(d_rw), psi_cw=complex(d_cw))
+    return field_row(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0].dpsi
 
 
 def probability_current_x(
@@ -181,9 +173,7 @@ def probability_current_x(
     Odd in x and zero on the symmetry axis; a nonzero value off-axis is the
     flux the standing-wave decomposition carries along the screen.
     """
-    psi = field_at(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol).psi_total
-    dpsi = field_dx_at(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol).psi_total
-    return (psi.conjugate() * dpsi).imag
+    return field_row(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0].current_x
 
 
 def cw_fraction_profile(
@@ -194,7 +184,11 @@ def cw_fraction_profile(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
 ) -> list[tuple[float, float]]:
-    """Evanescent intensity fraction |psi_cw|^2/|psi_total|^2 along a z scan."""
+    """Evanescent intensity fraction |psi_cw|^2/|psi_total|^2 along a z scan.
+
+    Where |psi_total| <= abs_tol the total is cancellation noise; the
+    fraction there is nan and a RuntimeWarning names the point.
+    """
     zs = [float(z) for z in z_grid]
     if any(z < 0 for z in zs):
         raise ValueError("z grid must be non-negative")
@@ -203,7 +197,11 @@ def cw_fraction_profile(
     out = []
     for z in zs:
         s = field_at(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)
-        out.append((z, abs(s.psi_cw) ** 2 / abs(s.psi_total) ** 2))
+        total = abs(s.psi_total)
+        if total <= abs_tol:
+            warnings.warn(f"CW fraction at (x={x!r}, z={z!r}) is cancellation noise: |psi_total| = "
+                          f"{total:.3e} <= abs_tol", RuntimeWarning, stacklevel=2)
+        out.append((z, abs(s.psi_cw) ** 2 / total**2 if total > abs_tol else math.nan))
     return out
 
 

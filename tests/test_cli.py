@@ -99,6 +99,66 @@ class TestField:
         assert float(first["re_psi_total"]) == pytest.approx(total, rel=1e-12)
 
 
+    def test_rows_agree_with_per_point_calls(self, capsys, tmp_path):
+        # one row call per height shares abscissae across the row; each point
+        # must still agree with its own field_at / probability_current_x to
+        # what the quadrature was asked for (3 integrals, safety factor 4)
+        from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
+        from nearwave.nearfield import field_at, field_dx_at, probability_current_x
+
+        abs_tol, rel_tol = 1e-12, 1e-10
+
+        def err(scale):
+            return 4.0 * 3.0 * max(abs_tol, rel_tol * scale)
+
+        def scale(s):
+            return max(abs(s.psi_rw), abs(s.psi_cw), abs(s.psi_total))
+
+        ks = [0.2 * i for i in range(-30, 31)]
+        csv_path = tmp_path / "prof.csv"
+        csv_path.write_text("kx,F\n" + "\n".join(
+            f"{k!r},{math.exp(-0.3 * k * k) * math.cos(math.pi * k / 12.0) ** 2!r}" for k in ks) + "\n")
+        xs = [-2.0, -0.7, -0.3, 0.0, 0.3, 0.7, 2.0]
+        zs = [0.0, 0.5, 40.0]
+        cases = (
+            ({"kind": "single_slit", "a": 1.0}, SingleSlitProfile(a=1.0)),
+            ({"kind": "gaussian", "w": 1.3}, GaussianProfile(w=1.3)),
+            ({"kind": "tabulated", "path": str(csv_path)}, TabulatedProfile.from_csv(csv_path)),
+        )
+        for aperture, profile in cases:
+            cfg = dict(BASE_CFG, aperture=aperture, grids={"x": xs, "z": zs})
+            rc, out, _ = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+            assert rc == 0
+            rows = {(float(r["x"]), float(r["z"])): r for r in csv.DictReader(io.StringIO(out))}
+            assert len(rows) == len(xs) * len(zs)
+            for (x, z), r in rows.items():
+                s = field_at(x, z, profile)
+                d = field_dx_at(x, z, profile)
+                bound = err(scale(s))
+                for got, want in (
+                    (complex(float(r["re_psi_rw"]), float(r["im_psi_rw"])), s.psi_rw),
+                    (complex(float(r["re_psi_cw"]), float(r["im_psi_cw"])), s.psi_cw),
+                    (complex(float(r["re_psi_total"]), float(r["im_psi_total"])), s.psi_total),
+                ):
+                    assert abs(got - want) <= bound, (aperture, x, z, got, want)
+                j_bound = abs(d.psi_total) * bound + abs(s.psi_total) * err(scale(d))
+                assert abs(float(r["J_x"]) - probability_current_x(x, z, profile)) <= j_bound
+                mirror = float(rows[(-x, z)]["J_x"])
+                assert abs(float(r["J_x"]) + mirror) <= 2.0 * j_bound, (aperture, x, z)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_bad_tolerance_rejected_before_computing(self, capsys, tmp_path, monkeypatch, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("field computed despite an invalid --tolerance")
+
+        monkeypatch.setattr(cli.nearfield, "field_row", refuse)
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        rc, out, err = run_main(capsys, "field", "--config", cfg, "--tolerance", value)
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["error"]["field"] == "--tolerance"
+
+
 class TestAbsorb:
     def test_values_match_library(self, capsys, tmp_path):
         cfg = dict(BASE_CFG)

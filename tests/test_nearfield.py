@@ -138,6 +138,16 @@ class TestFieldStructure:
         )
         assert fracs[2] < fracs[1]
 
+    def test_cw_fraction_nan_where_total_cancels(self):
+        # slit a=1 at x=0.6, z=0: the RW and CW parts (each ~0.671) cancel,
+        # so the total is rounding noise and the fraction is undefined there
+        profile = SingleSlitProfile(a=1.0)
+        with pytest.warns(RuntimeWarning, match=r"x=0\.6, z=0\.0"):
+            scan = cw_fraction_profile(0.6, [0.0, 0.5], profile)
+        assert [z for z, _ in scan] == [0.0, 0.5]
+        assert math.isnan(scan[0][1])
+        assert 0.0 < scan[1][1] < 1.0
+
     def test_cw_fraction_grid_validation(self):
         profile = SingleSlitProfile(a=1.0)
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -71,6 +71,49 @@ class TestAdaptiveQuad:
         res = adaptive_quad(lambda x: np.exp(-x), 0.0, 200.0)
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
+    def test_scalar_integrand_gives_scalar_result(self):
+        res = adaptive_quad(np.exp, 0.0, 1.0)
+        assert np.ndim(res.value) == 0 and np.ndim(res.error) == 0
+
+    def test_runaway_refinement_refused_before_evaluation(self):
+        # 1e9 radians of unseeded oscillation: every panel stays over its
+        # share, so each round would double the batch; the sweep that would
+        # pass max_panels must never be evaluated
+        batches = []
+
+        def f(x):
+            batches.append(x.size)
+            return np.cos(1e9 * x)
+
+        with pytest.raises(QuadratureError) as err:
+            adaptive_quad(f, 0.0, 1.0, max_panels=1000)
+        assert max(batches) <= 31 * 1000
+        assert math.isfinite(err.value.achieved) and err.value.achieved > 0
+
+
+class TestVectorIntegrand:
+    def test_components_in_columns(self):
+        res = adaptive_quad(lambda t: np.stack([np.exp(t), np.exp(1j * t)], axis=1), 0.0, math.pi)
+        assert res.value.shape == (2,) and res.error.shape == (2,)
+        assert res.value[0] == pytest.approx(math.exp(math.pi) - 1.0, rel=1e-13)
+        assert res.value[1] == pytest.approx(2j, rel=1e-13)
+
+    def test_each_component_meets_its_own_tolerance(self):
+        # a smooth component of size 1e8 next to an O(1) one with an endpoint
+        # singularity: a budget shared with the large component would accept
+        # the small one far too early
+        rel_tol = 1e-12
+        res = adaptive_quad(
+            lambda t: np.stack([1e8 * np.exp(t), np.sqrt(t)], axis=1),
+            0.0,
+            1.0,
+            abs_tol=1e-300,
+            rel_tol=rel_tol,
+        )
+        want = np.array([1e8 * (math.e - 1.0), 2.0 / 3.0])
+        assert np.all(res.error <= rel_tol * np.abs(res.value))
+        assert np.all(np.abs(res.value - want) <= 10.0 * rel_tol * want)
+
 
 class TestOscillationBreakpoints:
     def test_spacing(self):
