@@ -30,7 +30,9 @@ from scipy.special import exp1
 from .quadrature import adaptive_quad
 
 _SERIES_WINDOW = 1e-3
-_Q_TAIL_START = 1.0e4  # a*kx beyond which the analytic tail expansion takes over
+_Q_TAIL_START = 1.0e4  # a*kx beyond which tail_probability's analytic expansion takes over
+_FIELD_TAIL_START = 100.0  # min(a, pi)*kx beyond which the slit field tail series takes over
+_TAIL_ORDER = 12  # highest power of 1/k kept in the slit field tail series
 
 
 def _series_near_zero(direct, u, c0: float, c2: float, c4: float) -> np.ndarray:
@@ -84,14 +86,19 @@ def slit_te_amplitude_sq(kx, a: float):
 
 
 def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
-    """Generalized exponential integrals E_n(z), Re(z) >= 0.
+    """Generalized exponential integrals E_n(z) for n = 1..max(orders), Re(z) >= 0.
 
-    Moderate arguments use upward recurrence from exp1; its cancellation
-    grows like |z| per step, so beyond |z| = 1e4 each order switches to the
-    independent asymptotic series e^{-z}/z * sum_j (-1)^j (n)_j / z^j,
-    whose truncation error at six terms is below 1e-17 relative there.
-    Every consumer divides E_n by K^(n-1) with K ~ |z|, keeping the final
-    contributions at full precision on both sides of the switch.
+    Three routes:
+
+    * |z| <= 1: upward recurrence E_{n+1} = (e^{-z} - z E_n)/n from exp1.
+    * 1 < |z| < 1e4: E_{n0} at n0 = min(max(orders), ceil|z|) from its
+      continued fraction (modified Lentz), then downward recurrence
+      E_n = (e^{-z} - n E_{n+1})/z below n0 and upward above it.  A
+      downward step scales the rounding it inherits by n/|z| < 1 and an
+      upward step by |z|/n <= 1, so neither direction amplifies it (upward
+      from exp1 alone grows it like |z|^n/n!).
+    * |z| >= 1e4: the asymptotic series e^{-z}/z * sum_j (-1)^j (n)_j / z^j,
+      whose truncation error at six terms is below 1e-17 relative there.
     """
     top = max(orders)
     if z == 0:
@@ -108,10 +115,65 @@ def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
                 total += term
             vals[n] = e / z * total
         return vals
-    vals = {1: complex(exp1(z))}
-    for n in range(1, top):
+    n0 = min(top, math.ceil(abs(z)))
+    vals = {n0: complex(exp1(z)) if n0 == 1 else _exp_integral_cf(z, n0) * e}
+    for n in range(n0 - 1, 0, -1):
+        vals[n] = (e - n * vals[n + 1]) / z
+    for n in range(n0, top):
         vals[n + 1] = (e - z * vals[n]) / n
     return vals
+
+
+def _exp_integral_cf(z: complex, n: int) -> complex:
+    """e^z E_n(z) = 1/(z + n - 1*n/(z + n + 2 - 2(n+1)/(z + n + 4 - ...))), |z| > 1, Re(z) >= 0.
+
+    Modified Lentz evaluation; converges in under 200 steps for |z| > 1
+    (about 25 at |z| = 12).
+    """
+    b = z + n
+    c = 1e300  # stands in for the infinite C_0 of the first step
+    d = 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (n - 1 + i)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = c * d
+        h *= step
+        if abs(step - 1.0) < 2.3e-16:
+            break
+    return h
+
+
+def _slit_tail_series(a: float, z: float, order: int) -> list[float]:
+    """c_0..c_order of F(k) e^{-chi z} = 2 sqrt(pi a) cos(a k/2) e^{-k z} sum_m c_m k^-m.
+
+    c_m is the k^-m coefficient of the product of two series in 1/k: the
+    amplitude's -sum_n (pi/a)^(2n) k^(-2n-2) / a^2, and exp(z (k - chi))
+    with k - chi = sum_j |binom(1/2, j)| k^(1-2j).  c_0 = c_1 = 0.
+    """
+    d = [0.0] * (order + 1)  # k - chi
+    binom = 0.5
+    for j in range(1, (order + 1) // 2 + 1):
+        d[2 * j - 1] = binom
+        binom *= (j - 0.5) / (j + 1)
+    ex = [1.0] + [0.0] * order  # exp(z d): p ex_p = z sum_i i d_i ex_(p-i)
+    for p in range(1, order + 1):
+        ex[p] = z * sum(i * d[i] * ex[p - i] for i in range(1, p + 1)) / p
+    c = [0.0] * (order + 1)
+    ratio = (math.pi / a) ** 2
+    for n in range(order // 2):
+        amp = -ratio**n / (a * a)
+        for m in range(2 * n + 2, order + 1):
+            c[m] += amp * ex[m - 2 * n - 2]
+    return c
+
+
+def _tail_sum(c: list[float], k_hi: float, s: complex, shift: int) -> complex:
+    """sum_m c_m integral_{k_hi}^inf k^(shift-m) e^{-s k} dk = sum_m c_m E_{m-shift}(s k_hi) / k_hi^(m-shift-1)."""
+    en = _exp_integrals(s * k_hi, tuple(range(2 - shift, len(c) - shift)))
+    return sum(c[m] * en[m - shift] / k_hi ** (m - shift - 1) for m in range(2, len(c)))
 
 
 @dataclass(frozen=True)
@@ -236,50 +298,34 @@ class SingleSlitProfile(ApertureProfile):
         return 1.0
 
     def cutoff(self, z: float) -> float:
-        return _Q_TAIL_START / self.a
+        # both expansion ratios pi/(a k) and 1/k of the tail series stay <= pi/100
+        return _FIELD_TAIL_START / min(self.a, math.pi)
 
     def has_analytic_tail(self) -> bool:
         return True
 
     def field_tail(self, k_hi: float, x: float, z: float) -> complex:
-        """Large-k remainder of the field integral via E_n expansions.
+        """Large-k remainder of the field integral from the 1/k series of F e^{-chi z}.
 
-        Valid for a*k_hi >= 1e4; uses chi ~ k - 1/(2k) so the first-order
-        e^{z/(2k)} correction is kept, adequate because the exponential
-        cutoff supersedes this formula well before z*k_hi gets large.
+        Sums c_m E_m(s k_hi)/k_hi^(m-1) for m <= 12 over beta = x -+ a/2,
+        with s = z - i beta and c_m from :func:`_slit_tail_series`.  Accurate
+        to rounding for k_hi >= :meth:`cutoff`, where the omitted terms are
+        O((pi/100)^11) relative to the leading one.
         """
-        a = self.a
-        pref = -2.0 * math.sqrt(math.pi * a) / (a * a)
-        pi2_a2 = (math.pi / a) ** 2
-        total = 0.0
-        for beta in (0.5 * a - x, 0.5 * a + x):
-            s = complex(z, -beta)
-            sk = s * k_hi
-            en = _exp_integrals(sk, (2, 3, 4, 6))
-            term = en[2] / k_hi
-            term += 0.5 * z * en[3] / k_hi**2
-            term += pi2_a2 * en[4] / k_hi**3
-            term += pi2_a2 * pi2_a2 * en[6] / k_hi**5
-            total += term.real
-        return pref * total
+        c = _slit_tail_series(self.a, z, _TAIL_ORDER)
+        betas = (x + 0.5 * self.a, x - 0.5 * self.a)
+        total = sum(_tail_sum(c, k_hi, complex(z, -beta), 0).real for beta in betas)
+        return 2.0 * math.sqrt(math.pi * self.a) * total
 
     def field_tail_dx(self, k_hi: float, x: float, z: float) -> complex:
-        a = self.a
-        pref = 2.0 * math.sqrt(math.pi * a) / (a * a)
-        pi2_a2 = (math.pi / a) ** 2
+        """x-derivative counterpart of :meth:`field_tail`: c_m E_(m-1)(s k_hi)/k_hi^(m-2)."""
+        c = _slit_tail_series(self.a, z, _TAIL_ORDER)
         total = 0.0
-        for beta in (x + 0.5 * a, x - 0.5 * a):
+        for beta in (x + 0.5 * self.a, x - 0.5 * self.a):
             s = complex(z, -beta)
-            if s == 0:
-                continue  # sin(beta*k) vanishes identically
-            sk = s * k_hi
-            en = _exp_integrals(sk, (1, 2, 3, 5))
-            term = en[1]
-            term += 0.5 * z * en[2] / k_hi
-            term += pi2_a2 * en[3] / k_hi**2
-            term += pi2_a2 * pi2_a2 * en[5] / k_hi**4
-            total += term.imag
-        return pref * total
+            if s != 0:  # s = 0 means beta = 0, where sin(beta k) vanishes
+                total += _tail_sum(c, k_hi, s, 1).imag
+        return -2.0 * math.sqrt(math.pi * self.a) * total
 
 
 @dataclass(frozen=True)
@@ -318,6 +364,8 @@ class TabulatedProfile(ApertureProfile):
         f_samples = np.asarray(f_samples, dtype=float)
         if kx_samples.shape != f_samples.shape or kx_samples.ndim != 1:
             raise ValueError("kx and F sample arrays must be 1-D and equally long")
+        if not (np.isfinite(kx_samples).all() and np.isfinite(f_samples).all()):
+            raise ValueError("kx and F samples must be finite")
         order = np.argsort(np.abs(kx_samples))
         ks = np.abs(kx_samples)[order]
         fs = f_samples[order]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -119,7 +120,7 @@ def _run_checks(subcommand: str, out_path: str | None) -> int:
     return 0 if payload["checks"]["failed"] == 0 else 1
 
 
-def _cmd_spectrum(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_spectrum(cfg: dict, out: str | None) -> int:
     period, m_max = grating_from(cfg)
     grating = GratingSpec(period=period, n_modes=m_max)
     header = ["period", "m", "kx", "kind", "re_kz", "im_kz", "z_d", "u_c"]
@@ -156,7 +157,7 @@ def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
     return 0
 
 
-def _cmd_absorb(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_absorb(cfg: dict, out: str | None) -> int:
     profile = aperture_from(cfg)
     packet = packet_from(cfg)
     kxs = grid_from(cfg, "kx")
@@ -172,7 +173,7 @@ def _cmd_absorb(cfg: dict, out: str | None, tol: float) -> int:
     return 0
 
 
-def _cmd_transfer(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_transfer(cfg: dict, out: str | None) -> int:
     K0, K_mu = probe_kinematics_from(cfg)
     result = kinematics.evanescence_transfer(K0, K_mu)
     fs = result.final_state
@@ -257,7 +258,7 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
     return rec
 
 
-def _cmd_recoil(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_recoil(cfg: dict, out: str | None) -> int:
     units = units_from(cfg)
     screen = screen_from(cfg)
     kxs = grid_from(cfg, "kx")
@@ -275,7 +276,7 @@ def _cmd_recoil(cfg: dict, out: str | None, tol: float) -> int:
     return 0
 
 
-def _cmd_lifetime(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     units = units_from(cfg)
     screen = screen_from(cfg)
     profile = aperture_from(cfg)
@@ -329,7 +330,7 @@ def _cmd_lifetime(cfg: dict, out: str | None, tol: float) -> int:
     return 0
 
 
-def _cmd_scenario_probe_spread(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_scenario_probe_spread(cfg: dict, out: str | None) -> int:
     kwargs = scenario_kwargs(cfg, (
         "lambda0_si", "kx_ratio", "velocity_ratio", "distance_si",
         "delta_z_si", "reference_spread_ratio",
@@ -338,7 +339,7 @@ def _cmd_scenario_probe_spread(cfg: dict, out: str | None, tol: float) -> int:
     return 0
 
 
-def _cmd_scenario_lifetime(cfg: dict, out: str | None, tol: float) -> int:
+def _cmd_scenario_lifetime(cfg: dict, out: str | None) -> int:
     kwargs = scenario_kwargs(cfg, (
         "mass_kg", "k0_si", "kx_ratio", "slit_width_ratio", "tau_max_s", "reference_tau_s",
     ))
@@ -374,17 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to the JSON scenario config")
         p.add_argument("--out", help="output file (stdout when omitted)")
         p.add_argument("--check", action="store_true", help="run module consistency checks instead")
-        p.add_argument("--tolerance", type=float, default=1e-12,
-                       help="absolute quadrature tolerance (default 1e-12)")
+        if name == "field":
+            p.add_argument("--tolerance", type=float, default=1e-12,
+                           help="absolute quadrature tolerance (default 1e-12)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name = args.subcommand
+    handler = _HANDLERS[name]
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise ConfigError("--tolerance", f"must be a finite positive number, got {args.tolerance!r}")
+        if name == "field":
+            if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+                raise ConfigError("--tolerance", f"must be a finite positive number, got {args.tolerance!r}")
+            handler = functools.partial(_cmd_field, tol=args.tolerance)
         if args.check:
             return _run_checks(name, args.out)
         if args.config is not None:
@@ -393,7 +398,7 @@ def main(argv=None) -> int:
             cfg = _bundled_config(_BUNDLED[name])
         else:
             raise ConfigError("<args>", f"{name} requires --config")
-        return _HANDLERS[name](cfg, args.out, args.tolerance)
+        return handler(cfg, args.out)
     except ConfigError as e:
         _emit_error("config", e.message, field=e.field)
         return 2

@@ -111,7 +111,6 @@ def packet_from(cfg: dict) -> GaussianPacket:
         return GaussianPacket(
             z0=_number(sec, "z0", "probe"),
             delta_z=_number(sec, "delta_z", "probe", positive=True),
-            K0=float(sec.get("K0_ratio", 0.0)),
         )
     except ValueError as e:
         raise ConfigError("probe", str(e))

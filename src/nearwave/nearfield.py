@@ -10,9 +10,10 @@ integral collects running waves, the second the evanescent set.  Both have
 an integrable square-root derivative singularity at k = 1; the RW side is
 mapped by k = sin(theta) and the innermost CW stretch by k = cosh(s), which
 remove it exactly.  The CW range is truncated where the exponential or the
-profile makes the integrand negligible; slit profiles additionally supply
-an analytic large-k tail, so the oscillatory 1/k^2 decay at z ~ 0 is not
-left to brute-force panels.
+profile makes the integrand negligible.  Slit profiles supply an analytic
+tail beyond k = 100/min(a, pi) (a 1/k series of F e^{-chi z} summed with
+exponential integrals), so at z ~ 0, where the integrand decays only like
+1/k^2, panels cover just [2, 100/min(a, pi)].
 
 psi and d(psi)/dx come from one vector-valued quadrature per range, which
 evaluates the weighted amplitude once per abscissa and multiplies it by the

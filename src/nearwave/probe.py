@@ -26,14 +26,11 @@ class GaussianPacket:
     """Probe packet: center height z0, standard deviation delta_z (units 1/k0).
 
     ``sigma`` is the envelope decay constant 1/(sqrt(2)*delta_z) of
-    exp(-sigma^2 (z - z0)^2 / 2).  ``K0`` (units of k0) is the propagation
-    number along the screen, carried for kinematics interop; it does not
-    enter the absorption overlap.
+    exp(-sigma^2 (z - z0)^2 / 2).
     """
 
     z0: float
     delta_z: float
-    K0: float = 0.0
 
     def __post_init__(self):
         if not (self.delta_z > 0):

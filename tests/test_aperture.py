@@ -142,6 +142,30 @@ class TestTailProbability:
                     floor = 2.22e-16 * mag ** max(0, n - 2) * mag  # rel: eps*|z|^(n-2)/|E_n|, |E_n|~1/|z|
                     assert got == pytest.approx(want, rel=max(1e-11, 10.0 * floor), abs=0)
 
+    def test_exp_integrals_against_mpmath(self):
+        # every order 1..12 on both sides of each route switch: |z| = 1 (exp1
+        # start / continued-fraction start), |z| = n_max (start order ceil|z|
+        # capped at n_max) and |z| = 1e4 (asymptotic series), on the imaginary
+        # axis and with Re z > 0
+        import cmath
+
+        import mpmath
+
+        from nearwave.aperture import _exp_integrals
+
+        orders = tuple(range(1, 13))
+        points = []
+        for mag in (0.999, 1.001, 11.999, 12.001):
+            points += [cmath.rect(mag, phase) for phase in (-math.pi / 2, math.pi / 2, -1.0, 0.4)]
+        for mag in (9.999e3, 1.0001e4):
+            points += [complex(0.0, -mag), complex(0.0, mag), complex(30.0, -math.sqrt(mag * mag - 900.0))]
+        with mpmath.workdps(40):
+            for z in points:
+                en = _exp_integrals(z, orders)
+                for n in orders:
+                    want = complex(mpmath.expint(n, mpmath.mpc(z.real, z.imag)))
+                    assert en[n] == pytest.approx(want, rel=1e-14, abs=0), (z, n)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tail_probability(0.0, 1.0)

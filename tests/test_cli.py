@@ -159,6 +159,34 @@ class TestField:
         assert json.loads(err)["error"]["field"] == "--tolerance"
 
 
+    @pytest.mark.parametrize("a, x", [(0.5, 20.0), (1.0, 60.0)])
+    def test_screen_plane_far_from_slit(self, capsys, tmp_path, a, x):
+        # the long CW range once ran out to a*k = 1e4 here and hit the panel budget
+        cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": a}, grids={"x": [-x, x], "z": [0.0]})
+        rc, out, _ = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 2
+        for r in rows:
+            psi = [complex(float(r[f"re_psi_{p}"]), float(r[f"im_psi_{p}"])) for p in ("rw", "cw", "total")]
+            scale = max(abs(v) for v in psi)
+            assert abs(psi[2]) <= 4.0 * 3.0 * max(1e-12, 1e-10 * scale)  # closed form: 0 outside the slit
+        assert float(rows[0]["J_x"]) == -float(rows[1]["J_x"])
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tabulated_sample_rejected(self, capsys, tmp_path, column, value):
+        samples = [[0.0, 1.0], [1.0, 0.7], [2.0, 0.5], [3.0, 0.1], [4.0, 0.0]]
+        samples[3][column] = value
+        csv_path = tmp_path / "prof.csv"
+        csv_path.write_text("kx,F\n" + "\n".join(f"{k},{f}" for k, f in samples) + "\n")
+        cfg = dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2
+        assert out == ""
+        assert json.loads(err)["error"]["field"] == "aperture.path"
+
+
 class TestAbsorb:
     def test_values_match_library(self, capsys, tmp_path):
         cfg = dict(BASE_CFG)
@@ -172,6 +200,16 @@ class TestAbsorb:
 
         want = absorption_probability(2.0, GaussianPacket(z0=1.0, delta_z=0.5), SingleSlitProfile(a=1.0))
         assert float(rows[0]["probability"]) == want  # 17g serialization is bit-exact
+
+    def test_probe_k0_ratio_not_read(self, capsys, tmp_path):
+        # absorption does not depend on the probe's K0_ratio; a non-number there is ignored
+        cfg = dict(BASE_CFG, grids=dict(BASE_CFG["grids"], kx=[2.0]))
+        runs = []
+        for k0 in (1.0, [1, 2]):
+            cfg["probe"] = dict(BASE_CFG["probe"], K0_ratio=k0)
+            runs.append(run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg)))
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][1] == runs[1][1]
 
     def test_running_mode_rejected(self, capsys, tmp_path):
         path = write_cfg(tmp_path, BASE_CFG)  # kx grid contains 0.0
@@ -293,6 +331,13 @@ class TestErrorsAndChecks:
         rc, _, err = run_main(capsys, "field", "--config", path)
         assert rc == 2
         assert json.loads(err)["error"]["field"] == "aperture.a"
+
+    @pytest.mark.parametrize("name", sorted(set(cli._HANDLERS) - {"field"}))
+    def test_tolerance_only_offered_on_field(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([name, "--tolerance", "0.5"])
+        assert exc.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", sorted(cli._CHECKS))
     def test_check_mode_green(self, capsys, name):

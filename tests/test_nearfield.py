@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from nearwave import aperture
 from nearwave.aperture import GaussianProfile, SingleSlitProfile
 from nearwave.nearfield import (
     cw_fraction_profile,
@@ -181,6 +182,41 @@ class TestSlitAnalyticTails:
             brute = 2.0 * simpson(f, x=k)
             ana = profile.field_tail_dx(k_lo, x, z) - profile.field_tail_dx(k_hi, x, z)
             assert ana == pytest.approx(brute, abs=5e-10, rel=1e-5)
+
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 3.0, 10.0])
+    def test_tail_window_from_series_start_matches_direct_integration(self, a):
+        # the series takes over at k_t = cutoff(); tail(k_t) - tail(4 k_t) must
+        # equal the directly integrated window, for psi and d(psi)/dx alike
+        profile = SingleSlitProfile(a=a)
+        k_lo = 100.0 / min(a, math.pi)
+        assert profile.cutoff(0.0) == k_lo
+        k_hi = 4.0 * k_lo
+        k = np.linspace(k_lo, k_hi, 2**20 + 1)
+        amp = profile.amplitude(k)
+        chi = np.sqrt((k - 1.0) * (k + 1.0))
+        for z in (0.0, 1e-3, 0.05, 0.3):
+            weight = amp * np.exp(-z * chi)
+            for x in (0.3 * a, 1.4 * a):
+                psi = 2.0 * simpson(weight * np.cos(k * x), x=k)
+                dpsi = 2.0 * simpson(weight * (-k * np.sin(k * x)), x=k)
+                ana = profile.field_tail(k_lo, x, z) - profile.field_tail(k_hi, x, z)
+                ana_dx = profile.field_tail_dx(k_lo, x, z) - profile.field_tail_dx(k_hi, x, z)
+                assert ana == pytest.approx(psi, abs=1e-16, rel=1e-12), (x, z)
+                assert ana_dx == pytest.approx(dpsi, abs=1e-14, rel=1e-12), (x, z)
+
+    @pytest.mark.parametrize("a", [0.5, math.pi, 50.0])
+    def test_tail_series_converged_at_its_start(self, a, monkeypatch):
+        # four more orders of the 1/k series move neither tail at k_t
+        profile = SingleSlitProfile(a=a)
+        k_t = profile.cutoff(0.0)
+        points = [(x, z) for z in (0.0, 0.01, 0.2) for x in (0.0, 0.3 * a, 0.5 * a + 1e-3, 1.4 * a, 4.0 * a)]
+        tails = (profile.field_tail, profile.field_tail_dx)
+        base = [[tail(k_t, x, z) for x, z in points] for tail in tails]
+        monkeypatch.setattr(aperture, "_TAIL_ORDER", aperture._TAIL_ORDER + 4)
+        for tail, want in zip(tails, base):
+            for (x, z), v in zip(points, want):
+                assert abs(tail(k_t, x, z) - v) <= 1e-16, (tail.__name__, x, z)
 
 
 class TestProbabilityCurrent:
