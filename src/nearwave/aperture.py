@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import interpolate
-from scipy.special import exp1
 
 from .quadrature import adaptive_quad
 
 _SERIES_WINDOW = 1e-3
-_Q_TAIL_START = 1.0e4  # a*kx beyond which tail_probability's analytic expansion takes over
-_FIELD_TAIL_START = 100.0  # min(a, pi)*kx beyond which the slit field tail series takes over
+# scaled wavenumber beyond which the slit's 1/k tail series replaces quadrature:
+# min(a, pi)*kx for the field, a*kx for tail_probability
+_TAIL_START = 100.0
 _TAIL_ORDER = 12  # highest power of 1/k kept in the slit field tail series
 
 
@@ -88,35 +87,27 @@ def slit_te_amplitude_sq(kx, a: float):
 def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
     """Generalized exponential integrals E_n(z) for n = 1..max(orders), Re(z) >= 0.
 
-    Three routes:
+    Two routes:
 
     * |z| <= 1: upward recurrence E_{n+1} = (e^{-z} - z E_n)/n from exp1.
-    * 1 < |z| < 1e4: E_{n0} at n0 = min(max(orders), ceil|z|) from its
-      continued fraction (modified Lentz), then downward recurrence
-      E_n = (e^{-z} - n E_{n+1})/z below n0 and upward above it.  A
-      downward step scales the rounding it inherits by n/|z| < 1 and an
+    * |z| > 1: E_{n0} at n0 = min(max(orders), ceil|z|) from its continued
+      fraction (modified Lentz; a few steps at large |z|), then downward
+      recurrence E_n = (e^{-z} - n E_{n+1})/z below n0 and upward above it.
+      A downward step scales the rounding it inherits by n/|z| < 1 and an
       upward step by |z|/n <= 1, so neither direction amplifies it (upward
       from exp1 alone grows it like |z|^n/n!).
-    * |z| >= 1e4: the asymptotic series e^{-z}/z * sum_j (-1)^j (n)_j / z^j,
-      whose truncation error at six terms is below 1e-17 relative there.
     """
     top = max(orders)
     if z == 0:
         return {n: (math.inf if n == 1 else 1.0 / (n - 1)) for n in range(1, top + 1)}
     z = complex(z)
     e = np.exp(-z)
-    if abs(z) >= 1e4:
-        vals = {}
-        for n in range(1, top + 1):
-            total = 1.0 + 0.0j
-            term = 1.0 + 0.0j
-            for j in range(1, 6):
-                term *= -(n + j - 1) / z
-                total += term
-            vals[n] = e / z * total
-        return vals
     n0 = min(top, math.ceil(abs(z)))
-    vals = {n0: complex(exp1(z)) if n0 == 1 else _exp_integral_cf(z, n0) * e}
+    if n0 == 1:
+        from scipy.special import exp1
+        vals = {1: complex(exp1(z))}
+    else:
+        vals = {n0: _exp_integral_cf(z, n0) * e}
     for n in range(n0 - 1, 0, -1):
         vals[n] = (e - n * vals[n + 1]) / z
     for n in range(n0, top):
@@ -173,7 +164,7 @@ def _slit_tail_series(a: float, z: float, order: int) -> list[float]:
 def _tail_sum(c: list[float], k_hi: float, s: complex, shift: int) -> complex:
     """sum_m c_m integral_{k_hi}^inf k^(shift-m) e^{-s k} dk = sum_m c_m E_{m-shift}(s k_hi) / k_hi^(m-shift-1)."""
     en = _exp_integrals(s * k_hi, tuple(range(2 - shift, len(c) - shift)))
-    return sum(c[m] * en[m - shift] / k_hi ** (m - shift - 1) for m in range(2, len(c)))
+    return sum(c[m] * en[m - shift] * k_hi ** (shift + 1 - m) for m in range(2, len(c)))
 
 
 @dataclass(frozen=True)
@@ -190,55 +181,39 @@ class TailEstimate:
     k_prime: float
 
 
-def _tail_beyond(q: float) -> tuple[float, float]:
-    """Analytic remainder 2*integral_{q/a}^inf |F|^2 dk for q >= _Q_TAIL_START.
-
-    Expanding (pi^2 - q^2)^-2 in powers of pi^2/q^2 and integrating each
-    term (the oscillatory pieces via E_n on the imaginary axis) leaves a
-    remainder below ~q^-9.
-    """
-    en = _exp_integrals(-1j * q, (4, 6, 8))
-    pi2 = math.pi * math.pi
-    t = (1.0 / 3.0 + en[4].real) / q**3
-    t += 2.0 * pi2 * (1.0 / 5.0 + en[6].real) / q**5
-    t += 3.0 * pi2 * pi2 * (1.0 / 7.0 + en[8].real) / q**7
-    value = 4.0 * math.pi * t
-    bound = 4.0 * math.pi * 4.0 * pi2**3 / (9.0 * q**9)
-    return value, bound
-
-
 def tail_probability(k_prime: float, a: float, abs_tol: float = 1e-12) -> TailEstimate:
     """Probability of finding any |kx| above k_prime for the slit profile.
 
-    Computes 2*integral_{k'}^inf |F|^2 dkx by adaptive panels (one
-    half-oscillation of cos^2 per seed panel) up to a*kx = 1e4 and an
-    analytic expansion beyond, so the quoted error includes the remainder.
-    The result depends on a and k' only through q' = a*k'.
+    In q = a*kx this is integral_{q'}^inf 8 pi cos^2(q/2)/(pi^2 - q^2)^2 dq,
+    which depends on a and k' only through q' = a*k'.  Adaptive panels (one
+    half-oscillation of cos^2 per seed panel) cover [q', _TAIL_START]; from
+    q_t = max(q', _TAIL_START) on, the field tail's 1/q series takes over:
+    with c from :func:`_slit_tail_series` at a = 1, z = 0 and d = c*c (its
+    Cauchy square, complete through q^-(_TAIL_ORDER+2)),
+    |F|^2 = 2 pi (1 + cos q) sum_M d_M q^-M, so the remainder is
+    4 pi [sum_M d_M q_t^(1-M)/(M-1) + Re sum_M d_M E_M(-i q_t)/q_t^(M-1)].
+    ``error`` is the panel error plus the bound 8 pi |d_M| q_t^(1-M)/(M-1)
+    of the first omitted terms; each further order is (pi/q_t)^2 smaller.
     """
-    if not (k_prime > 0):
-        raise ValueError(f"k_prime must be positive, got {k_prime!r}")
-    if not (a > 0):
-        raise ValueError(f"slit width must be positive, got {a!r}")
+    if not (math.isfinite(k_prime) and k_prime > 0):
+        raise ValueError(f"k_prime must be finite and positive, got {k_prime!r}")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"slit width must be finite and positive, got {a!r}")
     qp = a * k_prime
-    asym = 8.0 * math.pi / (3.0 * qp**3)
-    if qp >= _Q_TAIL_START:
-        value, bound = _tail_beyond(qp)
-        return TailEstimate(value=value, error=bound, asymptote=asym, k_prime=k_prime)
-
-    def integrand(q):
-        u = q - math.pi
-        denom = 2.0 * math.pi + u
-        return 8.0 * math.pi * _sin_half_sq_over_u_sq(u) / (denom * denom)
-
-    breaks = np.arange(math.ceil(qp / math.pi) * math.pi, _Q_TAIL_START, math.pi)
-    res = adaptive_quad(integrand, qp, _Q_TAIL_START, abs_tol=abs_tol, rel_tol=1e-12, breakpoints=breaks)
-    tail_val, tail_bound = _tail_beyond(_Q_TAIL_START)
-    return TailEstimate(
-        value=res.value + tail_val,
-        error=res.error + tail_bound,
-        asymptote=asym,
-        k_prime=k_prime,
-    )
+    q_t = max(qp, _TAIL_START)
+    order = _TAIL_ORDER + 2  # c through q^-order squares completely through q^-(order+2)
+    d = np.convolve(*2 * [_slit_tail_series(1.0, 0.0, order)])
+    value = sum(d[m] * q_t ** (1 - m) / (m - 1) for m in range(2, order + 1))
+    value = 4.0 * math.pi * (value + _tail_sum(d[: order + 1], q_t, -1j, 0).real)
+    error = 8.0 * math.pi * sum(abs(d[m]) * q_t ** (1 - m) / (m - 1) for m in (order + 1, order + 2))
+    if qp < _TAIL_START:
+        breaks = np.arange(math.ceil(qp / math.pi) * math.pi, _TAIL_START, math.pi)
+        res = adaptive_quad(lambda q: 2.0 * slit_te_amplitude_sq(q, 1.0), qp, _TAIL_START,
+                            abs_tol=abs_tol, rel_tol=1e-12, breakpoints=breaks)
+        value += res.value
+        error += res.error
+    asym = 8.0 * math.pi / 3.0 * qp**-3.0
+    return TailEstimate(value=value, error=error, asymptote=asym, k_prime=k_prime)
 
 
 class ApertureProfile:
@@ -299,7 +274,7 @@ class SingleSlitProfile(ApertureProfile):
 
     def cutoff(self, z: float) -> float:
         # both expansion ratios pi/(a k) and 1/k of the tail series stay <= pi/100
-        return _FIELD_TAIL_START / min(self.a, math.pi)
+        return _TAIL_START / min(self.a, math.pi)
 
     def has_analytic_tail(self) -> bool:
         return True
@@ -386,7 +361,8 @@ class TabulatedProfile(ApertureProfile):
             raise ValueError(f"need at least 4 distinct |kx| samples, got {len(grid)}")
         averaged = np.asarray(vals) / np.asarray(counts)
         self.k_max = float(grid[-1])
-        self._spline = interpolate.CubicSpline(np.asarray(grid), averaged, bc_type="natural")
+        from scipy.interpolate import CubicSpline
+        self._spline = CubicSpline(np.asarray(grid), averaged, bc_type="natural")
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedProfile":

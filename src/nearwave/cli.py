@@ -20,7 +20,8 @@ counts.  The scenario subcommands fall back to bundled example configs when
 --config is omitted.
 
 Exit codes: 0 success, 1 failed checks, 2 configuration errors,
-3 quadrature failure, 4 degenerate kinematic input.
+3 quadrature failure, 4 degenerate kinematic input or a record whose
+numbers overflow (JSON records never hold NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -80,7 +81,21 @@ def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None
 
 
 def _emit_json(out_path: str | None, record: dict) -> None:
-    _write_text(out_path, json.dumps(record, sort_keys=True, indent=2) + "\n")
+    try:
+        text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise DegenerateInputError("the record holds a non-finite number") from None
+    _write_text(out_path, text + "\n")
+
+
+def _kx_record(build, kx: float, *args) -> dict:
+    """build(kx, *args), or DegenerateInputError naming kx if it overflows, divides by zero or holds inf/nan."""
+    try:
+        rec = build(kx, *args)
+        json.dumps(rec, allow_nan=False)
+    except (ArithmeticError, ValueError) as e:
+        raise DegenerateInputError(f"kx={kx!r}: {type(e).__name__}: {e}") from e
+    return rec
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
@@ -262,7 +277,7 @@ def _cmd_recoil(cfg: dict, out: str | None) -> int:
     units = units_from(cfg)
     screen = screen_from(cfg)
     kxs = grid_from(cfg, "kx")
-    records = [_recoil_mode_record(float(kx), screen, units) for kx in kxs]
+    records = [_kx_record(_recoil_mode_record, float(kx), screen, units) for kx in kxs]
     record = {
         "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "kx": [float(k) for k in kxs]},
         "outputs": {"modes": records},
@@ -292,21 +307,22 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     tau_max = scen.get("tau_max_s")
     if tau_max is not None and (isinstance(tau_max, bool) or not isinstance(tau_max, (int, float)) or not tau_max > 0):
         raise ConfigError("scenario.tau_max_s", f"must be a positive number, got {tau_max!r}")
-    modes_out = []
     warnings = []
-    for kx in kxs:
-        kx = float(kx)
+
+    def mode(kx: float) -> dict:
         routes = recoil.lifetime_routes(kx, screen, units)
         trav = recoil.traverse_time(kx, screen, units)
         if trav.regime_warning:
             warnings.append(f"kx={kx:g}: traverse-time regime conditions not met")
-        modes_out.append({
+        return {
             "kx": kx,
             "tau_exact_s": routes.exact_s,
             "tau_chi_route_s": routes.chi_route_s,
             "tau_deep_cw_s": routes.deep_cw_s,
             "tau_traverse_s": trav.seconds,
-        })
+        }
+
+    modes_out = [_kx_record(mode, float(kx)) for kx in kxs]
     outputs = {"modes": modes_out}
     if tau_max is not None:
         short = recoil.short_lifetime_probability(float(tau_max), profile.a, screen, units)

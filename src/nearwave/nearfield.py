@@ -35,6 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aperture import ApertureProfile, GaussianProfile, SingleSlitProfile
+from .errors import QuadratureError
 from .quadrature import adaptive_quad, oscillation_breakpoints
 
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
@@ -127,8 +128,11 @@ def field_row(
 
     cw *= 2.0
     if profile.has_analytic_tail() and k_profile <= k_exp:
-        cw[0] += [profile.field_tail(k_hi, x, z) for x in xs]
-        cw[1] += [profile.field_tail_dx(k_hi, x, z) for x in xs]
+        with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
+            cw[0] += [profile.field_tail(k_hi, x, z) for x in xs]
+            cw[1] += [profile.field_tail_dx(k_hi, x, z) for x in xs]
+        if not np.isfinite(cw).all():
+            raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
     out = []
     for j, x in enumerate(xs):
         psi = FieldSample(float(x), z, complex(rw[0, j]), complex(cw[0, j]))

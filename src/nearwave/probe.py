@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import erfcx
-
 from .aperture import ApertureProfile, SingleSlitProfile
 from .quantities import C_LIGHT, ELECTRON_MASS, HBAR
 
@@ -63,6 +61,7 @@ def overlap_integral(chi: float, sigma: float, z0: float) -> float:
     if sigma == 0.0:
         # flat envelope: the center height drops out entirely
         return 1.0 / chi
+    from scipy.special import erfcx
     x = (chi / sigma - sigma * z0) / math.sqrt(2.0)
     base = _SQRT2PI / (2.0 * sigma)
     if x >= 0.0:

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .aperture import TailEstimate, tail_probability
+from .errors import ConfigError
 from .modes import WaveKind
 from .quantities import (
     C_LIGHT,
@@ -361,7 +362,8 @@ def short_lifetime_probability(
     k' = K_M/(c k0 tau_max) and integrates the slit mode density above it.
     If k' does not clear the evanescence threshold every evanescent mode
     outlives tau_max's inversion and the probability saturates at 1,
-    flagged as out of regime.
+    flagged as out of regime.  A tau_max so small that a*k' overflows
+    raises ConfigError for ``scenario.tau_max_s``.
     """
     if not (tau_max > 0):
         raise ValueError(f"tau_max must be positive, got {tau_max!r}")
@@ -369,6 +371,8 @@ def short_lifetime_probability(
     k_c = critical_threshold(screen).k_c
     if k_prime <= k_c:
         return ShortLifetimeResult(probability=1.0, k_prime=k_prime, in_regime=False, tail=None)
+    if not math.isfinite(a * k_prime):
+        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {a * k_prime!r}")
     tail = tail_probability(k_prime, a)
     return ShortLifetimeResult(probability=tail.value, k_prime=k_prime, in_regime=True, tail=tail)
 

@@ -172,6 +172,72 @@ class TestTailProbability:
         with pytest.raises(ValueError):
             tail_probability(1.0, -1.0)
 
+    def test_validation_rejects_non_finite(self):
+        for k_prime, a in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                tail_probability(k_prime, a)
+
+    def test_matches_mpmath_reference(self):
+        # reference: pi-panel mp.quad up to 96*pi, then 40 terms of the 1/q
+        # series 4 pi sum_n (n+1) pi^(2n) [q^-(3+2n)/(3+2n) + Re E_(4+2n)(-iq) q^-(3+2n)]
+        # with closed-form coefficients and mpmath's E_n; q' on both sides of
+        # the panel/series switch at 100 and of the reference's own at 96*pi
+        import mpmath as mp
+
+        def density(q):
+            u = q - mp.pi
+            return 8 * mp.pi * mp.sin(u / 2) ** 2 / (u * u * (2 * mp.pi + u) ** 2)
+
+        def series(q, terms=40):
+            q = mp.mpf(q)
+            total = mp.mpf(0)
+            for n in range(terms):
+                m = 4 + 2 * n
+                osc = mp.re(mp.expint(m, mp.mpc(0, -q)))
+                total += (n + 1) * mp.pi ** (2 * n) * (1 / mp.mpf(m - 1) + osc) * q ** (1 - m)
+            return 4 * mp.pi * total
+
+        with mp.workdps(30):
+            top = 96
+            panels = [mp.quad(density, [j * mp.pi, (j + 1) * mp.pi]) for j in range(top)]
+            beyond = series(top * mp.pi)
+            for qp in (0.7, 3.0, 57.3, 99.9, 100.0, 100.1, 317.0, 2500.0, 9999.0, 1e4, 2.3e4, 1e6):
+                if qp < top * math.pi:
+                    j = math.ceil(qp / math.pi)
+                    want = mp.quad(density, [qp, j * mp.pi]) + mp.fsum(panels[j:]) + beyond
+                else:
+                    want = series(qp)
+                for a in (1.0, 2.7):
+                    got = tail_probability(qp / a, a).value
+                    assert got == pytest.approx(float(want), rel=1e-14, abs=0), (qp, a)
+
+    def test_series_converged_at_its_start(self, monkeypatch):
+        # four more orders of the 1/q series move no value, on either side of q' = 100
+        from nearwave import aperture
+
+        qs = (3.0, 99.9, 100.0, 100.1, 317.0, 2500.0, 1e6)
+        base = [tail_probability(q, 1.0) for q in qs]
+        monkeypatch.setattr(aperture, "_TAIL_ORDER", aperture._TAIL_ORDER + 4)
+        for q, want in zip(qs, base):
+            assert tail_probability(q, 1.0).value == pytest.approx(want.value, rel=1e-16, abs=0), q
+            assert want.error <= 1e-14 * want.value
+
+    def test_series_joins_panel_route(self):
+        # just below and just above the panel/series switch at a*k' = 100;
+        # after removing the cubic trend the seam must be smooth (the
+        # cos(q)/q ripple moves q^3*tail by ~3e-4 per 0.01 here)
+        below = tail_probability(99.99, 1.0).value
+        above = tail_probability(100.01, 1.0).value
+        mid = tail_probability(100.0, 1.0).value
+        assert below > mid > above
+        assert below * 99.99**3 == pytest.approx(above * 100.01**3, rel=2e-3, abs=0)
+        assert mid * 100.0**3 == pytest.approx(above * 100.01**3, rel=2e-3, abs=0)
+        # and the drop across the seam is the density's integral over it
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        q = 100.0 + 0.01 * nodes
+        drop = 0.01 * np.dot(weights, 8.0 * math.pi * np.cos(q / 2) ** 2 / (math.pi**2 - q * q) ** 2)
+        assert below - above == pytest.approx(drop, rel=0, abs=1e-14 * mid)
+
 
 class TestGaussianProfile:
     def test_amplitude_and_norm(self):

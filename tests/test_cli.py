@@ -173,6 +173,13 @@ class TestField:
             assert abs(psi[2]) <= 4.0 * 3.0 * max(1e-12, 1e-10 * scale)  # closed form: 0 outside the slit
         assert float(rows[0]["J_x"]) == -float(rows[1]["J_x"])
 
+    def test_overflowing_slit_tail_is_quadrature_error(self, capsys, tmp_path):
+        # a = 1e-30 overflows the slit tail's (pi/a)^(2n)/a^2 coefficients at z = 0
+        cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": 1e-30}, grids={"x": [0.0], "z": [0.0]})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 3 and out == ""
+        assert "not finite" in json.loads(err)["error"]["message"]
+
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tabulated_sample_rejected(self, capsys, tmp_path, column, value):
@@ -312,6 +319,66 @@ class TestScenarios:
         assert out_block["tau_deep_cw_s"] == pytest.approx(1.68578e18, rel=1e-4)
         assert out_block["reference_tau_s"] == 1.8e18
         assert out_block["reference_relative_deviation"] < 0.10
+
+
+class TestNonFiniteRecords:
+    def test_lifetime_k_prime_overflow_is_config_error(self, capsys, tmp_path):
+        cfg = {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e30}, "aperture": {"kind": "single_slit", "a": 1.0},
+               "grids": {"kx": [3.0]}, "scenario": {"tau_max_s": 1e-300}}
+        rc, out, err = run_main(capsys, "lifetime", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"]["field"] == "scenario.tau_max_s"
+
+    def test_scenario_lifetime_k_prime_overflow_is_config_error(self, capsys, tmp_path):
+        rc, out, err = run_main(capsys, "scenario-lifetime", "--config",
+                                write_cfg(tmp_path, {"scenario": {"tau_max_s": 1e-300}}))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"]["field"] == "scenario.tau_max_s"
+
+    def test_lifetime_huge_finite_k_prime_underflows_to_zero(self, capsys, tmp_path):
+        # a*k' ~ 4e264: the tail odds underflow to 0 instead of overflowing q'^n
+        cfg = {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e30}, "aperture": {"kind": "single_slit", "a": 1.0},
+               "grids": {"kx": [3.0]}, "scenario": {"tau_max_s": 1e-250}}
+        rc, out, _ = run_main(capsys, "lifetime", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 0
+        short = json.loads(out)["outputs"]["short_lifetime"]
+        assert short["in_regime"] and short["probability"] == 0.0
+
+    def test_recoil_overflow_names_kx(self, capsys, tmp_path):
+        cfg = {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e300}, "grids": {"kx": [1e200, 5.0]}}
+        rc, out, err = run_main(capsys, "recoil", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "degenerate-input" and "kx=1e+200" in error["message"]
+
+    def test_recoil_division_by_zero_names_kx(self, capsys, tmp_path):
+        cfg = {"k0_si": 1e-300, "screen": {"K_M_ratio": 10}, "grids": {"kx": [2.0]}}
+        rc, out, err = run_main(capsys, "recoil", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "degenerate-input" and "kx=2.0" in error["message"]
+
+    def test_emit_json_rejects_non_finite(self, tmp_path):
+        out = tmp_path / "rec.json"
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(cli.DegenerateInputError):
+                cli._emit_json(str(out), {"outputs": {"value": bad}})
+        assert not out.exists()
+
+
+class TestColdImport:
+    def test_scipy_deferred_to_first_use(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        out = str(tmp_path / "modes.csv")
+        code = (
+            "import sys\n"
+            "import nearwave.cli\n"
+            "print('scipy.interpolate' in sys.modules)\n"
+            f"rc = nearwave.cli.main(['spectrum', '--config', {cfg!r}, '--out', {out!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.split("\n")[:2] == ["False", "0 []"]
 
 
 class TestErrorsAndChecks:
