@@ -56,12 +56,10 @@ from .probe import (
 )
 from .quadrature import QuadResult, adaptive_quad
 from .quantities import (
-    CONSTANTS,
     DEFAULT_REL_TOL,
     ELECTRON_MASS,
     HBAR,
     C_LIGHT,
-    PhysicalConstants,
     ScaledUnits,
     complex_close,
     compton_wavenumber_ratio,
@@ -77,7 +75,6 @@ from .recoil import (
     critical_threshold,
     decay_width_asymptotic,
     entangled_term,
-    gamow_lifetime,
     lifetime_routes,
     lifetime_scenario,
     output_wavenumber,
@@ -89,78 +86,3 @@ from .recoil import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ApertureProfile",
-    "GaussianProfile",
-    "SingleSlitProfile",
-    "TabulatedProfile",
-    "TailEstimate",
-    "slit_te_amplitude_sq",
-    "tail_probability",
-    "ConfigError",
-    "DegenerateInputError",
-    "NearwaveError",
-    "QuadratureError",
-    "ProbeState",
-    "TransferResult",
-    "absorbable_kx",
-    "evanescence_transfer",
-    "ff_exit_momentum",
-    "grating_match",
-    "post_absorption_state",
-    "selection_residual",
-    "transferred_kz",
-    "GratingSpec",
-    "Mode",
-    "WaveKind",
-    "classify",
-    "compressed_wavelength",
-    "decay_depth",
-    "decay_depth_conventions",
-    "grating_modes",
-    "phase_velocity",
-    "FieldPoint",
-    "FieldSample",
-    "cw_fraction_profile",
-    "field_at",
-    "field_dx_at",
-    "field_row",
-    "probability_current_x",
-    "GaussianPacket",
-    "absorption_probability",
-    "high_kx_limit",
-    "overlap_integral",
-    "packet_spread",
-    "probe_spread_scenario",
-    "QuadResult",
-    "adaptive_quad",
-    "CONSTANTS",
-    "DEFAULT_REL_TOL",
-    "ELECTRON_MASS",
-    "HBAR",
-    "C_LIGHT",
-    "PhysicalConstants",
-    "ScaledUnits",
-    "complex_close",
-    "compton_wavenumber_ratio",
-    "stable_one_minus_inv_sqrt1p",
-    "LifetimeRoutes",
-    "RecoilSolution",
-    "ScreenSpec",
-    "ShortLifetimeResult",
-    "Threshold",
-    "TraverseTime",
-    "critical_threshold",
-    "decay_width_asymptotic",
-    "entangled_term",
-    "gamow_lifetime",
-    "lifetime_routes",
-    "lifetime_scenario",
-    "output_wavenumber",
-    "recoil_solution",
-    "root_residual",
-    "screen_momentum_magnitude",
-    "short_lifetime_probability",
-    "traverse_time",
-]

@@ -19,6 +19,7 @@ series within |a|kx| - pi| < 1e-3.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -161,6 +162,14 @@ def _slit_tail_series(a: float, z: float, order: int) -> list[float]:
     return c
 
 
+@functools.cache
+def _tail_probability_coefficients(order: int) -> np.ndarray:
+    """Cauchy square d = c*c of :func:`_slit_tail_series` (a = 1, z = 0) through q^-order; built once, read-only."""
+    d = np.convolve(*2 * [_slit_tail_series(1.0, 0.0, order)])
+    d.flags.writeable = False
+    return d
+
+
 def _tail_sum(c: list[float], k_hi: float, s: complex, shift: int) -> complex:
     """sum_m c_m integral_{k_hi}^inf k^(shift-m) e^{-s k} dk = sum_m c_m E_{m-shift}(s k_hi) / k_hi^(m-shift-1)."""
     en = _exp_integrals(s * k_hi, tuple(range(2 - shift, len(c) - shift)))
@@ -202,7 +211,7 @@ def tail_probability(k_prime: float, a: float, abs_tol: float = 1e-12) -> TailEs
     qp = a * k_prime
     q_t = max(qp, _TAIL_START)
     order = _TAIL_ORDER + 2  # c through q^-order squares completely through q^-(order+2)
-    d = np.convolve(*2 * [_slit_tail_series(1.0, 0.0, order)])
+    d = _tail_probability_coefficients(order)
     value = sum(d[m] * q_t ** (1 - m) / (m - 1) for m in range(2, order + 1))
     value = 4.0 * math.pi * (value + _tail_sum(d[: order + 1], q_t, -1j, 0).real)
     error = 8.0 * math.pi * sum(abs(d[m]) * q_t ** (1 - m) / (m - 1) for m in (order + 1, order + 2))
@@ -394,25 +403,3 @@ class TabulatedProfile(ApertureProfile):
 
     def cutoff(self, z: float) -> float:
         return self.k_max
-
-
-def consistency_checks() -> list[tuple[str, bool, str]]:
-    """Symmetry, continuity and tail self-checks; used by the CLI check mode."""
-    results = []
-    a = 1.3
-    pts = np.array([0.0, 0.4, 1.0, math.pi / a, 2.7, 9.0])
-    even_ok = np.allclose(slit_te_amplitude_sq(pts, a), slit_te_amplitude_sq(-pts, a), rtol=0, atol=0)
-    results.append(("slit-evenness", bool(even_ok), "|F(k)|^2 == |F(-k)|^2"))
-
-    limit = a / (4.0 * math.pi)
-    near = [slit_te_amplitude_sq((math.pi / a) * (1 + eps), a) for eps in (-1e-6, 1e-6)]
-    cont_ok = all(abs(v - limit) <= 1e-4 * limit for v in near)
-    results.append(("slit-singularity-continuity", cont_ok, f"{near} vs {limit}"))
-
-    tails = [tail_probability(k, 1.0).value for k in (2.0, 4.0, 8.0, 16.0)]
-    mono_ok = all(x > y > 0 for x, y in zip(tails, tails[1:]))
-    results.append(("tail-monotone", mono_ok, f"{tails}"))
-
-    norm = tail_probability(1e-9, 1.0).value
-    results.append(("slit-unit-norm", abs(norm - 1.0) < 1e-9, f"two-sided norm {norm!r}"))
-    return results

@@ -14,14 +14,12 @@ Grid subcommands emit CSV (UTF-8, LF, header row, floats printed with 17
 significant digits so repeated runs are byte-identical); single-record
 subcommands emit one JSON object with ``inputs``, ``outputs``,
 ``residuals`` and ``warnings`` keys.  Every row echoes the dimensionless
-inputs it was computed from.  ``--check`` runs the owning module's internal
-consistency assertions instead of the computation and reports pass/fail
-counts.  The scenario subcommands fall back to bundled example configs when
---config is omitted.
+inputs it was computed from.  The scenario subcommands fall back to bundled
+example configs when --config is omitted.
 
-Exit codes: 0 success, 1 failed checks, 2 configuration errors,
-3 quadrature failure, 4 degenerate kinematic input or a record whose
-numbers overflow (JSON records never hold NaN or Infinity).
+Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
+4 degenerate kinematic input or a record whose numbers overflow (JSON
+records never hold NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import sys
 from importlib import resources
 
 from . import aperture as aperture_mod
-from . import kinematics, modes, nearfield, probe, quantities, recoil
+from . import kinematics, modes, nearfield, probe, recoil
 from .config import (
     aperture_from,
     grating_from,
@@ -99,40 +97,15 @@ def _kx_record(build, kx: float, *args) -> dict:
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
+    """One JSON error line on stderr; a non-finite number in ``extra`` is written as null."""
+    extra = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in extra.items()}
     payload = {"error": {"type": kind, "message": message, **extra}}
-    sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
+    sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _bundled_config(name: str) -> dict:
     ref = resources.files("nearwave").joinpath("configs", name)
     return json.loads(ref.read_text(encoding="utf-8"))
-
-
-_CHECKS = {
-    "spectrum": (modes.consistency_checks,),
-    "field": (nearfield.consistency_checks, aperture_mod.consistency_checks),
-    "absorb": (probe.consistency_checks, aperture_mod.consistency_checks),
-    "transfer": (kinematics.consistency_checks,),
-    "recoil": (recoil.consistency_checks,),
-    "lifetime": (recoil.consistency_checks, aperture_mod.consistency_checks),
-    "scenario-probe-spread": (probe.consistency_checks, quantities.consistency_checks),
-    "scenario-lifetime": (recoil.consistency_checks, quantities.consistency_checks),
-}
-
-
-def _run_checks(subcommand: str, out_path: str | None) -> int:
-    results = []
-    for fn in _CHECKS[subcommand]:
-        results.extend(fn())
-    payload = {
-        "checks": {
-            "passed": sum(1 for _, ok, _ in results if ok),
-            "failed": sum(1 for _, ok, _ in results if not ok),
-            "results": [{"name": n, "ok": bool(ok), "detail": d} for n, ok, d in results],
-        }
-    }
-    _emit_json(out_path, payload)
-    return 0 if payload["checks"]["failed"] == 0 else 1
 
 
 def _cmd_spectrum(cfg: dict, out: str | None) -> int:
@@ -259,8 +232,8 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
         },
     }
     if sol.kind is WaveKind.CRAWLING:
-        routes = recoil.lifetime_routes(kx, screen, units)
-        trav = recoil.traverse_time(kx, screen, units)
+        routes = recoil.lifetime_routes(sol, units)
+        trav = recoil.traverse_time(sol, units)
         rec["tau_s"] = routes.exact_s
         rec["tau_deep_cw_s"] = routes.deep_cw_s
         rec["tau_traverse_s"] = trav.seconds
@@ -310,8 +283,9 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     warnings = []
 
     def mode(kx: float) -> dict:
-        routes = recoil.lifetime_routes(kx, screen, units)
-        trav = recoil.traverse_time(kx, screen, units)
+        sol = recoil.recoil_solution(kx, screen)
+        routes = recoil.lifetime_routes(sol, units)
+        trav = recoil.traverse_time(sol, units)
         if trav.regime_warning:
             warnings.append(f"kx={kx:g}: traverse-time regime conditions not met")
         return {
@@ -325,15 +299,8 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     modes_out = [_kx_record(mode, float(kx)) for kx in kxs]
     outputs = {"modes": modes_out}
     if tau_max is not None:
-        short = recoil.short_lifetime_probability(float(tau_max), profile.a, screen, units)
-        outputs["short_lifetime"] = {
-            "tau_max_s": float(tau_max),
-            "k_prime_ratio": short.k_prime,
-            "probability": short.probability,
-            "in_regime": short.in_regime,
-            "cubic_asymptote": short.tail.asymptote if short.tail else None,
-        }
-        if not short.in_regime:
+        short = outputs["short_lifetime"] = recoil.short_lifetime_outputs(float(tau_max), profile.a, screen, units)
+        if not short["in_regime"]:
             warnings.append("tau_max inverts below the evanescence threshold")
     record = {
         "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "slit_a": profile.a,
@@ -390,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--config", help="path to the JSON scenario config")
         p.add_argument("--out", help="output file (stdout when omitted)")
-        p.add_argument("--check", action="store_true", help="run module consistency checks instead")
         if name == "field":
             p.add_argument("--tolerance", type=float, default=1e-12,
                            help="absolute quadrature tolerance (default 1e-12)")
@@ -406,8 +372,6 @@ def main(argv=None) -> int:
             if not (math.isfinite(args.tolerance) and args.tolerance > 0):
                 raise ConfigError("--tolerance", f"must be a finite positive number, got {args.tolerance!r}")
             handler = functools.partial(_cmd_field, tol=args.tolerance)
-        if args.check:
-            return _run_checks(name, args.out)
         if args.config is not None:
             cfg = load_config(args.config)
         elif name in _BUNDLED:

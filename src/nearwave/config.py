@@ -12,7 +12,7 @@ Top-level sections (each subcommand reads the ones it needs):
     grating   {"period": ..., "m_max": ...}        (period in lambda0 units)
     grids     {"kx": [..] or range, "x": range, "z": range}
               where range = {"start": ..., "stop": ..., "num": ...}
-    scenario  free-form keyword block for the scenario subcommands
+    scenario  keyword block for the scenario subcommands; every value > 0
 
 Validation failures raise :class:`~nearwave.errors.ConfigError` carrying the
 dotted path of the offending field.
@@ -179,7 +179,7 @@ def scenario_kwargs(cfg: dict, allowed: tuple[str, ...]) -> dict:
     for key, val in sec.items():
         if key not in allowed:
             raise ConfigError(f"scenario.{key}", f"unknown key; allowed: {sorted(allowed)}")
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            raise ConfigError(f"scenario.{key}", f"must be a finite number, got {val!r}")
+        if not isinstance(val, (int, float)) or isinstance(val, bool) or not (math.isfinite(val) and val > 0):
+            raise ConfigError(f"scenario.{key}", f"must be a finite positive number, got {val!r}")
         out[key] = float(val)
     return out

@@ -135,28 +135,3 @@ def decay_depth_conventions(kx: float) -> tuple[float, float]:
     """
     zd = decay_depth(kx)
     return zd / (2.0 * math.pi), zd
-
-
-def consistency_checks() -> list[tuple[str, bool, str]]:
-    """Dispersion and monotonicity self-checks; used by the CLI check mode."""
-    results = []
-    worst = 0.0
-    for kx in (0.0, 0.3, 0.9, 1.0, 1.01, 2.0, 5.0, 50.0):
-        m = classify(kx)
-        resid = abs(m.kz * m.kz + kx * kx - 1.0)
-        worst = max(worst, resid)
-    results.append(("dispersion-closure", worst < 1e-12, f"max residual {worst:.3e}"))
-
-    chis = [classify(kx).chi_z for kx in (1.5, 2.0, 5.0, 10.0)]
-    results.append(("chi-monotone", all(a < b for a, b in zip(chis, chis[1:])), f"{chis}"))
-
-    zds = [decay_depth(kx) for kx in (1.5, 2.0, 5.0, 10.0)]
-    results.append(("depth-monotone", all(a > b for a, b in zip(zds, zds[1:])), f"{zds}"))
-
-    grating = GratingSpec(period=2.5)
-    agree = all(
-        (mode.kind is WaveKind.CRAWLING) == (classify(mode.kx).kind is WaveKind.CRAWLING)
-        for _, mode in grating_modes(grating, 6)
-    )
-    results.append(("grating-classify-agreement", agree, "m_c rule vs threshold rule"))
-    return results

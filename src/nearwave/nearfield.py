@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aperture import ApertureProfile, GaussianProfile, SingleSlitProfile
+from .aperture import ApertureProfile, SingleSlitProfile
 from .errors import QuadratureError
 from .quadrature import adaptive_quad, oscillation_breakpoints
 
@@ -208,40 +208,3 @@ def cw_fraction_profile(
                           f"{total:.3e} <= abs_tol", RuntimeWarning, stacklevel=2)
         out.append((z, abs(s.psi_cw) ** 2 / total**2 if total > abs_tol else math.nan))
     return out
-
-
-def consistency_checks() -> list[tuple[str, bool, str]]:
-    """Closed-form, linearity and symmetry checks; CLI check mode."""
-    results = []
-
-    w = 2.0
-    gauss = GaussianProfile(w=w)
-    worst = 0.0
-    for x in (0.0, 0.7, 2.5):
-        got = field_at(x, 0.0, gauss).psi_total
-        want = 2.0 * math.sqrt(math.pi) / w * math.exp(-((x / w) ** 2))
-        worst = max(worst, abs(got - want) / want)
-    results.append(("gaussian-z0-closed-form", worst < 1e-10, f"max rel {worst:.3e}"))
-
-    slit = SingleSlitProfile(a=1.0)
-    s1 = field_at(1.0, 0.4, slit).psi_total
-    class Scaled(SingleSlitProfile):
-        def amplitude(self, kx):
-            return 3.0 * super().amplitude(kx)
-        def field_tail(self, k_hi, x, z):
-            return 3.0 * super().field_tail(k_hi, x, z)
-        def field_tail_dx(self, k_hi, x, z):
-            return 3.0 * super().field_tail_dx(k_hi, x, z)
-    s3 = field_at(1.0, 0.4, Scaled(a=1.0)).psi_total
-    lin_ok = abs(s3 - 3.0 * s1) <= 1e-12 * abs(s3)
-    results.append(("linearity", lin_ok, f"{s3!r} vs 3*{s1!r}"))
-
-    j0 = probability_current_x(0.0, 0.5, slit)
-    jp = probability_current_x(1.5, 0.5, slit)
-    jm = probability_current_x(-1.5, 0.5, slit)
-    results.append(("current-axis-zero", abs(j0) < 1e-12, f"J_x(0) = {j0!r}"))
-    results.append(("current-odd", abs(jp + jm) <= 1e-10 * max(1.0, abs(jp)), f"{jp!r} vs {jm!r}"))
-
-    fr = cw_fraction_profile(0.0, (0.3, 3.0), slit)
-    results.append(("cw-fraction-decay", fr[0][1] > fr[1][1], f"{fr}"))
-    return results

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .aperture import ApertureProfile, SingleSlitProfile
+from .aperture import ApertureProfile
+from .errors import ConfigError
 from .quantities import C_LIGHT, ELECTRON_MASS, HBAR
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -124,10 +125,14 @@ def probe_spread_scenario(
     ``kx_ratio`` mode, spreads during the flight.  The report quotes the
     decay depth under both k0 conventions (see
     :func:`nearwave.modes.decay_depth_conventions`) and flags whether the
-    spread exceeds the depth by at least three orders of magnitude.
+    spread exceeds the depth by at least three orders of magnitude.  A
+    ``kx_ratio`` of magnitude 1 or less is a running mode with no decay
+    depth and raises ConfigError for ``scenario.kx_ratio``.
     """
     from .modes import decay_depth_conventions
 
+    if abs(kx_ratio) <= 1.0:
+        raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold 1, got {kx_ratio!r}")
     k0 = 2.0 * math.pi / lambda0_si
     t = distance_si / (velocity_ratio * C_LIGHT)
     zd_exact_per_lam, zd_reduced_per_lam = decay_depth_conventions(kx_ratio)
@@ -167,43 +172,3 @@ def probe_spread_scenario(
             abs(reference_spread_ratio - spread_ratio) / spread_ratio
         )
     return out
-
-
-def consistency_checks() -> list[tuple[str, bool, str]]:
-    """Closed form vs panel quadrature and limit checks; CLI check mode."""
-    import numpy as np
-
-    from .quadrature import adaptive_quad
-
-    results = []
-    profile = SingleSlitProfile(a=1.0)
-    worst = 0.0
-    for kx, z0, dz in ((5.0, 1.0, 0.5), (2.0, 0.0, 2.0), (12.0, 3.0, 0.05)):
-        packet = GaussianPacket(z0=z0, delta_z=dz)
-        chi = _chi_z(kx)
-        sig = packet.sigma
-        closed = overlap_integral(chi, sig, z0)
-        upper = z0 + 12.0 / sig + 40.0 / chi
-
-        def f(z, chi=chi, sig=sig, z0=z0):
-            return np.exp(-0.5 * sig * sig * (z - z0) ** 2 - chi * z)
-
-        # seed the packet window so a narrow displaced peak cannot hide
-        seeds = [z0 + j / sig for j in (-8.0, -2.0, 0.0, 2.0, 8.0)]
-        quad = adaptive_quad(
-            f, 0.0, upper, abs_tol=1e-300, rel_tol=1e-12,
-            breakpoints=[s for s in seeds if 0.0 < s < upper],
-        ).value
-        worst = max(worst, abs(closed - quad) / quad)
-    results.append(("overlap-closed-vs-quad", worst < 1e-10, f"max rel diff {worst:.3e}"))
-
-    packet = GaussianPacket(z0=1.0, delta_z=1e7)  # sigma ~ 7e-8: near the zero-width limit
-    p_small = absorption_probability(5.0, packet, profile)
-    lim, _ = high_kx_limit(5.0, profile)
-    results.append(
-        ("zero-width-limit", abs(p_small - lim) / lim < 1e-6, f"{p_small!r} vs {lim!r}")
-    )
-
-    spread0 = packet_spread(1e-7, 0.0, ELECTRON_MASS)
-    results.append(("spread-at-t0", spread0 == 1e-7, f"{spread0!r}"))
-    return results

@@ -99,7 +99,8 @@ def adaptive_quad(
     QuadratureError
         If the budget is exhausted; the exception carries the best value
         and the achieved error estimate.  A refinement that would exceed
-        ``max_panels`` is refused before it is evaluated.
+        ``max_panels`` is refused before it is evaluated, and a sweep that
+        returns a non-finite panel value raises at once.
     """
     sign = 1.0
     if b < a:
@@ -123,6 +124,12 @@ def adaptive_quad(
 
     for _ in range(max_rounds):
         vals, errs = _panel_estimates(f, lo, hi)
+        if not np.isfinite(errs).all():  # a non-finite rule value makes its error non-finite
+            raise QuadratureError(
+                f"integrand is not finite on [{a:g}, {b:g}]",
+                value=None,
+                achieved=float(np.max(errs)),
+            )
         est_total = done_val + vals.sum(axis=0)
         budget = np.maximum(abs_tol, rel_tol * np.abs(est_total))
         total_err = done_err + errs.sum(axis=0)

@@ -27,17 +27,6 @@ ELECTRON_MASS: float = 9.1093837015e-31  # kg
 DEFAULT_REL_TOL: float = 1e-12
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the constants the package relies on."""
-
-    hbar: float = HBAR
-    c: float = C_LIGHT
-    electron_mass: float = ELECTRON_MASS
-
-
-CONSTANTS = PhysicalConstants()
-
 _SI_FACTORS = ("wavenumber", "energy", "length", "time", "velocity")
 
 
@@ -117,21 +106,3 @@ def complex_close(a: complex, b: complex, rel: float = DEFAULT_REL_TOL, abs_tol:
     """Tolerance-based equality for complex values."""
     scale = max(abs(a), abs(b))
     return abs(a - b) <= max(abs_tol, rel * scale)
-
-
-def consistency_checks() -> list[tuple[str, bool, str]]:
-    """Fast self-checks for the unit system; used by the CLI check mode."""
-    results = []
-    units = ScaledUnits(k0=7.5e6)
-    for kind in _SI_FACTORS:
-        x = 1.2345
-        rt = units.from_si(units.to_si(x, kind), kind)
-        ok = abs(rt - x) <= 2.0 * math.ulp(x)
-        results.append((f"roundtrip-{kind}", ok, f"value {rt!r}"))
-    # stable primitive against the naive form where the naive form is healthy
-    for mu in (1e-6, 1e-3, 1.0, 3.0, 1e3):
-        stable = stable_one_minus_inv_sqrt1p(mu)
-        naive = 1.0 - 1.0 / math.sqrt(1.0 + mu)
-        ok = abs(stable - naive) <= 1e-10 * abs(naive)
-        results.append((f"one-minus-inv-sqrt1p mu={mu:g}", ok, f"{stable!r} vs {naive!r}"))
-    return results

@@ -178,6 +178,7 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
     eta = thr.eta
     denom = K_M + 2.0
     r = _radicand(kx, K_M)
+    kt = output_wavenumber(kx, screen)
 
     if r < 0.0:
         chi = eta * (1.0 + 1.0 / K_M) * math.sqrt((abs(kx) - eta) * (abs(kx) + eta))
@@ -185,7 +186,7 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
         sol = RecoilSolution(
             kx=kx,
             kind=WaveKind.CRAWLING,
-            k_tilde=complex((K_M + 1.0) / denom, math.sqrt(-r) / denom),
+            k_tilde=kt,
             kz_tilde=complex(1.0 / denom, chi),
             Kz_tilde=complex(1.0 - 1.0 / denom, -chi),
             eps_real=(K_M + 1.0) / denom,
@@ -204,7 +205,7 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
         sol = RecoilSolution(
             kx=kx,
             kind=WaveKind.RUNNING,
-            k_tilde=complex((K_M + 1.0 + sqrt_r) / denom, 0.0),
+            k_tilde=kt,
             kz_tilde=complex(kz_re, 0.0),
             Kz_tilde=complex(1.0 - kz_re, 0.0),
             eps_real=(K_M + 1.0 + sqrt_r) / denom,
@@ -216,7 +217,6 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
             K_M=K_M,
         )
 
-    kt = output_wavenumber(kx, screen)
     scale = max(1.0, abs(kt))
     # below the threshold the two routes share the same sqrt(r) expression
     # and must agree to rounding; above it the branch-point conditioning of
@@ -297,23 +297,15 @@ class LifetimeRoutes:
     deep_cw_s: float
 
 
-def gamow_lifetime(kx: float, screen: ScreenSpec, units: ScaledUnits) -> float:
-    """Lifetime tau = hbar / Gamma_SI of the kx joint mode, in seconds."""
-    sol = recoil_solution(kx, screen)
+def lifetime_routes(sol: RecoilSolution, units: ScaledUnits) -> LifetimeRoutes:
+    """The three lifetimes of the evanescent mode ``sol``; ValueError for a running one."""
     if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(kx)!r} is below the threshold; no finite lifetime")
-    return HBAR / (sol.Gamma * units.eps0)
-
-
-def lifetime_routes(kx: float, screen: ScreenSpec, units: ScaledUnits) -> LifetimeRoutes:
-    sol = recoil_solution(kx, screen)
-    if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(kx)!r} is below the threshold; no finite lifetime")
+        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no finite lifetime")
     ck0 = C_LIGHT * units.k0
     return LifetimeRoutes(
         exact_s=HBAR / (sol.Gamma * units.eps0),
-        chi_route_s=screen.K_M / (ck0 * sol.chi_z),
-        deep_cw_s=screen.K_M / (ck0 * abs(kx)),
+        chi_route_s=sol.K_M / (ck0 * sol.chi_z),
+        deep_cw_s=sol.K_M / (ck0 * abs(sol.kx)),
     )
 
 
@@ -329,17 +321,16 @@ class TraverseTime:
     regime_warning: bool
 
 
-def traverse_time(kx: float, screen: ScreenSpec, units: ScaledUnits) -> TraverseTime:
-    """Decay depth over screen drift velocity, d_z / v_z.
+def traverse_time(sol: RecoilSolution, units: ScaledUnits) -> TraverseTime:
+    """Decay depth over screen drift velocity, d_z / v_z, for the evanescent mode ``sol``.
 
     v_z = hbar k0 Re(Kz~)/M and d_z = 1/(chi_z k0); in the heavy-screen,
     deep-evanescent regime this reproduces the Gamow lifetime.
     """
-    sol = recoil_solution(kx, screen)
     if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(kx)!r} is below the threshold; no traverse time")
-    warn = screen.K_M < 1e3 or abs(kx) < 10.0 * sol.k_c
-    seconds = screen.K_M / (C_LIGHT * units.k0 * sol.chi_z * sol.Kz_tilde.real)
+        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no traverse time")
+    warn = sol.K_M < 1e3 or abs(sol.kx) < 10.0 * sol.k_c
+    seconds = sol.K_M / (C_LIGHT * units.k0 * sol.chi_z * sol.Kz_tilde.real)
     return TraverseTime(seconds=seconds, regime_warning=warn)
 
 
@@ -377,6 +368,18 @@ def short_lifetime_probability(
     return ShortLifetimeResult(probability=tail.value, k_prime=k_prime, in_regime=True, tail=tail)
 
 
+def short_lifetime_outputs(tau_max: float, a: float, screen: ScreenSpec, units: ScaledUnits) -> dict:
+    """The ``short_lifetime`` block of a lifetime record, from :func:`short_lifetime_probability`."""
+    short = short_lifetime_probability(tau_max, a, screen, units)
+    return {
+        "tau_max_s": tau_max,
+        "k_prime_ratio": short.k_prime,
+        "probability": short.probability,
+        "in_regime": short.in_regime,
+        "cubic_asymptote": short.tail.asymptote if short.tail else None,
+    }
+
+
 def entangled_term(
     kx: float,
     screen: ScreenSpec,
@@ -409,13 +412,19 @@ def lifetime_scenario(
     tau_max_s: float | None = None,
     reference_tau_s: float | None = None,
 ) -> dict:
-    """Macroscopic-screen scenario: lifetime routes, traverse time, tail odds."""
+    """Macroscopic-screen scenario: lifetime routes, traverse time, tail odds.
+
+    A ``kx_ratio`` at or below the evanescence threshold eta has no
+    lifetime and raises ConfigError for ``scenario.kx_ratio``.
+    """
     units = ScaledUnits(k0=k0_si)
     screen = ScreenSpec.from_mass(mass_kg, units)
     thr = critical_threshold(screen)
     sol = recoil_solution(kx_ratio, screen)
-    routes = lifetime_routes(kx_ratio, screen, units)
-    trav = traverse_time(kx_ratio, screen, units)
+    if sol.kind is not WaveKind.CRAWLING:
+        raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold {thr.eta!r}, got {kx_ratio!r}")
+    routes = lifetime_routes(sol, units)
+    trav = traverse_time(sol, units)
 
     outputs = {
         "K_M_ratio": screen.K_M,
@@ -437,15 +446,8 @@ def lifetime_scenario(
         outputs["reference_tau_s"] = reference_tau_s
         outputs["reference_relative_deviation"] = abs(reference_tau_s - routes.deep_cw_s) / routes.deep_cw_s
     if tau_max_s is not None:
-        short = short_lifetime_probability(tau_max_s, slit_width_ratio, screen, units)
-        outputs["short_lifetime"] = {
-            "tau_max_s": tau_max_s,
-            "k_prime_ratio": short.k_prime,
-            "probability": short.probability,
-            "in_regime": short.in_regime,
-            "cubic_asymptote": short.tail.asymptote if short.tail else None,
-        }
-        if not short.in_regime:
+        short = outputs["short_lifetime"] = short_lifetime_outputs(tau_max_s, slit_width_ratio, screen, units)
+        if not short["in_regime"]:
             warnings.append("tau_max inverts below the evanescence threshold; probability saturated at 1")
 
     return {
@@ -463,45 +465,3 @@ def lifetime_scenario(
         },
         "warnings": warnings,
     }
-
-
-def consistency_checks() -> list[tuple[str, bool, str]]:
-    """Root validity, energy ledger and identity sweeps; CLI check mode."""
-    import numpy as np
-
-    results = []
-    kms = (2.0, 10.0, 1e3, 1e6, 1e12)
-    kxs = np.concatenate([np.linspace(0.0, 0.95, 8), np.geomspace(1.05, 50.0, 12)])
-
-    worst_root = worst_ledger = worst_width = 0.0
-    signs_ok = True
-    for km in kms:
-        screen = ScreenSpec(K_M=km)
-        for kx in kxs:
-            worst_root = max(worst_root, root_residual(float(kx), screen))
-            sol = recoil_solution(float(kx), screen)
-            worst_ledger = max(worst_ledger, abs(sol.eps_real + sol.E_real - 1.0))
-            worst_width = max(worst_width, abs(sol.gamma - sol.Gamma))
-            if sol.kind is WaveKind.CRAWLING:
-                signs_ok &= sol.kz_tilde.imag > 0 and sol.Kz_tilde.imag < 0
-    results.append(("root-residual", worst_root < 1e-10, f"max {worst_root:.3e}"))
-    results.append(("energy-ledger", worst_ledger <= 4 * np.finfo(float).eps, f"max {worst_ledger:.3e}"))
-    results.append(("width-symmetry", worst_width == 0.0, f"max {worst_width:.3e}"))
-    results.append(("evanescence-sign-structure", signs_ok, "Im kz~ > 0 > Im Kz~ on CW branch"))
-
-    worst_id = 0.0
-    for km in kms:
-        eta = critical_threshold(ScreenSpec(K_M=km)).eta
-        lhs_a, rhs_a = 1.0 + 2.0 / km, 1.0 / (eta * eta)
-        worst_id = max(worst_id, abs(lhs_a - rhs_a) / rhs_a)
-        lhs_b = (km + 1.0) / ((km + 2.0) * eta)
-        rhs_b = eta * (km + 1.0) / km
-        worst_id = max(worst_id, abs(lhs_b - rhs_b) / rhs_b)
-    results.append(("threshold-identities", worst_id < 1e-12, f"max rel {worst_id:.3e}"))
-
-    for km in (2.0, 10.0, 1e3):
-        screen = ScreenSpec(K_M=km)
-        for kx in (0.0, 0.5, 2.0, 7.0):
-            screen_momentum_magnitude(kx, screen)  # raises on route mismatch
-    results.append(("momentum-magnitude-routes", True, "both routes agree at 1e-12"))
-    return results

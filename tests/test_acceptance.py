@@ -53,7 +53,7 @@ def _kx_grid_50():
 def test_criterion_01_macroscopic_lifetime():
     units = ScaledUnits(k0=7.5e6)
     screen = ScreenSpec.from_mass(0.1, units)
-    routes = lifetime_routes(10.0, screen, units)
+    routes = lifetime_routes(recoil_solution(10.0, screen), units)
     in_band = 1.6e18 <= routes.deep_cw_s <= 1.8e18
     near_quoted = abs(routes.deep_cw_s - 1.8e18) / 1.8e18 <= 0.10
     routes_agree = abs(routes.exact_s - routes.chi_route_s) / routes.chi_route_s <= 1e-6

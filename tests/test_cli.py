@@ -5,9 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nearwave import cli
+from nearwave import aperture, cli, recoil
 from nearwave.kinematics import evanescence_transfer
 from nearwave.quantities import ScaledUnits
 from nearwave.recoil import ScreenSpec, recoil_solution
@@ -17,6 +18,10 @@ def run_main(capsys, *argv):
     rc = cli.main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def write_cfg(tmp_path, payload, name="run.json"):
@@ -180,6 +185,14 @@ class TestField:
         assert rc == 3 and out == ""
         assert "not finite" in json.loads(err)["error"]["message"]
 
+    def test_nan_integrand_error_line_is_strict_json(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(aperture.GaussianProfile, "amplitude", lambda self, kx: np.full(np.shape(kx), np.nan))
+        cfg = dict(BASE_CFG, aperture={"kind": "gaussian", "w": 1.0}, grids={"x": [0.0], "z": [0.5]})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 3 and out == ""
+        error = json.loads(err, parse_constant=_reject_constant)["error"]
+        assert error["type"] == "quadrature" and error["achieved"] is None
+
     @pytest.mark.parametrize("column", [0, 1])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tabulated_sample_rejected(self, capsys, tmp_path, column, value):
@@ -320,6 +333,44 @@ class TestScenarios:
         assert out_block["reference_tau_s"] == 1.8e18
         assert out_block["reference_relative_deviation"] < 0.10
 
+    @pytest.mark.parametrize("name, scenario, field", [
+        ("scenario-lifetime", {"kx_ratio": 0.5}, "scenario.kx_ratio"),
+        ("scenario-lifetime", {"mass_kg": -1}, "scenario.mass_kg"),
+        ("scenario-lifetime", {"k0_si": 0}, "scenario.k0_si"),
+        ("scenario-lifetime", {"tau_max_s": -5}, "scenario.tau_max_s"),
+        ("scenario-lifetime", {"slit_width_ratio": -1, "tau_max_s": 1e17}, "scenario.slit_width_ratio"),
+        ("scenario-probe-spread", {"kx_ratio": 0.5}, "scenario.kx_ratio"),
+        ("scenario-probe-spread", {"delta_z_si": -1}, "scenario.delta_z_si"),
+        ("scenario-probe-spread", {"velocity_ratio": 0}, "scenario.velocity_ratio"),
+        ("scenario-probe-spread", {"lambda0_si": 0}, "scenario.lambda0_si"),
+    ])
+    def test_bad_scenario_value_names_its_key(self, capsys, tmp_path, name, scenario, field):
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, {"scenario": scenario}))
+        assert rc == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == field
+
+
+class TestRecoilSolvesPerRecord:
+    @pytest.mark.parametrize("name, kxs", [
+        ("recoil", [0.5, 2.0, 5.0]),
+        ("lifetime", [2.0, 5.0]),
+        ("scenario-lifetime", None),  # bundled config, kx_ratio = 10
+    ])
+    def test_one_recoil_solution_per_kx_record(self, capsys, tmp_path, monkeypatch, name, kxs):
+        solved = []
+        solve = recoil.recoil_solution
+
+        def counted(kx, screen):
+            solved.append(kx)
+            return solve(kx, screen)
+
+        monkeypatch.setattr(recoil, "recoil_solution", counted)
+        argv = [name] if kxs is None else [name, "--config", write_cfg(tmp_path, dict(BASE_CFG, grids={"kx": kxs}))]
+        rc, _, _ = run_main(capsys, *argv)
+        assert rc == 0
+        assert solved == (kxs or [10.0])
+
 
 class TestNonFiniteRecords:
     def test_lifetime_k_prime_overflow_is_config_error(self, capsys, tmp_path):
@@ -405,14 +456,6 @@ class TestErrorsAndChecks:
             cli.main([name, "--tolerance", "0.5"])
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("name", sorted(cli._CHECKS))
-    def test_check_mode_green(self, capsys, name):
-        rc, out, _ = run_main(capsys, name, "--check")
-        payload = json.loads(out)
-        assert rc == 0
-        assert payload["checks"]["failed"] == 0
-        assert payload["checks"]["passed"] > 0
 
 
 class TestOutFileAndDeterminism:

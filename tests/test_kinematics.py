@@ -151,7 +151,6 @@ class TestTransferRecord:
         rec = evanescence_transfer(0.5, 2.0)
         assert rec.kx_selected == pytest.approx(absorbable_kx(0.5, 2.0), rel=0)
         assert rec.final_state.Kx == 0.5 + rec.kx_selected
-        assert rec.ff_direction is None
         assert rec.ff_momentum_magnitude > abs(rec.final_state.K_mu) * 0
         # energy conservation by construction: omega = omega0 + 1
         assert rec.final_state.omega == math.hypot(0.5, 2.0) + 1.0

@@ -67,6 +67,18 @@ class TestAdaptiveQuad:
         # the partial value is still a sane estimate
         assert err.value.value == pytest.approx(0.455, abs=0.05)
 
+    def test_non_finite_integrand_raises_after_one_sweep(self):
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x > 0.5, np.nan, x)
+
+        with pytest.raises(QuadratureError, match="not finite") as err:
+            adaptive_quad(f, 0.0, 1.0)
+        assert calls == [15, 31]  # the two rules of the first sweep
+        assert math.isnan(err.value.achieved)
+
     def test_integrable_decay_on_long_interval(self):
         res = adaptive_quad(lambda x: np.exp(-x), 0.0, 200.0)
         assert res.value == pytest.approx(1.0, rel=1e-12)

@@ -15,7 +15,6 @@ from nearwave.recoil import (
     critical_threshold,
     decay_width_asymptotic,
     entangled_term,
-    gamow_lifetime,
     lifetime_routes,
     lifetime_scenario,
     output_wavenumber,
@@ -255,38 +254,40 @@ class TestWidthsAndLifetimes:
         assert g10 / g1 == pytest.approx(10.0, rel=1e-3)
 
     def test_macroscopic_lifetime_value(self):
-        tau = gamow_lifetime(10.0, self._screen(), self.UNITS)
+        tau = lifetime_routes(recoil_solution(10.0, self._screen()), self.UNITS).exact_s
         assert tau == pytest.approx(1.6943e18, rel=1e-4)
         assert 1.6e18 <= tau <= 1.8e18
 
     def test_route_agreement_at_heavy_mass(self):
-        routes = lifetime_routes(10.0, self._screen(), self.UNITS)
+        routes = lifetime_routes(recoil_solution(10.0, self._screen()), self.UNITS)
         assert abs(routes.exact_s - routes.chi_route_s) / routes.chi_route_s < 1e-6
         assert routes.deep_cw_s == pytest.approx(0.1 / (HBAR * 7.5e6 * 7.5e7), rel=1e-12)
 
     def test_lifetime_halves_when_kx_doubles(self):
         screen = self._screen()
-        t1 = lifetime_routes(10.0, screen, self.UNITS).deep_cw_s
-        t2 = lifetime_routes(20.0, screen, self.UNITS).deep_cw_s
+        t1 = lifetime_routes(recoil_solution(10.0, screen), self.UNITS).deep_cw_s
+        t2 = lifetime_routes(recoil_solution(20.0, screen), self.UNITS).deep_cw_s
         assert t1 / t2 == pytest.approx(2.0, rel=1e-12)
 
     def test_running_mode_has_no_lifetime(self):
         with pytest.raises(ValueError, match="no finite lifetime"):
-            gamow_lifetime(0.5, self._screen(), self.UNITS)
+            lifetime_routes(recoil_solution(0.5, self._screen()), self.UNITS)
 
     def test_traverse_equals_lifetime_in_regime(self):
         screen = self._screen()
-        trav = traverse_time(10.0, screen, self.UNITS)
-        tau = gamow_lifetime(10.0, screen, self.UNITS)
+        sol = recoil_solution(10.0, screen)
+        trav = traverse_time(sol, self.UNITS)
+        tau = lifetime_routes(sol, self.UNITS).exact_s
         assert not trav.regime_warning
         assert trav.seconds == pytest.approx(tau, rel=1e-10)
 
     def test_traverse_flags_light_screen(self):
-        trav = traverse_time(2.0, ScreenSpec(K_M=10.0), self.UNITS)
+        sol = recoil_solution(2.0, ScreenSpec(K_M=10.0))
+        trav = traverse_time(sol, self.UNITS)
         assert trav.regime_warning
         # outside the regime the two times genuinely part ways; the ratio is
         # K_M (K_M+2) / (K_M+1)^2 = 120/121 here
-        tau = gamow_lifetime(2.0, ScreenSpec(K_M=10.0), self.UNITS)
+        tau = lifetime_routes(sol, self.UNITS).exact_s
         assert trav.seconds / tau == pytest.approx(120.0 / 121.0, rel=1e-12)
         assert abs(trav.seconds / tau - 1.0) > 1e-3
 
