@@ -18,6 +18,7 @@ series within |a|kx| - pi| < 1e-3.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import functools
 import math
@@ -90,13 +91,14 @@ def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
 
     Two routes:
 
-    * |z| <= 1: upward recurrence E_{n+1} = (e^{-z} - z E_n)/n from exp1.
+    * |z| <= 1: upward recurrence E_{n+1} = (e^{-z} - z E_n)/n from E_1's
+      power series (:func:`_exp1_series`).
     * |z| > 1: E_{n0} at n0 = min(max(orders), ceil|z|) from its continued
       fraction (modified Lentz; a few steps at large |z|), then downward
       recurrence E_n = (e^{-z} - n E_{n+1})/z below n0 and upward above it.
       A downward step scales the rounding it inherits by n/|z| < 1 and an
       upward step by |z|/n <= 1, so neither direction amplifies it (upward
-      from exp1 alone grows it like |z|^n/n!).
+      from E_1 alone grows it like |z|^n/n!).
     """
     top = max(orders)
     if z == 0:
@@ -104,9 +106,8 @@ def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
     z = complex(z)
     e = np.exp(-z)
     n0 = min(top, math.ceil(abs(z)))
-    if n0 == 1:
-        from scipy.special import exp1
-        vals = {1: complex(exp1(z))}
+    if abs(z) <= 1.0:
+        vals = {1: _exp1_series(z)}
     else:
         vals = {n0: _exp_integral_cf(z, n0) * e}
     for n in range(n0 - 1, 0, -1):
@@ -114,6 +115,20 @@ def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
     for n in range(n0, top):
         vals[n + 1] = (e - z * vals[n]) / n
     return vals
+
+
+def _exp1_series(z: complex) -> complex:
+    """E_1(z) = -gamma - log z - sum_n (-z)^n/(n n!) for 0 < |z| <= 1, Re(z) >= 0 (A&S 5.1.11).
+
+    The principal log needs no branch cut correction on Re(z) >= 0.  At
+    |z| <= 1 the first omitted term, 1/(19*19!), is below 1e-18.
+    """
+    term = 1.0
+    total = 0j
+    for n in range(1, 19):
+        term *= -z / n  # (-z)^n/n!
+        total += term / n
+    return -np.euler_gamma - cmath.log(z) - total
 
 
 def _exp_integral_cf(z: complex, n: int) -> complex:
@@ -335,6 +350,30 @@ class GaussianProfile(ApertureProfile):
         return max(3.0, 12.9 / self.w)
 
 
+def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through (x, y): one row (d, c, b, y_i) per interval.
+
+    On [x_i, x_(i+1)] the spline is ((d t + c) t + b) t + y_i with t = k - x_i.
+    The second derivatives m solve the tridiagonal system
+    h_(i-1) m_(i-1) + 2 (h_(i-1) + h_i) m_i + h_i m_(i+1) = 6 (s_i - s_(i-1))
+    (h the spacings, s the chord slopes, m_0 = m_(n-1) = 0) by the Thomas
+    algorithm, which needs no pivoting on this diagonally dominant system.
+    """
+    h = np.diff(x)
+    s = np.diff(y) / h
+    diag = 2.0 * (h[:-1] + h[1:])
+    rhs = 6.0 * np.diff(s)
+    for j in range(1, len(rhs)):
+        w = h[j] / diag[j - 1]
+        diag[j] -= w * h[j]
+        rhs[j] -= w * rhs[j - 1]
+    m = np.zeros(len(x))
+    m[-2] = rhs[-1] / diag[-1]
+    for j in range(len(rhs) - 2, -1, -1):
+        m[j + 1] = (rhs[j] - h[j + 1] * m[j + 2]) / diag[j]
+    return np.column_stack([np.diff(m) / (6.0 * h), 0.5 * m[:-1], s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+
+
 class TabulatedProfile(ApertureProfile):
     """Profile interpolated from (kx, F) samples, even-symmetrized on load.
 
@@ -368,10 +407,9 @@ class TabulatedProfile(ApertureProfile):
                 counts.append(1)
         if len(grid) < 4:
             raise ValueError(f"need at least 4 distinct |kx| samples, got {len(grid)}")
-        averaged = np.asarray(vals) / np.asarray(counts)
+        self._knots = np.asarray(grid)
+        self._coef = _natural_cubic(self._knots, np.asarray(vals) / np.asarray(counts))
         self.k_max = float(grid[-1])
-        from scipy.interpolate import CubicSpline
-        self._spline = CubicSpline(np.asarray(grid), averaged, bc_type="natural")
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedProfile":
@@ -394,7 +432,12 @@ class TabulatedProfile(ApertureProfile):
 
     def amplitude(self, kx):
         kx = np.abs(np.asarray(kx, dtype=float))
-        amp = np.where(kx <= self.k_max, self._spline(np.minimum(kx, self.k_max)), 0.0)
+        k = np.minimum(kx, self.k_max)
+        # interval 0..n-2 straight from the inner knots; interval 0 also extrapolates below the first knot
+        i = np.searchsorted(self._knots[1:-1], k, side="right")
+        t = k - self._knots[i]
+        d, c, b, f = self._coef[i].T
+        amp = np.where(kx <= self.k_max, ((d * t + c) * t + b) * t + f, 0.0)
         return amp if amp.ndim else float(amp)
 
     def norm_sq(self) -> float:

@@ -37,6 +37,7 @@ from . import aperture as aperture_mod
 from . import kinematics, modes, nearfield, probe, recoil
 from .config import (
     aperture_from,
+    finite_number,
     grating_from,
     grid_from,
     load_config,
@@ -278,8 +279,8 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     if not isinstance(scen, dict):
         raise ConfigError("scenario", "section must be an object")
     tau_max = scen.get("tau_max_s")
-    if tau_max is not None and (isinstance(tau_max, bool) or not isinstance(tau_max, (int, float)) or not tau_max > 0):
-        raise ConfigError("scenario.tau_max_s", f"must be a positive number, got {tau_max!r}")
+    if tau_max is not None:
+        tau_max = finite_number(tau_max, "scenario.tau_max_s", positive=True)
     warnings = []
 
     def mode(kx: float) -> dict:
@@ -299,7 +300,7 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     modes_out = [_kx_record(mode, float(kx)) for kx in kxs]
     outputs = {"modes": modes_out}
     if tau_max is not None:
-        short = outputs["short_lifetime"] = recoil.short_lifetime_outputs(float(tau_max), profile.a, screen, units)
+        short = outputs["short_lifetime"] = recoil.short_lifetime_outputs(tau_max, profile.a, screen, units)
         if not short["in_regime"]:
             warnings.append("tau_max inverts below the evanescence threshold")
     record = {

@@ -39,7 +39,7 @@ def load_config(path) -> dict:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {p}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError("<file>", f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
@@ -55,24 +55,33 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
+def finite_number(val, path: str, *, positive: bool = False) -> float:
+    """``val`` as a float if it is a finite JSON number (> 0 if ``positive``), else ConfigError at ``path``.
+
+    An integer beyond the float range counts as non-finite instead of
+    raising OverflowError.
+    """
+    try:
+        ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ConfigError(path, f"must be a finite number, got {val!r}")
+    if positive and not (val > 0):
+        raise ConfigError(path, f"must be positive, got {val!r}")
+    return float(val)
+
+
 def _number(sec: dict, key: str, path: str, *, positive: bool = False) -> float:
     if key not in sec:
         raise ConfigError(f"{path}.{key}", "required value is missing")
-    val = sec[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-        raise ConfigError(f"{path}.{key}", f"must be a finite number, got {val!r}")
-    if positive and not (val > 0):
-        raise ConfigError(f"{path}.{key}", f"must be positive, got {val!r}")
-    return float(val)
+    return finite_number(sec[key], f"{path}.{key}", positive=positive)
 
 
 def units_from(cfg: dict) -> ScaledUnits:
     if "k0_si" not in cfg:
         raise ConfigError("k0_si", "required value is missing")
-    val = cfg["k0_si"]
-    if not isinstance(val, (int, float)) or isinstance(val, bool) or not (val > 0):
-        raise ConfigError("k0_si", f"must be a positive number, got {val!r}")
-    return ScaledUnits(k0=float(val))
+    return ScaledUnits(k0=finite_number(cfg["k0_si"], "k0_si", positive=True))
 
 
 def screen_from(cfg: dict) -> ScreenSpec:
@@ -147,10 +156,7 @@ def _grid(sec: dict, key: str, path: str) -> np.ndarray:
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}.{key}", "grid list must be non-empty")
-        try:
-            arr = np.asarray([float(v) for v in spec])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}.{key}", "grid list must contain numbers")
+        arr = np.asarray([finite_number(v, f"{path}.{key}") for v in spec])
     elif isinstance(spec, dict):
         start = _number(spec, "start", f"{path}.{key}")
         stop = _number(spec, "stop", f"{path}.{key}")
@@ -179,7 +185,5 @@ def scenario_kwargs(cfg: dict, allowed: tuple[str, ...]) -> dict:
     for key, val in sec.items():
         if key not in allowed:
             raise ConfigError(f"scenario.{key}", f"unknown key; allowed: {sorted(allowed)}")
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not (math.isfinite(val) and val > 0):
-            raise ConfigError(f"scenario.{key}", f"must be a finite positive number, got {val!r}")
-        out[key] = float(val)
+        out[key] = finite_number(val, f"scenario.{key}", positive=True)
     return out

@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .aperture import ApertureProfile
 from .errors import ConfigError
 from .quantities import C_LIGHT, ELECTRON_MASS, HBAR
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,26 @@ def _chi_z(kx: float) -> float:
     return math.sqrt((abs(kx) - 1.0) * (abs(kx) + 1.0))
 
 
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function exp(x^2) erfc(x) for x >= 0.
+
+    Below 26, erfc(x) exp(x^2) with x = xh + xl split at float32 precision,
+    so xh^2 is exact and exp(x^2) = exp(xh^2) exp(2 xh xl + xl^2) carries no
+    rounding of x^2 into the exponent.  From 26 on (where erfc would soon
+    underflow) the Laplace continued fraction
+    1/(sqrt(pi) (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))), summed bottom up
+    from depth 8, whose truncation at x = 26 is 2e-23 relative.
+    """
+    if x < 26.0:
+        xh = float(np.float32(x))
+        xl = x - xh
+        return math.erfc(x) * math.exp(xh * xh) * math.exp(2.0 * xh * xl + xl * xl)
+    f = x
+    for k in range(8, 0, -1):
+        f = x + 0.5 * k / f
+    return 1.0 / (_SQRT_PI * f)
+
+
 def overlap_integral(chi: float, sigma: float, z0: float) -> float:
     """I = integral_0^inf exp(-sigma^2 (z-z0)^2/2) exp(-chi z) dz, closed form.
 
@@ -62,13 +85,12 @@ def overlap_integral(chi: float, sigma: float, z0: float) -> float:
     if sigma == 0.0:
         # flat envelope: the center height drops out entirely
         return 1.0 / chi
-    from scipy.special import erfcx
     x = (chi / sigma - sigma * z0) / math.sqrt(2.0)
     base = _SQRT2PI / (2.0 * sigma)
     if x >= 0.0:
-        return base * math.exp(-0.5 * (sigma * z0) ** 2) * erfcx(x)
+        return base * math.exp(-0.5 * (sigma * z0) ** 2) * _erfcx(x)
     full = 2.0 * base * math.exp(0.5 * (chi / sigma) ** 2 - chi * z0)
-    return full - base * math.exp(-0.5 * (sigma * z0) ** 2) * erfcx(-x)
+    return full - base * math.exp(-0.5 * (sigma * z0) ** 2) * _erfcx(-x)
 
 
 def absorption_probability(kx: float, packet: GaussianPacket, profile: ApertureProfile) -> float:

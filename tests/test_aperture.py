@@ -166,6 +166,25 @@ class TestTailProbability:
                     want = complex(mpmath.expint(n, mpmath.mpc(z.real, z.imag)))
                     assert en[n] == pytest.approx(want, rel=1e-14, abs=0), (z, n)
 
+    def test_exp1_series_against_mpmath(self):
+        # E_1 at |z| <= 1 comes from its power series: the right half-disc,
+        # the |z| = 1 seam with the continued fraction and |z| = 1e-300
+        import cmath
+
+        import mpmath
+
+        from nearwave.aperture import _exp_integrals
+
+        rng = np.random.default_rng(11)
+        points = [cmath.rect(math.sqrt(r), phase)
+                  for r, phase in zip(rng.uniform(0.0, 1.0, 400), rng.uniform(-math.pi / 2, math.pi / 2, 400))]
+        for mag in (1e-300, 1e-8, 1.0):
+            points += [cmath.rect(mag, phase) for phase in np.linspace(-math.pi / 2, math.pi / 2, 9)]
+        with mpmath.workdps(40):
+            for z in points:
+                want = complex(mpmath.expint(1, mpmath.mpc(z.real, z.imag)))
+                assert _exp_integrals(z, (1,))[1] == pytest.approx(want, rel=1e-14, abs=0), z
+
     def test_validation(self):
         with pytest.raises(ValueError):
             tail_probability(0.0, 1.0)
@@ -287,3 +306,50 @@ class TestTabulatedProfile:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 4"):
             TabulatedProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.1])
+
+    def test_spline_matches_scipy_on_quasi_uniform_grids(self):
+        from scipy.interpolate import CubicSpline
+
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(4, 401))
+            k_max = rng.uniform(1.0, 50.0)
+            ks = np.linspace(0.0, k_max, n)
+            ks[1:-1] += rng.uniform(-0.3, 0.3, n - 2) * k_max / (n - 1)
+            f = np.exp(-0.25 * ks * ks * rng.uniform(0.1, 3.0)) * np.cos(rng.uniform(0.0, 3.0) * ks)
+            probe = np.concatenate([ks, rng.uniform(0.0, k_max, 300)])
+            want = CubicSpline(ks, f, bc_type="natural")(probe)
+            got = TabulatedProfile(ks, f).amplitude(probe)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(f))
+
+    def test_spline_matches_mpmath_on_clustered_grids(self):
+        # knot pairs 1e-7..1e-5 apart make the spline ill-conditioned: scipy's
+        # CubicSpline drifts from the exact spline by 2e-12 of max|F| on these
+        # grids, so the oracle is the same natural spline solved at 40 digits
+        import mpmath
+
+        rng = np.random.default_rng(8)
+        with mpmath.workdps(40):
+            for _ in range(12):
+                base = rng.uniform(0.0, 6.0, int(rng.integers(3, 12)))
+                ks = np.sort(np.concatenate([base, base + 10.0 ** rng.uniform(-7.0, -5.0, base.size)]))
+                f = np.exp(-0.25 * ks * ks) * np.cos(ks)
+                x = [mpmath.mpf(float(k)) for k in ks]
+                y = [mpmath.mpf(float(v)) for v in f]
+                n = len(x)
+                lhs = mpmath.zeros(n, n)
+                rhs = mpmath.zeros(n, 1)
+                lhs[0, 0] = lhs[n - 1, n - 1] = 1
+                for i in range(1, n - 1):
+                    h0, h1 = x[i] - x[i - 1], x[i + 1] - x[i]
+                    lhs[i, i - 1], lhs[i, i], lhs[i, i + 1] = h0, 2 * (h0 + h1), h1
+                    rhs[i] = 6 * ((y[i + 1] - y[i]) / h1 - (y[i] - y[i - 1]) / h0)
+                m = mpmath.lu_solve(lhs, rhs)
+                probe = np.concatenate([ks, rng.uniform(ks[0], ks[-1], 60)])
+                got = TabulatedProfile(ks, f).amplitude(probe)
+                for k, g in zip(probe, got):
+                    i = min(int(np.searchsorted(ks, k, side="right")) - 1, n - 2)
+                    h = x[i + 1] - x[i]
+                    lo, hi = (x[i + 1] - mpmath.mpf(float(k))) / h, (mpmath.mpf(float(k)) - x[i]) / h
+                    want = lo * y[i] + hi * y[i + 1] + ((lo**3 - lo) * m[i] + (hi**3 - hi) * m[i + 1]) * h * h / 6
+                    assert abs(g - float(want)) <= 1e-13 * np.max(np.abs(f))

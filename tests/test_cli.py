@@ -431,6 +431,39 @@ class TestColdImport:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.split("\n")[:2] == ["False", "0 []"]
 
+    def test_every_subcommand_runs_without_scipy(self, tmp_path):
+        ks = np.linspace(0.0, 8.0, 33)
+        csv_path = tmp_path / "prof.csv"
+        csv_path.write_text("kx,F\n" + "".join(f"{k},{math.exp(-0.25 * k * k)}\n" for k in ks))
+        # x = 0.505 lies within 1/k_hi = 0.01 of the a = 1 slit's edge, so the
+        # field tail takes E_1 from its series; for the probe (z0 = 1, delta_z
+        # = 0.5) kx = 2 takes the erfcx reflection, 5 and 60 the two erfcx routes
+        grids = {"kx": [2.0, 5.0, 60.0], "x": [0.2, 0.505], "z": [0.0, 0.005]}
+        slit = write_cfg(tmp_path, dict(BASE_CFG, grids=grids), "slit.json")
+        apertures = [{"kind": "gaussian", "w": 1.0}, {"kind": "tabulated", "path": str(csv_path)}]
+        runs = [["field", "--config", slit]]
+        runs += [["field", "--config", write_cfg(tmp_path, dict(BASE_CFG, grids=grids, aperture=ap), f"ap{i}.json")]
+                 for i, ap in enumerate(apertures)]
+        runs += [[sub, "--config", slit] for sub in ("spectrum", "absorb", "transfer", "recoil", "lifetime")]
+        runs += [["scenario-lifetime"], ["scenario-probe-spread"]]
+        out = str(tmp_path / "out")
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "import nearwave.cli\n"
+            "from nearwave import aperture, probe\n"
+            "erfcx, series, args, hits = probe._erfcx, aperture._exp1_series, [], []\n"
+            "probe._erfcx = lambda x: args.append(x) or erfcx(x)\n"
+            "aperture._exp1_series = lambda z: hits.append(z) or series(z)\n"
+            f"rcs = [nearwave.cli.main([*argv, '--out', {out!r}]) for argv in {runs!r}]\n"
+            "print(json.dumps({'rcs': rcs, 'erfcx': args, 'series': len(hits)}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        seen = json.loads(proc.stdout)
+        assert seen["rcs"] == [0] * len(runs)
+        assert min(seen["erfcx"]) < 26.0 <= max(seen["erfcx"])
+        assert seen["series"] > 0
+
 
 class TestErrorsAndChecks:
     def test_missing_config(self, capsys):
@@ -449,6 +482,27 @@ class TestErrorsAndChecks:
         rc, _, err = run_main(capsys, "field", "--config", path)
         assert rc == 2
         assert json.loads(err)["error"]["field"] == "aperture.a"
+
+    @pytest.mark.parametrize("name, patch, field", [
+        ("recoil", {"screen": {"K_M_ratio": 10**400}}, "screen.K_M_ratio"),
+        ("recoil", {"k0_si": 10**400}, "k0_si"),
+        ("scenario-lifetime", {"scenario": {"kx_ratio": 10**400}}, "scenario.kx_ratio"),
+        ("field", {"grids": dict(BASE_CFG["grids"], x=[0.0, 10**400])}, "grids.x"),
+        ("recoil", {"grids": {"kx": [2.0, 10**400]}}, "grids.kx"),
+        ("lifetime", {"grids": {"kx": [2.0]}, "scenario": {"tau_max_s": 10**400}}, "scenario.tau_max_s"),
+    ])
+    def test_integer_beyond_float_range_names_its_field(self, capsys, tmp_path, name, patch, field):
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, dict(BASE_CFG, **patch)))
+        assert rc == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == field
+
+    def test_integer_past_digit_limit_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"k0_si": 1' + "0" * 5000 + "}")
+        rc, out, err = run_main(capsys, "recoil", "--config", str(path))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"]["field"] == "<file>"
 
     @pytest.mark.parametrize("name", sorted(set(cli._HANDLERS) - {"field"}))
     def test_tolerance_only_offered_on_field(self, capsys, name):

@@ -96,6 +96,19 @@ class TestOverlapIntegral:
         assert closed == pytest.approx(want, rel=1e-10, abs=0)
 
 
+    @pytest.mark.parametrize("x", [0.0, 1e-8, 0.5, 25.99, 26.0, 26.01, 1e3, 1e300])
+    def test_erfcx_against_mpmath(self, x):
+        # erfc with x^2 split exactly below 26, the Laplace continued fraction from 26 on
+        from nearwave.probe import _erfcx
+
+        with mpmath.workdps(30):
+            xm = mpmath.mpf(x)
+            if x > 1e5:  # mpmath's erfc overflows there; erfcx(x) = U(1/2, 1/2, x^2)/sqrt(pi)
+                want = mpmath.hyperu(0.5, 0.5, xm * xm) / mpmath.sqrt(mpmath.pi)
+            else:
+                want = mpmath.exp(xm * xm) * mpmath.erfc(xm)
+            assert _erfcx(x) == pytest.approx(float(want), rel=1e-15, abs=0)
+
 class TestAbsorptionProbability:
     def test_worked_point_against_quadrature(self):
         profile = SingleSlitProfile(a=1.0)
