@@ -86,21 +86,20 @@ def slit_te_amplitude_sq(kx, a: float):
     return out if out.ndim else float(out)
 
 
-def _exp_integrals(z: complex, orders: tuple[int, ...]) -> dict[int, complex]:
-    """Generalized exponential integrals E_n(z) for n = 1..max(orders), Re(z) >= 0.
+def _exp_integrals(z: complex, top: int) -> dict[int, complex]:
+    """Generalized exponential integrals E_n(z) for n = 1..top, Re(z) >= 0.
 
     Two routes:
 
     * |z| <= 1: upward recurrence E_{n+1} = (e^{-z} - z E_n)/n from E_1's
       power series (:func:`_exp1_series`).
-    * |z| > 1: E_{n0} at n0 = min(max(orders), ceil|z|) from its continued
+    * |z| > 1: E_{n0} at n0 = min(top, ceil|z|) from its continued
       fraction (modified Lentz; a few steps at large |z|), then downward
       recurrence E_n = (e^{-z} - n E_{n+1})/z below n0 and upward above it.
       A downward step scales the rounding it inherits by n/|z| < 1 and an
       upward step by |z|/n <= 1, so neither direction amplifies it (upward
       from E_1 alone grows it like |z|^n/n!).
     """
-    top = max(orders)
     if z == 0:
         return {n: (math.inf if n == 1 else 1.0 / (n - 1)) for n in range(1, top + 1)}
     z = complex(z)
@@ -185,10 +184,9 @@ def _tail_probability_coefficients(order: int) -> np.ndarray:
     return d
 
 
-def _tail_sum(c: list[float], k_hi: float, s: complex, shift: int) -> complex:
-    """sum_m c_m integral_{k_hi}^inf k^(shift-m) e^{-s k} dk = sum_m c_m E_{m-shift}(s k_hi) / k_hi^(m-shift-1)."""
-    en = _exp_integrals(s * k_hi, tuple(range(2 - shift, len(c) - shift)))
-    return sum(c[m] * en[m - shift] * k_hi ** (shift + 1 - m) for m in range(2, len(c)))
+def _tail_sum(c: list[float], k_hi: float, en: dict[int, complex]) -> complex:
+    """sum_m c_m integral_{k_hi}^inf k^-m e^{-s k} dk = sum_m c_m E_m(s k_hi) / k_hi^(m-1), from en[n] = E_n(s k_hi)."""
+    return sum(c[m] * en[m] * k_hi ** (1 - m) for m in range(2, len(c)))
 
 
 @dataclass(frozen=True)
@@ -228,7 +226,7 @@ def tail_probability(k_prime: float, a: float, abs_tol: float = 1e-12) -> TailEs
     order = _TAIL_ORDER + 2  # c through q^-order squares completely through q^-(order+2)
     d = _tail_probability_coefficients(order)
     value = sum(d[m] * q_t ** (1 - m) / (m - 1) for m in range(2, order + 1))
-    value = 4.0 * math.pi * (value + _tail_sum(d[: order + 1], q_t, -1j, 0).real)
+    value = 4.0 * math.pi * (value + _tail_sum(d[: order + 1], q_t, _exp_integrals(-1j * q_t, order)).real)
     error = 8.0 * math.pi * sum(abs(d[m]) * q_t ** (1 - m) / (m - 1) for m in (order + 1, order + 2))
     if qp < _TAIL_START:
         breaks = np.arange(math.ceil(qp / math.pi) * math.pi, _TAIL_START, math.pi)
@@ -241,7 +239,11 @@ def tail_probability(k_prime: float, a: float, abs_tol: float = 1e-12) -> TailEs
 
 
 class ApertureProfile:
-    """Base class: a real, even amplitude over kx (units of k0)."""
+    """Base class: a real, even amplitude over kx (units of k0).
+
+    :meth:`field_tail` returns the psi and d(psi)/dx remainders beyond
+    :meth:`cutoff` over a row, or None when the profile has no analytic tail.
+    """
 
     def amplitude(self, kx):
         raise NotImplementedError
@@ -254,20 +256,13 @@ class ApertureProfile:
         """Two-sided norm: integral of |F|^2 over kx from -inf to inf."""
         raise NotImplementedError
 
-    def cutoff(self, z: float) -> float:
+    def cutoff(self) -> float:
         """kx beyond which the profile's field contribution is negligible."""
         raise NotImplementedError
 
-    def has_analytic_tail(self) -> bool:
-        return False
-
-    def field_tail(self, k_hi: float, x: float, z: float) -> complex:
-        """2*integral_{k_hi}^inf F e^{-chi z} cos(kx x) dkx, if available."""
-        return 0.0
-
-    def field_tail_dx(self, k_hi: float, x: float, z: float) -> complex:
-        """x-derivative counterpart of :meth:`field_tail`."""
-        return 0.0
+    def field_tail(self, k_hi: float, xs, z: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """(psi, dpsi): 2*integral_{k_hi}^inf F e^{-chi z} [cos(kx x), -kx sin(kx x)] dkx at each x of xs, or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -296,35 +291,35 @@ class SingleSlitProfile(ApertureProfile):
     def norm_sq(self) -> float:
         return 1.0
 
-    def cutoff(self, z: float) -> float:
+    def cutoff(self) -> float:
         # both expansion ratios pi/(a k) and 1/k of the tail series stay <= pi/100
         return _TAIL_START / min(self.a, math.pi)
 
-    def has_analytic_tail(self) -> bool:
-        return True
+    def field_tail(self, k_hi: float, xs, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """Large-k remainders of the psi and d(psi)/dx integrals from the 1/k series of F e^{-chi z}.
 
-    def field_tail(self, k_hi: float, x: float, z: float) -> complex:
-        """Large-k remainder of the field integral from the 1/k series of F e^{-chi z}.
-
-        Sums c_m E_m(s k_hi)/k_hi^(m-1) for m <= 12 over beta = x -+ a/2,
-        with s = z - i beta and c_m from :func:`_slit_tail_series`.  Accurate
-        to rounding for k_hi >= :meth:`cutoff`, where the omitted terms are
-        O((pi/100)^11) relative to the leading one.
+        With s = z - i beta over the edges beta = x -+ a/2, c_m from
+        :func:`_slit_tail_series` and one table E_n(s k_hi), n <= 12, per edge,
+        psi sums c_m E_m(s k_hi)/k_hi^(m-1) and d(psi)/dx sums
+        c_m E_(m-1)(s k_hi)/k_hi^(m-2).  Accurate to rounding for
+        k_hi >= :meth:`cutoff`, where the omitted terms are O((pi/100)^11)
+        relative to the leading one.
         """
         c = _slit_tail_series(self.a, z, _TAIL_ORDER)
-        betas = (x + 0.5 * self.a, x - 0.5 * self.a)
-        total = sum(_tail_sum(c, k_hi, complex(z, -beta), 0).real for beta in betas)
-        return 2.0 * math.sqrt(math.pi * self.a) * total
-
-    def field_tail_dx(self, k_hi: float, x: float, z: float) -> complex:
-        """x-derivative counterpart of :meth:`field_tail`: c_m E_(m-1)(s k_hi)/k_hi^(m-2)."""
-        c = _slit_tail_series(self.a, z, _TAIL_ORDER)
-        total = 0.0
-        for beta in (x + 0.5 * self.a, x - 0.5 * self.a):
-            s = complex(z, -beta)
-            if s != 0:  # s = 0 means beta = 0, where sin(beta k) vanishes
-                total += _tail_sum(c, k_hi, s, 1).imag
-        return -2.0 * math.sqrt(math.pi * self.a) * total
+        scale = 2.0 * math.sqrt(math.pi * self.a)
+        psi = np.empty(len(xs))
+        dpsi = np.empty(len(xs))
+        for j, x in enumerate(xs):
+            p = d = 0.0
+            for beta in (x + 0.5 * self.a, x - 0.5 * self.a):
+                s = complex(z, -beta)
+                en = _exp_integrals(s * k_hi, _TAIL_ORDER)
+                p += _tail_sum(c, k_hi, en).real
+                if s != 0:  # s = 0 means beta = 0, where sin(beta k) vanishes
+                    d += sum(c[m] * en[m - 1] * k_hi ** (2 - m) for m in range(2, len(c))).imag
+            psi[j] = scale * p
+            dpsi[j] = -scale * d
+        return psi, dpsi
 
 
 @dataclass(frozen=True)
@@ -345,7 +340,7 @@ class GaussianProfile(ApertureProfile):
     def norm_sq(self) -> float:
         return math.sqrt(2.0 * math.pi) / self.w
 
-    def cutoff(self, z: float) -> float:
+    def cutoff(self) -> float:
         # amplitude below 1e-18 of its peak
         return max(3.0, 12.9 / self.w)
 
@@ -379,7 +374,8 @@ class TabulatedProfile(ApertureProfile):
 
     Samples at +-kx are folded onto |kx| by averaging, a cubic spline is
     fitted on the folded grid, and the amplitude is taken as zero beyond
-    the last sample (compactly supported data assumed).
+    the last sample (compactly supported data assumed) and as the first
+    sample's value below the first, so it stays bounded by the data.
     """
 
     def __init__(self, kx_samples, f_samples):
@@ -409,6 +405,9 @@ class TabulatedProfile(ApertureProfile):
             raise ValueError(f"need at least 4 distinct |kx| samples, got {len(grid)}")
         self._knots = np.asarray(grid)
         self._coef = _natural_cubic(self._knots, np.asarray(vals) / np.asarray(counts))
+        if grid[0] > 0.0:  # a constant piece on [0, first knot] holds the first sample's value
+            self._knots = np.insert(self._knots, 0, 0.0)
+            self._coef = np.vstack([[0.0, 0.0, 0.0, self._coef[0, 3]], self._coef])
         self.k_max = float(grid[-1])
 
     @classmethod
@@ -433,7 +432,7 @@ class TabulatedProfile(ApertureProfile):
     def amplitude(self, kx):
         kx = np.abs(np.asarray(kx, dtype=float))
         k = np.minimum(kx, self.k_max)
-        # interval 0..n-2 straight from the inner knots; interval 0 also extrapolates below the first knot
+        # interval 0..n-2 straight from the inner knots
         i = np.searchsorted(self._knots[1:-1], k, side="right")
         t = k - self._knots[i]
         d, c, b, f = self._coef[i].T
@@ -444,5 +443,5 @@ class TabulatedProfile(ApertureProfile):
         res = adaptive_quad(lambda k: self.amplitude(k) ** 2, 0.0, self.k_max, abs_tol=1e-14)
         return 2.0 * res.value
 
-    def cutoff(self, z: float) -> float:
+    def cutoff(self) -> float:
         return self.k_max

@@ -19,7 +19,8 @@ example configs when --config is omitted.
 
 Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
 4 degenerate kinematic input or a record whose numbers overflow (JSON
-records never hold NaN or Infinity).
+records never hold NaN or Infinity), 141 (128 + SIGPIPE) when the reader
+of stdout has closed it.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from importlib import resources
 
@@ -65,6 +67,7 @@ def _fmt(value) -> str:
 def _write_text(out_path: str | None, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -111,7 +114,7 @@ def _bundled_config(name: str) -> dict:
 
 def _cmd_spectrum(cfg: dict, out: str | None) -> int:
     period, m_max = grating_from(cfg)
-    grating = GratingSpec(period=period, n_modes=m_max)
+    grating = GratingSpec(period=period)
     header = ["period", "m", "kx", "kind", "re_kz", "im_kz", "z_d", "u_c"]
     rows = []
     for m, mode in modes.grating_modes(grating, m_max):
@@ -220,7 +223,7 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
         "E_real": sol.E_real,
         "Gamma": sol.Gamma,
         "eta": sol.eta,
-        "k_c": sol.k_c,
+        "k_c": sol.eta,
         "si": {
             "eps_real_joule": sol.eps_real * units.eps0,
             "Gamma_joule": sol.Gamma * units.eps0,
@@ -272,7 +275,7 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     if not isinstance(profile, aperture_mod.SingleSlitProfile):
         raise ConfigError("aperture.kind", "lifetime tail odds are defined for the single_slit profile")
     kxs = grid_from(cfg, "kx")
-    threshold = recoil.critical_threshold(screen).k_c
+    threshold = recoil.critical_threshold(screen).eta
     if any(abs(float(kx)) <= threshold for kx in kxs):
         raise ConfigError("grids.kx", f"lifetimes need evanescent modes, all |kx| > {threshold:.6g}")
     scen = cfg.get("scenario") or {}
@@ -389,6 +392,10 @@ def main(argv=None) -> int:
     except DegenerateInputError as e:
         _emit_error("degenerate-input", str(e))
         return 4
+    except BrokenPipeError:
+        # the unwritten bytes go to devnull, so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -43,13 +43,10 @@ class GratingSpec:
     """Idealized grating: slit period in units of the input wavelength."""
 
     period: float  # d / lambda0
-    n_modes: int = 8
 
     def __post_init__(self):
         if not (self.period > 0):
             raise ValueError(f"grating period must be positive, got {self.period!r}")
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes!r}")
 
     @property
     def kd(self) -> float:

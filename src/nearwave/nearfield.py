@@ -13,7 +13,8 @@ remove it exactly.  The CW range is truncated where the exponential or the
 profile makes the integrand negligible.  Slit profiles supply an analytic
 tail beyond k = 100/min(a, pi) (a 1/k series of F e^{-chi z} summed with
 exponential integrals), so at z ~ 0, where the integrand decays only like
-1/k^2, panels cover just [2, 100/min(a, pi)].
+1/k^2, panels cover just [2, 100/min(a, pi)].  One ``field_tail`` call per
+row returns the psi and d(psi)/dx remainders at every point.
 
 psi and d(psi)/dx come from one vector-valued quadrature per range, which
 evaluates the weighted amplitude once per abscissa and multiplies it by the
@@ -104,7 +105,7 @@ def field_row(
     rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, xs, math.hypot(x_max, z) + rate0, abs_tol, rel_tol)
 
     k_exp = math.inf if z == 0.0 else math.sqrt(1.0 + (_EXP_CUT / z) ** 2)
-    k_profile = profile.cutoff(z)
+    k_profile = profile.cutoff()
     k_hi = max(1.5, min(k_profile, k_exp))
     k_mid = min(2.0, k_hi)
 
@@ -127,12 +128,13 @@ def field_row(
             cw[1, at] += np.where(xs[at] < 0, -dpsi_k, dpsi_k)
 
     cw *= 2.0
-    if profile.has_analytic_tail() and k_profile <= k_exp:
+    if k_profile <= k_exp:
         with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
-            cw[0] += [profile.field_tail(k_hi, x, z) for x in xs]
-            cw[1] += [profile.field_tail_dx(k_hi, x, z) for x in xs]
-        if not np.isfinite(cw).all():
-            raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
+            tail = profile.field_tail(k_hi, xs, z)
+        if tail is not None:
+            cw += tail
+            if not np.isfinite(cw).all():
+                raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
     out = []
     for j, x in enumerate(xs):
         psi = FieldSample(float(x), z, complex(rw[0, j]), complex(cw[0, j]))

@@ -45,7 +45,6 @@ class ScreenSpec:
     """Movable screen of Compton wavenumber ratio K_M = M c / (hbar k0)."""
 
     K_M: float
-    mass_si: float | None = None
 
     def __post_init__(self):
         if not (self.K_M > 0):
@@ -53,7 +52,7 @@ class ScreenSpec:
 
     @classmethod
     def from_mass(cls, mass_kg: float, units: ScaledUnits) -> "ScreenSpec":
-        return cls(K_M=compton_wavenumber_ratio(mass_kg, units), mass_si=mass_kg)
+        return cls(K_M=compton_wavenumber_ratio(mass_kg, units))
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,13 @@ class Threshold:
     """
 
     eta: float
-    k_c: float
     one_minus_eta: float
 
 
 def critical_threshold(screen: ScreenSpec) -> Threshold:
     """Reduced threshold k_c = eta = sqrt(K_M/(K_M+2)), with 1-eta kept exact."""
     eta = math.sqrt(screen.K_M / (screen.K_M + 2.0))
-    return Threshold(eta=eta, k_c=eta, one_minus_eta=stable_one_minus_inv_sqrt1p(2.0 / screen.K_M))
+    return Threshold(eta=eta, one_minus_eta=stable_one_minus_inv_sqrt1p(2.0 / screen.K_M))
 
 
 def _radicand(kx: float, K_M: float) -> float:
@@ -145,7 +143,6 @@ class RecoilSolution:
     E_real: float
     Gamma: float
     eta: float
-    k_c: float
     K_M: float
 
     @property
@@ -174,8 +171,7 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
     chi_z/(K_M+1), and hbar*c*k~ must reproduce eps~ componentwise.
     """
     K_M = screen.K_M
-    thr = critical_threshold(screen)
-    eta = thr.eta
+    eta = critical_threshold(screen).eta
     denom = K_M + 2.0
     r = _radicand(kx, K_M)
     kt = output_wavenumber(kx, screen)
@@ -194,7 +190,6 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
             E_real=1.0 / denom,
             Gamma=gamma,
             eta=eta,
-            k_c=thr.k_c,
             K_M=K_M,
         )
     else:
@@ -213,7 +208,6 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
             E_real=one_minus_sqrt_r / denom,
             Gamma=0.0,
             eta=eta,
-            k_c=thr.k_c,
             K_M=K_M,
         )
 
@@ -329,7 +323,7 @@ def traverse_time(sol: RecoilSolution, units: ScaledUnits) -> TraverseTime:
     """
     if sol.kind is not WaveKind.CRAWLING:
         raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no traverse time")
-    warn = sol.K_M < 1e3 or abs(sol.kx) < 10.0 * sol.k_c
+    warn = sol.K_M < 1e3 or abs(sol.kx) < 10.0 * sol.eta
     seconds = sol.K_M / (C_LIGHT * units.k0 * sol.chi_z * sol.Kz_tilde.real)
     return TraverseTime(seconds=seconds, regime_warning=warn)
 
@@ -359,8 +353,7 @@ def short_lifetime_probability(
     if not (tau_max > 0):
         raise ValueError(f"tau_max must be positive, got {tau_max!r}")
     k_prime = screen.K_M / (C_LIGHT * units.k0 * tau_max)
-    k_c = critical_threshold(screen).k_c
-    if k_prime <= k_c:
+    if k_prime <= critical_threshold(screen).eta:
         return ShortLifetimeResult(probability=1.0, k_prime=k_prime, in_regime=False, tail=None)
     if not math.isfinite(a * k_prime):
         raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {a * k_prime!r}")

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -510,6 +511,25 @@ class TestErrorsAndChecks:
             cli.main([name, "--tolerance", "0.5"])
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [["spectrum", "--config"], ["scenario-lifetime"]])
+    def test_closed_pipe_exits_141_quietly(self, tmp_path, argv):
+        # stdout is a pipe whose read end is already closed; with and without
+        # Python's own stdout buffering the write must end in 141, not a traceback
+        if argv[-1] == "--config":
+            argv = [*argv, write_cfg(tmp_path, BASE_CFG)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            r, w = os.pipe()
+            os.close(r)
+            try:
+                proc = subprocess.run([sys.executable, "-m", "nearwave.cli", *argv], stdout=w,
+                                      stderr=subprocess.PIPE, env={**env, **extra}, timeout=120)
+            finally:
+                os.close(w)
+            assert (proc.returncode, proc.stderr) == (141, b""), extra
 
 
 class TestOutFileAndDeterminism:

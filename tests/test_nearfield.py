@@ -10,6 +10,7 @@ from nearwave.nearfield import (
     cw_fraction_profile,
     field_at,
     field_dx_at,
+    field_row,
     probability_current_x,
 )
 from nearwave.quadrature import adaptive_quad
@@ -80,11 +81,8 @@ class TestFieldStructure:
             def amplitude(self, kx):
                 return 2.0 * super().amplitude(kx)
 
-            def field_tail(self, k_hi, x, z):
-                return 2.0 * super().field_tail(k_hi, x, z)
-
-            def field_tail_dx(self, k_hi, x, z):
-                return 2.0 * super().field_tail_dx(k_hi, x, z)
+            def field_tail(self, k_hi, xs, z):
+                return tuple(2.0 * col for col in super().field_tail(k_hi, xs, z))
 
         base = field_at(0.7, 0.3, SingleSlitProfile(a=1.0)).psi_total
         twice = field_at(0.7, 0.3, Doubled(a=1.0)).psi_total
@@ -157,6 +155,12 @@ class TestFieldStructure:
             cw_fraction_profile(0.0, (-1.0, 0.5), profile)
 
 
+def tail_window(profile, k_lo, k_hi, xs, z):
+    """Analytic psi and d(psi)/dx tails over the window [k_lo, k_hi], one entry per x of the row."""
+    (psi_lo, dpsi_lo), (psi_hi, dpsi_hi) = (profile.field_tail(k, xs, z) for k in (k_lo, k_hi))
+    return psi_lo - psi_hi, dpsi_lo - dpsi_hi
+
+
 class TestSlitAnalyticTails:
     def test_tail_difference_matches_direct_integration(self):
         # tail(K) - tail(K3) equals the directly integrated window [K, K3],
@@ -166,23 +170,23 @@ class TestSlitAnalyticTails:
         k_lo, k_hi = 1e4, 3e5
         k = np.linspace(k_lo, k_hi, 2**22 + 1)
         chi = np.sqrt(k * k - 1.0)
-        for x, z in ((0.0, 0.0), (0.5, 0.0), (2.0, 0.0), (0.2, 1e-3)):
-            f = profile.amplitude(k) * np.exp(-z * chi) * np.cos(k * x)
-            brute = 2.0 * simpson(f, x=k)
-            ana = profile.field_tail(k_lo, x, z) - profile.field_tail(k_hi, x, z)
-            assert ana == pytest.approx(brute, abs=5e-14, rel=1e-7)
+        for xs, z in (((0.0, 0.5, 2.0), 0.0), ((0.2,), 1e-3)):
+            ana = tail_window(profile, k_lo, k_hi, xs, z)[0]
+            for x, got in zip(xs, ana):
+                f = profile.amplitude(k) * np.exp(-z * chi) * np.cos(k * x)
+                brute = 2.0 * simpson(f, x=k)
+                assert got == pytest.approx(brute, abs=5e-14, rel=1e-7)
 
     def test_dx_tail_difference_matches_direct_integration(self):
         profile = SingleSlitProfile(a=1.0)
         k_lo, k_hi = 1e4, 3e5
         k = np.linspace(k_lo, k_hi, 2**22 + 1)
-        chi = np.sqrt(k * k - 1.0)
-        for x, z in ((0.3, 0.0), (0.5, 0.0), (2.0, 0.0)):
-            f = profile.amplitude(k) * np.exp(-z * chi) * (-k * np.sin(k * x))
+        xs = (0.3, 0.5, 2.0)
+        ana = tail_window(profile, k_lo, k_hi, xs, 0.0)[1]
+        for x, got in zip(xs, ana):
+            f = profile.amplitude(k) * (-k * np.sin(k * x))
             brute = 2.0 * simpson(f, x=k)
-            ana = profile.field_tail_dx(k_lo, x, z) - profile.field_tail_dx(k_hi, x, z)
-            assert ana == pytest.approx(brute, abs=5e-10, rel=1e-5)
-
+            assert got == pytest.approx(brute, abs=5e-10, rel=1e-5)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 3.0, 10.0])
     def test_tail_window_from_series_start_matches_direct_integration(self, a):
@@ -190,18 +194,17 @@ class TestSlitAnalyticTails:
         # equal the directly integrated window, for psi and d(psi)/dx alike
         profile = SingleSlitProfile(a=a)
         k_lo = 100.0 / min(a, math.pi)
-        assert profile.cutoff(0.0) == k_lo
+        assert profile.cutoff() == k_lo
         k_hi = 4.0 * k_lo
         k = np.linspace(k_lo, k_hi, 2**20 + 1)
         amp = profile.amplitude(k)
         chi = np.sqrt((k - 1.0) * (k + 1.0))
+        xs = (0.3 * a, 1.4 * a)
         for z in (0.0, 1e-3, 0.05, 0.3):
             weight = amp * np.exp(-z * chi)
-            for x in (0.3 * a, 1.4 * a):
+            for x, ana, ana_dx in zip(xs, *tail_window(profile, k_lo, k_hi, xs, z)):
                 psi = 2.0 * simpson(weight * np.cos(k * x), x=k)
                 dpsi = 2.0 * simpson(weight * (-k * np.sin(k * x)), x=k)
-                ana = profile.field_tail(k_lo, x, z) - profile.field_tail(k_hi, x, z)
-                ana_dx = profile.field_tail_dx(k_lo, x, z) - profile.field_tail_dx(k_hi, x, z)
                 assert ana == pytest.approx(psi, abs=1e-16, rel=1e-12), (x, z)
                 assert ana_dx == pytest.approx(dpsi, abs=1e-14, rel=1e-12), (x, z)
 
@@ -209,14 +212,31 @@ class TestSlitAnalyticTails:
     def test_tail_series_converged_at_its_start(self, a, monkeypatch):
         # four more orders of the 1/k series move neither tail at k_t
         profile = SingleSlitProfile(a=a)
-        k_t = profile.cutoff(0.0)
-        points = [(x, z) for z in (0.0, 0.01, 0.2) for x in (0.0, 0.3 * a, 0.5 * a + 1e-3, 1.4 * a, 4.0 * a)]
-        tails = (profile.field_tail, profile.field_tail_dx)
-        base = [[tail(k_t, x, z) for x, z in points] for tail in tails]
+        k_t = profile.cutoff()
+        xs = (0.0, 0.3 * a, 0.5 * a + 1e-3, 1.4 * a, 4.0 * a)
+        zs = (0.0, 0.01, 0.2)
+        base = [profile.field_tail(k_t, xs, z) for z in zs]
         monkeypatch.setattr(aperture, "_TAIL_ORDER", aperture._TAIL_ORDER + 4)
-        for tail, want in zip(tails, base):
-            for (x, z), v in zip(points, want):
-                assert abs(tail(k_t, x, z) - v) <= 1e-16, (tail.__name__, x, z)
+        for z, want in zip(zs, base):
+            for name, got, v in zip(("psi", "dpsi"), profile.field_tail(k_t, xs, z), want):
+                assert np.all(np.abs(got - v) <= 1e-16), (name, z)
+
+    def test_one_series_per_row_and_one_table_per_edge(self, monkeypatch):
+        # a z = 0 slit row of n points builds the tail series once and one
+        # E_n table per point and edge, shared by psi and d(psi)/dx
+        calls = {"series": 0, "tables": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(aperture, "_slit_tail_series", counted("series", aperture._slit_tail_series))
+        monkeypatch.setattr(aperture, "_exp_integrals", counted("tables", aperture._exp_integrals))
+        xs = [-1.3, -0.5, 0.0, 0.2, 0.7]
+        field_row(xs, 0.0, SingleSlitProfile(a=1.0))
+        assert calls == {"series": 1, "tables": 2 * len(xs)}
 
 
 class TestProbabilityCurrent:

@@ -36,7 +36,6 @@ class TestThreshold:
     def test_heavy_screen_limit(self):
         thr = critical_threshold(ScreenSpec(K_M=1e30))
         assert thr.eta == 1.0  # saturates double precision
-        assert thr.k_c == thr.eta
 
     def test_km_two(self):
         thr = critical_threshold(ScreenSpec(K_M=2.0))
