@@ -351,13 +351,20 @@ _BUNDLED = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the subcommand ``only`` alone.
+
+    Building one subparser instead of eight is most of a record call's
+    argument handling.  Help and error text read the same either way: the
+    restricted parser still names every subcommand in its usage line.
+    """
     parser = argparse.ArgumentParser(
         prog="nearwave",
         description="Evanescent near-field spectra, probe absorption and screen-recoil calculations.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
+    metavar = None if only is None else "{" + ",".join(_HANDLERS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in _HANDLERS if only is None else (only,):
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--config", help="path to the JSON scenario config")
         p.add_argument("--out", help="output file (stdout when omitted)")
@@ -368,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
     name = args.subcommand
     handler = _HANDLERS[name]
     try:

@@ -18,9 +18,12 @@ row returns the psi and d(psi)/dx remainders at every point.
 
 psi and d(psi)/dx come from one vector-valued quadrature per range, which
 evaluates the weighted amplitude once per abscissa and multiplies it by the
-columns cos(k x_j) and -k sin(k x_j).  A row of points at one height shares
-the RW range and the CW range s in [0, acosh 2]; the long CW range [2, k_hi]
-needs panels in proportion to |x| k_hi, so only mirror points +-x share it.
+columns cos(k u_j) and -k sin(k u_j), one pair per distinct u_j = |x_j|:
+psi is even in x and d(psi)/dx odd, so each point takes its column pair
+and the sign of x.  A row of points at one height is three passes, the RW
+range, the CW range s in [0, acosh 2] and the long CW range [2, k_hi],
+whatever the number of points; each is seeded with breakpoints for the
+largest |x| of the row.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -90,19 +93,19 @@ def field_row(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
 ) -> list[FieldPoint]:
-    """psi, d(psi)/dx and J_x at every x of one height z >= 0, in one pass."""
+    """psi, d(psi)/dx and J_x at every x of one height z >= 0, in three passes."""
     if z < 0:
         raise ValueError(f"z must be non-negative (transmission side), got {z!r}")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ax = np.abs(xs)
-    x_max = float(ax.max())
+    u, at = np.unique(np.abs(xs), return_inverse=True)  # psi is even in x, d(psi)/dx odd
+    x_max = float(u[-1])
     rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
 
     def rw_weight(theta):
         k, c = np.sin(theta), np.cos(theta)
         return k, profile.amplitude(k) * np.exp(1j * z * c) * c
 
-    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, xs, math.hypot(x_max, z) + rate0, abs_tol, rel_tol)
+    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, math.hypot(x_max, z) + rate0, abs_tol, rel_tol)
 
     k_exp = math.inf if z == 0.0 else math.sqrt(1.0 + (_EXP_CUT / z) ** 2)
     k_profile = profile.cutoff()
@@ -114,20 +117,17 @@ def field_row(
         return k, profile.amplitude(k) * np.exp(-z * sh) * sh
 
     s_hi = math.acosh(k_mid)
-    cw = _pass(s_weight, 0.0, s_hi, xs, (x_max + z + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
+    cw = _pass(s_weight, 0.0, s_hi, u, (x_max + z + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
 
     if k_hi > k_mid:
         def k_weight(k):
             chi = np.sqrt((k - 1.0) * (k + 1.0))
             return k, profile.amplitude(k) * np.exp(-z * chi)
 
-        for u in np.unique(ax):
-            at = ax == u
-            psi_k, dpsi_k = _pass(k_weight, k_mid, k_hi, np.array([u]), u + rate0, abs_tol, rel_tol)[:, 0]
-            cw[0, at] += psi_k
-            cw[1, at] += np.where(xs[at] < 0, -dpsi_k, dpsi_k)
+        cw += _pass(k_weight, k_mid, k_hi, u, x_max + rate0, abs_tol, rel_tol)
 
-    cw *= 2.0
+    parity = np.stack([np.ones_like(xs), np.where(xs < 0, -1.0, 1.0)])
+    rw, cw = rw[:, at] * parity, 2.0 * cw[:, at] * parity
     if k_profile <= k_exp:
         with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
             tail = profile.field_tail(k_hi, xs, z)

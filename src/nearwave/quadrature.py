@@ -1,14 +1,21 @@
-"""Global-adaptive panel integration with an embedded Gauss pair.
+"""Global-adaptive panel integration with the 31-point Gauss-Kronrod rule.
 
-Each panel is estimated with 15- and 31-point Gauss-Legendre rules and the
-difference between the two serves as the local error estimate.  Panels whose
-estimate exceeds their prorated share of the error budget are bisected, and
-every pending panel of a round is evaluated in one vectorized sweep, so the
-integrand must accept numpy arrays.  Complex integrands are supported
-directly, and so are vector-valued ones returning one column per component:
-each component keeps its own error budget and a panel is accepted only when
-every component is within its share.  The procedure is deterministic for
-fixed inputs.
+Each panel is estimated with the Kronrod rule K31 and the 15-point
+Gauss-Legendre rule G15 embedded in it (Kronrod 1965; QUADPACK ``qk31``,
+Piessens et al. 1983): G15 uses the odd-indexed K31 nodes, so one integrand
+call on 31 abscissas gives both.  K31 is the value and |K31 - G15| the
+local error estimate.  Panels whose estimate exceeds their prorated share
+of the error budget are bisected, and every pending panel of a round is
+evaluated in one vectorized sweep, so the integrand must accept numpy
+arrays.  Complex integrands are supported directly, and so are
+vector-valued ones returning one column per component: each component keeps
+its own error budget and a panel is accepted only when every component is
+within its share.  The procedure is deterministic for fixed inputs.
+
+A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
+abscissas x components, so one sweep of a wide vector integrand cannot
+allocate hundreds of MB at once.  The component count is learned from the
+first call of a run, which therefore holds one panel alone.
 
 Oscillatory integrands should be seeded with breakpoints at roughly one
 half-oscillation per panel; the refinement loop then only has to mop up.
@@ -19,12 +26,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial import legendre as leg
 
 from .errors import QuadratureError
 
-_X_LO, _W_LO = leggauss(15)
-_X_HI, _W_HI = leggauss(31)
+_MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
+
+
+def _kronrod31() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of K31, and the weights of G15 on its odd-indexed nodes.
+
+    The 16 new nodes are the zeros of the Stieltjes polynomial
+    E16 = P16 + sum_(j even < 16) c_j P_j, fixed by orthogonality to P15 P_k
+    for odd k < 16 (G24 integrates those products exactly); the weights
+    solve the moment system sum_i w_i P_(2k)(x_i) = 2 delta_k0, k < 16, on
+    the symmetric half of the nodes.
+    """
+    x_g, w_g = leg.leggauss(15)
+    x_q, w_q = leg.leggauss(24)
+    v = leg.legvander(x_q, 16)
+    gram = (v[:, 1:16:2].T * (w_q * v[:, 15])) @ v[:, 0:17:2]
+    e16 = np.zeros(17)
+    e16[16] = 1.0
+    e16[0:16:2] = np.linalg.solve(gram[:, :8], -gram[:, 8])
+    new = leg.legroots(e16)[8:]
+    new -= leg.legval(new, e16) / leg.legval(new, leg.legder(e16))  # one Newton step
+    half = np.sort(np.concatenate([[0.0], x_g[8:], new]))
+    moments = leg.legvander(half, 30)[:, ::2].T * np.where(half == 0.0, 1.0, 2.0)
+    w_half = np.linalg.solve(moments, np.eye(16)[0] * 2.0)
+    return (np.concatenate([-half[:0:-1], half]), np.concatenate([w_half[:0:-1], w_half]), w_g)
+
+
+_X_K, _W_K, _W_G = _kronrod31()
+_RULES = np.stack([_W_K, _W_K - np.insert(_W_G, np.arange(16), 0.0)])  # K31 and K31 - G15 on the K31 nodes
 
 
 @dataclass(frozen=True)
@@ -40,25 +74,32 @@ class QuadResult:
         return self.value.real
 
 
-def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray):
-    """Evaluate the low/high rules on a batch of panels.
+def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, n_comp: int | None):
+    """K31 values and |K31 - G15| error estimates on a batch of panels.
 
-    Returns per-panel values and error estimates, shaped (panels,) for a
-    scalar integrand and (panels, m) for one returning m components.
+    ``n_comp`` is the integrand's component count when an earlier sweep has
+    shown it; when it is None the first panel is evaluated alone to learn
+    it.  Returns per-panel values and error estimates, shaped (panels,) for
+    a scalar integrand and (panels, m) for one returning m components.
     """
-    mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x_lo = mid[:, None] + half[:, None] * _X_LO[None, :]
-    x_hi = mid[:, None] + half[:, None] * _X_HI[None, :]
-    f_lo = np.asarray(f(x_lo.ravel()))
-    f_hi = np.asarray(f(x_hi.ravel()))
-    if f_lo.ndim == 1:
-        est_lo = (f_lo.reshape(x_lo.shape) @ _W_LO) * half
-        est_hi = (f_hi.reshape(x_hi.shape) @ _W_HI) * half
-    else:  # (panels, nodes, m): contract over the nodes
-        est_lo = (_W_LO @ f_lo.reshape(x_lo.shape + f_lo.shape[1:])) * half[:, None]
-        est_hi = (_W_HI @ f_hi.reshape(x_hi.shape + f_hi.shape[1:])) * half[:, None]
-    return est_hi, np.abs(est_hi - est_lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X_K
+    vals, errs = [], []
+    start = 0
+    step = 1 if n_comp is None else max(1, _MAX_ELEMENTS // (_X_K.size * n_comp))
+    while start < len(lo):
+        h = half[start:start + step]
+        fx = np.asarray(f(x[start:start + step].ravel()))
+        if fx.ndim == 1:
+            r = fx.reshape(len(h), _X_K.size) @ _RULES.T  # (panels, 2)
+        else:  # (panels, nodes, m): contract over the nodes
+            r = _RULES @ fx.reshape((len(h), _X_K.size) + fx.shape[1:])  # (panels, 2, m)
+            h = h[:, None]
+        vals.append(r[:, 0] * h)
+        errs.append(np.abs(r[:, 1]) * h)
+        start += step
+        step = max(1, _MAX_ELEMENTS // (fx.size // len(h)))
+    return np.concatenate(vals), np.concatenate(errs)
 
 
 def adaptive_quad(
@@ -121,9 +162,11 @@ def adaptive_quad(
     done_val = 0.0 + 0.0j
     done_err = 0.0
     n_panels = len(lo)
+    n_comp = None
 
     for _ in range(max_rounds):
-        vals, errs = _panel_estimates(f, lo, hi)
+        vals, errs = _panel_estimates(f, lo, hi, n_comp)
+        n_comp = vals[0].size
         if not np.isfinite(errs).all():  # a non-finite rule value makes its error non-finite
             raise QuadratureError(
                 f"integrand is not finite on [{a:g}, {b:g}]",

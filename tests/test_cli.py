@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -511,6 +512,48 @@ class TestErrorsAndChecks:
             cli.main([name, "--tolerance", "0.5"])
         assert exc.value.code == 2
         assert "--tolerance" in capsys.readouterr().err
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", [
+        ["field", "--help"], ["scenario-lifetime", "-h"], ["field", "--bogus"], ["field", "extra"],
+        ["field", "--tolerance", "abc"], ["recoil", "--config"], ["spectrum", "--tolerance", "1"],
+    ])
+    def test_one_subcommand_parser_reads_like_the_full_one(self, capsys, argv):
+        outcomes = []
+        for only in (None, argv[0]):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser(only).parse_args(argv)
+            outcomes.append((exc.value.code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_main_builds_only_the_invoked_subparser(self, capsys, tmp_path, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        rc, _, _ = run_main(capsys, "spectrum", "--config", write_cfg(tmp_path, BASE_CFG))
+        assert rc == 0 and built == ["spectrum"]
+        built.clear()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0 and built == list(cli._HANDLERS)
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli._HANDLERS)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["field", "--bogus"]])
+    def test_usage_errors_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith("usage: nearwave [-h]")
+        assert "{" + ",".join(cli._HANDLERS) + "}" in err  # every subcommand, also after "field"
+        assert "\nnearwave: error: " in err
 
 
 class TestClosedStdout:

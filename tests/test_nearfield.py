@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from nearwave import aperture
-from nearwave.aperture import GaussianProfile, SingleSlitProfile
+import nearwave
+from nearwave import aperture, nearfield
+from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
 from nearwave.nearfield import (
     cw_fraction_profile,
     field_at,
@@ -237,6 +241,73 @@ class TestSlitAnalyticTails:
         xs = [-1.3, -0.5, 0.0, 0.2, 0.7]
         field_row(xs, 0.0, SingleSlitProfile(a=1.0))
         assert calls == {"series": 1, "tables": 2 * len(xs)}
+
+
+def _row_profiles():
+    ks = np.linspace(0.0, 6.0, 61)
+    return {
+        "slit": SingleSlitProfile(a=1.0),
+        "gaussian": GaussianProfile(w=1.3),
+        "tabulated": TabulatedProfile(ks, np.exp(-0.3 * ks**2) * np.cos(np.pi * ks / 12.0) ** 2),
+    }
+
+
+class TestRowEngine:
+    # each field value sums up to 3 integrals, each within
+    # max(abs_tol / 2, rel_tol * |integral|); 4 is the safety factor the
+    # field oracle uses
+    @staticmethod
+    def _bound(*parts):
+        return 4.0 * 3.0 * max(1e-12, 1e-10 * max(abs(p) for p in parts))
+
+    @pytest.mark.parametrize("n", [7, 21])
+    @pytest.mark.parametrize("z", [0.0, 0.25, 3.0])
+    @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
+    def test_row_is_three_passes_and_matches_each_point(self, monkeypatch, name, z, n):
+        profile = _row_profiles()[name]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return adaptive_quad(*args, **kwargs)
+
+        monkeypatch.setattr(nearfield, "adaptive_quad", counted)
+        xs = np.linspace(-4.0, 4.0, n)
+        row = field_row(xs, z, profile)
+        assert len(calls) == 3  # RW, the s-range and the k-range, whatever n is
+        monkeypatch.undo()
+        for x, (psi, dpsi, _) in zip(xs, row):
+            one = field_row([x], z, profile)[0]
+            for got, want in ((psi, one.psi), (dpsi, one.dpsi)):
+                bound = self._bound(want.psi_rw, want.psi_cw, want.psi_total)
+                assert abs(got.psi_rw - want.psi_rw) <= bound, (x, got, want)
+                assert abs(got.psi_cw - want.psi_cw) <= bound, (x, got, want)
+        for p, m in zip(row, row[::-1]):  # xs is symmetric: J_x is odd
+            j_bound = (abs(p.dpsi.psi_total) * self._bound(p.psi.psi_rw, p.psi.psi_cw, p.psi.psi_total)
+                       + abs(p.psi.psi_total) * self._bound(p.dpsi.psi_rw, p.dpsi.psi_cw, p.dpsi.psi_total))
+            assert abs(p.current_x + m.current_x) <= 2.0 * j_bound, (p.psi.x, p.current_x, m.current_x)
+
+    def test_wide_row_peak_memory_is_bounded(self):
+        # 101 points to |x| = 50 on the screen plane: one k-range pass with
+        # 51 column pairs (one per distinct |x|) over ~1,600 panels,
+        # evaluated in capped chunks
+        # (VmHWM, not ru_maxrss: the latter keeps the forking test process's
+        # own peak across exec)
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("peak RSS is read from /proc/self/status")
+        code = (
+            "import numpy as np\n"
+            "from nearwave.aperture import SingleSlitProfile\n"
+            "from nearwave.nearfield import field_row\n"
+            "field_row(np.linspace(-50.0, 50.0, 101), 0.0, SingleSlitProfile(a=1.0))\n"
+            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+        )
+        src = os.path.dirname(os.path.dirname(nearwave.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                              env=env, timeout=300)
+        peak_mb = int(proc.stdout) / 1024.0  # VmHWM is in kB
+        assert peak_mb < 100.0
 
 
 class TestProbabilityCurrent:

@@ -1,10 +1,73 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from nearwave import quadrature
 from nearwave.errors import QuadratureError
 from nearwave.quadrature import adaptive_quad, oscillation_breakpoints
+
+
+def _legendre_rational(n_max):
+    """P_0..P_n_max as exact rational coefficient lists in the monomial basis."""
+    polys = [[Fraction(1)], [Fraction(0), Fraction(1)]]
+    for n in range(1, n_max):
+        up = [Fraction(0)] + [(2 * n + 1) * c for c in polys[n]]
+        down = polys[n - 1] + [Fraction(0), Fraction(0)]
+        polys.append([(u - n * d) / (n + 1) for u, d in zip(up, down)])
+    return polys
+
+
+def _times(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _integral(p):
+    """Exact integral over [-1, 1] of a monomial-basis polynomial."""
+    return sum(c * Fraction(2, m + 1) for m, c in enumerate(p) if m % 2 == 0)
+
+
+def _mp_kronrod31(dps=40):
+    """K31 nodes and weights and the G15 weights, built independently at dps digits.
+
+    E16 = P16 + sum_(j even < 16) c_j P_j with exact rational orthogonality
+    integrals against P15 P_k, its roots by mpmath.polyroots, and the
+    weights from the monomial moment system sum_i w_i x_i^k = 2/(k+1).
+    """
+    with mpmath.workdps(dps):
+        P = _legendre_rational(16)
+        odd, even = range(1, 16, 2), range(0, 16, 2)
+
+        def mp(fr):
+            return mpmath.mpf(fr.numerator) / fr.denominator
+
+        gram = mpmath.matrix([[mp(_integral(_times(_times(P[15], P[k]), P[j]))) for j in even] for k in odd])
+        rhs = mpmath.matrix([-mp(_integral(_times(_times(P[15], P[k]), P[16]))) for k in odd])
+        c = mpmath.lu_solve(gram, rhs)
+        e16 = [mp(v) for v in P[16]]
+        for i, j in enumerate(even):
+            for m, v in enumerate(P[j]):
+                e16[m] += c[i] * mp(v)
+        kronrod = mpmath.polyroots(e16[::-1], maxsteps=200, extraprec=200)
+        gauss = mpmath.polyroots([mp(v) for v in P[15][::-1]], maxsteps=200, extraprec=200)
+        x = sorted([mpmath.re(r) for r in kronrod] + [mpmath.re(r) for r in gauss])
+
+        def weights(nodes):
+            n = len(nodes)
+            vander = mpmath.matrix([[t**k for t in nodes] for k in range(n)])
+            moments = mpmath.matrix([mpmath.mpf(2) / (k + 1) if k % 2 == 0 else 0 for k in range(n)])
+            return mpmath.lu_solve(vander, moments)
+
+        w = weights(x)
+        w_g = weights(x[1::2])
+        return (np.array([float(v) for v in x]), np.array([float(v) for v in w]),
+                np.array([float(v) for v in w_g]))
 
 
 class TestAdaptiveQuad:
@@ -76,7 +139,7 @@ class TestAdaptiveQuad:
 
         with pytest.raises(QuadratureError, match="not finite") as err:
             adaptive_quad(f, 0.0, 1.0)
-        assert calls == [15, 31]  # the two rules of the first sweep
+        assert calls == [31]  # one K31 call: the first and only sweep
         assert math.isnan(err.value.achieved)
 
     def test_integrable_decay_on_long_interval(self):
@@ -125,6 +188,61 @@ class TestVectorIntegrand:
         want = np.array([1e8 * (math.e - 1.0), 2.0 / 3.0])
         assert np.all(res.error <= rel_tol * np.abs(res.value))
         assert np.all(np.abs(res.value - want) <= 10.0 * rel_tol * want)
+
+
+class TestKronrodRule:
+    def test_nodes_and_weights_against_mpmath(self):
+        x, w, w_g = _mp_kronrod31()
+        assert np.all(np.abs(quadrature._X_K - x) <= 1e-15)
+        assert np.all(np.abs(quadrature._W_K - w) <= 1e-15)
+        assert np.all(np.abs(quadrature._W_G - w_g) <= 1e-15)
+        # QUADPACK qk31's outermost node
+        assert quadrature._X_K[-1] == pytest.approx(0.998002298693397060285172840152271, abs=1e-15)
+
+    def test_embedded_nodes_are_gauss_legendre(self):
+        x_g, w_g = np.polynomial.legendre.leggauss(15)
+        assert np.all(np.abs(quadrature._X_K[1::2] - x_g) <= 1e-15)
+        assert np.all(np.abs(quadrature._W_G - w_g) <= 1e-15)
+
+    def test_monomials_exact_to_degree_46(self):
+        x, w = quadrature._X_K, quadrature._W_K
+        for k in range(47):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert abs(w @ x**k - exact) <= 1e-15, k
+
+    @pytest.mark.parametrize(("f", "antiderivative", "panels"), [
+        # oscillatory: 40 rad per unit, panels of 4.5 to 13 oscillations
+        (lambda t: np.cos(40.0 * t), lambda t: np.sin(40.0 * t) / 40.0,
+         [(0.1, 0.8), (0.0, 1.0), (2.0, 3.3), (0.0, 2.0)]),
+        # endpoint square-root singularity
+        (np.sqrt, lambda t: 2.0 / 3.0 * t**1.5, [(0.0, 1.0), (0.0, 1e-3), (0.0, 7.0)]),
+        # interior square-root kink at 1/3
+        (lambda t: np.abs(t - 1.0 / 3.0) ** 0.5,
+         lambda t: 2.0 / 3.0 * np.sign(t - 1.0 / 3.0) * np.abs(t - 1.0 / 3.0) ** 1.5,
+         [(0.0, 1.0), (0.3, 0.4), (0.0, 1.0 / 3.0)]),
+    ], ids=["oscillatory", "endpoint-singular", "interior-kink"])
+    def test_error_estimate_bounds_true_error(self, f, antiderivative, panels):
+        lo, hi = np.array(panels).T
+        vals, errs = quadrature._panel_estimates(f, lo, hi, None)
+        true_err = np.abs(vals - (antiderivative(hi) - antiderivative(lo)))
+        assert np.all(true_err <= errs), (true_err, errs)
+        assert np.all(errs > 1e-13)  # each case is above rounding, so the bound says something
+
+    def test_no_integrand_call_exceeds_the_element_cap(self):
+        m = 40
+        sizes = []
+
+        def f(t):
+            out = np.cos(np.multiply.outer(t, np.arange(1.0, m + 1.0)))
+            sizes.append(out.size)
+            return out
+
+        hi = 30.0
+        res = adaptive_quad(f, 0.0, hi, breakpoints=oscillation_breakpoints(0.0, hi, m))
+        assert max(sizes) <= quadrature._MAX_ELEMENTS
+        assert len(sizes) > 2  # the first sweep (383 panels x 31 nodes x 40) was split
+        want = np.sin(hi * np.arange(1.0, m + 1.0)) / np.arange(1.0, m + 1.0)
+        assert np.all(np.abs(res.value - want) <= 1e-10)
 
 
 class TestOscillationBreakpoints:
