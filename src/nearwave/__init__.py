@@ -43,7 +43,7 @@ from .nearfield import (
     cw_fraction_profile,
     field_at,
     field_dx_at,
-    field_row,
+    field_grid,
     probability_current_x,
 )
 from .probe import (

@@ -137,8 +137,8 @@ def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
         "re_psi_total", "im_psi_total", "J_x",
     ]
     rows = []
-    for z in zs:
-        for s, _, jx in nearfield.field_row(xs, float(z), profile, abs_tol=tol):
+    for row in nearfield.field_grid(xs, zs, profile, abs_tol=tol):
+        for s, _, jx in row:
             tot = s.psi_total
             rows.append([
                 s.x, s.z,

@@ -14,16 +14,22 @@ profile makes the integrand negligible.  Slit profiles supply an analytic
 tail beyond k = 100/min(a, pi) (a 1/k series of F e^{-chi z} summed with
 exponential integrals), so at z ~ 0, where the integrand decays only like
 1/k^2, panels cover just [2, 100/min(a, pi)].  One ``field_tail`` call per
-row returns the psi and d(psi)/dx remainders at every point.
+row returns the psi and d(psi)/dx remainders at every point of the row.
 
 psi and d(psi)/dx come from one vector-valued quadrature per range, which
-evaluates the weighted amplitude once per abscissa and multiplies it by the
-columns cos(k u_j) and -k sin(k u_j), one pair per distinct u_j = |x_j|:
+evaluates the amplitude and the columns cos(k u_j) and -k sin(k u_j), one
+pair per distinct u_j = |x_j|, once per abscissa and multiplies them by
+each row's height factor e^{i z cos(theta)}, e^{-z sinh(s)} or e^{-z chi}:
 psi is even in x and d(psi)/dx odd, so each point takes its column pair
-and the sign of x.  A row of points at one height is three passes, the RW
-range, the CW range s in [0, acosh 2] and the long CW range [2, k_hi],
-whatever the number of points; each is seeded with breakpoints for the
-largest |x| of the row.
+and the sign of x.  A grid is three passes, the RW range, the CW range
+s in [0, acosh 2] and the long CW range [2, k_hi], whatever its number of
+points and rows (rows beyond one K31 panel's element cap go to further
+passes).  k_hi is the largest per-row end; a row that ends below it
+carries less than e^-46 beyond its own end, and a row that ends at or
+below k = 2 stays out of the k-range pass.  Each pass is seeded for the
+largest |x| and z of the grid, at three half-oscillations per panel: the
+G15 remainder on a 3 pi phase span is ~1e-20 of the panel amplitude, and
+the |K31 - G15| estimate still guards every panel.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -40,9 +46,10 @@ import numpy as np
 
 from .aperture import ApertureProfile, SingleSlitProfile
 from .errors import QuadratureError
-from .quadrature import adaptive_quad, oscillation_breakpoints
+from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoints
 
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
+_HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
 
 
 @dataclass(frozen=True)
@@ -67,79 +74,106 @@ class FieldPoint(NamedTuple):
     current_x: float
 
 
-def _pass(weight, a: float, b: float, xs: np.ndarray, rate: float, abs_tol: float, rel_tol: float) -> np.ndarray:
-    """integral_a^b w(t) [cos(k x_j), -k sin(k x_j)] dt for every x_j at once.
+def _pass(weight, a: float, b: float, u: np.ndarray, nz: int, rate: float,
+          abs_tol: float, rel_tol: float) -> np.ndarray:
+    """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j)] dt for every row i and every u_j at once.
 
-    ``weight(t)`` returns the wavenumbers k(t) and the weights w(t), which
-    carry the amplitude, the height factor and dk/dt.  Returns shape
-    (2, len(xs)): the psi integrals, then the d/dx ones.
+    ``weight(t)`` returns the wavenumbers k(t), shape (n,), and the weights
+    w(t), shape (n, nz): the amplitude and dk/dt times each row's height
+    factor.  The columns cos(k u_j) and -k sin(k u_j) are evaluated once per
+    abscissa and shared by the rows.  Returns shape (nz, 2, len(u)): per
+    row, the psi integrals, then the d/dx ones.
     """
 
     def integrand(t):
         k, w = weight(t)
-        kx = np.multiply.outer(k, xs)
-        return np.concatenate([np.cos(kx), -k[:, None] * np.sin(kx)], axis=1) * w[:, None]
+        ku = np.multiply.outer(k, u)
+        cols = np.stack([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)  # (n, 2, len(u))
+        return (w[:, :, None, None] * cols[:, None]).reshape(len(k), -1)
 
     res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
-                        breakpoints=oscillation_breakpoints(a, b, rate))
-    return res.value.reshape(2, len(xs))
+                        breakpoints=oscillation_breakpoints(a, b, rate / _HALF_WAVES_PER_PANEL))
+    return res.value.reshape(nz, 2, len(u))
 
 
-def field_row(
-    xs,
-    z: float,
-    profile: ApertureProfile,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> list[FieldPoint]:
-    """psi, d(psi)/dx and J_x at every x of one height z >= 0, in three passes."""
-    if z < 0:
-        raise ValueError(f"z must be non-negative (transmission side), got {z!r}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+def _rows(xs: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
+          abs_tol: float, rel_tol: float) -> list[list[FieldPoint]]:
+    """The rows of heights zs over the points xs, from one pass per range."""
     u, at = np.unique(np.abs(xs), return_inverse=True)  # psi is even in x, d(psi)/dx odd
-    x_max = float(u[-1])
+    x_max, z_max, nz = float(u[-1]), float(zs.max()), len(zs)
     rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
 
     def rw_weight(theta):
         k, c = np.sin(theta), np.cos(theta)
-        return k, profile.amplitude(k) * np.exp(1j * z * c) * c
+        return k, (profile.amplitude(k) * c)[:, None] * np.exp(1j * np.multiply.outer(c, zs))
 
-    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, math.hypot(x_max, z) + rate0, abs_tol, rel_tol)
+    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, nz, math.hypot(x_max, z_max) + rate0, abs_tol, rel_tol)
 
-    k_exp = math.inf if z == 0.0 else math.sqrt(1.0 + (_EXP_CUT / z) ** 2)
+    with np.errstate(divide="ignore"):
+        k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
     k_profile = profile.cutoff()
-    k_hi = max(1.5, min(k_profile, k_exp))
+    k_ends = np.maximum(1.5, np.minimum(k_profile, k_exp))  # beyond its own end a row carries < e^-46
+    k_hi = float(k_ends.max())
     k_mid = min(2.0, k_hi)
 
     def s_weight(s):
         k, sh = np.cosh(s), np.sinh(s)
-        return k, profile.amplitude(k) * np.exp(-z * sh) * sh
+        return k, (profile.amplitude(k) * sh)[:, None] * np.exp(-np.multiply.outer(sh, zs))
 
     s_hi = math.acosh(k_mid)
-    cw = _pass(s_weight, 0.0, s_hi, u, (x_max + z + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
+    cw = _pass(s_weight, 0.0, s_hi, u, nz, (x_max + z_max + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
 
-    if k_hi > k_mid:
+    deep = k_ends > k_mid  # the rows the k-range carries; the others end at or below k_mid
+    if deep.any():
+        z_deep = zs[deep]
+
         def k_weight(k):
             chi = np.sqrt((k - 1.0) * (k + 1.0))
-            return k, profile.amplitude(k) * np.exp(-z * chi)
+            return k, profile.amplitude(k)[:, None] * np.exp(-np.multiply.outer(chi, z_deep))
 
-        cw += _pass(k_weight, k_mid, k_hi, u, x_max + rate0, abs_tol, rel_tol)
+        cw[deep] += _pass(k_weight, k_mid, k_hi, u, len(z_deep), x_max + rate0, abs_tol, rel_tol)
 
     parity = np.stack([np.ones_like(xs), np.where(xs < 0, -1.0, 1.0)])
-    rw, cw = rw[:, at] * parity, 2.0 * cw[:, at] * parity
-    if k_profile <= k_exp:
-        with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
-            tail = profile.field_tail(k_hi, xs, z)
-        if tail is not None:
-            cw += tail
-            if not np.isfinite(cw).all():
-                raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
+    rw, cw = rw[:, :, at] * parity, 2.0 * cw[:, :, at] * parity
     out = []
-    for j, x in enumerate(xs):
-        psi = FieldSample(float(x), z, complex(rw[0, j]), complex(cw[0, j]))
-        dpsi = FieldSample(float(x), z, complex(rw[1, j]), complex(cw[1, j]))
-        out.append(FieldPoint(psi, dpsi, (psi.psi_total.conjugate() * dpsi.psi_total).imag))
+    for z, row_rw, row_cw, k_cut in zip(zs.tolist(), rw, cw, k_exp):
+        if k_profile <= k_cut:  # then k_hi is k_profile
+            with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
+                tail = profile.field_tail(k_hi, xs, z)
+            if tail is not None:
+                row_cw += tail
+                if not np.isfinite(row_cw).all():
+                    raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
+        row = []
+        for j, x in enumerate(xs.tolist()):
+            psi = FieldSample(x, z, complex(row_rw[0, j]), complex(row_cw[0, j]))
+            dpsi = FieldSample(x, z, complex(row_rw[1, j]), complex(row_cw[1, j]))
+            row.append(FieldPoint(psi, dpsi, (psi.psi_total.conjugate() * dpsi.psi_total).imag))
+        out.append(row)
+    return out
+
+
+def field_grid(
+    xs,
+    zs,
+    profile: ApertureProfile,
+    *,
+    abs_tol: float = 1e-12,
+    rel_tol: float = 1e-10,
+) -> list[list[FieldPoint]]:
+    """psi, d(psi)/dx and J_x at every (x, z) with z >= 0: one list of points per z, in the order of zs.
+
+    Consecutive rows share a pass, as many as keep one K31 panel within the
+    quadrature's per-call element cap.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    if (zs < 0).any():
+        raise ValueError(f"z must be non-negative (transmission side), got {float(zs[zs < 0][0])!r}")
+    per_pass = max(1, _MAX_ELEMENTS // (_X_K.size * 2 * len(np.unique(np.abs(xs)))))
+    out = []
+    for start in range(0, len(zs), per_pass):
+        out += _rows(xs, zs[start:start + per_pass], profile, abs_tol, rel_tol)
     return out
 
 
@@ -152,7 +186,7 @@ def field_at(
     rel_tol: float = 1e-10,
 ) -> FieldSample:
     """Evaluate the near-field superposition at one point (z >= 0)."""
-    return field_row(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0].psi
+    return field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0][0].psi
 
 
 def field_dx_at(
@@ -164,7 +198,7 @@ def field_dx_at(
     rel_tol: float = 1e-10,
 ) -> FieldSample:
     """x-derivative of the field, differentiated under the integrals."""
-    return field_row(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0].dpsi
+    return field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0][0].dpsi
 
 
 def probability_current_x(
@@ -180,7 +214,7 @@ def probability_current_x(
     Odd in x and zero on the symmetry axis; a nonzero value off-axis is the
     flux the standing-wave decomposition carries along the screen.
     """
-    return field_row(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0].current_x
+    return field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0][0].current_x
 
 
 def cw_fraction_profile(
@@ -202,8 +236,8 @@ def cw_fraction_profile(
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z grid must be strictly increasing")
     out = []
-    for z in zs:
-        s = field_at(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)
+    for z, (point,) in zip(zs, field_grid([x], zs, profile, abs_tol=abs_tol, rel_tol=rel_tol)):
+        s = point.psi
         total = abs(s.psi_total)
         if total <= abs_tol:
             warnings.warn(f"CW fraction at (x={x!r}, z={z!r}) is cancellation noise: |psi_total| = "

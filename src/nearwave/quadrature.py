@@ -17,8 +17,10 @@ abscissas x components, so one sweep of a wide vector integrand cannot
 allocate hundreds of MB at once.  The component count is learned from the
 first call of a run, which therefore holds one panel alone.
 
-Oscillatory integrands should be seeded with breakpoints at roughly one
-half-oscillation per panel; the refinement loop then only has to mop up.
+Oscillatory integrands should be seeded with breakpoints a few
+half-oscillations apart at most (K31 resolves three per panel to rounding;
+``oscillation_breakpoints(a, b, rate / n)`` spaces them n apart); the
+refinement loop then only has to mop up.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, n_comp: int | None):
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X_K
-    vals, errs = [], []
+    vals = errs = None
     start = 0
     step = 1 if n_comp is None else max(1, _MAX_ELEMENTS // (_X_K.size * n_comp))
     while start < len(lo):
@@ -95,11 +97,14 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, n_comp: int | None):
         else:  # (panels, nodes, m): contract over the nodes
             r = _RULES @ fx.reshape((len(h), _X_K.size) + fx.shape[1:])  # (panels, 2, m)
             h = h[:, None]
-        vals.append(r[:, 0] * h)
-        errs.append(np.abs(r[:, 1]) * h)
+        if vals is None:  # filled in place: a list of chunks plus their concatenation would hold two copies
+            vals = np.empty((len(lo),) + r.shape[2:], r.dtype)
+            errs = np.empty((len(lo),) + r.shape[2:])
+        vals[start:start + len(h)] = r[:, 0] * h
+        errs[start:start + len(h)] = np.abs(r[:, 1]) * h
         start += step
         step = max(1, _MAX_ELEMENTS // (fx.size // len(h)))
-    return np.concatenate(vals), np.concatenate(errs)
+    return vals, errs
 
 
 def adaptive_quad(
@@ -180,8 +185,7 @@ def adaptive_quad(
             value = est_total if np.iscomplexobj(vals) else est_total.real
             return QuadResult(sign * value, total_err, n_panels)
         width = hi - lo if errs.ndim == 1 else (hi - lo)[:, None]
-        share = budget * width / total_len
-        ok = (errs <= share).reshape(len(lo), -1).all(axis=1)
+        ok = (errs <= budget * width / total_len).reshape(len(lo), -1).all(axis=1)
         done_val += vals[ok].sum(axis=0)
         done_err += errs[ok].sum(axis=0)
         if ok.all():

@@ -158,7 +158,7 @@ class TestField:
         def refuse(*args, **kwargs):
             raise AssertionError("field computed despite an invalid --tolerance")
 
-        monkeypatch.setattr(cli.nearfield, "field_row", refuse)
+        monkeypatch.setattr(cli.nearfield, "field_grid", refuse)
         cfg = write_cfg(tmp_path, BASE_CFG)
         rc, out, err = run_main(capsys, "field", "--config", cfg, "--tolerance", value)
         assert rc == 2

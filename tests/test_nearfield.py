@@ -8,13 +8,13 @@ import pytest
 from scipy.integrate import simpson
 
 import nearwave
-from nearwave import aperture, nearfield
+from nearwave import aperture, nearfield, quadrature
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
 from nearwave.nearfield import (
     cw_fraction_profile,
     field_at,
     field_dx_at,
-    field_row,
+    field_grid,
     probability_current_x,
 )
 from nearwave.quadrature import adaptive_quad
@@ -239,8 +239,30 @@ class TestSlitAnalyticTails:
         monkeypatch.setattr(aperture, "_slit_tail_series", counted("series", aperture._slit_tail_series))
         monkeypatch.setattr(aperture, "_exp_integrals", counted("tables", aperture._exp_integrals))
         xs = [-1.3, -0.5, 0.0, 0.2, 0.7]
-        field_row(xs, 0.0, SingleSlitProfile(a=1.0))
+        field_grid(xs, 0.0, SingleSlitProfile(a=1.0))
         assert calls == {"series": 1, "tables": 2 * len(xs)}
+
+
+def _peak_mb(call: str) -> float:
+    """Peak RSS in MB of a fresh interpreter that runs ``call`` with numpy, the slit and field_grid imported.
+
+    VmHWM, not ru_maxrss: the latter keeps the forking test process's own
+    peak across exec.
+    """
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("peak RSS is read from /proc/self/status")
+    code = (
+        "import numpy as np\n"
+        "from nearwave.aperture import SingleSlitProfile\n"
+        "from nearwave.nearfield import field_grid\n"
+        f"{call}\n"
+        "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nearwave.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env=env, timeout=300)
+    return int(proc.stdout) / 1024.0  # VmHWM is in kB
 
 
 def _row_profiles():
@@ -252,62 +274,139 @@ def _row_profiles():
     }
 
 
-class TestRowEngine:
+def _bound(*parts):
     # each field value sums up to 3 integrals, each within
     # max(abs_tol / 2, rel_tol * |integral|); 4 is the safety factor the
     # field oracle uses
-    @staticmethod
-    def _bound(*parts):
-        return 4.0 * 3.0 * max(1e-12, 1e-10 * max(abs(p) for p in parts))
+    return 4.0 * 3.0 * max(1e-12, 1e-10 * max(abs(p) for p in parts))
 
+
+def _counting_quad(monkeypatch):
+    """Patch nearfield's adaptive_quad to count its calls and record the size of every integrand result."""
+    calls, sizes = [], []
+
+    def counted(f, *args, **kwargs):
+        def recorded(t):
+            out = f(t)
+            sizes.append(out.size)
+            return out
+
+        calls.append(1)
+        return adaptive_quad(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(nearfield, "adaptive_quad", counted)
+    return calls, sizes
+
+
+def _assert_matches(got, want):
+    for part in ("psi_rw", "psi_cw"):
+        bound = _bound(want.psi_rw, want.psi_cw, want.psi_total)
+        assert abs(getattr(got, part) - getattr(want, part)) <= bound, (got, want)
+
+
+def _assert_current_odd(row):
+    """J_x(-x) = -J_x(x) on a row over a symmetric x grid."""
+    for p, m in zip(row, row[::-1]):
+        j_bound = (abs(p.dpsi.psi_total) * _bound(p.psi.psi_rw, p.psi.psi_cw, p.psi.psi_total)
+                   + abs(p.psi.psi_total) * _bound(p.dpsi.psi_rw, p.dpsi.psi_cw, p.dpsi.psi_total))
+        assert abs(p.current_x + m.current_x) <= 2.0 * j_bound, (p.psi.x, p.current_x, m.current_x)
+
+
+class TestRowEngine:
     @pytest.mark.parametrize("n", [7, 21])
     @pytest.mark.parametrize("z", [0.0, 0.25, 3.0])
     @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
     def test_row_is_three_passes_and_matches_each_point(self, monkeypatch, name, z, n):
         profile = _row_profiles()[name]
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return adaptive_quad(*args, **kwargs)
-
-        monkeypatch.setattr(nearfield, "adaptive_quad", counted)
+        calls, _ = _counting_quad(monkeypatch)
         xs = np.linspace(-4.0, 4.0, n)
-        row = field_row(xs, z, profile)
+        (row,) = field_grid(xs, z, profile)
         assert len(calls) == 3  # RW, the s-range and the k-range, whatever n is
         monkeypatch.undo()
         for x, (psi, dpsi, _) in zip(xs, row):
-            one = field_row([x], z, profile)[0]
-            for got, want in ((psi, one.psi), (dpsi, one.dpsi)):
-                bound = self._bound(want.psi_rw, want.psi_cw, want.psi_total)
-                assert abs(got.psi_rw - want.psi_rw) <= bound, (x, got, want)
-                assert abs(got.psi_cw - want.psi_cw) <= bound, (x, got, want)
-        for p, m in zip(row, row[::-1]):  # xs is symmetric: J_x is odd
-            j_bound = (abs(p.dpsi.psi_total) * self._bound(p.psi.psi_rw, p.psi.psi_cw, p.psi.psi_total)
-                       + abs(p.psi.psi_total) * self._bound(p.dpsi.psi_rw, p.dpsi.psi_cw, p.dpsi.psi_total))
-            assert abs(p.current_x + m.current_x) <= 2.0 * j_bound, (p.psi.x, p.current_x, m.current_x)
+            one = field_grid([x], z, profile)[0][0]
+            _assert_matches(psi, one.psi)
+            _assert_matches(dpsi, one.dpsi)
+        _assert_current_odd(row)  # xs is symmetric
 
     def test_wide_row_peak_memory_is_bounded(self):
         # 101 points to |x| = 50 on the screen plane: one k-range pass with
-        # 51 column pairs (one per distinct |x|) over ~1,600 panels,
+        # 51 column pairs (one per distinct |x|) over ~530 panels,
         # evaluated in capped chunks
-        # (VmHWM, not ru_maxrss: the latter keeps the forking test process's
-        # own peak across exec)
-        if not os.path.exists("/proc/self/status"):
-            pytest.skip("peak RSS is read from /proc/self/status")
-        code = (
-            "import numpy as np\n"
-            "from nearwave.aperture import SingleSlitProfile\n"
-            "from nearwave.nearfield import field_row\n"
-            "field_row(np.linspace(-50.0, 50.0, 101), 0.0, SingleSlitProfile(a=1.0))\n"
-            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM:')))\n"
-        )
-        src = os.path.dirname(os.path.dirname(nearwave.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                              env=env, timeout=300)
-        peak_mb = int(proc.stdout) / 1024.0  # VmHWM is in kB
-        assert peak_mb < 100.0
+        assert _peak_mb("field_grid(np.linspace(-50.0, 50.0, 101), 0.0, SingleSlitProfile(a=1.0))") < 100.0
+
+
+class TestGridEngine:
+    # unsorted heights: z = 0 and 0.3 take the k-range (and the slit's
+    # analytic tail); z = 60 ends at k = 1.5 on its own, so the k-range
+    # pass leaves it out
+    ZS = (0.3, 60.0, 0.0)
+    XS = (-1.7, -0.4, -0.2, 0.0, 0.2, 0.4, 1.7)
+
+    @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
+    def test_grid_is_three_passes_and_matches_each_point(self, monkeypatch, name):
+        profile = _row_profiles()[name]
+        calls, _ = _counting_quad(monkeypatch)
+        grid = field_grid(self.XS, self.ZS, profile)
+        assert len(calls) == 3  # RW, the s-range and the k-range, whatever the rows
+        monkeypatch.undo()
+        assert [[p.psi.z for p in row] for row in grid] == [[z] * len(self.XS) for z in self.ZS]
+        for z, row in zip(self.ZS, grid):
+            assert [p.psi.x for p in row] == list(self.XS)
+            for x, (psi, dpsi, _) in zip(self.XS, row):
+                one = field_grid([x], [z], profile)[0][0]
+                _assert_matches(psi, one.psi)
+                _assert_matches(dpsi, one.dpsi)
+            _assert_current_odd(row)
+
+    def test_screen_row_meets_closed_form(self):
+        # at z = 0 the slit superposition is the slit mode, 2 sqrt(pi/a) cos(pi x/a)
+        # inside and zero outside, here on a row that shares its passes with z > 0
+        a = 1.0
+        row = field_grid(self.XS, self.ZS, SingleSlitProfile(a=a))[self.ZS.index(0.0)]
+        for x, (psi, _, _) in zip(self.XS, row):
+            want = 2.0 * math.sqrt(math.pi / a) * math.cos(math.pi * x / a) if abs(x) < 0.5 * a else 0.0
+            assert abs(psi.psi_total - want) <= _bound(psi.psi_rw, psi.psi_cw, want), (x, psi)
+
+    def test_cw_fraction_scan_is_three_passes(self, monkeypatch):
+        profile = SingleSlitProfile(a=1.0)
+        zs = (0.0, 0.3, 1.0, 3.0, 60.0)
+        calls, _ = _counting_quad(monkeypatch)
+        scan = cw_fraction_profile(0.2, zs, profile)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        for (z, frac), want_z in zip(scan, zs):
+            assert z == want_z
+            s = field_grid([0.2], [z], profile)[0][0].psi
+            cw, total = abs(s.psi_cw), abs(s.psi_total)
+            delta = _bound(s.psi_rw, s.psi_cw, s.psi_total)
+            # |psi_cw|^2/|psi_total|^2 moves by at most 2 f (delta/|psi_cw| + delta/|psi_total|), to first order
+            assert abs(frac - cw**2 / total**2) <= 2.0 * frac * (delta / cw + delta / total), z
+
+    def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
+        # 500 distinct |x| leave room for 8 rows per pass, so 10 rows take
+        # two batches of three passes
+        profile = GaussianProfile(w=1.3)
+        xs = np.linspace(-5.0, 5.0, 999)
+        zs = np.linspace(0.0, 3.0, 10)
+        calls, sizes = _counting_quad(monkeypatch)
+        grid = field_grid(xs, zs, profile)
+        assert len(calls) == 6
+        assert max(sizes) <= quadrature._MAX_ELEMENTS
+        monkeypatch.undo()
+        for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):  # rows on both sides of the batch edge
+            one = field_grid([xs[j]], [zs[i]], profile)[0][0]
+            _assert_matches(grid[i][j].psi, one.psi)
+            _assert_matches(grid[i][j].dpsi, one.dpsi)
+
+    @pytest.mark.parametrize("z_max", [100.0, 1.0])
+    def test_wide_grid_peak_memory_is_bounded(self, z_max):
+        # 101 x by 40 z of a slit: 51 column pairs per row, every row in one
+        # batch and ~530 panels on the k-range, which carries the 11 rows
+        # below z = 26.6 (z_max = 100) or all 40 (z_max = 1)
+        assert _peak_mb(
+            f"field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, {z_max!r}, 40), SingleSlitProfile(a=1.0))"
+        ) < 100.0
 
 
 class TestProbabilityCurrent:
