@@ -38,7 +38,7 @@ from .modes import (
     phase_velocity,
 )
 from .nearfield import (
-    FieldPoint,
+    FieldGrid,
     FieldSample,
     cw_fraction_profile,
     field_at,

@@ -35,6 +35,8 @@ import os
 import sys
 from importlib import resources
 
+import numpy as np
+
 from . import aperture as aperture_mod
 from . import kinematics, modes, nearfield, probe, recoil
 from .config import (
@@ -90,11 +92,19 @@ def _emit_json(out_path: str | None, record: dict) -> None:
     _write_text(out_path, text + "\n")
 
 
+def _finite(obj) -> bool:
+    """True when no float nested in the dicts and lists of ``obj`` is inf or nan."""
+    if isinstance(obj, (dict, list, tuple)):
+        return all(map(_finite, obj.values() if isinstance(obj, dict) else obj))
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
 def _kx_record(build, kx: float, *args) -> dict:
     """build(kx, *args), or DegenerateInputError naming kx if it overflows, divides by zero or holds inf/nan."""
     try:
         rec = build(kx, *args)
-        json.dumps(rec, allow_nan=False)
+        if not _finite(rec):
+            raise ValueError("Out of range float values are not JSON compliant")  # json.dumps's own words
     except (ArithmeticError, ValueError) as e:
         raise DegenerateInputError(f"kx={kx!r}: {type(e).__name__}: {e}") from e
     return rec
@@ -131,21 +141,13 @@ def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
     zs = grid_from(cfg, "z")
     if any(z < 0 for z in zs):
         raise ConfigError("grids.z", "field heights must be non-negative")
-    header = [
-        "x", "z",
-        "re_psi_rw", "im_psi_rw", "re_psi_cw", "im_psi_cw",
-        "re_psi_total", "im_psi_total", "J_x",
-    ]
-    rows = []
-    for row in nearfield.field_grid(xs, zs, profile, abs_tol=tol):
-        for s, _, jx in row:
-            tot = s.psi_total
-            rows.append([
-                s.x, s.z,
-                s.psi_rw.real, s.psi_rw.imag, s.psi_cw.real, s.psi_cw.imag,
-                tot.real, tot.imag, jx,
-            ])
-    _emit_csv(out, header, rows)
+    g = nearfield.field_grid(xs, zs, profile, abs_tol=tol)
+    total = g.psi_total
+    table = np.stack([*np.meshgrid(g.x, g.z), g.psi_rw.real, g.psi_rw.imag, g.psi_cw.real, g.psi_cw.imag,
+                      total.real, total.imag, g.current_x], axis=-1).reshape(-1, 9)  # one row per (z, x)
+    line = ",".join(["%.17g"] * 9) + "\n"  # "%.17g" % v is format(v, ".17g"), -0.0 included
+    header = "x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x\n"
+    _write_text(out, header + "".join(line % row for row in map(tuple, table.tolist())))
     return 0
 
 
@@ -235,6 +237,7 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
             "width_symmetry": abs(sol.gamma - sol.Gamma),
         },
     }
+    rec.update(tau_s=None, tau_deep_cw_s=None, tau_traverse_s=None, traverse_regime_warning=None)
     if sol.kind is WaveKind.CRAWLING:
         routes = recoil.lifetime_routes(sol, units)
         trav = recoil.traverse_time(sol, units)
@@ -242,11 +245,6 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
         rec["tau_deep_cw_s"] = routes.deep_cw_s
         rec["tau_traverse_s"] = trav.seconds
         rec["traverse_regime_warning"] = trav.regime_warning
-    else:
-        rec["tau_s"] = None
-        rec["tau_deep_cw_s"] = None
-        rec["tau_traverse_s"] = None
-        rec["traverse_regime_warning"] = None
     return rec
 
 
@@ -351,12 +349,14 @@ _BUNDLED = {
 }
 
 
+@functools.cache
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the subcommand ``only`` alone.
+    """The parser of every subcommand, or of the subcommand ``only`` alone, built once per process.
 
     Building one subparser instead of eight is most of a record call's
-    argument handling.  Help and error text read the same either way: the
-    restricted parser still names every subcommand in its usage line.
+    argument handling; ``parse_args`` returns a fresh namespace each time.
+    Help and error text read the same either way: the restricted parser
+    still names every subcommand in its usage line.
     """
     parser = argparse.ArgumentParser(
         prog="nearwave",

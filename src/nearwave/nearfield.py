@@ -14,22 +14,24 @@ profile makes the integrand negligible.  Slit profiles supply an analytic
 tail beyond k = 100/min(a, pi) (a 1/k series of F e^{-chi z} summed with
 exponential integrals), so at z ~ 0, where the integrand decays only like
 1/k^2, panels cover just [2, 100/min(a, pi)].  One ``field_tail`` call per
-row returns the psi and d(psi)/dx remainders at every point of the row.
+row returns the psi and d(psi)/dx remainders at every distinct |x|.
 
-psi and d(psi)/dx come from one vector-valued quadrature per range, which
-evaluates the amplitude and the columns cos(k u_j) and -k sin(k u_j), one
-pair per distinct u_j = |x_j|, once per abscissa and multiplies them by
-each row's height factor e^{i z cos(theta)}, e^{-z sinh(s)} or e^{-z chi}:
-psi is even in x and d(psi)/dx odd, so each point takes its column pair
-and the sign of x.  A grid is three passes, the RW range, the CW range
-s in [0, acosh 2] and the long CW range [2, k_hi], whatever its number of
-points and rows (rows beyond one K31 panel's element cap go to further
-passes).  k_hi is the largest per-row end; a row that ends below it
-carries less than e^-46 beyond its own end, and a row that ends at or
+psi and d(psi)/dx come from one separable quadrature per range: the row
+weights (the amplitude times each row's height factor e^{i z cos(theta)},
+e^{-z sinh(s)} or e^{-z chi}) and the columns cos(k u_j) and -k sin(k u_j),
+one pair per distinct u_j = |x_j| (cos alone where only psi is read), are
+evaluated once per abscissa and contracted with the K31 weights without
+forming their product.  psi is even in x and d(psi)/dx odd, so each point
+takes its columns and the sign of x.  A grid is three passes, the RW range,
+the CW range s in [0, acosh 2] and the long CW range [2, k_hi], whatever
+its number of points and rows (rows beyond one K31 panel's element cap go
+to further passes).  k_hi is the largest per-row end; a row that ends below
+it carries less than e^-46 beyond its own end, and a row that ends at or
 below k = 2 stays out of the k-range pass.  Each pass is seeded for the
 largest |x| and z of the grid, at three half-oscillations per panel: the
 G15 remainder on a 3 pi phase span is ~1e-20 of the panel amplitude, and
-the |K31 - G15| estimate still guards every panel.
+the |K31 - G15| estimate still guards every panel.  ``field_grid`` returns
+the RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -40,7 +42,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -66,48 +67,58 @@ class FieldSample:
         return self.psi_rw + self.psi_cw
 
 
-class FieldPoint(NamedTuple):
-    """psi and d(psi)/dx at one point, with J_x = Im(psi* d(psi)/dx)."""
+@dataclass(frozen=True, eq=False)
+class FieldGrid:
+    """psi and d(psi)/dx at t = 0 on an (x, z) grid, RW and CW parts as (len(z), len(x)) arrays."""
 
-    psi: FieldSample
-    dpsi: FieldSample
-    current_x: float
+    x: np.ndarray
+    z: np.ndarray
+    psi_rw: np.ndarray
+    psi_cw: np.ndarray
+    dpsi_rw: np.ndarray
+    dpsi_cw: np.ndarray
+
+    @property
+    def psi_total(self) -> np.ndarray:
+        return self.psi_rw + self.psi_cw
+
+    @property
+    def current_x(self) -> np.ndarray:
+        """J_x = Im(psi* d(psi)/dx) at every point."""
+        return (self.psi_total.conj() * (self.dpsi_rw + self.dpsi_cw)).imag
 
 
-def _pass(weight, a: float, b: float, u: np.ndarray, nz: int, rate: float,
+def _pass(weight, a: float, b: float, u: np.ndarray, dx: bool, rate: float,
           abs_tol: float, rel_tol: float) -> np.ndarray:
-    """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j)] dt for every row i and every u_j at once.
+    """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j) if dx] dt for every row i and every u_j at once.
 
     ``weight(t)`` returns the wavenumbers k(t), shape (n,), and the weights
     w(t), shape (n, nz): the amplitude and dk/dt times each row's height
-    factor.  The columns cos(k u_j) and -k sin(k u_j) are evaluated once per
-    abscissa and shared by the rows.  Returns shape (nz, 2, len(u)): per
-    row, the psi integrals, then the d/dx ones.
+    factor.  Returns shape (nz, 2 or 1, len(u)): per row, the psi
+    integrals, then the d/dx ones.
     """
 
     def integrand(t):
         k, w = weight(t)
         ku = np.multiply.outer(k, u)
-        cols = np.stack([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)  # (n, 2, len(u))
-        return (w[:, :, None, None] * cols[:, None]).reshape(len(k), -1)
+        return w, np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1) if dx else np.cos(ku)
 
     res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
                         breakpoints=oscillation_breakpoints(a, b, rate / _HALF_WAVES_PER_PANEL))
-    return res.value.reshape(nz, 2, len(u))
+    return res.value.reshape(-1, 2 if dx else 1, len(u))
 
 
-def _rows(xs: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
-          abs_tol: float, rel_tol: float) -> list[list[FieldPoint]]:
-    """The rows of heights zs over the points xs, from one pass per range."""
-    u, at = np.unique(np.abs(xs), return_inverse=True)  # psi is even in x, d(psi)/dx odd
-    x_max, z_max, nz = float(u[-1]), float(zs.max()), len(zs)
+def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, dx: bool,
+            abs_tol: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The RW and CW integrals of the rows zs at the distances u = |x|, one pass per range."""
+    x_max, z_max = float(u[-1]), float(zs.max())
     rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
 
     def rw_weight(theta):
         k, c = np.sin(theta), np.cos(theta)
         return k, (profile.amplitude(k) * c)[:, None] * np.exp(1j * np.multiply.outer(c, zs))
 
-    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, nz, math.hypot(x_max, z_max) + rate0, abs_tol, rel_tol)
+    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, dx, math.hypot(x_max, z_max) + rate0, abs_tol, rel_tol)
 
     with np.errstate(divide="ignore"):
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
@@ -121,7 +132,7 @@ def _rows(xs: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
         return k, (profile.amplitude(k) * sh)[:, None] * np.exp(-np.multiply.outer(sh, zs))
 
     s_hi = math.acosh(k_mid)
-    cw = _pass(s_weight, 0.0, s_hi, u, nz, (x_max + z_max + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
+    cw = _pass(s_weight, 0.0, s_hi, u, dx, (x_max + z_max + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
 
     deep = k_ends > k_mid  # the rows the k-range carries; the others end at or below k_mid
     if deep.any():
@@ -131,116 +142,92 @@ def _rows(xs: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
             chi = np.sqrt((k - 1.0) * (k + 1.0))
             return k, profile.amplitude(k)[:, None] * np.exp(-np.multiply.outer(chi, z_deep))
 
-        cw[deep] += _pass(k_weight, k_mid, k_hi, u, len(z_deep), x_max + rate0, abs_tol, rel_tol)
+        cw[deep] += _pass(k_weight, k_mid, k_hi, u, dx, x_max + rate0, abs_tol, rel_tol)
 
-    parity = np.stack([np.ones_like(xs), np.where(xs < 0, -1.0, 1.0)])
-    rw, cw = rw[:, :, at] * parity, 2.0 * cw[:, :, at] * parity
-    out = []
-    for z, row_rw, row_cw, k_cut in zip(zs.tolist(), rw, cw, k_exp):
+    cw *= 2.0
+    for row, z, k_cut in zip(cw, zs.tolist(), k_exp):
         if k_profile <= k_cut:  # then k_hi is k_profile
             with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
-                tail = profile.field_tail(k_hi, xs, z)
+                tail = profile.field_tail(k_hi, u, z)
             if tail is not None:
-                row_cw += tail
-                if not np.isfinite(row_cw).all():
+                row += tail[:len(row)]
+                if not np.isfinite(row).all():
                     raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
-        row = []
-        for j, x in enumerate(xs.tolist()):
-            psi = FieldSample(x, z, complex(row_rw[0, j]), complex(row_cw[0, j]))
-            dpsi = FieldSample(x, z, complex(row_rw[1, j]), complex(row_cw[1, j]))
-            row.append(FieldPoint(psi, dpsi, (psi.psi_total.conjugate() * dpsi.psi_total).imag))
-        out.append(row)
-    return out
+    return rw, cw
 
 
-def field_grid(
-    xs,
-    zs,
-    profile: ApertureProfile,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> list[list[FieldPoint]]:
-    """psi, d(psi)/dx and J_x at every (x, z) with z >= 0: one list of points per z, in the order of zs.
+def _rows(xs: np.ndarray, zs: np.ndarray, profile: ApertureProfile, abs_tol: float, rel_tol: float,
+          dx: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """RW and CW parts of psi and, if ``dx``, of d(psi)/dx: two (nz, 2 or 1, nx) arrays.
 
-    Consecutive rows share a pass, as many as keep one K31 panel within the
-    quadrature's per-call element cap.
+    psi is even in x and d(psi)/dx odd, so the passes run over the distinct
+    |x| alone.  Consecutive rows share a pass, as many as keep one K31 panel
+    within the quadrature's per-call element cap.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if (zs < 0).any():
         raise ValueError(f"z must be non-negative (transmission side), got {float(zs[zs < 0][0])!r}")
-    per_pass = max(1, _MAX_ELEMENTS // (_X_K.size * 2 * len(np.unique(np.abs(xs)))))
-    out = []
+    u, at = np.unique(np.abs(xs), return_inverse=True)
+    n_col = 2 if dx else 1
+    rw = np.empty((len(zs), n_col, len(u)), complex)
+    cw = np.empty_like(rw)
+    per_pass = max(1, _MAX_ELEMENTS // (_X_K.size * n_col * len(u)))
     for start in range(0, len(zs), per_pass):
-        out += _rows(xs, zs[start:start + per_pass], profile, abs_tol, rel_tol)
-    return out
+        stop = start + per_pass
+        rw[start:stop], cw[start:stop] = _passes(u, zs[start:stop], profile, dx, abs_tol, rel_tol)
+    parity = np.stack([np.ones_like(xs), np.where(xs < 0, -1.0, 1.0)])[:n_col]
+    return rw[:, :, at] * parity, cw[:, :, at] * parity
 
 
-def field_at(
-    x: float,
-    z: float,
-    profile: ApertureProfile,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> FieldSample:
+def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12,
+               rel_tol: float = 1e-10) -> FieldGrid:
+    """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
+    rw, cw = _rows(xs, zs, profile, abs_tol, rel_tol)
+    return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1], cw[:, 1])
+
+
+def field_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12,
+             rel_tol: float = 1e-10) -> FieldSample:
     """Evaluate the near-field superposition at one point (z >= 0)."""
-    return field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0][0].psi
+    x, z = float(x), float(z)
+    rw, cw = _rows(np.array([x]), np.array([z]), profile, abs_tol, rel_tol, dx=False)
+    return FieldSample(x, z, complex(rw[0, 0, 0]), complex(cw[0, 0, 0]))
 
 
-def field_dx_at(
-    x: float,
-    z: float,
-    profile: ApertureProfile,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> FieldSample:
+def field_dx_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12,
+                rel_tol: float = 1e-10) -> FieldSample:
     """x-derivative of the field, differentiated under the integrals."""
-    return field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0][0].dpsi
+    g = field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)
+    return FieldSample(float(x), float(z), complex(g.dpsi_rw[0, 0]), complex(g.dpsi_cw[0, 0]))
 
 
-def probability_current_x(
-    x: float,
-    z: float,
-    profile: ApertureProfile,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> float:
+def probability_current_x(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12,
+                          rel_tol: float = 1e-10) -> float:
     """Transverse probability current J_x = Im(psi* d(psi)/dx) at t = 0.
 
     Odd in x and zero on the symmetry axis; a nonzero value off-axis is the
     flux the standing-wave decomposition carries along the screen.
     """
-    return field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)[0][0].current_x
+    return float(field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol).current_x[0, 0])
 
 
-def cw_fraction_profile(
-    x: float,
-    z_grid,
-    profile: ApertureProfile,
-    *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-) -> list[tuple[float, float]]:
+def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *, abs_tol: float = 1e-12,
+                        rel_tol: float = 1e-10) -> list[tuple[float, float]]:
     """Evanescent intensity fraction |psi_cw|^2/|psi_total|^2 along a z scan.
 
     Where |psi_total| <= abs_tol the total is cancellation noise; the
     fraction there is nan and a RuntimeWarning names the point.
     """
     zs = [float(z) for z in z_grid]
-    if any(z < 0 for z in zs):
-        raise ValueError("z grid must be non-negative")
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z grid must be strictly increasing")
+    rw, cw = _rows(np.array([float(x)]), np.array(zs), profile, abs_tol, rel_tol, dx=False)
     out = []
-    for z, (point,) in zip(zs, field_grid([x], zs, profile, abs_tol=abs_tol, rel_tol=rel_tol)):
-        s = point.psi
-        total = abs(s.psi_total)
+    for z, p_rw, p_cw in zip(zs, rw[:, 0, 0].tolist(), cw[:, 0, 0].tolist()):
+        total = abs(p_rw + p_cw)
         if total <= abs_tol:
             warnings.warn(f"CW fraction at (x={x!r}, z={z!r}) is cancellation noise: |psi_total| = "
                           f"{total:.3e} <= abs_tol", RuntimeWarning, stacklevel=2)
-        out.append((z, abs(s.psi_cw) ** 2 / total**2 if total > abs_tol else math.nan))
+        out.append((z, abs(p_cw) ** 2 / total**2 if total > abs_tol else math.nan))
     return out

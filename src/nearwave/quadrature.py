@@ -10,7 +10,11 @@ evaluated in one vectorized sweep, so the integrand must accept numpy
 arrays.  Complex integrands are supported directly, and so are
 vector-valued ones returning one column per component: each component keeps
 its own error budget and a panel is accepted only when every component is
-within its share.  The procedure is deterministic for fixed inputs.
+within its share.  A separable integrand returns a pair (L, R) of (n, a)
+and (n, b) arrays for the a*b components L[:, i] * R[:, j] (row-major);
+each panel applies [rho_K * L; rho_(K-G) * L]^T, both rules' node weights
+stacked into one (2a, 31) factor, to R, and never builds the product.  The
+procedure is deterministic for fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
 abscissas x components, so one sweep of a wide vector integrand cannot
@@ -91,19 +95,25 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, n_comp: int | None):
     step = 1 if n_comp is None else max(1, _MAX_ELEMENTS // (_X_K.size * n_comp))
     while start < len(lo):
         h = half[start:start + step]
-        fx = np.asarray(f(x[start:start + step].ravel()))
+        p = len(h)
+        fx, rules = f(x[start:start + step].ravel()), _RULES
+        if isinstance(fx, tuple):  # separable: the rules go into the left factor, (panels, 2a, nodes)
+            left, fx = fx
+            rules = (left.reshape(p, _X_K.size, -1).transpose(0, 2, 1)[:, None] * _RULES[:, None]).reshape(
+                p, -1, _X_K.size)
+        fx = np.asarray(fx)
         if fx.ndim == 1:
-            r = fx.reshape(len(h), _X_K.size) @ _RULES.T  # (panels, 2)
+            r = fx.reshape(p, _X_K.size) @ _RULES.T  # (panels, 2)
         else:  # (panels, nodes, m): contract over the nodes
-            r = _RULES @ fx.reshape((len(h), _X_K.size) + fx.shape[1:])  # (panels, 2, m)
+            r = (rules @ fx.reshape(p, _X_K.size, -1)).reshape(p, 2, -1)  # (panels, 2, m)
             h = h[:, None]
         if vals is None:  # filled in place: a list of chunks plus their concatenation would hold two copies
             vals = np.empty((len(lo),) + r.shape[2:], r.dtype)
             errs = np.empty((len(lo),) + r.shape[2:])
-        vals[start:start + len(h)] = r[:, 0] * h
-        errs[start:start + len(h)] = np.abs(r[:, 1]) * h
+        vals[start:start + p] = r[:, 0] * h
+        errs[start:start + p] = np.abs(r[:, 1]) * h
         start += step
-        step = max(1, _MAX_ELEMENTS // (fx.size // len(h)))
+        step = max(1, _MAX_ELEMENTS // (_X_K.size * r[0, 0].size))
     return vals, errs
 
 
@@ -124,7 +134,8 @@ def adaptive_quad(
     ----------
     f : callable
         Vectorized integrand; maps an ndarray of n abscissas to n values
-        (real or complex), or to an (n, m) array of m components.
+        (real or complex), to an (n, m) array of m components, or to a
+        separable pair (L, R) of (n, a) and (n, b) arrays (m = a*b).
     a, b : float
         Integration limits, a < b assumed after orientation fix.
     abs_tol, rel_tol : float

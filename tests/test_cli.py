@@ -536,6 +536,7 @@ class TestParser:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        cli.build_parser.cache_clear()
         rc, _, _ = run_main(capsys, "spectrum", "--config", write_cfg(tmp_path, BASE_CFG))
         assert rc == 0 and built == ["spectrum"]
         built.clear()
@@ -544,6 +545,33 @@ class TestParser:
         assert exc.value.code == 0 and built == list(cli._HANDLERS)
         out = capsys.readouterr().out
         assert all(name in out for name in cli._HANDLERS)
+
+    def test_repeated_main_reuses_the_parser(self, capsys, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        run_main(capsys, "spectrum", "--config", cfg)
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        rc, _, _ = run_main(capsys, "spectrum", "--config", cfg)
+        assert rc == 0 and built == []
+
+    def test_cached_parser_carries_no_option_into_the_next_call(self, tmp_path, monkeypatch):
+        tolerances = []
+
+        def record(cfg, out, tol):
+            tolerances.append(tol)
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_field", record)
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        assert cli.main(["field", "--config", cfg, "--tolerance", "1e-9"]) == 0
+        assert cli.main(["field", "--config", cfg]) == 0
+        assert tolerances == [1e-9, 1e-12]
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["field", "--bogus"]])
     def test_usage_errors_exit_2(self, capsys, argv):

@@ -11,6 +11,7 @@ import nearwave
 from nearwave import aperture, nearfield, quadrature
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
 from nearwave.nearfield import (
+    FieldSample,
     cw_fraction_profile,
     field_at,
     field_dx_at,
@@ -282,20 +283,36 @@ def _bound(*parts):
 
 
 def _counting_quad(monkeypatch):
-    """Patch nearfield's adaptive_quad to count its calls and record the size of every integrand result."""
+    """Patch nearfield's adaptive_quad to count its calls and record the size of every integrand result.
+
+    A size is abscissas x components; a separable result (L, R) stands for
+    L.shape[1] * R.shape[1] components.  Each entry of ``calls`` lists the
+    component counts of its pass's integrand results.
+    """
     calls, sizes = [], []
 
     def counted(f, *args, **kwargs):
+        comps = []
+
         def recorded(t):
             out = f(t)
-            sizes.append(out.size)
+            left, right = out
+            comps.append(left.shape[1] * right.shape[1])
+            sizes.append(len(t) * comps[-1])
             return out
 
-        calls.append(1)
+        calls.append(comps)
         return adaptive_quad(recorded, *args, **kwargs)
 
     monkeypatch.setattr(nearfield, "adaptive_quad", counted)
     return calls, sizes
+
+
+def _cell(grid, i, j):
+    """psi and d(psi)/dx at (grid.x[j], grid.z[i]), each as a FieldSample."""
+    x, z = float(grid.x[j]), float(grid.z[i])
+    return (FieldSample(x, z, complex(grid.psi_rw[i, j]), complex(grid.psi_cw[i, j])),
+            FieldSample(x, z, complex(grid.dpsi_rw[i, j]), complex(grid.dpsi_cw[i, j])))
 
 
 def _assert_matches(got, want):
@@ -304,12 +321,21 @@ def _assert_matches(got, want):
         assert abs(getattr(got, part) - getattr(want, part)) <= bound, (got, want)
 
 
-def _assert_current_odd(row):
-    """J_x(-x) = -J_x(x) on a row over a symmetric x grid."""
-    for p, m in zip(row, row[::-1]):
-        j_bound = (abs(p.dpsi.psi_total) * _bound(p.psi.psi_rw, p.psi.psi_cw, p.psi.psi_total)
-                   + abs(p.psi.psi_total) * _bound(p.dpsi.psi_rw, p.dpsi.psi_cw, p.dpsi.psi_total))
-        assert abs(p.current_x + m.current_x) <= 2.0 * j_bound, (p.psi.x, p.current_x, m.current_x)
+def _assert_cell_matches_point(grid, i, j, profile):
+    """Cell (i, j) of a grid agrees with a one-point grid at its (x, z)."""
+    one = field_grid([grid.x[j]], [grid.z[i]], profile)
+    for got, want in zip(_cell(grid, i, j), _cell(one, 0, 0)):
+        _assert_matches(got, want)
+
+
+def _assert_current_odd(grid, i):
+    """J_x(-x) = -J_x(x) on row i of a grid over a symmetric x grid."""
+    jx = grid.current_x[i]
+    for j in range(len(grid.x)):
+        psi, dpsi = _cell(grid, i, j)
+        j_bound = (abs(dpsi.psi_total) * _bound(psi.psi_rw, psi.psi_cw, psi.psi_total)
+                   + abs(psi.psi_total) * _bound(dpsi.psi_rw, dpsi.psi_cw, dpsi.psi_total))
+        assert abs(jx[j] + jx[-1 - j]) <= 2.0 * j_bound, (psi.x, jx[j], jx[-1 - j])
 
 
 class TestRowEngine:
@@ -320,14 +346,13 @@ class TestRowEngine:
         profile = _row_profiles()[name]
         calls, _ = _counting_quad(monkeypatch)
         xs = np.linspace(-4.0, 4.0, n)
-        (row,) = field_grid(xs, z, profile)
+        grid = field_grid(xs, z, profile)
         assert len(calls) == 3  # RW, the s-range and the k-range, whatever n is
         monkeypatch.undo()
-        for x, (psi, dpsi, _) in zip(xs, row):
-            one = field_grid([x], z, profile)[0][0]
-            _assert_matches(psi, one.psi)
-            _assert_matches(dpsi, one.dpsi)
-        _assert_current_odd(row)  # xs is symmetric
+        assert grid.psi_rw.shape == (1, n)
+        for j in range(n):
+            _assert_cell_matches_point(grid, 0, j, profile)
+        _assert_current_odd(grid, 0)  # xs is symmetric
 
     def test_wide_row_peak_memory_is_bounded(self):
         # 101 points to |x| = 50 on the screen plane: one k-range pass with
@@ -350,21 +375,21 @@ class TestGridEngine:
         grid = field_grid(self.XS, self.ZS, profile)
         assert len(calls) == 3  # RW, the s-range and the k-range, whatever the rows
         monkeypatch.undo()
-        assert [[p.psi.z for p in row] for row in grid] == [[z] * len(self.XS) for z in self.ZS]
-        for z, row in zip(self.ZS, grid):
-            assert [p.psi.x for p in row] == list(self.XS)
-            for x, (psi, dpsi, _) in zip(self.XS, row):
-                one = field_grid([x], [z], profile)[0][0]
-                _assert_matches(psi, one.psi)
-                _assert_matches(dpsi, one.dpsi)
-            _assert_current_odd(row)
+        assert list(grid.z) == list(self.ZS) and list(grid.x) == list(self.XS)
+        for name in ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw", "current_x"):
+            assert getattr(grid, name).shape == (len(self.ZS), len(self.XS)), name
+        for i in range(len(self.ZS)):
+            for j in range(len(self.XS)):
+                _assert_cell_matches_point(grid, i, j, profile)
+            _assert_current_odd(grid, i)
 
     def test_screen_row_meets_closed_form(self):
         # at z = 0 the slit superposition is the slit mode, 2 sqrt(pi/a) cos(pi x/a)
         # inside and zero outside, here on a row that shares its passes with z > 0
         a = 1.0
-        row = field_grid(self.XS, self.ZS, SingleSlitProfile(a=a))[self.ZS.index(0.0)]
-        for x, (psi, _, _) in zip(self.XS, row):
+        grid = field_grid(self.XS, self.ZS, SingleSlitProfile(a=a))
+        for j, x in enumerate(self.XS):
+            psi, _ = _cell(grid, self.ZS.index(0.0), j)
             want = 2.0 * math.sqrt(math.pi / a) * math.cos(math.pi * x / a) if abs(x) < 0.5 * a else 0.0
             assert abs(psi.psi_total - want) <= _bound(psi.psi_rw, psi.psi_cw, want), (x, psi)
 
@@ -377,11 +402,31 @@ class TestGridEngine:
         monkeypatch.undo()
         for (z, frac), want_z in zip(scan, zs):
             assert z == want_z
-            s = field_grid([0.2], [z], profile)[0][0].psi
+            s, _ = _cell(field_grid([0.2], [z], profile), 0, 0)
             cw, total = abs(s.psi_cw), abs(s.psi_total)
             delta = _bound(s.psi_rw, s.psi_cw, s.psi_total)
             # |psi_cw|^2/|psi_total|^2 moves by at most 2 f (delta/|psi_cw| + delta/|psi_total|), to first order
             assert abs(frac - cw**2 / total**2) <= 2.0 * frac * (delta / cw + delta / total), z
+
+    @pytest.mark.parametrize("name", ["slit", "gaussian"])
+    def test_point_queries_integrate_psi_columns_only(self, monkeypatch, name):
+        # field_at and the CW-fraction scan read psi alone, so their passes
+        # carry nz * nu components (the cos columns), not nz * 2 * nu
+        profile = _row_profiles()[name]
+        zs = (0.0, 0.3, 60.0)
+        grid = field_grid([-0.3, 0.3], zs, profile)
+        calls, _ = _counting_quad(monkeypatch)
+        scan = cw_fraction_profile(0.3, zs, profile)
+        point = field_at(-0.3, 0.3, profile)
+        assert len(calls) == 6
+        assert [set(c) for c in calls] == [{3}, {3}, {2}, {1}, {1}, {1}]  # z = 60 stays out of the k-range
+        monkeypatch.undo()
+        for i, (z, frac) in enumerate(scan):
+            s, _ = _cell(grid, i, 1)
+            cw, total = abs(s.psi_cw), abs(s.psi_total)
+            delta = _bound(s.psi_rw, s.psi_cw, s.psi_total)
+            assert abs(frac - cw**2 / total**2) <= 2.0 * frac * (delta / cw + delta / total), z
+        _assert_matches(point, _cell(grid, 1, 0)[0])
 
     def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
         # 500 distinct |x| leave room for 8 rows per pass, so 10 rows take
@@ -395,9 +440,16 @@ class TestGridEngine:
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         monkeypatch.undo()
         for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):  # rows on both sides of the batch edge
-            one = field_grid([xs[j]], [zs[i]], profile)[0][0]
-            _assert_matches(grid[i][j].psi, one.psi)
-            _assert_matches(grid[i][j].dpsi, one.dpsi)
+            _assert_cell_matches_point(grid, i, j, profile)
+
+    def test_wide_grid_calls_stay_within_the_element_cap(self, monkeypatch):
+        # the 101 x by 40 z slit grid below: 51 column pairs per row, all
+        # rows in one batch, chunked by abscissas x components
+        calls, sizes = _counting_quad(monkeypatch)
+        field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, 1.0, 40), SingleSlitProfile(a=1.0))
+        assert len(calls) == 3
+        assert max(sizes) <= quadrature._MAX_ELEMENTS
+        assert max(len(c) for c in calls) > 2  # a sweep was split into chunks
 
     @pytest.mark.parametrize("z_max", [100.0, 1.0])
     def test_wide_grid_peak_memory_is_bounded(self, z_max):

@@ -257,3 +257,61 @@ class TestOscillationBreakpoints:
     def test_runaway_rate_raises(self):
         with pytest.raises(QuadratureError, match="panels"):
             oscillation_breakpoints(0.0, 1e9, 1e6)
+
+
+def _dense(f):
+    """The (n, a*b) twin of a separable integrand: the full product of its two factors."""
+    def twin(t):
+        left, right = f(t)
+        return (left[:, :, None] * right[:, None, :]).reshape(len(t), -1)
+    return twin
+
+
+class TestSeparable:
+    CASES = {
+        # rows 1, t against cos(w t) for w = 10, 25, 40 over ~20 oscillations
+        "oscillatory": (lambda t: (np.stack([np.ones_like(t), t], axis=1),
+                                   np.cos(np.multiply.outer(t, [10.0, 25.0, 40.0]))), 0.0, 3.0, None),
+        # t^(1/2) and t^(-1/4) at the left end, against three smooth columns
+        "endpoint-singular": (lambda t: (np.stack([np.sqrt(t), t**-0.25], axis=1),
+                                         np.stack([np.ones_like(t), np.cos(t), np.exp(-t)], axis=1)), 0.0, 1.0, None),
+        # complex rows e^{i m t} against the psi and d/dx columns cos(5t), -5 sin(5t)
+        "complex": (lambda t: (np.exp(1j * np.multiply.outer(t, [1.0, 2.0])),
+                               np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)], axis=1)), 0.0, 6.0, 7.0),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_matches_its_dense_twin(self, name):
+        f, a, b, rate = self.CASES[name]
+        bp = None if rate is None else oscillation_breakpoints(a, b, rate)
+        sep = adaptive_quad(f, a, b, breakpoints=bp)
+        dense = adaptive_quad(_dense(f), a, b, breakpoints=bp)
+        assert sep.panels == dense.panels
+        assert sep.value.shape == dense.value.shape and sep.value.dtype == dense.value.dtype
+        assert np.all(np.abs(sep.value - dense.value) <= 1e-14 * np.abs(dense.value))
+        # the estimates differ only by rounding of the panel sums
+        assert np.all(np.abs(sep.error - dense.error) <= 1e-14 * np.abs(dense.value).max())
+
+    def test_complex_rows_against_mpmath(self):
+        f, a, b, rate = self.CASES["complex"]
+        res = adaptive_quad(f, a, b, breakpoints=oscillation_breakpoints(a, b, rate))
+        with mpmath.workdps(30):
+            for i, m in enumerate((1.0, 2.0)):
+                for j, col in enumerate((lambda t: mpmath.cos(5 * t), lambda t: -5 * mpmath.sin(5 * t))):
+                    want = complex(mpmath.quad(lambda t: mpmath.expj(m * t) * col(t), [a, b]))
+                    assert abs(res.value[i * 2 + j] - want) <= 1e-12, (m, j)
+
+    def test_chunks_count_abscissas_times_components(self, monkeypatch):
+        seen = []
+
+        def f(t):
+            seen.append(len(t))
+            return self.CASES["oscillatory"][0](t)
+
+        want = adaptive_quad(f, 0.0, 3.0)
+        assert max(seen) > 4 * 31  # one chunk per sweep under the default cap
+        seen.clear()
+        monkeypatch.setattr(quadrature, "_MAX_ELEMENTS", 31 * 6 * 4)  # four panels of 2 x 3 components
+        got = adaptive_quad(f, 0.0, 3.0)
+        assert seen[0] == 31 and max(seen) == 4 * 31
+        assert got.panels == want.panels and np.array_equal(got.value, want.value)
