@@ -200,10 +200,9 @@ class TailEstimate:
     value: float
     error: float
     asymptote: float
-    k_prime: float
 
 
-def tail_probability(k_prime: float, a: float, abs_tol: float = 1e-12) -> TailEstimate:
+def tail_probability(k_prime: float, a: float) -> TailEstimate:
     """Probability of finding any |kx| above k_prime for the slit profile.
 
     In q = a*kx this is integral_{q'}^inf 8 pi cos^2(q/2)/(pi^2 - q^2)^2 dq,
@@ -231,11 +230,11 @@ def tail_probability(k_prime: float, a: float, abs_tol: float = 1e-12) -> TailEs
     if qp < _TAIL_START:
         breaks = np.arange(math.ceil(qp / math.pi) * math.pi, _TAIL_START, math.pi)
         res = adaptive_quad(lambda q: 2.0 * slit_te_amplitude_sq(q, 1.0), qp, _TAIL_START,
-                            abs_tol=abs_tol, rel_tol=1e-12, breakpoints=breaks)
+                            abs_tol=1e-12, rel_tol=1e-12, breakpoints=breaks)
         value += res.value
         error += res.error
     asym = 8.0 * math.pi / 3.0 * qp**-3.0
-    return TailEstimate(value=value, error=error, asymptote=asym, k_prime=k_prime)
+    return TailEstimate(value=value, error=error, asymptote=asym)
 
 
 class ApertureProfile:

@@ -26,9 +26,7 @@ of stdout has closed it.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -59,8 +57,6 @@ def _fmt(value) -> str:
     """17-significant-digit, round-trip-exact float formatting for CSV."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -76,12 +72,9 @@ def _write_text(out_path: str | None, text: str) -> None:
 
 
 def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _write_text(out_path, buf.getvalue())
+    """Header and rows as LF-terminated CSV; no field holds a comma, quote or newline."""
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+    _write_text(out_path, "\n".join(lines) + "\n")
 
 
 def _emit_json(out_path: str | None, record: dict) -> None:
@@ -350,21 +343,14 @@ _BUNDLED = {
 
 
 @functools.cache
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of the subcommand ``only`` alone, built once per process.
-
-    Building one subparser instead of eight is most of a record call's
-    argument handling; ``parse_args`` returns a fresh namespace each time.
-    Help and error text read the same either way: the restricted parser
-    still names every subcommand in its usage line.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="nearwave",
         description="Evanescent near-field spectra, probe absorption and screen-recoil calculations.",
     )
-    metavar = None if only is None else "{" + ",".join(_HANDLERS) + "}"
-    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
-    for name in _HANDLERS if only is None else (only,):
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in _HANDLERS:
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--config", help="path to the JSON scenario config")
         p.add_argument("--out", help="output file (stdout when omitted)")
@@ -375,8 +361,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in _HANDLERS else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     name = args.subcommand
     handler = _HANDLERS[name]
     try:

@@ -19,19 +19,19 @@ row returns the psi and d(psi)/dx remainders at every distinct |x|.
 psi and d(psi)/dx come from one separable quadrature per range: the row
 weights (the amplitude times each row's height factor e^{i z cos(theta)},
 e^{-z sinh(s)} or e^{-z chi}) and the columns cos(k u_j) and -k sin(k u_j),
-one pair per distinct u_j = |x_j| (cos alone where only psi is read), are
-evaluated once per abscissa and contracted with the K31 weights without
-forming their product.  psi is even in x and d(psi)/dx odd, so each point
-takes its columns and the sign of x.  A grid is three passes, the RW range,
-the CW range s in [0, acosh 2] and the long CW range [2, k_hi], whatever
-its number of points and rows (rows beyond one K31 panel's element cap go
-to further passes).  k_hi is the largest per-row end; a row that ends below
-it carries less than e^-46 beyond its own end, and a row that ends at or
-below k = 2 stays out of the k-range pass.  Each pass is seeded for the
-largest |x| and z of the grid, at three half-oscillations per panel: the
-G15 remainder on a 3 pi phase span is ~1e-20 of the panel amplitude, and
-the |K31 - G15| estimate still guards every panel.  ``field_grid`` returns
-the RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays.
+one pair per distinct u_j = |x_j|, are evaluated once per abscissa and
+contracted with the K31 weights without forming their product.  psi is even
+in x and d(psi)/dx odd, so each point takes its columns and the sign of x.
+A grid is three passes, the RW range, the CW range s in [0, acosh 2] and
+the long CW range [2, k_hi], whatever its number of points and rows (rows
+beyond one K31 panel's element cap go to further passes).  k_hi is the
+largest per-row end; a row that ends below it carries less than e^-46
+beyond its own end, and a row that ends at or below k = 2 stays out of the
+k-range pass.  Each pass is seeded for the largest |x| and z of the grid,
+at three half-oscillations per panel: the G15 remainder on a 3 pi phase
+span is ~1e-20 of the panel amplitude, and the |K31 - G15| estimate still
+guards every panel.  ``field_grid`` returns the RW and CW parts of psi and
+d(psi)/dx as (nz, nx) arrays.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -51,6 +51,7 @@ from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoi
 
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
 _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
+_REL_TOL = 1e-10  # relative tolerance of every field integral; abs_tol is the caller's
 
 
 @dataclass(frozen=True)
@@ -88,28 +89,27 @@ class FieldGrid:
         return (self.psi_total.conj() * (self.dpsi_rw + self.dpsi_cw)).imag
 
 
-def _pass(weight, a: float, b: float, u: np.ndarray, dx: bool, rate: float,
-          abs_tol: float, rel_tol: float) -> np.ndarray:
-    """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j) if dx] dt for every row i and every u_j at once.
+def _pass(weight, a: float, b: float, u: np.ndarray, rate: float, abs_tol: float) -> np.ndarray:
+    """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j)] dt for every row i and every u_j at once.
 
     ``weight(t)`` returns the wavenumbers k(t), shape (n,), and the weights
     w(t), shape (n, nz): the amplitude and dk/dt times each row's height
-    factor.  Returns shape (nz, 2 or 1, len(u)): per row, the psi
-    integrals, then the d/dx ones.
+    factor.  Returns shape (nz, 2, len(u)): per row, the psi integrals, then
+    the d/dx ones.
     """
 
     def integrand(t):
         k, w = weight(t)
         ku = np.multiply.outer(k, u)
-        return w, np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1) if dx else np.cos(ku)
+        return w, np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
 
-    res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=rel_tol,
+    res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL,
                         breakpoints=oscillation_breakpoints(a, b, rate / _HALF_WAVES_PER_PANEL))
-    return res.value.reshape(-1, 2 if dx else 1, len(u))
+    return res.value.reshape(-1, 2, len(u))
 
 
-def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, dx: bool,
-            abs_tol: float, rel_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
+            abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The RW and CW integrals of the rows zs at the distances u = |x|, one pass per range."""
     x_max, z_max = float(u[-1]), float(zs.max())
     rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
@@ -118,7 +118,7 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, dx: bool,
         k, c = np.sin(theta), np.cos(theta)
         return k, (profile.amplitude(k) * c)[:, None] * np.exp(1j * np.multiply.outer(c, zs))
 
-    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, dx, math.hypot(x_max, z_max) + rate0, abs_tol, rel_tol)
+    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, math.hypot(x_max, z_max) + rate0, abs_tol)
 
     with np.errstate(divide="ignore"):
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
@@ -132,7 +132,7 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, dx: bool,
         return k, (profile.amplitude(k) * sh)[:, None] * np.exp(-np.multiply.outer(sh, zs))
 
     s_hi = math.acosh(k_mid)
-    cw = _pass(s_weight, 0.0, s_hi, u, dx, (x_max + z_max + rate0) * math.sinh(s_hi), abs_tol, rel_tol)
+    cw = _pass(s_weight, 0.0, s_hi, u, (x_max + z_max + rate0) * math.sinh(s_hi), abs_tol)
 
     deep = k_ends > k_mid  # the rows the k-range carries; the others end at or below k_mid
     if deep.any():
@@ -142,7 +142,7 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, dx: bool,
             chi = np.sqrt((k - 1.0) * (k + 1.0))
             return k, profile.amplitude(k)[:, None] * np.exp(-np.multiply.outer(chi, z_deep))
 
-        cw[deep] += _pass(k_weight, k_mid, k_hi, u, dx, x_max + rate0, abs_tol, rel_tol)
+        cw[deep] += _pass(k_weight, k_mid, k_hi, u, x_max + rate0, abs_tol)
 
     cw *= 2.0
     for row, z, k_cut in zip(cw, zs.tolist(), k_exp):
@@ -150,70 +150,58 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, dx: bool,
             with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
                 tail = profile.field_tail(k_hi, u, z)
             if tail is not None:
-                row += tail[:len(row)]
+                row += tail
                 if not np.isfinite(row).all():
                     raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
     return rw, cw
 
 
-def _rows(xs: np.ndarray, zs: np.ndarray, profile: ApertureProfile, abs_tol: float, rel_tol: float,
-          dx: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """RW and CW parts of psi and, if ``dx``, of d(psi)/dx: two (nz, 2 or 1, nx) arrays.
+def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldGrid:
+    """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
     psi is even in x and d(psi)/dx odd, so the passes run over the distinct
     |x| alone.  Consecutive rows share a pass, as many as keep one K31 panel
     within the quadrature's per-call element cap.
     """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    zs = np.atleast_1d(np.asarray(zs, dtype=float))
     if (zs < 0).any():
         raise ValueError(f"z must be non-negative (transmission side), got {float(zs[zs < 0][0])!r}")
     u, at = np.unique(np.abs(xs), return_inverse=True)
-    n_col = 2 if dx else 1
-    rw = np.empty((len(zs), n_col, len(u)), complex)
+    rw = np.empty((len(zs), 2, len(u)), complex)
     cw = np.empty_like(rw)
-    per_pass = max(1, _MAX_ELEMENTS // (_X_K.size * n_col * len(u)))
+    per_pass = max(1, _MAX_ELEMENTS // (_X_K.size * 2 * len(u)))
     for start in range(0, len(zs), per_pass):
         stop = start + per_pass
-        rw[start:stop], cw[start:stop] = _passes(u, zs[start:stop], profile, dx, abs_tol, rel_tol)
-    parity = np.stack([np.ones_like(xs), np.where(xs < 0, -1.0, 1.0)])[:n_col]
-    return rw[:, :, at] * parity, cw[:, :, at] * parity
+        rw[start:stop], cw[start:stop] = _passes(u, zs[start:stop], profile, abs_tol)
+    rw, cw = rw[:, :, at], cw[:, :, at]
+    sign = np.where(xs < 0, -1.0, 1.0)
+    return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1] * sign, cw[:, 1] * sign)
 
 
-def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12,
-               rel_tol: float = 1e-10) -> FieldGrid:
-    """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    rw, cw = _rows(xs, zs, profile, abs_tol, rel_tol)
-    return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1], cw[:, 1])
-
-
-def field_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12,
-             rel_tol: float = 1e-10) -> FieldSample:
+def field_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldSample:
     """Evaluate the near-field superposition at one point (z >= 0)."""
-    x, z = float(x), float(z)
-    rw, cw = _rows(np.array([x]), np.array([z]), profile, abs_tol, rel_tol, dx=False)
-    return FieldSample(x, z, complex(rw[0, 0, 0]), complex(cw[0, 0, 0]))
+    g = field_grid(x, z, profile, abs_tol=abs_tol)
+    return FieldSample(float(x), float(z), complex(g.psi_rw[0, 0]), complex(g.psi_cw[0, 0]))
 
 
-def field_dx_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12,
-                rel_tol: float = 1e-10) -> FieldSample:
+def field_dx_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldSample:
     """x-derivative of the field, differentiated under the integrals."""
-    g = field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol)
+    g = field_grid(x, z, profile, abs_tol=abs_tol)
     return FieldSample(float(x), float(z), complex(g.dpsi_rw[0, 0]), complex(g.dpsi_cw[0, 0]))
 
 
-def probability_current_x(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12,
-                          rel_tol: float = 1e-10) -> float:
+def probability_current_x(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> float:
     """Transverse probability current J_x = Im(psi* d(psi)/dx) at t = 0.
 
     Odd in x and zero on the symmetry axis; a nonzero value off-axis is the
     flux the standing-wave decomposition carries along the screen.
     """
-    return float(field_grid(x, z, profile, abs_tol=abs_tol, rel_tol=rel_tol).current_x[0, 0])
+    return float(field_grid(x, z, profile, abs_tol=abs_tol).current_x[0, 0])
 
 
-def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *, abs_tol: float = 1e-12,
-                        rel_tol: float = 1e-10) -> list[tuple[float, float]]:
+def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *,
+                        abs_tol: float = 1e-12) -> list[tuple[float, float]]:
     """Evanescent intensity fraction |psi_cw|^2/|psi_total|^2 along a z scan.
 
     Where |psi_total| <= abs_tol the total is cancellation noise; the
@@ -222,9 +210,9 @@ def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *, abs_tol: 
     zs = [float(z) for z in z_grid]
     if any(b <= a for a, b in zip(zs, zs[1:])):
         raise ValueError("z grid must be strictly increasing")
-    rw, cw = _rows(np.array([float(x)]), np.array(zs), profile, abs_tol, rel_tol, dx=False)
+    g = field_grid(x, zs, profile, abs_tol=abs_tol)
     out = []
-    for z, p_rw, p_cw in zip(zs, rw[:, 0, 0].tolist(), cw[:, 0, 0].tolist()):
+    for z, p_rw, p_cw in zip(zs, g.psi_rw[:, 0].tolist(), g.psi_cw[:, 0].tolist()):
         total = abs(p_rw + p_cw)
         if total <= abs_tol:
             warnings.warn(f"CW fraction at (x={x!r}, z={z!r}) is cancellation noise: |psi_total| = "

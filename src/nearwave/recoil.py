@@ -178,38 +178,36 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
 
     if r < 0.0:
         chi = eta * (1.0 + 1.0 / K_M) * math.sqrt((abs(kx) - eta) * (abs(kx) + eta))
+        kind = WaveKind.CRAWLING
+        kz_tilde = complex(1.0 / denom, chi)
+        Kz_tilde = complex(1.0 - 1.0 / denom, -chi)
+        eps_real = (K_M + 1.0) / denom
         gamma = chi / (K_M + 1.0)
-        sol = RecoilSolution(
-            kx=kx,
-            kind=WaveKind.CRAWLING,
-            k_tilde=kt,
-            kz_tilde=complex(1.0 / denom, chi),
-            Kz_tilde=complex(1.0 - 1.0 / denom, -chi),
-            eps_real=(K_M + 1.0) / denom,
-            gamma=gamma,
-            E_real=1.0 / denom,
-            Gamma=gamma,
-            eta=eta,
-            K_M=K_M,
-        )
+        E_real = 1.0 / denom
     else:
         sqrt_r = math.sqrt(r)
         # 1 - sqrt(r) without cancellation at kx -> 0
         one_minus_sqrt_r = (1.0 + 2.0 / K_M) * kx * kx / (1.0 + sqrt_r)
         kz_re = (1.0 + (K_M + 1.0) * sqrt_r) / denom
-        sol = RecoilSolution(
-            kx=kx,
-            kind=WaveKind.RUNNING,
-            k_tilde=kt,
-            kz_tilde=complex(kz_re, 0.0),
-            Kz_tilde=complex(1.0 - kz_re, 0.0),
-            eps_real=(K_M + 1.0 + sqrt_r) / denom,
-            gamma=0.0,
-            E_real=one_minus_sqrt_r / denom,
-            Gamma=0.0,
-            eta=eta,
-            K_M=K_M,
-        )
+        kind = WaveKind.RUNNING
+        kz_tilde = complex(kz_re, 0.0)
+        Kz_tilde = complex(1.0 - kz_re, 0.0)
+        eps_real = (K_M + 1.0 + sqrt_r) / denom
+        gamma = 0.0
+        E_real = one_minus_sqrt_r / denom
+    sol = RecoilSolution(
+        kx=kx,
+        kind=kind,
+        k_tilde=kt,
+        kz_tilde=kz_tilde,
+        Kz_tilde=Kz_tilde,
+        eps_real=eps_real,
+        gamma=gamma,
+        E_real=E_real,
+        Gamma=gamma,
+        eta=eta,
+        K_M=K_M,
+    )
 
     scale = max(1.0, abs(kt))
     # below the threshold the two routes share the same sqrt(r) expression

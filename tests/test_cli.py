@@ -519,32 +519,10 @@ class TestParser:
         ["field", "--help"], ["scenario-lifetime", "-h"], ["field", "--bogus"], ["field", "extra"],
         ["field", "--tolerance", "abc"], ["recoil", "--config"], ["spectrum", "--tolerance", "1"],
     ])
-    def test_one_subcommand_parser_reads_like_the_full_one(self, capsys, argv):
-        outcomes = []
-        for only in (None, argv[0]):
-            with pytest.raises(SystemExit) as exc:
-                cli.build_parser(only).parse_args(argv)
-            outcomes.append((exc.value.code, *capsys.readouterr()))
-        assert outcomes[0] == outcomes[1]
-
-    def test_main_builds_only_the_invoked_subparser(self, capsys, tmp_path, monkeypatch):
-        built = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def counted(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-        cli.build_parser.cache_clear()
-        rc, _, _ = run_main(capsys, "spectrum", "--config", write_cfg(tmp_path, BASE_CFG))
-        assert rc == 0 and built == ["spectrum"]
-        built.clear()
+    def test_parser_exit_codes(self, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--help"])
-        assert exc.value.code == 0 and built == list(cli._HANDLERS)
-        out = capsys.readouterr().out
-        assert all(name in out for name in cli._HANDLERS)
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == (0 if argv[-1] in ("--help", "-h") else 2)
 
     def test_repeated_main_reuses_the_parser(self, capsys, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, BASE_CFG)
@@ -559,6 +537,11 @@ class TestParser:
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
         rc, _, _ = run_main(capsys, "spectrum", "--config", cfg)
         assert rc == 0 and built == []
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0 and built == []
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli._HANDLERS)
 
     def test_cached_parser_carries_no_option_into_the_next_call(self, tmp_path, monkeypatch):
         tolerances = []

@@ -409,9 +409,7 @@ class TestGridEngine:
             assert abs(frac - cw**2 / total**2) <= 2.0 * frac * (delta / cw + delta / total), z
 
     @pytest.mark.parametrize("name", ["slit", "gaussian"])
-    def test_point_queries_integrate_psi_columns_only(self, monkeypatch, name):
-        # field_at and the CW-fraction scan read psi alone, so their passes
-        # carry nz * nu components (the cos columns), not nz * 2 * nu
+    def test_point_queries_agree_with_a_wider_grid(self, monkeypatch, name):
         profile = _row_profiles()[name]
         zs = (0.0, 0.3, 60.0)
         grid = field_grid([-0.3, 0.3], zs, profile)
@@ -419,7 +417,6 @@ class TestGridEngine:
         scan = cw_fraction_profile(0.3, zs, profile)
         point = field_at(-0.3, 0.3, profile)
         assert len(calls) == 6
-        assert [set(c) for c in calls] == [{3}, {3}, {2}, {1}, {1}, {1}]  # z = 60 stays out of the k-range
         monkeypatch.undo()
         for i, (z, frac) in enumerate(scan):
             s, _ = _cell(grid, i, 1)
@@ -427,6 +424,20 @@ class TestGridEngine:
             delta = _bound(s.psi_rw, s.psi_cw, s.psi_total)
             assert abs(frac - cw**2 / total**2) <= 2.0 * frac * (delta / cw + delta / total), z
         _assert_matches(point, _cell(grid, 1, 0)[0])
+
+    @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
+    def test_point_queries_are_field_grid_cells(self, name):
+        profile = _row_profiles()[name]
+        x, zs = -0.2, [0.0, 0.3, 60.0]
+        for z in zs:
+            psi, dpsi = _cell(field_grid([x], [z], profile), 0, 0)
+            assert field_at(x, z, profile) == psi
+            assert field_dx_at(x, z, profile) == dpsi
+            assert probability_current_x(x, z, profile) == field_grid(x, z, profile).current_x[0, 0]
+        grid = field_grid([x], zs, profile)
+        cells = [_cell(grid, i, 0)[0] for i in range(len(zs))]
+        want = [(z, abs(s.psi_cw) ** 2 / abs(s.psi_total) ** 2) for z, s in zip(zs, cells)]
+        assert cw_fraction_profile(x, zs, profile) == want
 
     def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
         # 500 distinct |x| leave room for 8 rows per pass, so 10 rows take
