@@ -34,6 +34,9 @@ _SERIES_WINDOW = 1e-3
 # min(a, pi)*kx for the field, a*kx for tail_probability
 _TAIL_START = 100.0
 _TAIL_ORDER = 12  # highest power of 1/k kept in the slit field tail series
+# past this many samples a panel per spline piece costs more than refining
+# the small third-derivative jumps of densely sampled data
+_MAX_KNOT_SEEDS = 128
 
 
 def _series_near_zero(direct, u, c0: float, c2: float, c4: float) -> np.ndarray:
@@ -242,6 +245,7 @@ class ApertureProfile:
 
     :meth:`field_tail` returns the psi and d(psi)/dx remainders beyond
     :meth:`cutoff` over a row, or None when the profile has no analytic tail.
+    :meth:`knots` lists the kx > 0 where integrals over kx put panel edges.
     """
 
     def amplitude(self, kx):
@@ -258,6 +262,10 @@ class ApertureProfile:
     def cutoff(self) -> float:
         """kx beyond which the profile's field contribution is negligible."""
         raise NotImplementedError
+
+    def knots(self) -> np.ndarray:
+        """The kx > 0, ascending, where integrals over kx should end a panel: where F or a derivative jumps."""
+        return np.empty(0)
 
     def field_tail(self, k_hi: float, xs, z: float) -> tuple[np.ndarray, np.ndarray] | None:
         """(psi, dpsi): 2*integral_{k_hi}^inf F e^{-chi z} [cos(kx x), -kx sin(kx x)] dkx at each x of xs, or None."""
@@ -439,8 +447,18 @@ class TabulatedProfile(ApertureProfile):
         return amp if amp.ndim else float(amp)
 
     def norm_sq(self) -> float:
-        res = adaptive_quad(lambda k: self.amplitude(k) ** 2, 0.0, self.k_max, abs_tol=1e-14)
+        # |F|^2 is a degree-6 polynomial between knots, which K31 integrates exactly
+        res = adaptive_quad(lambda k: self.amplitude(k) ** 2, 0.0, self.k_max, abs_tol=1e-14,
+                            breakpoints=self.knots())
         return 2.0 * res.value
 
     def cutoff(self) -> float:
         return self.k_max
+
+    def knots(self) -> np.ndarray:
+        """Every sample |kx| > 0: the spline's third derivative jumps at each, and F is cut to zero beyond k_max.
+
+        Past ``_MAX_KNOT_SEEDS`` samples, k_max alone.
+        """
+        knots = self._knots[1:]
+        return knots if len(knots) <= _MAX_KNOT_SEEDS else knots[-1:]

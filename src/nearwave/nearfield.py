@@ -30,8 +30,12 @@ beyond its own end, and a row that ends at or below k = 2 stays out of the
 k-range pass.  Each pass is seeded for the largest |x| and z of the grid,
 at three half-oscillations per panel: the G15 remainder on a 3 pi phase
 span is ~1e-20 of the panel amplitude, and the |K31 - G15| estimate still
-guards every panel.  ``field_grid`` returns the RW and CW parts of psi and
-d(psi)/dx as (nz, nx) arrays.
+guards every panel.  The seeds also include the profile's knots
+(``ApertureProfile.knots``, mapped to theta = asin k and s = acosh k), the
+kx where a tabulated spline's third derivative jumps or F drops to zero:
+no panel straddles one, so K31 keeps its polynomial exactness there.
+``field_grid`` returns the RW and CW parts of psi and d(psi)/dx as (nz, nx)
+arrays.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -89,13 +93,15 @@ class FieldGrid:
         return (self.psi_total.conj() * (self.dpsi_rw + self.dpsi_cw)).imag
 
 
-def _pass(weight, a: float, b: float, u: np.ndarray, rate: float, abs_tol: float) -> np.ndarray:
+def _pass(weight, nz: int, a: float, b: float, u: np.ndarray, rate: float, knots: np.ndarray,
+          abs_tol: float) -> np.ndarray:
     """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j)] dt for every row i and every u_j at once.
 
     ``weight(t)`` returns the wavenumbers k(t), shape (n,), and the weights
     w(t), shape (n, nz): the amplitude and dk/dt times each row's height
-    factor.  Returns shape (nz, 2, len(u)): per row, the psi integrals, then
-    the d/dx ones.
+    factor.  Panels are seeded at ``rate`` / 3 and at ``knots``, the
+    profile's knots mapped to t.  Returns shape (nz, 2, len(u)): per row,
+    the psi integrals, then the d/dx ones.
     """
 
     def integrand(t):
@@ -103,8 +109,9 @@ def _pass(weight, a: float, b: float, u: np.ndarray, rate: float, abs_tol: float
         ku = np.multiply.outer(k, u)
         return w, np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
 
-    res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL,
-                        breakpoints=oscillation_breakpoints(a, b, rate / _HALF_WAVES_PER_PANEL))
+    seeds = np.concatenate([oscillation_breakpoints(a, b, rate / _HALF_WAVES_PER_PANEL), knots])
+    res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
+                        components=nz * 2 * len(u))
     return res.value.reshape(-1, 2, len(u))
 
 
@@ -113,12 +120,14 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
     """The RW and CW integrals of the rows zs at the distances u = |x|, one pass per range."""
     x_max, z_max = float(u[-1]), float(zs.max())
     rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
+    knots = profile.knots()
 
     def rw_weight(theta):
         k, c = np.sin(theta), np.cos(theta)
         return k, (profile.amplitude(k) * c)[:, None] * np.exp(1j * np.multiply.outer(c, zs))
 
-    rw = 2.0 * _pass(rw_weight, 0.0, 0.5 * math.pi, u, math.hypot(x_max, z_max) + rate0, abs_tol)
+    rw = 2.0 * _pass(rw_weight, len(zs), 0.0, 0.5 * math.pi, u, math.hypot(x_max, z_max) + rate0,
+                     np.arcsin(knots[knots < 1.0]), abs_tol)
 
     with np.errstate(divide="ignore"):
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
@@ -132,7 +141,8 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
         return k, (profile.amplitude(k) * sh)[:, None] * np.exp(-np.multiply.outer(sh, zs))
 
     s_hi = math.acosh(k_mid)
-    cw = _pass(s_weight, 0.0, s_hi, u, (x_max + z_max + rate0) * math.sinh(s_hi), abs_tol)
+    cw = _pass(s_weight, len(zs), 0.0, s_hi, u, (x_max + z_max + rate0) * math.sinh(s_hi),
+               np.arccosh(knots[knots > 1.0]), abs_tol)
 
     deep = k_ends > k_mid  # the rows the k-range carries; the others end at or below k_mid
     if deep.any():
@@ -142,7 +152,7 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
             chi = np.sqrt((k - 1.0) * (k + 1.0))
             return k, profile.amplitude(k)[:, None] * np.exp(-np.multiply.outer(chi, z_deep))
 
-        cw[deep] += _pass(k_weight, k_mid, k_hi, u, x_max + rate0, abs_tol)
+        cw[deep] += _pass(k_weight, len(z_deep), k_mid, k_hi, u, x_max + rate0, knots, abs_tol)
 
     cw *= 2.0
     for row, z, k_cut in zip(cw, zs.tolist(), k_exp):

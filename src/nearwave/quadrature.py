@@ -18,8 +18,10 @@ procedure is deterministic for fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
 abscissas x components, so one sweep of a wide vector integrand cannot
-allocate hundreds of MB at once.  The component count is learned from the
-first call of a run, which therefore holds one panel alone.
+allocate hundreds of MB at once.  The caller states the component count
+(``components``, 1 for a scalar integrand) so that every chunk, the first
+included, is sized before the integrand is called; a result of another
+width raises ``ValueError``.
 
 Oscillatory integrands should be seeded with breakpoints a few
 half-oscillations apart at most (K31 resolves three per panel to rounding;
@@ -80,28 +82,31 @@ class QuadResult:
         return self.value.real
 
 
-def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, n_comp: int | None):
+def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
     """K31 values and |K31 - G15| error estimates on a batch of panels.
 
-    ``n_comp`` is the integrand's component count when an earlier sweep has
-    shown it; when it is None the first panel is evaluated alone to learn
-    it.  Returns per-panel values and error estimates, shaped (panels,) for
-    a scalar integrand and (panels, m) for one returning m components.
+    ``components`` is the integrand's stated output width; each call gets
+    at most ``_MAX_ELEMENTS // (31 * components)`` panels (at least one).
+    Returns per-panel values and error estimates, shaped (panels,) for a
+    scalar integrand and (panels, m) for one returning m components.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X_K
+    step = max(1, _MAX_ELEMENTS // (_X_K.size * components))
     vals = errs = None
-    start = 0
-    step = 1 if n_comp is None else max(1, _MAX_ELEMENTS // (_X_K.size * n_comp))
-    while start < len(lo):
+    for start in range(0, len(lo), step):
         h = half[start:start + step]
         p = len(h)
-        fx, rules = f(x[start:start + step].ravel()), _RULES
+        fx, rules, n_left = f(x[start:start + step].ravel()), _RULES, 1
         if isinstance(fx, tuple):  # separable: the rules go into the left factor, (panels, 2a, nodes)
             left, fx = fx
+            n_left = left.shape[1]
             rules = (left.reshape(p, _X_K.size, -1).transpose(0, 2, 1)[:, None] * _RULES[:, None]).reshape(
                 p, -1, _X_K.size)
         fx = np.asarray(fx)
+        width = n_left * (fx.size // (p * _X_K.size))
+        if width != components:
+            raise ValueError(f"integrand returned {width} components per abscissa, not components={components}")
         if fx.ndim == 1:
             r = fx.reshape(p, _X_K.size) @ _RULES.T  # (panels, 2)
         else:  # (panels, nodes, m): contract over the nodes
@@ -112,8 +117,6 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, n_comp: int | None):
             errs = np.empty((len(lo),) + r.shape[2:])
         vals[start:start + p] = r[:, 0] * h
         errs[start:start + p] = np.abs(r[:, 1]) * h
-        start += step
-        step = max(1, _MAX_ELEMENTS // (_X_K.size * r[0, 0].size))
     return vals, errs
 
 
@@ -125,6 +128,7 @@ def adaptive_quad(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
     breakpoints=None,
+    components: int = 1,
     max_rounds: int = 40,
     max_panels: int = 400_000,
 ) -> QuadResult:
@@ -144,6 +148,11 @@ def adaptive_quad(
     breakpoints : sequence of float, optional
         Interior seed points, e.g. oscillation nodes.  Points outside
         (a, b) are ignored.
+    components : int
+        The integrand's output width m: 1 for a scalar integrand, m for an
+        (n, m) array and a*b for a separable pair.  Integrand calls are
+        sized from it, at most ``_MAX_ELEMENTS`` abscissas x components
+        each.
 
     Returns
     -------
@@ -158,6 +167,8 @@ def adaptive_quad(
         and the achieved error estimate.  A refinement that would exceed
         ``max_panels`` is refused before it is evaluated, and a sweep that
         returns a non-finite panel value raises at once.
+    ValueError
+        If the integrand's output width is not ``components``.
     """
     sign = 1.0
     if b < a:
@@ -178,11 +189,9 @@ def adaptive_quad(
     done_val = 0.0 + 0.0j
     done_err = 0.0
     n_panels = len(lo)
-    n_comp = None
 
     for _ in range(max_rounds):
-        vals, errs = _panel_estimates(f, lo, hi, n_comp)
-        n_comp = vals[0].size
+        vals, errs = _panel_estimates(f, lo, hi, components)
         if not np.isfinite(errs).all():  # a non-finite rule value makes its error non-finite
             raise QuadratureError(
                 f"integrand is not finite on [{a:g}, {b:g}]",

@@ -303,6 +303,34 @@ class TestTabulatedProfile:
         profile = TabulatedProfile.from_csv(path)
         assert profile.norm_sq() == pytest.approx(math.sqrt(2.0 * math.pi) / w, rel=1e-5)
 
+    def test_norm_sq_matches_mpmath_in_one_sweep(self, monkeypatch):
+        # a tapered, rippled profile on a mirrored 81-sample grid; |F|^2 is a
+        # degree-6 polynomial between knots, so seeded there K31 is exact and
+        # the first sweep is accepted
+        import mpmath
+        from scipy.interpolate import CubicSpline
+
+        from nearwave import quadrature
+
+        k_max = 5.3
+        ks = np.linspace(-k_max, k_max, 81)
+        f = np.exp(-0.25 * (1.4 * ks) ** 2) * (1.0 + 0.3 * np.cos(2.2 * ks)) * np.cos(0.5 * np.pi * ks / k_max) ** 2
+        profile = TabulatedProfile(ks, f)
+        sweeps = []
+        estimates = quadrature._panel_estimates
+        monkeypatch.setattr(quadrature, "_panel_estimates", lambda *args: sweeps.append(1) or estimates(*args))
+        got = profile.norm_sq()
+        assert len(sweeps) == 1
+        half = ks[40:]
+        spline = CubicSpline(half, f[40:], bc_type="natural")
+        with mpmath.workdps(30):
+            want = 0
+            for i, (lo, hi) in enumerate(zip(half[:-1].tolist(), half[1:].tolist())):
+                c = [mpmath.mpf(float(v)) for v in spline.c[:, i]]
+                want += mpmath.quad(lambda k: (((c[0] * (k - lo) + c[1]) * (k - lo) + c[2]) * (k - lo) + c[3]) ** 2,
+                                    [lo, hi])
+        assert abs(got - 2.0 * float(want)) <= 1e-15 * got
+
     def test_held_below_first_sample(self):
         # clustered knots make the end cubic steep: extrapolated to kx = 0 it
         # reached 1.43e5 against max|F| = 0.78, so F holds its first sample there

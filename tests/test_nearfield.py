@@ -3,9 +3,11 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
 import nearwave
 from nearwave import aperture, nearfield, quadrature
@@ -348,6 +350,8 @@ class TestRowEngine:
         xs = np.linspace(-4.0, 4.0, n)
         grid = field_grid(xs, z, profile)
         assert len(calls) == 3  # RW, the s-range and the k-range, whatever n is
+        if name == "tabulated":  # seeded at its knots, each pass is one sweep, one integrand call
+            assert [len(c) for c in calls] == [1, 1, 1]
         monkeypatch.undo()
         assert grid.psi_rw.shape == (1, n)
         for j in range(n):
@@ -374,6 +378,8 @@ class TestGridEngine:
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid(self.XS, self.ZS, profile)
         assert len(calls) == 3  # RW, the s-range and the k-range, whatever the rows
+        if name == "tabulated":  # seeded at its knots, each pass is one sweep, one integrand call
+            assert [len(c) for c in calls] == [1, 1, 1]
         monkeypatch.undo()
         assert list(grid.z) == list(self.ZS) and list(grid.x) == list(self.XS)
         for name in ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw", "current_x"):
@@ -470,6 +476,97 @@ class TestGridEngine:
         assert _peak_mb(
             f"field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, {z_max!r}, 40), SingleSlitProfile(a=1.0))"
         ) < 100.0
+
+
+def _mp_tabulated_field(ks, fs, x: float, z: float) -> np.ndarray:
+    """[psi_rw, psi_cw, dpsi_rw, dpsi_cw] at (x, z) for the natural cubic spline through (ks, fs), ks from 0 up.
+
+    An oracle independent of the engine's spline and panels: scipy's
+    natural spline, each piece evaluated in mpmath and integrated by
+    mpmath.quad between its knots, with k = 1 as a further split and the
+    range ending at k_max, where F drops to zero.
+    """
+    spline = CubicSpline(ks, fs, bc_type="natural")
+    edges = sorted({float(k) for k in ks} | ({1.0} if ks[-1] > 1.0 else set()))
+    parts = [mpmath.mpc(0)] * 4
+    with mpmath.workdps(20):
+        x, z = mpmath.mpf(x), mpmath.mpf(z)
+        for lo, hi in zip(edges, edges[1:]):
+            i = min(int(np.searchsorted(ks, lo, side="right")) - 1, len(ks) - 2)
+            k0 = mpmath.mpf(float(ks[i]))
+            c = [mpmath.mpf(float(v)) for v in spline.c[:, i]]
+
+            def amp(k):
+                t = k - k0
+                return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+            if hi <= 1.0:
+                j, height = 0, lambda k: mpmath.expj(mpmath.sqrt(1 - k * k) * z)
+            else:
+                j, height = 1, lambda k: mpmath.exp(-mpmath.sqrt(k * k - 1) * z)
+            parts[j] += 2 * mpmath.quad(lambda k: amp(k) * height(k) * mpmath.cos(k * x), [lo, hi])
+            parts[j + 2] -= 2 * mpmath.quad(lambda k: k * amp(k) * height(k) * mpmath.sin(k * x), [lo, hi])
+    return np.array([complex(v) for v in parts])
+
+
+def _assert_grid_matches_mpmath(grid, ks, fs, rel: float):
+    """Every RW and CW part of psi and d(psi)/dx within rel of its size, J_x within rel of |psi| |d(psi)/dx|."""
+    for i, z in enumerate(grid.z.tolist()):
+        for j, x in enumerate(grid.x.tolist()):
+            want = _mp_tabulated_field(ks, fs, x, z)
+            got = np.array([grid.psi_rw[i, j], grid.psi_cw[i, j], grid.dpsi_rw[i, j], grid.dpsi_cw[i, j]])
+            assert np.all(np.abs(got - want) <= rel * np.abs(want)), (x, z, got, want)
+            psi, dpsi = want[0] + want[1], want[2] + want[3]
+            scale = (abs(want[0]) + abs(want[1])) * (abs(want[2]) + abs(want[3]))
+            assert abs(grid.current_x[i, j] - (psi.conjugate() * dpsi).imag) <= rel * scale, (x, z)
+
+
+class TestTabulatedKnots:
+    # A natural spline's third derivative jumps at every knot, and F may
+    # jump to zero at k_max: panels that straddle either lose K31's
+    # polynomial exactness.  Seeded at the knots, every pass converges in
+    # its first sweep and the grid meets mpmath to rounding.
+
+    def test_profile_knots(self):
+        ks = np.linspace(0.0, 6.0, 13)
+        assert np.array_equal(TabulatedProfile(ks, np.exp(-ks)).knots(), ks[1:])
+        # the held constant below a first sample above 0 ends at that sample
+        assert np.array_equal(TabulatedProfile(ks[2:], np.exp(-ks[2:])).knots(), ks[2:])
+        for analytic in (SingleSlitProfile(a=1.0), GaussianProfile(w=1.3)):
+            assert analytic.knots().size == 0
+
+    def test_dense_profile_seeds_k_max_alone(self, monkeypatch):
+        # 20,000 pieces: a panel per piece would take 6e5 evaluations, while
+        # refinement finds the few third-derivative jumps that matter
+        ks = np.linspace(0.0, 8.0, 20001)
+        profile = TabulatedProfile(ks, np.exp(-0.4 * ks**2) * (1.0 + 0.2 * np.cos(2.0 * ks)))
+        assert np.array_equal(profile.knots(), [8.0])
+        calls, sizes = _counting_quad(monkeypatch)
+        field_grid([-3.0, 0.2, 1.0], [0.3, 30.0], profile)
+        comps = [c for pass_comps in calls for c in pass_comps]
+        abscissas = sum(size // c for size, c in zip(sizes, comps))
+        assert abscissas < 5000, abscissas
+
+    def test_grid_matches_piecewise_mpmath(self, monkeypatch):
+        ks = np.linspace(0.0, 6.0, 13)
+        fs = np.exp(-0.3 * ks**2) * np.cos(np.pi * ks / 12.0) ** 2
+        calls, _ = _counting_quad(monkeypatch)
+        grid = field_grid([-1.7, 0.3, 4.0], [0.0, 0.4, 2.5], TabulatedProfile(ks, fs))
+        assert [len(c) for c in calls] == [1, 1, 1]  # one sweep, one integrand call, per pass
+        _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
+
+    @pytest.mark.parametrize("k_max", [0.8, 1.3, 4.0])
+    def test_jump_at_k_max(self, tmp_path, monkeypatch, k_max):
+        # the last sample is nonzero, so F jumps to zero at k_max in the RW
+        # range, the s-range or the k-range
+        ks = np.linspace(0.0, k_max, 9)
+        fs = np.exp(-0.5 * ks**2) * (1.0 + 0.3 * np.cos(2.0 * ks))
+        path = tmp_path / "jump.csv"
+        path.write_text("kx,F\n" + "".join(f"{k!r},{f!r}\n" for k, f in zip(ks.tolist(), fs.tolist())))
+        calls, _ = _counting_quad(monkeypatch)
+        grid = field_grid([0.3, 1.7], [0.4, 2.5], TabulatedProfile.from_csv(path))
+        assert all(len(c) == 1 for c in calls), calls  # one sweep per pass
+        _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
 
 
 class TestProbabilityCurrent:

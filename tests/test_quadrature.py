@@ -168,7 +168,8 @@ class TestAdaptiveQuad:
 
 class TestVectorIntegrand:
     def test_components_in_columns(self):
-        res = adaptive_quad(lambda t: np.stack([np.exp(t), np.exp(1j * t)], axis=1), 0.0, math.pi)
+        res = adaptive_quad(lambda t: np.stack([np.exp(t), np.exp(1j * t)], axis=1), 0.0, math.pi,
+                            components=2)
         assert res.value.shape == (2,) and res.error.shape == (2,)
         assert res.value[0] == pytest.approx(math.exp(math.pi) - 1.0, rel=1e-13)
         assert res.value[1] == pytest.approx(2j, rel=1e-13)
@@ -184,6 +185,7 @@ class TestVectorIntegrand:
             1.0,
             abs_tol=1e-300,
             rel_tol=rel_tol,
+            components=2,
         )
         want = np.array([1e8 * (math.e - 1.0), 2.0 / 3.0])
         assert np.all(res.error <= rel_tol * np.abs(res.value))
@@ -223,7 +225,7 @@ class TestKronrodRule:
     ], ids=["oscillatory", "endpoint-singular", "interior-kink"])
     def test_error_estimate_bounds_true_error(self, f, antiderivative, panels):
         lo, hi = np.array(panels).T
-        vals, errs = quadrature._panel_estimates(f, lo, hi, None)
+        vals, errs = quadrature._panel_estimates(f, lo, hi, 1)
         true_err = np.abs(vals - (antiderivative(hi) - antiderivative(lo)))
         assert np.all(true_err <= errs), (true_err, errs)
         assert np.all(errs > 1e-13)  # each case is above rounding, so the bound says something
@@ -238,9 +240,10 @@ class TestKronrodRule:
             return out
 
         hi = 30.0
-        res = adaptive_quad(f, 0.0, hi, breakpoints=oscillation_breakpoints(0.0, hi, m))
+        res = adaptive_quad(f, 0.0, hi, breakpoints=oscillation_breakpoints(0.0, hi, m), components=m)
         assert max(sizes) <= quadrature._MAX_ELEMENTS
-        assert len(sizes) > 2  # the first sweep (383 panels x 31 nodes x 40) was split
+        # the first and only sweep (382 panels x 31 nodes x 40) was split, its first chunk full
+        assert sizes == [211 * 31 * m, 171 * 31 * m] and 212 * 31 * m > quadrature._MAX_ELEMENTS
         want = np.sin(hi * np.arange(1.0, m + 1.0)) / np.arange(1.0, m + 1.0)
         assert np.all(np.abs(res.value - want) <= 1e-10)
 
@@ -269,23 +272,25 @@ def _dense(f):
 
 class TestSeparable:
     CASES = {
-        # rows 1, t against cos(w t) for w = 10, 25, 40 over ~20 oscillations
+        # (f, a, b, seeding rate, components); rows 1, t against cos(w t) for
+        # w = 10, 25, 40 over ~20 oscillations
         "oscillatory": (lambda t: (np.stack([np.ones_like(t), t], axis=1),
-                                   np.cos(np.multiply.outer(t, [10.0, 25.0, 40.0]))), 0.0, 3.0, None),
+                                   np.cos(np.multiply.outer(t, [10.0, 25.0, 40.0]))), 0.0, 3.0, None, 6),
         # t^(1/2) and t^(-1/4) at the left end, against three smooth columns
         "endpoint-singular": (lambda t: (np.stack([np.sqrt(t), t**-0.25], axis=1),
-                                         np.stack([np.ones_like(t), np.cos(t), np.exp(-t)], axis=1)), 0.0, 1.0, None),
+                                         np.stack([np.ones_like(t), np.cos(t), np.exp(-t)], axis=1)),
+                              0.0, 1.0, None, 6),
         # complex rows e^{i m t} against the psi and d/dx columns cos(5t), -5 sin(5t)
         "complex": (lambda t: (np.exp(1j * np.multiply.outer(t, [1.0, 2.0])),
-                               np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)], axis=1)), 0.0, 6.0, 7.0),
+                               np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)], axis=1)), 0.0, 6.0, 7.0, 4),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
     def test_matches_its_dense_twin(self, name):
-        f, a, b, rate = self.CASES[name]
+        f, a, b, rate, m = self.CASES[name]
         bp = None if rate is None else oscillation_breakpoints(a, b, rate)
-        sep = adaptive_quad(f, a, b, breakpoints=bp)
-        dense = adaptive_quad(_dense(f), a, b, breakpoints=bp)
+        sep = adaptive_quad(f, a, b, breakpoints=bp, components=m)
+        dense = adaptive_quad(_dense(f), a, b, breakpoints=bp, components=m)
         assert sep.panels == dense.panels
         assert sep.value.shape == dense.value.shape and sep.value.dtype == dense.value.dtype
         assert np.all(np.abs(sep.value - dense.value) <= 1e-14 * np.abs(dense.value))
@@ -293,8 +298,8 @@ class TestSeparable:
         assert np.all(np.abs(sep.error - dense.error) <= 1e-14 * np.abs(dense.value).max())
 
     def test_complex_rows_against_mpmath(self):
-        f, a, b, rate = self.CASES["complex"]
-        res = adaptive_quad(f, a, b, breakpoints=oscillation_breakpoints(a, b, rate))
+        f, a, b, rate, m = self.CASES["complex"]
+        res = adaptive_quad(f, a, b, breakpoints=oscillation_breakpoints(a, b, rate), components=m)
         with mpmath.workdps(30):
             for i, m in enumerate((1.0, 2.0)):
                 for j, col in enumerate((lambda t: mpmath.cos(5 * t), lambda t: -5 * mpmath.sin(5 * t))):
@@ -308,10 +313,40 @@ class TestSeparable:
             seen.append(len(t))
             return self.CASES["oscillatory"][0](t)
 
-        want = adaptive_quad(f, 0.0, 3.0)
+        seeds = [0.75, 1.5, 2.25]  # four seed panels, refined over several rounds
+        want = adaptive_quad(f, 0.0, 3.0, breakpoints=seeds, components=6)
         assert max(seen) > 4 * 31  # one chunk per sweep under the default cap
         seen.clear()
         monkeypatch.setattr(quadrature, "_MAX_ELEMENTS", 31 * 6 * 4)  # four panels of 2 x 3 components
-        got = adaptive_quad(f, 0.0, 3.0)
-        assert seen[0] == 31 and max(seen) == 4 * 31
+        got = adaptive_quad(f, 0.0, 3.0, breakpoints=seeds, components=6)
+        assert seen[0] == 4 * 31 and max(seen) == 4 * 31  # the first chunk is full too
         assert got.panels == want.panels and np.array_equal(got.value, want.value)
+
+    def test_one_integrand_call_per_sweep(self, monkeypatch):
+        # a sweep within the element cap is one integrand call, the first
+        # sweep included; sweeps are counted as _panel_estimates calls
+        sweeps, calls = [], []
+        estimates = quadrature._panel_estimates
+
+        def counted(f, lo, hi, components):
+            sweeps.append(len(lo))
+            return estimates(f, lo, hi, components)
+
+        def f(t):
+            calls.append(len(t))
+            return self.CASES["endpoint-singular"][0](t)
+
+        monkeypatch.setattr(quadrature, "_panel_estimates", counted)
+        adaptive_quad(f, 0.0, 1.0, breakpoints=[0.25, 0.5, 0.75], components=6)
+        assert len(sweeps) > 2  # the endpoint singularity takes refinement rounds
+        assert calls == [31 * n for n in sweeps]
+
+    @pytest.mark.parametrize("components", [1, 5, 7])
+    def test_wrong_component_count_raises(self, components):
+        f = self.CASES["oscillatory"][0]  # 2 x 3 = 6 components
+        with pytest.raises(ValueError, match=f"6 components per abscissa, not components={components}"):
+            adaptive_quad(f, 0.0, 3.0, components=components)
+
+    def test_wrong_component_count_of_a_dense_integrand_raises(self):
+        with pytest.raises(ValueError, match="1 components per abscissa, not components=2"):
+            adaptive_quad(np.exp, 0.0, 1.0, components=2)
