@@ -89,8 +89,8 @@ def slit_te_amplitude_sq(kx, a: float):
     return out if out.ndim else float(out)
 
 
-def _exp_integrals(z: complex, top: int) -> dict[int, complex]:
-    """Generalized exponential integrals E_n(z) for n = 1..top, Re(z) >= 0.
+def _exp_integrals(z: complex, top: int) -> list[complex]:
+    """Generalized exponential integrals E_n(z) for n = 1..top, Re(z) >= 0, as a list indexed by n (entry 0 unused).
 
     Two routes:
 
@@ -104,14 +104,15 @@ def _exp_integrals(z: complex, top: int) -> dict[int, complex]:
       from E_1 alone grows it like |z|^n/n!).
     """
     if z == 0:
-        return {n: (math.inf if n == 1 else 1.0 / (n - 1)) for n in range(1, top + 1)}
+        return [0.0, math.inf] + [1.0 / (n - 1) for n in range(2, top + 1)]
     z = complex(z)
     e = np.exp(-z)
     n0 = min(top, math.ceil(abs(z)))
+    vals = [0j] * (top + 1)
     if abs(z) <= 1.0:
-        vals = {1: _exp1_series(z)}
+        vals[1] = _exp1_series(z)
     else:
-        vals = {n0: _exp_integral_cf(z, n0) * e}
+        vals[n0] = _exp_integral_cf(z, n0) * e
     for n in range(n0 - 1, 0, -1):
         vals[n] = (e - n * vals[n + 1]) / z
     for n in range(n0, top):
@@ -187,7 +188,7 @@ def _tail_probability_coefficients(order: int) -> np.ndarray:
     return d
 
 
-def _tail_sum(c: list[float], k_hi: float, en: dict[int, complex]) -> complex:
+def _tail_sum(c: list[float], k_hi: float, en: list[complex]) -> complex:
     """sum_m c_m integral_{k_hi}^inf k^-m e^{-s k} dk = sum_m c_m E_m(s k_hi) / k_hi^(m-1), from en[n] = E_n(s k_hi)."""
     return sum(c[m] * en[m] * k_hi ** (1 - m) for m in range(2, len(c)))
 
@@ -314,6 +315,9 @@ class SingleSlitProfile(ApertureProfile):
         """
         c = _slit_tail_series(self.a, z, _TAIL_ORDER)
         scale = 2.0 * math.sqrt(math.pi * self.a)
+        orders = range(2, len(c))
+        psi_pow = [k_hi ** (1 - m) for m in range(len(c))]
+        dpsi_pow = [k_hi ** (2 - m) for m in range(len(c))]
         psi = np.empty(len(xs))
         dpsi = np.empty(len(xs))
         for j, x in enumerate(xs):
@@ -321,9 +325,13 @@ class SingleSlitProfile(ApertureProfile):
             for beta in (x + 0.5 * self.a, x - 0.5 * self.a):
                 s = complex(z, -beta)
                 en = _exp_integrals(s * k_hi, _TAIL_ORDER)
-                p += _tail_sum(c, k_hi, en).real
-                if s != 0:  # s = 0 means beta = 0, where sin(beta k) vanishes
-                    d += sum(c[m] * en[m - 1] * k_hi ** (2 - m) for m in range(2, len(c))).imag
+                sp = sd = 0  # summed as sum() does, so the tails keep their bits
+                for m in orders:
+                    sp += c[m] * en[m] * psi_pow[m]
+                    sd += c[m] * en[m - 1] * dpsi_pow[m]
+                p += sp.real
+                if s != 0:  # s = 0 means beta = 0, where sin(beta k) vanishes (and E_1 is infinite)
+                    d += sd.imag
             psi[j] = scale * p
             dpsi[j] = -scale * d
         return psi, dpsi

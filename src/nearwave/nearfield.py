@@ -7,35 +7,39 @@ The scalar field at height z >= 0 over the screen is
 
 (times the global factor e^{-i omega0 t}, which samples omit).  The first
 integral collects running waves, the second the evanescent set.  Both have
-an integrable square-root derivative singularity at k = 1; the RW side is
-mapped by k = sin(theta) and the innermost CW stretch by k = cosh(s), which
-remove it exactly.  The CW range is truncated where the exponential or the
-profile makes the integrand negligible.  Slit profiles supply an analytic
-tail beyond k = 100/min(a, pi) (a 1/k series of F e^{-chi z} summed with
-exponential integrals), so at z ~ 0, where the integrand decays only like
-1/k^2, panels cover just [2, 100/min(a, pi)].  One ``field_tail`` call per
-row returns the psi and d(psi)/dx remainders at every distinct |x|.
+an integrable square-root derivative singularity at k = 1, which one
+variable t in [-pi/2, acosh k_hi] removes from both sides: k = cos t with
+dk/dt = kz = -sin t on t < 0 (RW), k = cosh t with dk/dt = chi = sinh t on
+t > 0 (CW), and t = 0 a panel edge.  The CW range is truncated where the
+exponential or the profile makes the integrand negligible.  Slit profiles
+supply an analytic tail beyond k = 100/min(a, pi) (a 1/k series of
+F e^{-chi z} summed with exponential integrals), so at z ~ 0, where the
+integrand decays only like 1/k^2, panels cover just k <= 100/min(a, pi).
+One ``field_tail`` call per row returns the psi and d(psi)/dx remainders
+at every distinct |x|.
 
-psi and d(psi)/dx come from one separable quadrature per range: the row
-weights (the amplitude times each row's height factor e^{i z cos(theta)},
-e^{-z sinh(s)} or e^{-z chi}) and the columns cos(k u_j) and -k sin(k u_j),
-one pair per distinct u_j = |x_j|, are evaluated once per abscissa and
-contracted with the K31 weights without forming their product.  psi is even
-in x and d(psi)/dx odd, so each point takes its columns and the sign of x.
-A grid is three passes, the RW range, the CW range s in [0, acosh 2] and
-the long CW range [2, k_hi], whatever its number of points and rows (rows
-beyond one K31 panel's element cap go to further passes).  k_hi is the
-largest per-row end; a row that ends below it carries less than e^-46
-beyond its own end, and a row that ends at or below k = 2 stays out of the
-k-range pass.  Each pass is seeded for the largest |x| and z of the grid,
-at three half-oscillations per panel: the G15 remainder on a 3 pi phase
-span is ~1e-20 of the panel amplitude, and the |K31 - G15| estimate still
-guards every panel.  The seeds also include the profile's knots
-(``ApertureProfile.knots``, mapped to theta = asin k and s = acosh k), the
-kx where a tabulated spline's third derivative jumps or F drops to zero:
-no panel straddles one, so K31 keeps its polynomial exactness there.
-``field_grid`` returns the RW and CW parts of psi and d(psi)/dx as (nz, nx)
-arrays.
+A grid is one separable quadrature over t.  Per abscissa the left factor
+holds three blocks of row weights, each zero outside its range: Re and Im
+of F kz e^{i kz z} (t < 0) and F chi e^{-chi z} (t > 0); the right factor
+holds the columns cos(k u_j) and -k sin(k u_j), one pair per distinct
+u_j = |x_j|.  Both are contracted with the K31 weights without forming
+their product, and psi_rw = 2 (V_re + i V_im), psi_cw = 2 V_cw plus the
+tail.  psi is even in x and d(psi)/dx odd, so each point takes its columns
+and the sign of x.  k_hi is the largest per-row end; a row that ends below
+it carries less than e^-46 beyond its own end.  The seeds are those of the
+three k-ranges the t-axis joins, for the largest |x| and z of the grid, at
+three half-oscillations per panel: the RW range in theta = t + pi/2, the CW
+range t in [0, acosh 2] and the range [2, k_hi] in k, mapped by
+t = acosh k.  The G15 remainder on a 3 pi phase span is ~1e-20 of the
+panel amplitude, and the |K31 - G15| estimate still guards every panel.
+The seeds also include the profile's knots (``ApertureProfile.knots``,
+mapped to t = -acos k and t = acosh k), the kx where a tabulated spline's
+third derivative jumps or F drops to zero: no panel straddles one, so K31
+keeps its polynomial exactness there.  Rows share one quadrature as long
+as its first round, seeded panels x components, stays within
+``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's per-call
+element cap; further rows go to further runs.  ``field_grid`` returns the
+RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -56,6 +60,8 @@ from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoi
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
 _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
 _REL_TOL = 1e-10  # relative tolerance of every field integral; abs_tol is the caller's
+# seeded panels x components of one quadrature run: each round holds a few such arrays
+_ROUND_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,68 +99,51 @@ class FieldGrid:
         return (self.psi_total.conj() * (self.dpsi_rw + self.dpsi_cw)).imag
 
 
-def _pass(weight, nz: int, a: float, b: float, u: np.ndarray, rate: float, knots: np.ndarray,
-          abs_tol: float) -> np.ndarray:
-    """integral_a^b w_i(t) [cos(k u_j), -k sin(k u_j)] dt for every row i and every u_j at once.
-
-    ``weight(t)`` returns the wavenumbers k(t), shape (n,), and the weights
-    w(t), shape (n, nz): the amplitude and dk/dt times each row's height
-    factor.  Panels are seeded at ``rate`` / 3 and at ``knots``, the
-    profile's knots mapped to t.  Returns shape (nz, 2, len(u)): per row,
-    the psi integrals, then the d/dx ones.
-    """
-
-    def integrand(t):
-        k, w = weight(t)
-        ku = np.multiply.outer(k, u)
-        return w, np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
-
-    seeds = np.concatenate([oscillation_breakpoints(a, b, rate / _HALF_WAVES_PER_PANEL), knots])
-    res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
-                        components=nz * 2 * len(u))
-    return res.value.reshape(-1, 2, len(u))
-
-
-def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
-            abs_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The RW and CW integrals of the rows zs at the distances u = |x|, one pass per range."""
-    x_max, z_max = float(u[-1]), float(zs.max())
+def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float, np.ndarray, np.ndarray]:
+    """k_hi, each row's exponential end k_exp and the seeds on t in (-pi/2, acosh k_hi), for rows zs."""
+    z_max = float(zs.max())
     rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
-    knots = profile.knots()
-
-    def rw_weight(theta):
-        k, c = np.sin(theta), np.cos(theta)
-        return k, (profile.amplitude(k) * c)[:, None] * np.exp(1j * np.multiply.outer(c, zs))
-
-    rw = 2.0 * _pass(rw_weight, len(zs), 0.0, 0.5 * math.pi, u, math.hypot(x_max, z_max) + rate0,
-                     np.arcsin(knots[knots < 1.0]), abs_tol)
-
     with np.errstate(divide="ignore"):
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
+    k_hi = max(1.5, min(profile.cutoff(), float(k_exp.max())))  # beyond its own end a row carries < e^-46
+    t_mid = float(np.arccosh(min(2.0, k_hi)))  # k = 2, where the seeds switch from t to k; t_hi below k = 2
+    rw = oscillation_breakpoints(0.0, 0.5 * math.pi, (math.hypot(x_max, z_max) + rate0) / _HALF_WAVES_PER_PANEL)
+    s = oscillation_breakpoints(0.0, t_mid, (x_max + z_max + rate0) * math.sinh(t_mid) / _HALF_WAVES_PER_PANEL)
+    k = oscillation_breakpoints(2.0, k_hi, (x_max + rate0) / _HALF_WAVES_PER_PANEL)
+    knots = profile.knots()
+    rw -= 0.5 * math.pi
+    seeds = np.concatenate([rw[rw < 0.0], [0.0], s[s < t_mid], [t_mid], np.arccosh(k[k < k_hi]),
+                            -np.arccos(knots[knots < 1.0]), np.arccosh(knots[knots > 1.0])])
+    return k_hi, k_exp, seeds
+
+
+def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, abs_tol: float):
+    """The RW and CW integrals of the rows zs at the distances u = |x|, one quadrature over t.
+
+    ``axis`` is :func:`_axis` of these rows.  Returns two (nz, 2, len(u))
+    arrays: per row, the psi integrals, then the d/dx ones.
+    """
+    k_hi, k_exp, seeds = axis
+    nz = len(zs)
+
+    def integrand(t):
+        m = np.searchsorted(t, 0.0)  # the panels are ascending and t = 0 is an edge
+        kz, chi = -np.sin(t[:m]), np.sinh(t[m:])
+        k = np.concatenate([np.cos(t[:m]), np.cosh(t[m:])])
+        w = profile.amplitude(k) * np.concatenate([kz, chi])  # F dk/dt
+        left = np.zeros((len(t), 3, nz))
+        phase = np.multiply.outer(kz, zs)
+        left[:m, 0] = w[:m, None] * np.cos(phase)
+        left[:m, 1] = w[:m, None] * np.sin(phase)
+        left[m:, 2] = w[m:, None] * np.exp(-np.multiply.outer(chi, zs))
+        ku = np.multiply.outer(k, u)
+        return left.reshape(len(t), -1), np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
+
+    res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=0.5 * abs_tol,
+                        rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))
+    v = 2.0 * res.value.reshape(3, nz, 2, len(u))
+    cw = v[2]
     k_profile = profile.cutoff()
-    k_ends = np.maximum(1.5, np.minimum(k_profile, k_exp))  # beyond its own end a row carries < e^-46
-    k_hi = float(k_ends.max())
-    k_mid = min(2.0, k_hi)
-
-    def s_weight(s):
-        k, sh = np.cosh(s), np.sinh(s)
-        return k, (profile.amplitude(k) * sh)[:, None] * np.exp(-np.multiply.outer(sh, zs))
-
-    s_hi = math.acosh(k_mid)
-    cw = _pass(s_weight, len(zs), 0.0, s_hi, u, (x_max + z_max + rate0) * math.sinh(s_hi),
-               np.arccosh(knots[knots > 1.0]), abs_tol)
-
-    deep = k_ends > k_mid  # the rows the k-range carries; the others end at or below k_mid
-    if deep.any():
-        z_deep = zs[deep]
-
-        def k_weight(k):
-            chi = np.sqrt((k - 1.0) * (k + 1.0))
-            return k, profile.amplitude(k)[:, None] * np.exp(-np.multiply.outer(chi, z_deep))
-
-        cw[deep] += _pass(k_weight, len(z_deep), k_mid, k_hi, u, x_max + rate0, knots, abs_tol)
-
-    cw *= 2.0
     for row, z, k_cut in zip(cw, zs.tolist(), k_exp):
         if k_profile <= k_cut:  # then k_hi is k_profile
             with np.errstate(all="ignore"):  # a tail whose series overflows is reported below
@@ -163,14 +152,15 @@ def _passes(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile,
                 row += tail
                 if not np.isfinite(row).all():
                     raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
-    return rw, cw
+    return v[0] + 1j * v[1], cw
 
 
 def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldGrid:
     """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
-    psi is even in x and d(psi)/dx odd, so the passes run over the distinct
-    |x| alone.  Consecutive rows share a pass, as many as keep one K31 panel
+    psi is even in x and d(psi)/dx odd, so the quadrature runs over the
+    distinct |x| alone.  Consecutive rows share a run while its seeded
+    panels x components stay within ``_ROUND_ELEMENTS`` and one K31 panel
     within the quadrature's per-call element cap.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -180,10 +170,14 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
     u, at = np.unique(np.abs(xs), return_inverse=True)
     rw = np.empty((len(zs), 2, len(u)), complex)
     cw = np.empty_like(rw)
-    per_pass = max(1, _MAX_ELEMENTS // (_X_K.size * 2 * len(u)))
-    for start in range(0, len(zs), per_pass):
-        stop = start + per_pass
-        rw[start:stop], cw[start:stop] = _passes(u, zs[start:stop], profile, abs_tol)
+    axis = _axis(float(u[-1]), zs, profile)  # the whole grid's seeds outnumber any batch's
+    per_row = 3 * 2 * len(u)
+    per_run = max(1, min(_MAX_ELEMENTS // (_X_K.size * per_row), _ROUND_ELEMENTS // ((len(axis[2]) + 1) * per_row)))
+    for start in range(0, len(zs), per_run):
+        batch = zs[start:start + per_run]
+        if per_run < len(zs):
+            axis = _axis(float(u[-1]), batch, profile)
+        rw[start:start + per_run], cw[start:start + per_run] = _integrals(u, batch, profile, axis, abs_tol)
     rw, cw = rw[:, :, at], cw[:, :, at]
     sign = np.where(xs < 0, -1.0, 1.0)
     return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1] * sign, cw[:, 1] * sign)

@@ -12,8 +12,10 @@ vector-valued ones returning one column per component: each component keeps
 its own error budget and a panel is accepted only when every component is
 within its share.  A separable integrand returns a pair (L, R) of (n, a)
 and (n, b) arrays for the a*b components L[:, i] * R[:, j] (row-major);
-each panel applies [rho_K * L; rho_(K-G) * L]^T, both rules' node weights
-stacked into one (2a, 31) factor, to R, and never builds the product.  The
+each panel weights L along its 31 nodes by both rules, (2, 31, a), applies
+the transposed view (2, a, 31) to R, and never builds the product.  Every
+round's pending panels are kept in ascending order, so an integrand may
+split its abscissas at a panel edge with one ``searchsorted``.  The
 procedure is deterministic for fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
@@ -98,19 +100,19 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
         h = half[start:start + step]
         p = len(h)
         fx, rules, n_left = f(x[start:start + step].ravel()), _RULES, 1
-        if isinstance(fx, tuple):  # separable: the rules go into the left factor, (panels, 2a, nodes)
+        if isinstance(fx, tuple):  # separable: the rules weight the left factor along its nodes
             left, fx = fx
             n_left = left.shape[1]
-            rules = (left.reshape(p, _X_K.size, -1).transpose(0, 2, 1)[:, None] * _RULES[:, None]).reshape(
-                p, -1, _X_K.size)
+            # (panels, 2, nodes, a), contracted below through its transposed view (panels, 2, a, nodes)
+            rules = (left.reshape(p, 1, _X_K.size, n_left) * _RULES[:, :, None]).transpose(0, 1, 3, 2)
         fx = np.asarray(fx)
         width = n_left * (fx.size // (p * _X_K.size))
         if width != components:
             raise ValueError(f"integrand returned {width} components per abscissa, not components={components}")
         if fx.ndim == 1:
             r = fx.reshape(p, _X_K.size) @ _RULES.T  # (panels, 2)
-        else:  # (panels, nodes, m): contract over the nodes
-            r = (rules @ fx.reshape(p, _X_K.size, -1)).reshape(p, 2, -1)  # (panels, 2, m)
+        else:  # contract over the nodes: (2, nodes) or (panels, 2, a, nodes) @ (panels, 1, nodes, m)
+            r = (rules @ fx.reshape(p, 1, _X_K.size, -1)).reshape(p, 2, -1)  # (panels, 2, m)
             h = h[:, None]
         if vals is None:  # filled in place: a list of chunks plus their concatenation would hold two copies
             vals = np.empty((len(lo),) + r.shape[2:], r.dtype)
@@ -181,7 +183,8 @@ def adaptive_quad(
     if breakpoints is not None:
         bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
         edges = np.concatenate([edges, bp[(bp > a) & (bp < b)]])
-    edges = np.unique(edges)
+    edges = np.sort(edges)
+    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
     lo = edges[:-1]
     hi = edges[1:]
 
@@ -216,8 +219,8 @@ def adaptive_quad(
             break
         lo_bad, hi_bad = lo[bad], hi[bad]
         mid_bad = 0.5 * (lo_bad + hi_bad)
-        lo = np.concatenate([lo_bad, mid_bad])
-        hi = np.concatenate([mid_bad, hi_bad])
+        lo = np.stack([lo_bad, mid_bad], axis=1).ravel()  # halves interleaved: the panels stay ascending
+        hi = np.stack([mid_bad, hi_bad], axis=1).ravel()
         n_panels += len(lo_bad)
 
     # budget exhausted: report the best composite estimate, taking the

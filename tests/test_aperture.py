@@ -137,7 +137,7 @@ class TestTailProbability:
         for mag in (9.999e3, 1.0001e4):
             en = _exp_integrals(-1j * mag, 4)
             with mpmath.workdps(40):
-                for n, got in en.items():
+                for n, got in enumerate(en[1:], start=1):
                     want = complex(mpmath.expint(n, mpmath.mpc(0.0, -mag)))
                     floor = 2.22e-16 * mag ** max(0, n - 2) * mag  # rel: eps*|z|^(n-2)/|E_n|, |E_n|~1/|z|
                     assert got == pytest.approx(want, rel=max(1e-11, 10.0 * floor), abs=0)

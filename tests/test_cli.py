@@ -433,6 +433,29 @@ class TestColdImport:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.split("\n")[:2] == ["False", "0 []"]
 
+    def test_field_and_lifetime_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique without index outputs imports numpy.ma (10-18 ms) on the
+        # first adaptive_quad call of a process; the edges are deduplicated
+        # without it.  tau_max_s = 1e18 puts q' = a k' near 17, below the
+        # series start q' = 100, so tail_probability integrates panels too.
+        cfg = dict(BASE_CFG, screen={"mass_kg": 0.1}, grids=dict(BASE_CFG["grids"], kx=[10.0]),
+                   scenario={"tau_max_s": 1e18})
+        path = write_cfg(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        a = BASE_CFG["aperture"]["a"]
+        code = (
+            "import json, sys\n"
+            "import nearwave.cli\n"
+            f"rcs = [nearwave.cli.main([sub, '--config', {path!r}, '--out', {out!r}])\n"
+            "       for sub in ('field', 'lifetime')]\n"
+            f"q = json.load(open({out!r}))['outputs']['short_lifetime']['k_prime_ratio'] * {a!r}\n"
+            "print(json.dumps({'rcs': rcs, 'q': q, 'ma': 'numpy.ma' in sys.modules}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        seen = json.loads(proc.stdout)
+        assert seen["rcs"] == [0, 0] and seen["q"] < 100.0
+        assert not seen["ma"]
+
     def test_every_subcommand_runs_without_scipy(self, tmp_path):
         ks = np.linspace(0.0, 8.0, 33)
         csv_path = tmp_path / "prof.csv"

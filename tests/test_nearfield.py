@@ -278,9 +278,9 @@ def _row_profiles():
 
 
 def _bound(*parts):
-    # each field value sums up to 3 integrals, each within
-    # max(abs_tol / 2, rel_tol * |integral|); 4 is the safety factor the
-    # field oracle uses
+    # the benchmark's field-oracle bound: up to 3 integrals, each within
+    # max(abs_tol / 2, rel_tol * |integral|), times its safety factor 4;
+    # one quadrature run now gives every part, so the bound has room
     return 4.0 * 3.0 * max(1e-12, 1e-10 * max(abs(p) for p in parts))
 
 
@@ -289,7 +289,7 @@ def _counting_quad(monkeypatch):
 
     A size is abscissas x components; a separable result (L, R) stands for
     L.shape[1] * R.shape[1] components.  Each entry of ``calls`` lists the
-    component counts of its pass's integrand results.
+    component counts of its run's integrand results.
     """
     calls, sizes = [], []
 
@@ -349,9 +349,9 @@ class TestRowEngine:
         calls, _ = _counting_quad(monkeypatch)
         xs = np.linspace(-4.0, 4.0, n)
         grid = field_grid(xs, z, profile)
-        assert len(calls) == 3  # RW, the s-range and the k-range, whatever n is
-        if name == "tabulated":  # seeded at its knots, each pass is one sweep, one integrand call
-            assert [len(c) for c in calls] == [1, 1, 1]
+        assert len(calls) == 1  # one quadrature over t for the RW and CW ranges, whatever n is
+        if name == "tabulated":  # seeded at its knots, it converges in one sweep, one integrand call
+            assert [len(c) for c in calls] == [1]
         monkeypatch.undo()
         assert grid.psi_rw.shape == (1, n)
         for j in range(n):
@@ -366,9 +366,9 @@ class TestRowEngine:
 
 
 class TestGridEngine:
-    # unsorted heights: z = 0 and 0.3 take the k-range (and the slit's
-    # analytic tail); z = 60 ends at k = 1.5 on its own, so the k-range
-    # pass leaves it out
+    # unsorted heights: z = 0 and 0.3 run to k_hi (and take the slit's
+    # analytic tail); z = 60 ends at k = 1.5 on its own and carries less
+    # than e^-46 beyond
     ZS = (0.3, 60.0, 0.0)
     XS = (-1.7, -0.4, -0.2, 0.0, 0.2, 0.4, 1.7)
 
@@ -377,9 +377,9 @@ class TestGridEngine:
         profile = _row_profiles()[name]
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid(self.XS, self.ZS, profile)
-        assert len(calls) == 3  # RW, the s-range and the k-range, whatever the rows
-        if name == "tabulated":  # seeded at its knots, each pass is one sweep, one integrand call
-            assert [len(c) for c in calls] == [1, 1, 1]
+        assert len(calls) == 1  # one quadrature over t for the RW and CW ranges, whatever the rows
+        if name == "tabulated":  # seeded at its knots, it converges in one sweep, one integrand call
+            assert [len(c) for c in calls] == [1]
         monkeypatch.undo()
         assert list(grid.z) == list(self.ZS) and list(grid.x) == list(self.XS)
         for name in ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw", "current_x"):
@@ -391,7 +391,7 @@ class TestGridEngine:
 
     def test_screen_row_meets_closed_form(self):
         # at z = 0 the slit superposition is the slit mode, 2 sqrt(pi/a) cos(pi x/a)
-        # inside and zero outside, here on a row that shares its passes with z > 0
+        # inside and zero outside, here on a row that shares its run with z > 0
         a = 1.0
         grid = field_grid(self.XS, self.ZS, SingleSlitProfile(a=a))
         for j, x in enumerate(self.XS):
@@ -404,7 +404,7 @@ class TestGridEngine:
         zs = (0.0, 0.3, 1.0, 3.0, 60.0)
         calls, _ = _counting_quad(monkeypatch)
         scan = cw_fraction_profile(0.2, zs, profile)
-        assert len(calls) == 3
+        assert len(calls) == 1
         monkeypatch.undo()
         for (z, frac), want_z in zip(scan, zs):
             assert z == want_z
@@ -422,7 +422,7 @@ class TestGridEngine:
         calls, _ = _counting_quad(monkeypatch)
         scan = cw_fraction_profile(0.3, zs, profile)
         point = field_at(-0.3, 0.3, profile)
-        assert len(calls) == 6
+        assert len(calls) == 2
         monkeypatch.undo()
         for i, (z, frac) in enumerate(scan):
             s, _ = _cell(grid, i, 1)
@@ -446,25 +446,28 @@ class TestGridEngine:
         assert cw_fraction_profile(x, zs, profile) == want
 
     def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
-        # 500 distinct |x| leave room for 8 rows per pass, so 10 rows take
-        # two batches of three passes
+        # rounding keeps most +-x of this grid apart: 794 distinct |x|, so a
+        # row has 3 x 2 x 794 = 4,764 components and one K31 panel of two
+        # rows would pass the element cap; the 10 rows take 10 runs
         profile = GaussianProfile(w=1.3)
         xs = np.linspace(-5.0, 5.0, 999)
         zs = np.linspace(0.0, 3.0, 10)
         calls, sizes = _counting_quad(monkeypatch)
         grid = field_grid(xs, zs, profile)
-        assert len(calls) == 6
+        assert len(calls) == 10
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         monkeypatch.undo()
         for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):  # rows on both sides of the batch edge
             _assert_cell_matches_point(grid, i, j, profile)
 
     def test_wide_grid_calls_stay_within_the_element_cap(self, monkeypatch):
-        # the 101 x by 40 z slit grid below: 51 column pairs per row, all
-        # rows in one batch, chunked by abscissas x components
+        # the 101 x by 40 z slit grid below: 51 column pairs per row, 306
+        # components, and 548 seeded panels, so a run's first round holds
+        # 6 rows within _ROUND_ELEMENTS; 40 rows take 7 runs, each
+        # chunked by abscissas x components
         calls, sizes = _counting_quad(monkeypatch)
         field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, 1.0, 40), SingleSlitProfile(a=1.0))
-        assert len(calls) == 3
+        assert len(calls) == 7
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         assert max(len(c) for c in calls) > 2  # a sweep was split into chunks
 
@@ -476,6 +479,64 @@ class TestGridEngine:
         assert _peak_mb(
             f"field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, {z_max!r}, 40), SingleSlitProfile(a=1.0))"
         ) < 100.0
+
+
+def _mp_amplitude(profile):
+    """The slit or Gaussian amplitude F(k) in mpmath."""
+    if isinstance(profile, SingleSlitProfile):
+        a = mpmath.mpf(profile.a)
+        return lambda k: 2 * mpmath.sqrt(mpmath.pi * a) * mpmath.cos(a * k / 2) / (mpmath.pi**2 - (a * k) ** 2)
+    w = mpmath.mpf(profile.w)
+    return lambda k: mpmath.exp(-((k * w) ** 2) / 4)
+
+
+def _mp_field_parts(profile, x: float, z: float) -> np.ndarray:
+    """[psi_rw, psi_cw, dpsi_rw, dpsi_cw] at (x, z > 0) by mpmath.quad in k, split at k = 1.
+
+    Independent of the engine's t-axis, seeds and slit tail: the RW
+    integral runs over k in [0, 1], with subintervals shrinking towards the
+    k = 1 root, and the CW integral over [1, inf), split where e^{-chi z}
+    falls below e^-58 and at the slit's removable singularity k = pi/a.
+    """
+    amp = _mp_amplitude(profile)
+    rw_pts = [0.0, 0.25, 0.5, 0.7, 0.8, 0.9, 0.95, 0.98, 0.99, 0.995, 0.999, 1.0]
+    k_end = math.sqrt(1.0 + (58.0 / z) ** 2)
+    cw_pts = {1.0, 1.0001, 1.001, 1.01, 1.1, 1.5, *np.arange(2.0, k_end, 4.0).tolist(), k_end}
+    if isinstance(profile, SingleSlitProfile):
+        cw_pts.add(math.pi / profile.a)
+    x, z = mpmath.mpf(x), mpmath.mpf(z)
+
+    def rw(k):
+        return amp(k) * mpmath.expj(mpmath.sqrt(1 - k * k) * z)
+
+    def cw(k):  # real weight: psi_cw and d(psi_cw)/dx as the real and imaginary parts of one integral
+        return amp(k) * mpmath.exp(-mpmath.sqrt((k - 1) * (k + 1)) * z) * mpmath.mpc(mpmath.cos(k * x),
+                                                                                    -k * mpmath.sin(k * x))
+
+    psi_rw = 2 * mpmath.quad(lambda k: rw(k) * mpmath.cos(k * x), rw_pts)
+    dpsi_rw = -2 * mpmath.quad(lambda k: k * rw(k) * mpmath.sin(k * x), rw_pts)
+    both_cw = 2 * mpmath.quad(cw, [*sorted(cw_pts), mpmath.inf])
+    return np.array([complex(psi_rw), float(both_cw.real), complex(dpsi_rw), float(both_cw.imag)])
+
+
+class TestPartsAgainstMpmath:
+    # The t-axis joins the RW range (k = cos t), the CW range up to k = 2 and
+    # the CW range beyond it (both k = cosh t) in one quadrature; each part
+    # of psi and d(psi)/dx is checked on its own against an integral in k.
+
+    @pytest.mark.parametrize("z", [0.25, 3.0, 60.0])
+    @pytest.mark.parametrize("name", ["slit", "gaussian"])
+    def test_each_part_matches_mpmath(self, name, z):
+        profile = _row_profiles()[name]
+        xs = (-1.7, 0.3)
+        grid = field_grid(xs, [z], profile)
+        for j, x in enumerate(xs):
+            psi_rw, psi_cw, dpsi_rw, dpsi_cw = _mp_field_parts(profile, x, z)
+            got, want = _cell(grid, 0, j), (FieldSample(x, z, psi_rw, psi_cw), FieldSample(x, z, dpsi_rw, dpsi_cw))
+            for g, w in zip(got, want):
+                bound = _bound(w.psi_rw, w.psi_cw, w.psi_total)
+                assert abs(g.psi_rw - w.psi_rw) <= bound, (x, g, w)
+                assert abs(g.psi_cw - w.psi_cw) <= bound, (x, g, w)
 
 
 def _mp_tabulated_field(ks, fs, x: float, z: float) -> np.ndarray:
@@ -524,8 +585,8 @@ def _assert_grid_matches_mpmath(grid, ks, fs, rel: float):
 class TestTabulatedKnots:
     # A natural spline's third derivative jumps at every knot, and F may
     # jump to zero at k_max: panels that straddle either lose K31's
-    # polynomial exactness.  Seeded at the knots, every pass converges in
-    # its first sweep and the grid meets mpmath to rounding.
+    # polynomial exactness.  Seeded at the knots, the grid converges in
+    # its first sweep and meets mpmath to rounding.
 
     def test_profile_knots(self):
         ks = np.linspace(0.0, 6.0, 13)
@@ -543,7 +604,7 @@ class TestTabulatedKnots:
         assert np.array_equal(profile.knots(), [8.0])
         calls, sizes = _counting_quad(monkeypatch)
         field_grid([-3.0, 0.2, 1.0], [0.3, 30.0], profile)
-        comps = [c for pass_comps in calls for c in pass_comps]
+        comps = [c for run_comps in calls for c in run_comps]
         abscissas = sum(size // c for size, c in zip(sizes, comps))
         assert abscissas < 5000, abscissas
 
@@ -552,7 +613,7 @@ class TestTabulatedKnots:
         fs = np.exp(-0.3 * ks**2) * np.cos(np.pi * ks / 12.0) ** 2
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid([-1.7, 0.3, 4.0], [0.0, 0.4, 2.5], TabulatedProfile(ks, fs))
-        assert [len(c) for c in calls] == [1, 1, 1]  # one sweep, one integrand call, per pass
+        assert [len(c) for c in calls] == [1]  # one sweep, one integrand call
         _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
 
     @pytest.mark.parametrize("k_max", [0.8, 1.3, 4.0])
@@ -565,7 +626,7 @@ class TestTabulatedKnots:
         path.write_text("kx,F\n" + "".join(f"{k!r},{f!r}\n" for k, f in zip(ks.tolist(), fs.tolist())))
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid([0.3, 1.7], [0.4, 2.5], TabulatedProfile.from_csv(path))
-        assert all(len(c) == 1 for c in calls), calls  # one sweep per pass
+        assert all(len(c) == 1 for c in calls), calls  # one sweep
         _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
 
 

@@ -270,6 +270,24 @@ def _dense(f):
     return twin
 
 
+def _three_blocks(t):
+    """Twelve rows, three blocks of four, each zero on one side of t = 0, against six columns.
+
+    Split at t = 0 with one ``searchsorted``, as the field integrand is:
+    cos(z t) and sin(z t) for t < 0, e^{-z t} for t > 0, against
+    cos(k u) and -k sin(k u) with k = 1 + t^2.
+    """
+    m = np.searchsorted(t, 0.0)
+    z = np.array([0.5, 1.0, 2.0, 4.0])
+    left = np.zeros((len(t), 3, 4))
+    left[:m, 0] = np.cos(np.multiply.outer(t[:m], z))
+    left[:m, 1] = np.sin(np.multiply.outer(t[:m], z))
+    left[m:, 2] = np.exp(-np.multiply.outer(t[m:], z))
+    k = 1.0 + t * t
+    ku = np.multiply.outer(k, [0.5, 1.5, 3.0])
+    return left.reshape(len(t), 12), np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
+
+
 class TestSeparable:
     CASES = {
         # (f, a, b, seeding rate, components); rows 1, t against cos(w t) for
@@ -283,6 +301,8 @@ class TestSeparable:
         # complex rows e^{i m t} against the psi and d/dx columns cos(5t), -5 sin(5t)
         "complex": (lambda t: (np.exp(1j * np.multiply.outer(t, [1.0, 2.0])),
                                np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)], axis=1)), 0.0, 6.0, 7.0, 4),
+        # a = 12 wide left factor in three blocks split at the seed t = 0, as in a field grid
+        "three-blocks": (_three_blocks, -1.0, 2.0, math.pi, 72),
     }
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -340,6 +360,18 @@ class TestSeparable:
         adaptive_quad(f, 0.0, 1.0, breakpoints=[0.25, 0.5, 0.75], components=6)
         assert len(sweeps) > 2  # the endpoint singularity takes refinement rounds
         assert calls == [31 * n for n in sweeps]
+
+    def test_pending_panels_stay_ascending(self):
+        # bisected halves are interleaved, so every sweep passes its
+        # abscissas in ascending order and a split at t = 0 stays exact
+        seen = []
+
+        def f(t):
+            seen.append(bool(np.all(np.diff(t) > 0.0)))
+            return _three_blocks(t)
+
+        adaptive_quad(f, -1.0, 4.0, breakpoints=[0.0], components=72)
+        assert len(seen) > 2 and all(seen)  # several refinement rounds, each ascending
 
     @pytest.mark.parametrize("components", [1, 5, 7])
     def test_wrong_component_count_raises(self, components):
