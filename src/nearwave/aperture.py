@@ -373,14 +373,17 @@ def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     s = np.diff(y) / h
     diag = 2.0 * (h[:-1] + h[1:])
     rhs = 6.0 * np.diff(s)
+    # the sweeps run on Python floats, the same IEEE operations without a numpy scalar per index
+    hs, diag, rhs = h.tolist(), diag.tolist(), rhs.tolist()
     for j in range(1, len(rhs)):
-        w = h[j] / diag[j - 1]
-        diag[j] -= w * h[j]
+        w = hs[j] / diag[j - 1]
+        diag[j] -= w * hs[j]
         rhs[j] -= w * rhs[j - 1]
-    m = np.zeros(len(x))
+    m = [0.0] * len(x)
     m[-2] = rhs[-1] / diag[-1]
     for j in range(len(rhs) - 2, -1, -1):
-        m[j + 1] = (rhs[j] - h[j + 1] * m[j + 2]) / diag[j]
+        m[j + 1] = (rhs[j] - hs[j + 1] * m[j + 2]) / diag[j]
+    m = np.array(m)
     return np.column_stack([np.diff(m) / (6.0 * h), 0.5 * m[:-1], s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
 
 
@@ -408,13 +411,13 @@ class TabulatedProfile(ApertureProfile):
         grid: list[float] = []
         vals: list[float] = []
         counts: list[int] = []
-        for k, f in zip(ks, fs):
+        for k, f in zip(ks.tolist(), fs.tolist()):
             if grid and k - grid[-1] <= 1e-9 * (1.0 + k):
                 vals[-1] += f
                 counts[-1] += 1
             else:
-                grid.append(float(k))
-                vals.append(float(f))
+                grid.append(k)
+                vals.append(f)
                 counts.append(1)
         if len(grid) < 4:
             raise ValueError(f"need at least 4 distinct |kx| samples, got {len(grid)}")
@@ -430,15 +433,18 @@ class TabulatedProfile(ApertureProfile):
         """Load columns (kx/k0, F); a non-numeric first row is a header."""
         rows = []
         with open(Path(path), newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or not row[0].strip():
                     continue
                 try:
                     rows.append((float(row[0]), float(row[1])))
-                except ValueError:
+                except ValueError as e:
                     if rows:
-                        raise
+                        raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
                     continue  # header line
+                except IndexError:
+                    raise ValueError(f"{path}, line {reader.line_num}: need two columns kx, F, got one") from None
         if not rows:
             raise ValueError(f"no numeric samples found in {path}")
         kx, f = zip(*rows)

@@ -32,6 +32,8 @@ from .probe import GaussianPacket
 from .quantities import ELECTRON_MASS, ScaledUnits, compton_wavenumber_ratio
 from .recoil import ScreenSpec
 
+_MAX_GRID_POINTS = 10**6  # a start/stop/num grid's largest num; np.linspace would allocate it at once
+
 
 def load_config(path) -> dict:
     p = Path(path)
@@ -161,8 +163,8 @@ def _grid(sec: dict, key: str, path: str) -> np.ndarray:
         start = _number(spec, "start", f"{path}.{key}")
         stop = _number(spec, "stop", f"{path}.{key}")
         num = spec.get("num")
-        if not isinstance(num, int) or isinstance(num, bool) or num < 1:
-            raise ConfigError(f"{path}.{key}.num", f"must be an integer >= 1, got {num!r}")
+        if not isinstance(num, int) or isinstance(num, bool) or not 1 <= num <= _MAX_GRID_POINTS:
+            raise ConfigError(f"{path}.{key}.num", f"must be an integer from 1 to {_MAX_GRID_POINTS}, got {num!r}")
         if not (stop >= start):
             raise ConfigError(f"{path}.{key}", "stop must be >= start")
         arr = np.linspace(start, stop, num)

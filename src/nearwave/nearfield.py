@@ -18,28 +18,39 @@ integrand decays only like 1/k^2, panels cover just k <= 100/min(a, pi).
 One ``field_tail`` call per row returns the psi and d(psi)/dx remainders
 at every distinct |x|.
 
-A grid is one separable quadrature over t.  Per abscissa the left factor
-holds three blocks of row weights, each zero outside its range: Re and Im
-of F kz e^{i kz z} (t < 0) and F chi e^{-chi z} (t > 0); the right factor
-holds the columns cos(k u_j) and -k sin(k u_j), one pair per distinct
-u_j = |x_j|.  Both are contracted with the K31 weights without forming
-their product, and psi_rw = 2 (V_re + i V_im), psi_cw = 2 V_cw plus the
-tail.  psi is even in x and d(psi)/dx odd, so each point takes its columns
-and the sign of x.  k_hi is the largest per-row end; a row that ends below
-it carries less than e^-46 beyond its own end.  The seeds are those of the
-three k-ranges the t-axis joins, for the largest |x| and z of the grid, at
-three half-oscillations per panel: the RW range in theta = t + pi/2, the CW
-range t in [0, acosh 2] and the range [2, k_hi] in k, mapped by
-t = acosh k.  The G15 remainder on a 3 pi phase span is ~1e-20 of the
-panel amplitude, and the |K31 - G15| estimate still guards every panel.
-The seeds also include the profile's knots (``ApertureProfile.knots``,
-mapped to t = -acos k and t = acosh k), the kx where a tabulated spline's
-third derivative jumps or F drops to zero: no panel straddles one, so K31
-keeps its polynomial exactness there.  Rows share one quadrature as long
-as its first round, seeded panels x components, stays within
-``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's per-call
-element cap; further rows go to further runs.  ``field_grid`` returns the
-RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays.
+A grid is one separable quadrature over t with component-major factors.
+The left factor is (3 nz, n): three blocks of row weights on the n
+abscissas, each zero outside its range: Re and Im of F kz e^{i kz z}
+(t < 0) and F chi e^{-chi z} (t > 0).  The right factor is (2 nu, n): the
+rows cos(k u_j) and -k sin(k u_j), one pair per distinct u_j = |x_j|.
+Both are contracted with the K31 weights without forming their product,
+and psi_rw = 2 (V_re + i V_im), psi_cw = 2 V_cw plus the tail.  Every
+cos/sin pair (cos t and sin t on t < 0, the RW phase kz z, and k u_j)
+comes from one tan of the half angle (``_cos_sin``).  psi is even in x
+and d(psi)/dx odd, so each point takes its columns and the sign of x.
+k_hi is the largest per-row end; a row that ends below it carries less
+than e^-46 beyond its own end.
+
+The seeds follow where the integrand changes character (QUADPACK
+practice, Piessens et al. 1983), for the largest |x| and z of the grid.
+Oscillation seeds sit three half-waves of the fastest phase apart (a
+slit's F adds its own a k / 2): on the RW range in theta = t + pi/2
+(phase k |x| + kz z), and on the CW range t in [0, acosh 2] and the range
+[2, k_hi] in k, mapped by t = acosh k (phase k |x|).  The G15 remainder
+on a 3 pi phase span is ~1e-20 of the panel amplitude, and the
+|K31 - G15| estimate still guards every panel.  On the CW side z does not
+oscillate: e^{-chi z} only decays, so it adds decay seeds at
+t = asinh(6 j / z_max), j = 1..7, six e-folds of the highest row apart
+down to e^-46 (lower rows decay more slowly over the same panels).  The count of CW seeds below
+k = 2 thus does not grow with z_max.  The seeds also include the
+profile's knots (``ApertureProfile.knots``, mapped to t = -acos k and
+t = acosh k), the kx where a tabulated spline's third derivative jumps or
+F drops to zero: no panel straddles one, so K31 keeps its polynomial
+exactness there.  Rows share one quadrature as long as its first round,
+seeded panels x components, stays within ``_ROUND_ELEMENTS`` and one K31
+panel within the quadrature's per-call element cap; further rows go to
+further runs.  ``field_grid`` returns the RW and CW parts of psi and
+d(psi)/dx as (nz, nx) arrays.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -59,6 +70,7 @@ from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoi
 
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
 _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
+_EFOLDS_PER_PANEL = 6.0  # decay seeds of the CW range span this many e-folds of e^{-chi z_max}
 _REL_TOL = 1e-10  # relative tolerance of every field integral; abs_tol is the caller's
 # seeded panels x components of one quadrature run: each round holds a few such arrays
 _ROUND_ELEMENTS = 1 << 20
@@ -99,6 +111,24 @@ class FieldGrid:
         return (self.psi_total.conj() * (self.dpsi_rw + self.dpsi_cw)).imag
 
 
+def _cos_sin(x) -> np.ndarray:
+    """cos x and sin x stacked, shape (2, *x.shape), from one tan(x/2).
+
+    With tau = tan(x/2), cos x = (1 - tau^2)/(1 + tau^2) and sin x =
+    2 tau/(1 + tau^2), each within about 2 ulp of 1 in absolute terms;
+    numpy's tan is one SIMD loop where its sin and cos may be scalar libm
+    calls.  nan and inf give nan.
+    """
+    out = np.empty((2,) + np.shape(x))
+    tau = np.tan(np.multiply(x, 0.5, out=out[1]), out=out[1])
+    sq = np.square(tau)
+    inv = 1.0 / (sq + 1.0)
+    np.multiply(np.subtract(1.0, sq, out=sq), inv, out=out[0])
+    tau *= inv
+    tau *= 2.0  # sin, in out[1]
+    return out
+
+
 def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float, np.ndarray, np.ndarray]:
     """k_hi, each row's exponential end k_exp and the seeds on t in (-pi/2, acosh k_hi), for rows zs."""
     z_max = float(zs.max())
@@ -108,11 +138,14 @@ def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float
     k_hi = max(1.5, min(profile.cutoff(), float(k_exp.max())))  # beyond its own end a row carries < e^-46
     t_mid = float(np.arccosh(min(2.0, k_hi)))  # k = 2, where the seeds switch from t to k; t_hi below k = 2
     rw = oscillation_breakpoints(0.0, 0.5 * math.pi, (math.hypot(x_max, z_max) + rate0) / _HALF_WAVES_PER_PANEL)
-    s = oscillation_breakpoints(0.0, t_mid, (x_max + z_max + rate0) * math.sinh(t_mid) / _HALF_WAVES_PER_PANEL)
+    s = oscillation_breakpoints(0.0, t_mid, (x_max + rate0) * math.sinh(t_mid) / _HALF_WAVES_PER_PANEL)
     k = oscillation_breakpoints(2.0, k_hi, (x_max + rate0) / _HALF_WAVES_PER_PANEL)
+    decay = []  # e^{-chi z_max} falls _EFOLDS_PER_PANEL e-folds from one decay seed to the next, down to e^-46
+    if z_max > 0.0:
+        decay = np.arcsinh(np.arange(1, int(_EXP_CUT / _EFOLDS_PER_PANEL) + 1) * _EFOLDS_PER_PANEL / z_max)
     knots = profile.knots()
     rw -= 0.5 * math.pi
-    seeds = np.concatenate([rw[rw < 0.0], [0.0], s[s < t_mid], [t_mid], np.arccosh(k[k < k_hi]),
+    seeds = np.concatenate([rw[rw < 0.0], [0.0], s[s < t_mid], [t_mid], np.arccosh(k[k < k_hi]), decay,
                             -np.arccos(knots[knots < 1.0]), np.arccosh(knots[knots > 1.0])])
     return k_hi, k_exp, seeds
 
@@ -128,16 +161,16 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
 
     def integrand(t):
         m = np.searchsorted(t, 0.0)  # the panels are ascending and t = 0 is an edge
-        kz, chi = -np.sin(t[:m]), np.sinh(t[m:])
-        k = np.concatenate([np.cos(t[:m]), np.cosh(t[m:])])
-        w = profile.amplitude(k) * np.concatenate([kz, chi])  # F dk/dt
-        left = np.zeros((len(t), 3, nz))
-        phase = np.multiply.outer(kz, zs)
-        left[:m, 0] = w[:m, None] * np.cos(phase)
-        left[:m, 1] = w[:m, None] * np.sin(phase)
-        left[m:, 2] = w[m:, None] * np.exp(-np.multiply.outer(chi, zs))
-        ku = np.multiply.outer(k, u)
-        return left.reshape(len(t), -1), np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
+        cos_t, sin_t = _cos_sin(t[:m])
+        chi = np.sinh(t[m:])
+        k = np.concatenate([cos_t, np.cosh(t[m:])])
+        w = profile.amplitude(k) * np.concatenate([-sin_t, chi])  # F dk/dt, kz = -sin t
+        left = np.zeros((3, nz, len(t)))
+        np.multiply(_cos_sin(np.multiply.outer(zs, -sin_t)), w[:m], out=left[:2, :, :m])  # e^{i kz z}
+        np.multiply(np.exp(np.multiply.outer(-zs, chi)), w[m:], out=left[2, :, m:])
+        right = _cos_sin(np.multiply.outer(u, k))
+        right[1] *= -k
+        return left.reshape(3 * nz, -1), right.reshape(2 * len(u), -1)
 
     res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=0.5 * abs_tol,
                         rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))

@@ -10,13 +10,15 @@ evaluated in one vectorized sweep, so the integrand must accept numpy
 arrays.  Complex integrands are supported directly, and so are
 vector-valued ones returning one column per component: each component keeps
 its own error budget and a panel is accepted only when every component is
-within its share.  A separable integrand returns a pair (L, R) of (n, a)
-and (n, b) arrays for the a*b components L[:, i] * R[:, j] (row-major);
-each panel weights L along its 31 nodes by both rules, (2, 31, a), applies
-the transposed view (2, a, 31) to R, and never builds the product.  Every
-round's pending panels are kept in ascending order, so an integrand may
-split its abscissas at a panel edge with one ``searchsorted``.  The
-procedure is deterministic for fixed inputs.
+within its share.  A separable integrand returns a component-major pair
+(L, R) of (a, n) and (b, n) arrays for the a*b components L[i] * R[j]
+(row-major), so its elementwise work runs along rows of n abscissas.
+Each panel weights the narrower factor along its 31 nodes by both rules,
+applies the other one to it through a transposed view in one batched
+matmul, and never builds the product.  Every round's pending panels are
+kept in ascending order, so an integrand may split its abscissas at a
+panel edge with one ``searchsorted``.  The procedure is deterministic for
+fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
 abscissas x components, so one sweep of a wide vector integrand cannot
@@ -84,6 +86,26 @@ class QuadResult:
         return self.value.real
 
 
+def _separable_sums(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """K31 and K31 - G15 sums of left[i] * right[j] on each of p panels, shaped (p, 2, a*b).
+
+    ``left`` is (a, 31 p) and ``right`` (b, 31 p), 31 nodes per panel.
+    The narrower factor is weighted by both rules, (p, 2, a or b, 31), and
+    the other one is applied to it through a transposed view, so the
+    product of the two is never built.
+    """
+    a, b = len(left), len(right)
+    left = left.reshape(a, p, _X_K.size).transpose(1, 0, 2)  # (p, a, nodes) views
+    right = right.reshape(b, p, _X_K.size).transpose(1, 0, 2)
+    if a <= b:
+        weighted = left[:, None] * _RULES[:, None, :]  # (p, 2, a, nodes)
+        r = weighted.reshape(p, 2 * a, _X_K.size) @ right.transpose(0, 2, 1)  # (p, 2a, b)
+    else:
+        weighted = right[:, None] * _RULES[:, None, :]  # (p, 2, b, nodes)
+        r = left[:, None] @ weighted.transpose(0, 1, 3, 2)  # (p, 2, a, b)
+    return r.reshape(p, 2, a * b)
+
+
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
     """K31 values and |K31 - G15| error estimates on a batch of panels.
 
@@ -99,20 +121,20 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
     for start in range(0, len(lo), step):
         h = half[start:start + step]
         p = len(h)
-        fx, rules, n_left = f(x[start:start + step].ravel()), _RULES, 1
-        if isinstance(fx, tuple):  # separable: the rules weight the left factor along its nodes
-            left, fx = fx
-            n_left = left.shape[1]
-            # (panels, 2, nodes, a), contracted below through its transposed view (panels, 2, a, nodes)
-            rules = (left.reshape(p, 1, _X_K.size, n_left) * _RULES[:, :, None]).transpose(0, 1, 3, 2)
-        fx = np.asarray(fx)
-        width = n_left * (fx.size // (p * _X_K.size))
+        fx = f(x[start:start + step].ravel())
+        separable = isinstance(fx, tuple)  # (a, n) and (b, n) factors
+        if not separable:
+            fx = np.asarray(fx)
+        width = len(fx[0]) * len(fx[1]) if separable else fx.size // (p * _X_K.size)
         if width != components:
             raise ValueError(f"integrand returned {width} components per abscissa, not components={components}")
-        if fx.ndim == 1:
+        if separable:
+            r = _separable_sums(*fx, p)  # (panels, 2, m)
+        elif fx.ndim == 1:
             r = fx.reshape(p, _X_K.size) @ _RULES.T  # (panels, 2)
-        else:  # contract over the nodes: (2, nodes) or (panels, 2, a, nodes) @ (panels, 1, nodes, m)
-            r = (rules @ fx.reshape(p, 1, _X_K.size, -1)).reshape(p, 2, -1)  # (panels, 2, m)
+        else:  # contract over the nodes: (2, nodes) @ (panels, nodes, m)
+            r = _RULES @ fx.reshape(p, _X_K.size, -1)  # (panels, 2, m)
+        if r.ndim == 3:
             h = h[:, None]
         if vals is None:  # filled in place: a list of chunks plus their concatenation would hold two copies
             vals = np.empty((len(lo),) + r.shape[2:], r.dtype)
@@ -141,7 +163,8 @@ def adaptive_quad(
     f : callable
         Vectorized integrand; maps an ndarray of n abscissas to n values
         (real or complex), to an (n, m) array of m components, or to a
-        separable pair (L, R) of (n, a) and (n, b) arrays (m = a*b).
+        separable pair (L, R) of (a, n) and (b, n) arrays, component-major,
+        whose m = a*b components are L[i] * R[j] in row-major order.
     a, b : float
         Integration limits, a < b assumed after orientation fix.
     abs_tol, rel_tol : float

@@ -208,6 +208,25 @@ class TestField:
         assert out == ""
         assert json.loads(err)["error"]["field"] == "aperture.path"
 
+    @pytest.mark.parametrize("line", ["0.5", "0.5,abc"])
+    def test_malformed_tabulated_row_names_its_line(self, capsys, tmp_path, line):
+        # a row with one field, or a second field that is not a number, after the samples began
+        csv_path = tmp_path / "prof.csv"
+        csv_path.write_text(f"kx,F\n0.0,1.0\n1.0,0.7\n{line}\n3.0,0.1\n4.0,0.0\n")
+        cfg = dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["field"] == "aperture.path" and "line 4" in error["message"], error
+
+    @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
+    def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
+        # refused before np.linspace allocates it: 10**13 points would need 80 TB
+        cfg = dict(BASE_CFG, grids=dict(BASE_CFG["grids"], x={"start": 0, "stop": 1, "num": num}))
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"]["field"] == "grids.x.num"
+
 
 class TestAbsorb:
     def test_values_match_library(self, capsys, tmp_path):

@@ -287,9 +287,9 @@ def _bound(*parts):
 def _counting_quad(monkeypatch):
     """Patch nearfield's adaptive_quad to count its calls and record the size of every integrand result.
 
-    A size is abscissas x components; a separable result (L, R) stands for
-    L.shape[1] * R.shape[1] components.  Each entry of ``calls`` lists the
-    component counts of its run's integrand results.
+    A size is abscissas x components; a separable result (L, R) of (a, n)
+    and (b, n) factors stands for a * b components.  Each entry of
+    ``calls`` lists the component counts of its run's integrand results.
     """
     calls, sizes = [], []
 
@@ -299,7 +299,7 @@ def _counting_quad(monkeypatch):
         def recorded(t):
             out = f(t)
             left, right = out
-            comps.append(left.shape[1] * right.shape[1])
+            comps.append(len(left) * len(right))
             sizes.append(len(t) * comps[-1])
             return out
 
@@ -628,6 +628,92 @@ class TestTabulatedKnots:
         grid = field_grid([0.3, 1.7], [0.4, 2.5], TabulatedProfile.from_csv(path))
         assert all(len(c) == 1 for c in calls), calls  # one sweep
         _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
+
+
+class TestMixedHeights:
+    # Rows at z = 0.25 and z = 100 share one run.  Its CW seeds follow the
+    # oscillation of the widest |x| and the decay e^{-chi z} of the highest
+    # row alone; panels that span six e-folds of the high row still carry
+    # the low row's slower decay in the same first sweep.
+    XS = (-2.5, 0.3, 1.7)
+    ZS = (0.25, 100.0)
+
+    @pytest.mark.parametrize("name", ["slit", "gaussian"])
+    def test_each_part_matches_mpmath(self, monkeypatch, name):
+        profile = _row_profiles()[name]
+        calls, _ = _counting_quad(monkeypatch)
+        grid = field_grid(self.XS, self.ZS, profile)
+        assert [len(c) for c in calls] == [1]  # one run, one sweep
+        for i, z in enumerate(self.ZS):
+            for j, x in enumerate(self.XS):
+                psi_rw, psi_cw, dpsi_rw, dpsi_cw = _mp_field_parts(profile, x, z)
+                want = (FieldSample(x, z, psi_rw, psi_cw), FieldSample(x, z, dpsi_rw, dpsi_cw))
+                for g, w in zip(_cell(grid, i, j), want):
+                    bound = _bound(w.psi_rw, w.psi_cw, w.psi_total)
+                    assert abs(g.psi_rw - w.psi_rw) <= bound, (x, z, g, w)
+                    assert abs(g.psi_cw - w.psi_cw) <= bound, (x, z, g, w)
+
+    def test_tabulated_matches_piecewise_mpmath(self, monkeypatch):
+        ks = np.linspace(0.0, 6.0, 13)
+        fs = np.exp(-0.3 * ks**2) * np.cos(np.pi * ks / 12.0) ** 2
+        calls, _ = _counting_quad(monkeypatch)
+        grid = field_grid(self.XS, self.ZS, TabulatedProfile(ks, fs))
+        assert [len(c) for c in calls] == [1]
+        for i, z in enumerate(self.ZS):
+            for j, x in enumerate(self.XS):
+                want = _mp_tabulated_field(ks, fs, x, z)
+                got = np.array([grid.psi_rw[i, j], grid.psi_cw[i, j], grid.dpsi_rw[i, j], grid.dpsi_cw[i, j]])
+                # at z = 100 the small d/dx RW part is a sum of cancelling panels: rounding
+                # puts it near 1e-13 of itself, so each part is held to 1e-13 of the largest
+                assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), (x, z, got, want)
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
+    def test_s_range_seeds_do_not_grow_with_height(self, name):
+        # the CW range below k = 2 is seeded at the oscillation of |x| and
+        # at the decay of e^{-chi z_max}: z_max moves the decay seeds, it
+        # does not add to them
+        profile = _row_profiles()[name]
+        decay = int(nearfield._EXP_CUT / nearfield._EFOLDS_PER_PANEL)
+
+        def s_range(zs):
+            _, _, seeds = nearfield._axis(4.0, np.array(zs), profile)
+            return np.count_nonzero((seeds > 0.0) & (seeds < math.acosh(2.0)))
+
+        oscillation = s_range([0.0])
+        counts = [s_range([0.25, z_max]) for z_max in (1.0, 100.0, 1e4)]
+        assert all(oscillation <= n <= oscillation + decay for n in counts), (oscillation, counts)
+        assert counts[1] == counts[2] == oscillation + decay, counts  # every decay seed lies below k = 2
+
+    def test_decay_seeds_grade_the_highest_row(self):
+        _, _, seeds = nearfield._axis(1.0, np.array([0.5, 100.0]), GaussianProfile(w=1.3))
+        n = int(nearfield._EXP_CUT / nearfield._EFOLDS_PER_PANEL)
+        want = np.arcsinh(nearfield._EFOLDS_PER_PANEL * np.arange(1, n + 1) / 100.0)
+        assert np.isin(want, seeds).all()
+
+
+class TestCosSin:
+    def test_against_mpmath(self):
+        rng = np.random.default_rng(7)
+        half_pi = np.arange(-2000, 2001) * (0.5 * math.pi)  # k pi/2 rounded, where tan(x/2) is 0, +-1 or huge
+        x = np.concatenate([
+            rng.uniform(-1e6, 1e6, 2000), rng.uniform(-10.0, 10.0, 1000), half_pi,
+            half_pi[::40] + rng.uniform(-1e-9, 1e-9, half_pi[::40].size),
+            np.round(rng.uniform(-1e6, 1e6, 500) / (0.5 * math.pi)) * (0.5 * math.pi),
+            [0.0, -0.0, 1e-300, 5e-324, 1e6, -1e6],
+        ])
+        cos, sin = nearfield._cos_sin(x)
+        with mpmath.workdps(30):
+            for v, c, s in zip(x.tolist(), cos.tolist(), sin.tolist()):
+                assert abs(mpmath.cos(v) - c) <= 4e-16, v
+                assert abs(mpmath.sin(v) - s) <= 4e-16, v
+
+    def test_shape_and_non_finite(self):
+        assert nearfield._cos_sin(np.zeros((3, 4))).shape == (2, 3, 4)
+        with np.errstate(invalid="ignore"):
+            out = nearfield._cos_sin(np.array([np.nan, np.inf, -np.inf]))
+        assert np.isnan(out).all()
 
 
 class TestProbabilityCurrent:

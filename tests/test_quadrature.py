@@ -263,15 +263,15 @@ class TestOscillationBreakpoints:
 
 
 def _dense(f):
-    """The (n, a*b) twin of a separable integrand: the full product of its two factors."""
+    """The (n, a*b) twin of a separable integrand: the full product of its (a, n) and (b, n) factors."""
     def twin(t):
         left, right = f(t)
-        return (left[:, :, None] * right[:, None, :]).reshape(len(t), -1)
+        return (left[:, None] * right[None, :]).reshape(-1, len(t)).T
     return twin
 
 
 def _three_blocks(t):
-    """Twelve rows, three blocks of four, each zero on one side of t = 0, against six columns.
+    """Twelve left rows, three blocks of four, each zero on one side of t = 0, against six right rows.
 
     Split at t = 0 with one ``searchsorted``, as the field integrand is:
     cos(z t) and sin(z t) for t < 0, e^{-z t} for t > 0, against
@@ -279,29 +279,30 @@ def _three_blocks(t):
     """
     m = np.searchsorted(t, 0.0)
     z = np.array([0.5, 1.0, 2.0, 4.0])
-    left = np.zeros((len(t), 3, 4))
-    left[:m, 0] = np.cos(np.multiply.outer(t[:m], z))
-    left[:m, 1] = np.sin(np.multiply.outer(t[:m], z))
-    left[m:, 2] = np.exp(-np.multiply.outer(t[m:], z))
+    left = np.zeros((3, 4, len(t)))
+    left[0, :, :m] = np.cos(np.multiply.outer(z, t[:m]))
+    left[1, :, :m] = np.sin(np.multiply.outer(z, t[:m]))
+    left[2, :, m:] = np.exp(-np.multiply.outer(z, t[m:]))
     k = 1.0 + t * t
-    ku = np.multiply.outer(k, [0.5, 1.5, 3.0])
-    return left.reshape(len(t), 12), np.concatenate([np.cos(ku), -k[:, None] * np.sin(ku)], axis=1)
+    ku = np.multiply.outer([0.5, 1.5, 3.0], k)
+    return left.reshape(12, len(t)), np.concatenate([np.cos(ku), -k * np.sin(ku)])
 
 
 class TestSeparable:
     CASES = {
         # (f, a, b, seeding rate, components); rows 1, t against cos(w t) for
         # w = 10, 25, 40 over ~20 oscillations
-        "oscillatory": (lambda t: (np.stack([np.ones_like(t), t], axis=1),
-                                   np.cos(np.multiply.outer(t, [10.0, 25.0, 40.0]))), 0.0, 3.0, None, 6),
-        # t^(1/2) and t^(-1/4) at the left end, against three smooth columns
-        "endpoint-singular": (lambda t: (np.stack([np.sqrt(t), t**-0.25], axis=1),
-                                         np.stack([np.ones_like(t), np.cos(t), np.exp(-t)], axis=1)),
+        "oscillatory": (lambda t: (np.stack([np.ones_like(t), t]),
+                                   np.cos(np.multiply.outer([10.0, 25.0, 40.0], t))), 0.0, 3.0, None, 6),
+        # t^(1/2) and t^(-1/4) at the left end, against three smooth rows
+        "endpoint-singular": (lambda t: (np.stack([np.sqrt(t), t**-0.25]),
+                                         np.stack([np.ones_like(t), np.cos(t), np.exp(-t)])),
                               0.0, 1.0, None, 6),
-        # complex rows e^{i m t} against the psi and d/dx columns cos(5t), -5 sin(5t)
-        "complex": (lambda t: (np.exp(1j * np.multiply.outer(t, [1.0, 2.0])),
-                               np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)], axis=1)), 0.0, 6.0, 7.0, 4),
-        # a = 12 wide left factor in three blocks split at the seed t = 0, as in a field grid
+        # complex rows e^{i m t} against the psi and d/dx rows cos(5t), -5 sin(5t)
+        "complex": (lambda t: (np.exp(1j * np.multiply.outer([1.0, 2.0], t)),
+                               np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)])), 0.0, 6.0, 7.0, 4),
+        # a = 12 left rows in three blocks split at the seed t = 0, as in a field grid; a > b, so
+        # the right factor is the one weighted by the rules
         "three-blocks": (_three_blocks, -1.0, 2.0, math.pi, 72),
     }
 
