@@ -198,7 +198,8 @@ class TailEstimate:
     """Integrated mode-probability above a wavenumber, with diagnostics.
 
     ``asymptote`` carries the leading cubic-decay estimate
-    8*pi/(3*(a*k')^3) for comparison against the integrated value.
+    8*pi/(3*(a*k')^3) for comparison against the integrated value.  All
+    three are built-in floats, never numpy.float64.
     """
 
     value: float
@@ -238,7 +239,7 @@ def tail_probability(k_prime: float, a: float) -> TailEstimate:
         value += res.value
         error += res.error
     asym = 8.0 * math.pi / 3.0 * qp**-3.0
-    return TailEstimate(value=value, error=error, asymptote=asym)
+    return TailEstimate(value=float(value), error=float(error), asymptote=float(asym))
 
 
 class ApertureProfile:

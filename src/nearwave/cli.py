@@ -13,14 +13,17 @@ Usage:
 Grid subcommands emit CSV (UTF-8, LF, header row, floats printed with 17
 significant digits so repeated runs are byte-identical); single-record
 subcommands emit one JSON object with ``inputs``, ``outputs``,
-``residuals`` and ``warnings`` keys.  Every row echoes the dimensionless
-inputs it was computed from.  The scenario subcommands fall back to bundled
-example configs when --config is omitted.
+``residuals`` and ``warnings`` keys, laid out byte for byte as
+``json.dumps(record, sort_keys=True, indent=2)`` would lay it out.  Every
+row echoes the dimensionless inputs it was computed from.  The scenario
+subcommands fall back to bundled example configs when --config is omitted.
 
 Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
 4 degenerate kinematic input or a record whose numbers overflow (JSON
-records never hold NaN or Infinity), 141 (128 + SIGPIPE) when the reader
-of stdout has closed it.
+records never hold NaN or Infinity: the error names the JSON path of the
+first one, such as ``outputs.modes[0].Gamma``, and the kx of the mode
+record it sits in), 141 (128 + SIGPIPE) when the reader of stdout has
+closed it.
 """
 
 from __future__ import annotations
@@ -77,30 +80,81 @@ def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None
     _write_text(out_path, "\n".join(lines) + "\n")
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+class _NonFinite(Exception):
+    """An inf or nan met by :func:`_json_text`; each container it leaves adds its key or index to ``path``."""
+
+    def __init__(self, value: float):
+        self.value, self.path, self.kx = value, [], None  # kx: from the innermost dict around it that has one
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` in one walk that raises _NonFinite on inf or nan.
+
+    Floats and ints print through ``float.__repr__`` and ``int.__repr__``, so
+    subclasses such as numpy.float64 print as the built-in would.
+    """
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise _NonFinite(obj)
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        try:
+            for key, value in sorted(obj.items()):
+                parts.append(_ESCAPE(key) + ": " + _json_text(value, inner))
+        except _NonFinite as e:
+            e.path.append(key)
+            if e.kx is None and "kx" in obj:
+                e.kx = obj["kx"]
+            raise
+        return "{" + inner + ("," + inner).join(parts) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = []
+        try:
+            for value in obj:
+                parts.append(_json_text(value, inner))
+        except _NonFinite as e:
+            e.path.append(len(parts))
+            raise
+        return "[" + inner + ("," + inner).join(parts) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit_json(out_path: str | None, record: dict) -> None:
+    """The record as indented, key-sorted JSON; DegenerateInputError naming the path of an inf or nan."""
     try:
-        text = json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:
-        raise DegenerateInputError("the record holds a non-finite number") from None
+        text = _json_text(record)
+    except _NonFinite as e:
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in reversed(e.path))
+        text = f"{where.removeprefix('.')} is {float.__repr__(e.value)}, which JSON cannot hold"
+        raise DegenerateInputError(text if e.kx is None else f"kx={e.kx!r}: {text}") from None
     _write_text(out_path, text + "\n")
 
 
-def _finite(obj) -> bool:
-    """True when no float nested in the dicts and lists of ``obj`` is inf or nan."""
-    if isinstance(obj, (dict, list, tuple)):
-        return all(map(_finite, obj.values() if isinstance(obj, dict) else obj))
-    return not isinstance(obj, float) or math.isfinite(obj)
-
-
 def _kx_record(build, kx: float, *args) -> dict:
-    """build(kx, *args), or DegenerateInputError naming kx if it overflows, divides by zero or holds inf/nan."""
+    """build(kx, *args), or DegenerateInputError naming kx if it overflows or divides by zero."""
     try:
-        rec = build(kx, *args)
-        if not _finite(rec):
-            raise ValueError("Out of range float values are not JSON compliant")  # json.dumps's own words
+        return build(kx, *args)
     except (ArithmeticError, ValueError) as e:
         raise DegenerateInputError(f"kx={kx!r}: {type(e).__name__}: {e}") from e
-    return rec
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:

@@ -72,6 +72,12 @@ class TestTailProbability:
     def test_norm_is_width_invariant(self):
         assert tail_probability(1e-9 / 3.0, 3.0).value == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("q_prime", [5.0, 50.0, 500.0, 5e5])
+    def test_fields_are_builtin_floats(self, q_prime):
+        # both routes (panels below q' = 100, the series above) sum numpy coefficients
+        tail = tail_probability(q_prime, 1.0)
+        assert [type(v) for v in (tail.value, tail.error, tail.asymptote)] == [float] * 3
+
     def test_monotone_decreasing(self):
         vals = [tail_probability(k, 1.0).value for k in (0.5, 2.0, 5.0, 20.0, 80.0)]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))

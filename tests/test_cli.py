@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nearwave import aperture, cli, recoil
 from nearwave.kinematics import evanescence_transfer
@@ -433,9 +435,90 @@ class TestNonFiniteRecords:
     def test_emit_json_rejects_non_finite(self, tmp_path):
         out = tmp_path / "rec.json"
         for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(cli.DegenerateInputError):
+            with pytest.raises(cli.DegenerateInputError, match=r"^outputs\.value is "):
                 cli._emit_json(str(out), {"outputs": {"value": bad}})
+        # a lifetime record: the number sits in a mode dict, so the message names that mode's kx
+        lifetime = {"inputs": {"kx": [3.0, 7.5]}, "outputs": {"modes": [
+            {"kx": 3.0, "tau_exact_s": 2.0}, {"kx": 7.5, "tau_exact_s": math.inf}]}, "warnings": []}
+        with pytest.raises(cli.DegenerateInputError, match=r"kx=7\.5: outputs\.modes\[1\]\.tau_exact_s is inf"):
+            cli._emit_json(str(out), lifetime)
         assert not out.exists()
+
+
+def _json_leaves():
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        st.text(),  # non-ASCII and control characters included
+        st.text(alphabet=st.characters(max_codepoint=127)),
+        st.integers(),
+        st.sampled_from([10**300, -(10**300)]),
+        finite,
+        st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+        finite.map(np.float64),
+        st.booleans(),
+        st.none(),
+    )
+
+
+def _json_trees():
+    def containers(children):
+        return st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple) | \
+            st.dictionaries(st.text(max_size=6), children, max_size=4)
+
+    return st.dictionaries(st.text(max_size=6), st.recursive(_json_leaves(), containers, max_leaves=20),
+                           min_size=1, max_size=5)
+
+
+def _positions(obj, path=()):
+    """The path (keys and indices) of every value below ``obj``."""
+    steps = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    for step, value in steps:
+        yield (*path, step)
+        yield from _positions(value, (*path, step))
+
+
+def _planted(obj, path, bad):
+    """A copy of ``obj`` with the value at ``path`` replaced by ``bad``."""
+    if not path:
+        return bad
+    step, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {**obj, step: _planted(obj[step], rest, bad)}
+    items = list(obj)
+    items[step] = _planted(items[step], rest, bad)
+    return type(obj)(items)
+
+
+class TestRecordEmitter:
+    @given(_json_trees())
+    def test_matches_json_dumps_byte_for_byte(self, obj):
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @given(_json_trees(), st.sampled_from([math.inf, -math.inf, math.nan]), st.data())
+    def test_non_finite_number_named_by_its_path(self, obj, bad, data):
+        path = data.draw(st.sampled_from(list(_positions(obj))))
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]  # path[0] is a key
+        with pytest.raises(cli.DegenerateInputError) as excinfo:
+            cli._emit_json(None, _planted(obj, path, bad))
+        assert f"{where} is {bad!r}, " in str(excinfo.value)
+
+    def test_other_types_rejected(self):
+        for value in ({1, 2}, np.int64(3), np.bool_(True), 1j):
+            with pytest.raises(TypeError):
+                cli._json_text({"outputs": {"value": value}})
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("transfer", BASE_CFG),
+        ("recoil", BASE_CFG),
+        ("lifetime", dict(BASE_CFG, grids={"kx": [2.0, 10.0]})),  # evanescent kx only
+        ("scenario-lifetime", None),  # bundled configs
+        ("scenario-probe-spread", None),
+    ])
+    def test_json_subcommands_print_json_dumps_layout(self, capsys, tmp_path, name, cfg):
+        argv = [name] if cfg is None else [name, "--config", write_cfg(tmp_path, cfg)]
+        rc, out, _ = run_main(capsys, *argv)
+        assert rc == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestColdImport:
