@@ -22,8 +22,8 @@ import cmath
 import csv
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,8 +193,7 @@ def _tail_sum(c: list[float], k_hi: float, en: list[complex]) -> complex:
     return sum(c[m] * en[m] * k_hi ** (1 - m) for m in range(2, len(c)))
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(NamedTuple):
     """Integrated mode-probability above a wavenumber, with diagnostics.
 
     ``asymptote`` carries the leading cubic-decay estimate
@@ -250,6 +249,8 @@ class ApertureProfile:
     :meth:`knots` lists the kx > 0 where integrals over kx put panel edges.
     """
 
+    __slots__ = ()
+
     def amplitude(self, kx):
         raise NotImplementedError
 
@@ -274,7 +275,6 @@ class ApertureProfile:
         return None
 
 
-@dataclass(frozen=True)
 class SingleSlitProfile(ApertureProfile):
     """Lowest TE mode of a single slit of width ``a`` (units of 1/k0).
 
@@ -282,11 +282,12 @@ class SingleSlitProfile(ApertureProfile):
     is the slit mode probability density; the two-sided norm is exactly 1.
     """
 
-    a: float
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        if not (self.a > 0):
-            raise ValueError(f"slit width must be positive, got {self.a!r}")
+    def __init__(self, a: float):
+        if not (a > 0):
+            raise ValueError(f"slit width must be positive, got {a!r}")
+        self.a = a
 
     def amplitude(self, kx):
         q = self.a * np.abs(np.asarray(kx, dtype=float))
@@ -338,15 +339,15 @@ class SingleSlitProfile(ApertureProfile):
         return psi, dpsi
 
 
-@dataclass(frozen=True)
 class GaussianProfile(ApertureProfile):
     """Analytic comparison profile F(kx) = exp(-kx^2 w^2 / 4)."""
 
-    w: float
+    __slots__ = ("w",)
 
-    def __post_init__(self):
-        if not (self.w > 0):
-            raise ValueError(f"width must be positive, got {self.w!r}")
+    def __init__(self, w: float):
+        if not (w > 0):
+            raise ValueError(f"width must be positive, got {w!r}")
+        self.w = w
 
     def amplitude(self, kx):
         kx = np.asarray(kx, dtype=float)
@@ -433,7 +434,7 @@ class TabulatedProfile(ApertureProfile):
     def from_csv(cls, path) -> "TabulatedProfile":
         """Load columns (kx/k0, F); a non-numeric first row is a header."""
         rows = []
-        with open(Path(path), newline="") as fh:
+        with open(Path(path), newline="", encoding="utf-8-sig") as fh:  # a spreadsheet export may start with a BOM
             reader = csv.reader(fh)
             for row in reader:
                 if not row or not row[0].strip():

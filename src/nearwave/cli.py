@@ -19,9 +19,10 @@ row echoes the dimensionless inputs it was computed from.  The scenario
 subcommands fall back to bundled example configs when --config is omitted.
 
 Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
-4 degenerate kinematic input or a record whose numbers overflow (JSON
-records never hold NaN or Infinity: the error names the JSON path of the
-first one, such as ``outputs.modes[0].Gamma``, and the kx of the mode
+4 degenerate kinematic input or a record whose numbers overflow (a decay
+width Gamma or chi_z that overflows is refused with its kx; JSON records
+never hold NaN or Infinity: the error names the JSON path of the first
+one, such as ``outputs.modes[0].si.Gamma_joule``, and the kx of the mode
 record it sits in), 141 (128 + SIGPIPE) when the reader of stdout has
 closed it.
 """
@@ -124,7 +125,7 @@ def _json_text(obj, indent: str = "\n") -> str:
                 e.kx = obj["kx"]
             raise
         return "{" + inner + ("," + inner).join(parts) + indent + "}"
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # a record type that subclasses tuple is no JSON array
         if not obj:
             return "[]"
         parts = []

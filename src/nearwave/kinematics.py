@@ -19,13 +19,12 @@ Compton wavenumber m*c/hbar in units of k0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateInputError
 
 
-@dataclass(frozen=True)
-class ProbeState:
+class ProbeState(NamedTuple):
     """Probe 4-momentum (omega; Kx, Kz) with Kz allowed complex."""
 
     omega: float
@@ -43,8 +42,7 @@ class ProbeState:
         return abs(self.omega**2 - self.Kx**2 - self.Kz * self.Kz - self.K_mu**2)
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     """Outcome of one absorption event: selected mode, transfer, exit momentum."""
 
     kx_selected: float

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class WaveKind(enum.Enum):
@@ -24,8 +24,7 @@ class WaveKind(enum.Enum):
     CRAWLING = "CW"
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(NamedTuple):
     """One kx mode with its transverse wavenumber.
 
     ``kz`` satisfies kz**2 + kx**2 = threshold**2 as complex numbers; for a
@@ -38,15 +37,15 @@ class Mode:
     kz: complex
 
 
-@dataclass(frozen=True)
 class GratingSpec:
     """Idealized grating: slit period in units of the input wavelength."""
 
-    period: float  # d / lambda0
+    __slots__ = ("period",)
 
-    def __post_init__(self):
-        if not (self.period > 0):
-            raise ValueError(f"grating period must be positive, got {self.period!r}")
+    def __init__(self, period: float):
+        if not (period > 0):
+            raise ValueError(f"grating period must be positive, got {period!r}")
+        self.period = period  # d / lambda0
 
     @property
     def kd(self) -> float:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,8 +76,7 @@ _REL_TOL = 1e-10  # relative tolerance of every field integral; abs_tol is the c
 _ROUND_ELEMENTS = 1 << 20
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """Field at one point, split into running and evanescent parts (t = 0)."""
 
     x: float
@@ -90,8 +89,7 @@ class FieldSample:
         return self.psi_rw + self.psi_cw
 
 
-@dataclass(frozen=True, eq=False)
-class FieldGrid:
+class FieldGrid(NamedTuple):
     """psi and d(psi)/dx at t = 0 on an (x, z) grid, RW and CW parts as (len(z), len(x)) arrays."""
 
     x: np.ndarray

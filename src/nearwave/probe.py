@@ -11,7 +11,6 @@ when the decay constant exceeds the packet width by many orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 
 
-@dataclass(frozen=True)
 class GaussianPacket:
     """Probe packet: center height z0, standard deviation delta_z (units 1/k0).
 
@@ -31,14 +29,15 @@ class GaussianPacket:
     exp(-sigma^2 (z - z0)^2 / 2).
     """
 
-    z0: float
-    delta_z: float
+    __slots__ = ("z0", "delta_z")
 
-    def __post_init__(self):
-        if not (self.delta_z > 0):
-            raise ValueError(f"delta_z must be positive, got {self.delta_z!r}")
-        if self.z0 < 0:
-            raise ValueError(f"z0 must be non-negative, got {self.z0!r}")
+    def __init__(self, z0: float, delta_z: float):
+        if not (delta_z > 0):
+            raise ValueError(f"delta_z must be positive, got {delta_z!r}")
+        if z0 < 0:
+            raise ValueError(f"z0 must be non-negative, got {z0!r}")
+        self.z0 = z0
+        self.delta_z = delta_z
 
     @property
     def sigma(self) -> float:

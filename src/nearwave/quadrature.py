@@ -35,46 +35,44 @@ refinement loop then only has to mop up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import legendre as leg
 
 from .errors import QuadratureError
 
 _MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
 
-
-def _kronrod31() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes and weights of K31, and the weights of G15 on its odd-indexed nodes.
-
-    The 16 new nodes are the zeros of the Stieltjes polynomial
-    E16 = P16 + sum_(j even < 16) c_j P_j, fixed by orthogonality to P15 P_k
-    for odd k < 16 (G24 integrates those products exactly); the weights
-    solve the moment system sum_i w_i P_(2k)(x_i) = 2 delta_k0, k < 16, on
-    the symmetric half of the nodes.
-    """
-    x_g, w_g = leg.leggauss(15)
-    x_q, w_q = leg.leggauss(24)
-    v = leg.legvander(x_q, 16)
-    gram = (v[:, 1:16:2].T * (w_q * v[:, 15])) @ v[:, 0:17:2]
-    e16 = np.zeros(17)
-    e16[16] = 1.0
-    e16[0:16:2] = np.linalg.solve(gram[:, :8], -gram[:, 8])
-    new = leg.legroots(e16)[8:]
-    new -= leg.legval(new, e16) / leg.legval(new, leg.legder(e16))  # one Newton step
-    half = np.sort(np.concatenate([[0.0], x_g[8:], new]))
-    moments = leg.legvander(half, 30)[:, ::2].T * np.where(half == 0.0, 1.0, 2.0)
-    w_half = np.linalg.solve(moments, np.eye(16)[0] * 2.0)
-    return (np.concatenate([-half[:0:-1], half]), np.concatenate([w_half[:0:-1], w_half]), w_g)
-
-
-_X_K, _W_K, _W_G = _kronrod31()
+# The K31 rule (Kronrod 1965) and its embedded G15 rule, tabulated as QUADPACK's
+# qk31 tabulates them (Piessens et al. 1983).  Each float64 is written as its repr,
+# which reads back bit for bit; tests/test_quadrature.py rebuilds the rule at 40
+# digits with mpmath and holds every entry to 1e-15.
+_X_K = np.array([  # K31 nodes, ascending
+    -0.9980022986933967, -0.9879925180204854, -0.967739075679139, -0.9372733924007058, -0.8972645323440821,
+    -0.8482065834104272, -0.7904185014424658, -0.7244177313601701, -0.6509967412974169, -0.5709721726085388,
+    -0.48508186364023964, -0.3941513470775634, -0.2991800071531688, -0.20119409399743451, -0.10114206691871752,
+    0.0, 0.10114206691871752, 0.20119409399743451, 0.2991800071531688, 0.3941513470775634, 0.48508186364023964,
+    0.5709721726085388, 0.6509967412974169, 0.7244177313601701, 0.7904185014424658, 0.8482065834104272,
+    0.8972645323440821, 0.9372733924007058, 0.967739075679139, 0.9879925180204854, 0.9980022986933967
+])
+_W_K = np.array([  # K31 weights
+    0.005377479872923701, 0.015007947329315693, 0.02546084732671562, 0.0353463607913754, 0.044589751324765024,
+    0.05348152469092828, 0.06200956780067064, 0.06985412131872823, 0.07684968075772047, 0.0830805028231329,
+    0.08856444305621179, 0.09312659817082519, 0.09664272698362379, 0.09917359872179181, 0.10076984552387575,
+    0.10133000701479133, 0.10076984552387575, 0.09917359872179181, 0.09664272698362379, 0.09312659817082519,
+    0.08856444305621179, 0.0830805028231329, 0.07684968075772047, 0.06985412131872823, 0.06200956780067064,
+    0.05348152469092828, 0.044589751324765024, 0.0353463607913754, 0.02546084732671562, 0.015007947329315693,
+    0.005377479872923701
+])
+_W_G = np.array([  # G15 weights on _X_K[1::2]
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444, 0.16626920581699398,
+    0.1861610000155622, 0.1984314853271116, 0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+    0.16626920581699398, 0.13957067792615444, 0.10715922046717141, 0.0703660474881084, 0.030753241996117203
+])
 _RULES = np.stack([_W_K, _W_K - np.insert(_W_G, np.arange(16), 0.0)])  # K31 and K31 - G15 on the K31 nodes
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     """Value and attained error estimate of an adaptive integration."""
 
     value: complex

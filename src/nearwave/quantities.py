@@ -16,7 +16,6 @@ Comparisons of such values are tolerance based, see :func:`complex_close`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # CODATA 2018 (hbar and c are exact SI definitions)
 HBAR: float = 1.054571817e-34  # J s
@@ -30,7 +29,6 @@ DEFAULT_REL_TOL: float = 1e-12
 _SI_FACTORS = ("wavenumber", "energy", "length", "time", "velocity")
 
 
-@dataclass(frozen=True)
 class ScaledUnits:
     """Dimensionless unit system anchored to an input wavenumber k0 [1/m].
 
@@ -38,11 +36,12 @@ class ScaledUnits:
     this class is the single place where those ratios meet SI.
     """
 
-    k0: float
+    __slots__ = ("k0",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.k0) and self.k0 > 0):
-            raise ValueError(f"k0 must be positive and finite, got {self.k0!r}")
+    def __init__(self, k0: float):
+        if not (math.isfinite(k0) and k0 > 0):
+            raise ValueError(f"k0 must be positive and finite, got {k0!r}")
+        self.k0 = k0
 
     @property
     def eps0(self) -> float:

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aperture import TailEstimate, tail_probability
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateInputError
 from .modes import WaveKind
 from .quantities import (
     C_LIGHT,
@@ -40,23 +40,22 @@ from .quantities import (
 )
 
 
-@dataclass(frozen=True)
 class ScreenSpec:
     """Movable screen of Compton wavenumber ratio K_M = M c / (hbar k0)."""
 
-    K_M: float
+    __slots__ = ("K_M",)
 
-    def __post_init__(self):
-        if not (self.K_M > 0):
-            raise ValueError(f"K_M must be positive, got {self.K_M!r}")
+    def __init__(self, K_M: float):
+        if not (K_M > 0):
+            raise ValueError(f"K_M must be positive, got {K_M!r}")
+        self.K_M = K_M
 
     @classmethod
     def from_mass(cls, mass_kg: float, units: ScaledUnits) -> "ScreenSpec":
         return cls(K_M=compton_wavenumber_ratio(mass_kg, units))
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """Evanescence threshold of a movable screen.
 
     ``one_minus_eta`` is computed by the cancellation-free primitive so it
@@ -122,8 +121,7 @@ def root_residual(kx: float, screen: ScreenSpec) -> float:
     return abs(lhs - (1.0 - kt))
 
 
-@dataclass(frozen=True)
-class RecoilSolution:
+class RecoilSolution(NamedTuple):
     """Joint photon+screen output for one kx (all values dimensionless).
 
     Sign structure for evanescent modes: Im(kz_tilde) = chi_z > 0 (photon
@@ -275,8 +273,7 @@ def decay_width_asymptotic(kx: float, screen: ScreenSpec) -> tuple[float, float]
     return abs(kx) / screen.K_M, sol.Gamma
 
 
-@dataclass(frozen=True)
-class LifetimeRoutes:
+class LifetimeRoutes(NamedTuple):
     """Lifetime of one evanescent joint mode computed three ways [s].
 
     ``exact_s`` is hbar/(Gamma * eps0); ``chi_route_s`` replaces Gamma by
@@ -289,10 +286,20 @@ class LifetimeRoutes:
     deep_cw_s: float
 
 
-def lifetime_routes(sol: RecoilSolution, units: ScaledUnits) -> LifetimeRoutes:
-    """The three lifetimes of the evanescent mode ``sol``; ValueError for a running one."""
+def _require_decaying(sol: RecoilSolution, what: str) -> None:
+    """ValueError if ``sol`` is a running mode, OverflowError if its Gamma or chi_z overflowed."""
     if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no finite lifetime")
+        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no {what}")
+    if not (math.isfinite(sol.Gamma) and math.isfinite(sol.chi_z)):
+        raise OverflowError(f"Gamma = {sol.Gamma!r}, chi_z = {sol.chi_z!r}; no {what}")
+
+
+def lifetime_routes(sol: RecoilSolution, units: ScaledUnits) -> LifetimeRoutes:
+    """The three lifetimes of the evanescent mode ``sol``.
+
+    ValueError for a running mode, OverflowError where Gamma or chi_z is not finite.
+    """
+    _require_decaying(sol, "finite lifetime")
     ck0 = C_LIGHT * units.k0
     return LifetimeRoutes(
         exact_s=HBAR / (sol.Gamma * units.eps0),
@@ -301,8 +308,7 @@ def lifetime_routes(sol: RecoilSolution, units: ScaledUnits) -> LifetimeRoutes:
     )
 
 
-@dataclass(frozen=True)
-class TraverseTime:
+class TraverseTime(NamedTuple):
     """Time for the recoiling screen to traverse one decay depth [s].
 
     ``regime_warning`` is set when K_M < 1e3 or |kx| < 10 k_c, where the
@@ -317,17 +323,16 @@ def traverse_time(sol: RecoilSolution, units: ScaledUnits) -> TraverseTime:
     """Decay depth over screen drift velocity, d_z / v_z, for the evanescent mode ``sol``.
 
     v_z = hbar k0 Re(Kz~)/M and d_z = 1/(chi_z k0); in the heavy-screen,
-    deep-evanescent regime this reproduces the Gamow lifetime.
+    deep-evanescent regime this reproduces the Gamow lifetime.  ValueError and
+    OverflowError as for :func:`lifetime_routes`.
     """
-    if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no traverse time")
+    _require_decaying(sol, "traverse time")
     warn = sol.K_M < 1e3 or abs(sol.kx) < 10.0 * sol.eta
     seconds = sol.K_M / (C_LIGHT * units.k0 * sol.chi_z * sol.Kz_tilde.real)
     return TraverseTime(seconds=seconds, regime_warning=warn)
 
 
-@dataclass(frozen=True)
-class ShortLifetimeResult:
+class ShortLifetimeResult(NamedTuple):
     """Probability of collapsing onto a mode shorter-lived than tau_max."""
 
     probability: float
@@ -406,7 +411,8 @@ def lifetime_scenario(
     """Macroscopic-screen scenario: lifetime routes, traverse time, tail odds.
 
     A ``kx_ratio`` at or below the evanescence threshold eta has no
-    lifetime and raises ConfigError for ``scenario.kx_ratio``.
+    lifetime and raises ConfigError for ``scenario.kx_ratio``; one so large
+    that Gamma or chi_z overflows raises DegenerateInputError naming it.
     """
     units = ScaledUnits(k0=k0_si)
     screen = ScreenSpec.from_mass(mass_kg, units)
@@ -414,8 +420,11 @@ def lifetime_scenario(
     sol = recoil_solution(kx_ratio, screen)
     if sol.kind is not WaveKind.CRAWLING:
         raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold {thr.eta!r}, got {kx_ratio!r}")
-    routes = lifetime_routes(sol, units)
-    trav = traverse_time(sol, units)
+    try:
+        routes = lifetime_routes(sol, units)
+        trav = traverse_time(sol, units)
+    except ArithmeticError as e:
+        raise DegenerateInputError(f"kx={kx_ratio!r}: {type(e).__name__}: {e}") from None
 
     outputs = {
         "K_M_ratio": screen.K_M,

@@ -346,6 +346,15 @@ class TestTabulatedProfile:
         assert profile.amplitude(0.0) == profile.amplitude(0.5)
         assert np.abs(profile.amplitude(np.linspace(0.0, profile.k_max, 3001))).max() <= np.abs(f).max()
 
+    def test_bom_prefixed_csv_keeps_its_first_sample(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a BOM; read in the locale's encoding,
+        # '\ufeff0.0' fails float() and the first sample would be taken for a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf0.0,1.0\n0.5,0.9\n1.0,0.7\n1.5,0.4\n2.0,0.1\n")
+        profile = TabulatedProfile.from_csv(path)
+        assert profile.amplitude(0.0) == 1.0
+        assert profile.knots().tolist() == [0.5, 1.0, 1.5, 2.0]
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 4"):
             TabulatedProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.1])

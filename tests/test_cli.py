@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from nearwave import aperture, cli, recoil
 from nearwave.kinematics import evanescence_transfer
+from nearwave.modes import GratingSpec
+from nearwave.probe import GaussianPacket
 from nearwave.quantities import ScaledUnits
 from nearwave.recoil import ScreenSpec, recoil_solution
 
@@ -425,6 +427,16 @@ class TestNonFiniteRecords:
         error = json.loads(err)["error"]
         assert error["type"] == "degenerate-input" and "kx=1e+200" in error["message"]
 
+    @pytest.mark.parametrize("name", ["lifetime", "scenario-lifetime"])
+    def test_lifetime_overflow_names_kx(self, capsys, tmp_path, name):
+        # Gamma and chi_z overflow to inf, which would put 0.0 in every lifetime but the deep-CW one
+        cfg = ({"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e300}, "aperture": {"kind": "single_slit", "a": 1.0},
+                "grids": {"kx": [1e200, 5.0]}} if name == "lifetime" else {"scenario": {"kx_ratio": 1e200}})
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "degenerate-input" and "kx=1e+200: OverflowError" in error["message"]
+
     def test_recoil_division_by_zero_names_kx(self, capsys, tmp_path):
         cfg = {"k0_si": 1e-300, "screen": {"K_M_ratio": 10}, "grids": {"kx": [2.0]}}
         rc, out, err = run_main(capsys, "recoil", "--config", write_cfg(tmp_path, cfg))
@@ -503,7 +515,8 @@ class TestRecordEmitter:
         assert f"{where} is {bad!r}, " in str(excinfo.value)
 
     def test_other_types_rejected(self):
-        for value in ({1, 2}, np.int64(3), np.bool_(True), 1j):
+        # record types are named tuples: one left in a record is an error, not a JSON array
+        for value in ({1, 2}, np.int64(3), np.bool_(True), 1j, recoil.Threshold(eta=0.5, one_minus_eta=0.5)):
             with pytest.raises(TypeError):
                 cli._json_text({"outputs": {"value": value}})
 
@@ -534,6 +547,13 @@ class TestColdImport:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout.split("\n")[:2] == ["False", "0 []"]
+
+    def test_no_class_building_at_import(self):
+        # @dataclass execs six generated methods per class and numpy.polynomial
+        # takes 3-7 ms to import; no call needs either
+        code = "import sys, nearwave.cli; print(sorted({'dataclasses', 'numpy.polynomial'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
     def test_field_and_lifetime_leave_numpy_ma_unimported(self, tmp_path):
         # np.unique without index outputs imports numpy.ma (10-18 ms) on the
@@ -733,3 +753,18 @@ class TestOutFileAndDeterminism:
                 )
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: aperture.SingleSlitProfile(a=0.0), "slit width must be positive, got 0.0"),
+    (lambda: aperture.GaussianProfile(w=-1.0), "width must be positive, got -1.0"),
+    (lambda: GratingSpec(period=0.0), "grating period must be positive, got 0.0"),
+    (lambda: ScreenSpec(K_M=-2.0), "K_M must be positive, got -2.0"),
+    (lambda: GaussianPacket(z0=1.0, delta_z=0.0), "delta_z must be positive, got 0.0"),
+    (lambda: GaussianPacket(z0=-0.5, delta_z=1.0), "z0 must be non-negative, got -0.5"),
+    (lambda: ScaledUnits(k0=0.0), "k0 must be positive and finite, got 0.0"),
+])
+def test_spec_constructors_refuse_non_positive_values(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert str(excinfo.value) == message

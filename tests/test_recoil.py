@@ -272,6 +272,13 @@ class TestWidthsAndLifetimes:
         with pytest.raises(ValueError, match="no finite lifetime"):
             lifetime_routes(recoil_solution(0.5, self._screen()), self.UNITS)
 
+    def test_overflowed_width_has_no_lifetime(self):
+        sol = recoil_solution(1e200, ScreenSpec(K_M=1e300))
+        assert sol.Gamma == math.inf
+        for route in (lifetime_routes, traverse_time):
+            with pytest.raises(OverflowError, match="Gamma = inf, chi_z = inf"):
+                route(sol, self.UNITS)
+
     def test_traverse_equals_lifetime_in_regime(self):
         screen = self._screen()
         sol = recoil_solution(10.0, screen)
