@@ -21,7 +21,6 @@ from .kinematics import (
     absorbable_kx,
     evanescence_transfer,
     ff_exit_momentum,
-    grating_match,
     post_absorption_state,
     selection_residual,
     transferred_kz,
@@ -31,7 +30,6 @@ from .modes import (
     Mode,
     WaveKind,
     classify,
-    compressed_wavelength,
     decay_depth,
     decay_depth_conventions,
     grating_modes,
@@ -39,12 +37,8 @@ from .modes import (
 )
 from .nearfield import (
     FieldGrid,
-    FieldSample,
     cw_fraction_profile,
-    field_at,
-    field_dx_at,
     field_grid,
-    probability_current_x,
 )
 from .probe import (
     GaussianPacket,
@@ -56,12 +50,10 @@ from .probe import (
 )
 from .quadrature import QuadResult, adaptive_quad
 from .quantities import (
-    DEFAULT_REL_TOL,
     ELECTRON_MASS,
     HBAR,
     C_LIGHT,
     ScaledUnits,
-    complex_close,
     compton_wavenumber_ratio,
     stable_one_minus_inv_sqrt1p,
 )
@@ -73,8 +65,6 @@ from .recoil import (
     Threshold,
     TraverseTime,
     critical_threshold,
-    decay_width_asymptotic,
-    entangled_term,
     lifetime_routes,
     lifetime_scenario,
     output_wavenumber,

@@ -43,7 +43,6 @@ from . import aperture as aperture_mod
 from . import kinematics, modes, nearfield, probe, recoil
 from .config import (
     aperture_from,
-    finite_number,
     grating_from,
     grid_from,
     load_config,
@@ -51,6 +50,7 @@ from .config import (
     probe_kinematics_from,
     scenario_kwargs,
     screen_from,
+    tau_max_from,
     units_from,
 )
 from .errors import ConfigError, DegenerateInputError, QuadratureError
@@ -324,12 +324,7 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     threshold = recoil.critical_threshold(screen).eta
     if any(abs(float(kx)) <= threshold for kx in kxs):
         raise ConfigError("grids.kx", f"lifetimes need evanescent modes, all |kx| > {threshold:.6g}")
-    scen = cfg.get("scenario") or {}
-    if not isinstance(scen, dict):
-        raise ConfigError("scenario", "section must be an object")
-    tau_max = scen.get("tau_max_s")
-    if tau_max is not None:
-        tau_max = finite_number(tau_max, "scenario.tau_max_s", positive=True)
+    tau_max = tau_max_from(cfg)
     warnings = []
 
     def mode(kx: float) -> dict:

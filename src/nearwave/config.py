@@ -86,6 +86,14 @@ def units_from(cfg: dict) -> ScaledUnits:
     return ScaledUnits(k0=finite_number(cfg["k0_si"], "k0_si", positive=True))
 
 
+def _compton_ratio(mass_kg: float, units: ScaledUnits, path: str) -> float:
+    """compton_wavenumber_ratio, or ConfigError at ``path`` where it leaves the float range."""
+    try:
+        return compton_wavenumber_ratio(mass_kg, units)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
+
+
 def screen_from(cfg: dict) -> ScreenSpec:
     sec = _section(cfg, "screen")
     has_mass = "mass_kg" in sec
@@ -94,7 +102,7 @@ def screen_from(cfg: dict) -> ScreenSpec:
         raise ConfigError("screen", "exactly one of mass_kg / K_M_ratio must be present")
     if has_mass:
         mass = _number(sec, "mass_kg", "screen", positive=True)
-        return ScreenSpec.from_mass(mass, units_from(cfg))
+        return ScreenSpec(K_M=_compton_ratio(mass, units_from(cfg), "screen.mass_kg"))
     return ScreenSpec(K_M=_number(sec, "K_M_ratio", "screen", positive=True))
 
 
@@ -134,12 +142,12 @@ def probe_kinematics_from(cfg: dict) -> tuple[float, float]:
     if "K_mu_ratio" in sec:
         return K0, _number(sec, "K_mu_ratio", "probe", positive=True)
     if "mass_kg" in sec:
-        mass = _number(sec, "mass_kg", "probe", positive=True)
+        mass, path = _number(sec, "mass_kg", "probe", positive=True), "probe.mass_kg"
     elif sec.get("particle") == "electron":
-        mass = ELECTRON_MASS
+        mass, path = ELECTRON_MASS, "k0_si"
     else:
         raise ConfigError("probe", "need one of K_mu_ratio, mass_kg, or particle = 'electron'")
-    return K0, compton_wavenumber_ratio(mass, units_from(cfg))
+    return K0, _compton_ratio(mass, units_from(cfg), path)
 
 
 def grating_from(cfg: dict) -> tuple[float, int]:
@@ -179,12 +187,23 @@ def grid_from(cfg: dict, key: str) -> np.ndarray:
     return _grid(_section(cfg, "grids"), key, "grids")
 
 
-def scenario_kwargs(cfg: dict, allowed: tuple[str, ...]) -> dict:
+def _scenario(cfg: dict) -> dict:
+    """The optional scenario section, {} when absent."""
     sec = cfg.get("scenario", {})
     if not isinstance(sec, dict):
         raise ConfigError("scenario", "section must be an object")
+    return sec
+
+
+def tau_max_from(cfg: dict) -> float | None:
+    """scenario.tau_max_s, None when absent; the section's other keys are not read."""
+    sec = _scenario(cfg)
+    return finite_number(sec["tau_max_s"], "scenario.tau_max_s", positive=True) if "tau_max_s" in sec else None
+
+
+def scenario_kwargs(cfg: dict, allowed: tuple[str, ...]) -> dict:
     out = {}
-    for key, val in sec.items():
+    for key, val in _scenario(cfg).items():
         if key not in allowed:
             raise ConfigError(f"scenario.{key}", f"unknown key; allowed: {sorted(allowed)}")
         out[key] = finite_number(val, f"scenario.{key}", positive=True)

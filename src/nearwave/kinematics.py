@@ -32,11 +32,6 @@ class ProbeState(NamedTuple):
     Kz: complex
     K_mu: float
 
-    @classmethod
-    def initial(cls, K0: float, K_mu: float) -> "ProbeState":
-        """On-shell input state moving along the screen."""
-        return cls(omega=math.hypot(K0, K_mu), Kx=K0, Kz=0.0, K_mu=K_mu)
-
     def on_shell_residual(self) -> float:
         """|omega^2 - Kx^2 - Kz^2 - K_mu^2| with the complex square."""
         return abs(self.omega**2 - self.Kx**2 - self.Kz * self.Kz - self.K_mu**2)
@@ -80,18 +75,6 @@ def post_absorption_state(K0: float, K_mu: float) -> ProbeState:
         Kz=transferred_kz(K0, K_mu),
         K_mu=K_mu,
     )
-
-
-def grating_match(m: int, k_d: float, K_mu: float) -> float | None:
-    """Probe wavenumber that absorbs grating order m, or None.
-
-    Only evanescent orders (m^2 k_d^2 > 1) can match; on or below the
-    threshold no mode is suitable and None is returned.
-    """
-    disc = (m * k_d) ** 2 - 1.0
-    if disc <= 0.0:
-        return None
-    return K_mu / math.sqrt(disc)
 
 
 def ff_exit_momentum(K0: float, K_mu: float) -> float:

@@ -107,13 +107,6 @@ def phase_velocity(kx: float) -> float:
     return 1.0 / kx
 
 
-def compressed_wavelength(kx: float) -> float:
-    """Wavelength along the screen in units of lambda0: 1/|kx|."""
-    if kx == 0.0:
-        raise ValueError("kx = 0 has no finite wavelength along the screen")
-    return 1.0 / abs(kx)
-
-
 def decay_depth(kx: float) -> float:
     """Decay depth z_d * k0 = 1/chi_z of a crawling mode."""
     if abs(kx) <= 1.0:

@@ -76,19 +76,6 @@ _REL_TOL = 1e-10  # relative tolerance of every field integral; abs_tol is the c
 _ROUND_ELEMENTS = 1 << 20
 
 
-class FieldSample(NamedTuple):
-    """Field at one point, split into running and evanescent parts (t = 0)."""
-
-    x: float
-    z: float
-    psi_rw: complex
-    psi_cw: complex
-
-    @property
-    def psi_total(self) -> complex:
-        return self.psi_rw + self.psi_cw
-
-
 class FieldGrid(NamedTuple):
     """psi and d(psi)/dx at t = 0 on an (x, z) grid, RW and CW parts as (len(z), len(x)) arrays."""
 
@@ -212,27 +199,6 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
     rw, cw = rw[:, :, at], cw[:, :, at]
     sign = np.where(xs < 0, -1.0, 1.0)
     return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1] * sign, cw[:, 1] * sign)
-
-
-def field_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldSample:
-    """Evaluate the near-field superposition at one point (z >= 0)."""
-    g = field_grid(x, z, profile, abs_tol=abs_tol)
-    return FieldSample(float(x), float(z), complex(g.psi_rw[0, 0]), complex(g.psi_cw[0, 0]))
-
-
-def field_dx_at(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldSample:
-    """x-derivative of the field, differentiated under the integrals."""
-    g = field_grid(x, z, profile, abs_tol=abs_tol)
-    return FieldSample(float(x), float(z), complex(g.dpsi_rw[0, 0]), complex(g.dpsi_cw[0, 0]))
-
-
-def probability_current_x(x: float, z: float, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> float:
-    """Transverse probability current J_x = Im(psi* d(psi)/dx) at t = 0.
-
-    Odd in x and zero on the symmetry axis; a nonzero value off-axis is the
-    flux the standing-wave decomposition carries along the screen.
-    """
-    return float(field_grid(x, z, profile, abs_tol=abs_tol).current_x[0, 0])
 
 
 def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *,

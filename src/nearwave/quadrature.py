@@ -79,10 +79,6 @@ class QuadResult(NamedTuple):
     error: float
     panels: int
 
-    @property
-    def real(self) -> float:
-        return self.value.real
-
 
 def _separable_sums(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
     """K31 and K31 - G15 sums of left[i] * right[j] on each of p panels, shaped (p, 2, a*b).

@@ -6,11 +6,10 @@ eps0 = hbar*c*k0, lengths in 1/k0, times in 1/(c*k0) and velocities in c.
 This keeps quantities of wildly different magnitude (the Compton wavenumber
 of a 0.1 kg screen is ~3.8e34 k0 for a visible photon) inside the
 comfortable range of double precision.  Conversion to and from SI happens
-only at the package boundary, through :class:`ScaledUnits`.
+only at the package boundary, through the k0 and eps0 of :class:`ScaledUnits`.
 
 Complex-valued quantities are plain Python ``complex``; anything that may
 acquire an imaginary part is typed that way and never silently assumed real.
-Comparisons of such values are tolerance based, see :func:`complex_close`.
 """
 
 from __future__ import annotations
@@ -21,12 +20,6 @@ import math
 HBAR: float = 1.054571817e-34  # J s
 C_LIGHT: float = 2.99792458e8  # m / s
 ELECTRON_MASS: float = 9.1093837015e-31  # kg
-
-#: Default relative tolerance for dimensionless algebraic identities.
-DEFAULT_REL_TOL: float = 1e-12
-
-
-_SI_FACTORS = ("wavenumber", "energy", "length", "time", "velocity")
 
 
 class ScaledUnits:
@@ -48,43 +41,14 @@ class ScaledUnits:
         """Input photon energy hbar*c*k0 [J]."""
         return HBAR * C_LIGHT * self.k0
 
-    @property
-    def lambda0(self) -> float:
-        """Input wavelength 2*pi/k0 [m]."""
-        return 2.0 * math.pi / self.k0
-
-    @property
-    def omega0(self) -> float:
-        """Input angular frequency c*k0 [1/s]."""
-        return C_LIGHT * self.k0
-
-    def _factor(self, kind: str) -> float:
-        if kind == "wavenumber":
-            return self.k0
-        if kind == "energy":
-            return self.eps0
-        if kind == "length":
-            return 1.0 / self.k0
-        if kind == "time":
-            return 1.0 / (C_LIGHT * self.k0)
-        if kind == "velocity":
-            return C_LIGHT
-        raise ValueError(f"unknown quantity kind {kind!r}; expected one of {_SI_FACTORS}")
-
-    def to_si(self, value: float, kind: str) -> float:
-        """Convert a dimensionless value of the given kind to SI."""
-        return value * self._factor(kind)
-
-    def from_si(self, value: float, kind: str) -> float:
-        """Convert an SI value of the given kind to dimensionless form."""
-        return value / self._factor(kind)
-
 
 def compton_wavenumber_ratio(mass_kg: float, units: ScaledUnits) -> float:
-    """Compton wavenumber m*c/hbar of a mass, in units of k0."""
-    if not (mass_kg > 0):
-        raise ValueError(f"mass must be positive, got {mass_kg!r}")
-    return mass_kg * C_LIGHT / (HBAR * units.k0)
+    """Compton wavenumber m*c/hbar of a mass, in units of k0; ValueError unless finite and positive."""
+    hbar_k0 = HBAR * units.k0
+    ratio = mass_kg * C_LIGHT / hbar_k0 if hbar_k0 > 0.0 else math.inf
+    if not (0.0 < ratio < math.inf):
+        raise ValueError(f"m c/(hbar k0) = {ratio!r} is not finite and positive at m = {mass_kg!r} kg, k0 = {units.k0!r}/m")
+    return ratio
 
 
 def stable_one_minus_inv_sqrt1p(mu: float) -> float:
@@ -99,9 +63,3 @@ def stable_one_minus_inv_sqrt1p(mu: float) -> float:
         raise ValueError(f"mu must be non-negative, got {mu!r}")
     s = math.sqrt(1.0 + mu)
     return mu / (s * (1.0 + s))
-
-
-def complex_close(a: complex, b: complex, rel: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> bool:
-    """Tolerance-based equality for complex values."""
-    scale = max(abs(a), abs(b))
-    return abs(a - b) <= max(abs_tol, rel * scale)

@@ -260,19 +260,6 @@ def screen_momentum_magnitude(kx: float, screen: ScreenSpec) -> complex:
     return route_a
 
 
-def decay_width_asymptotic(kx: float, screen: ScreenSpec) -> tuple[float, float]:
-    """Deep-evanescent width estimate alongside the exact one (eps0 units).
-
-    Returns ``(asym, exact)`` with asym = |kx|/K_M, i.e. Gamma ~
-    (hbar^2/M) k0 |k_x| after chi_z ~ |kx|; the relative difference decays
-    like 1/K_M + (k_c/kx)^2/2.
-    """
-    sol = recoil_solution(kx, screen)
-    if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(kx)!r} is below the threshold; no decay width")
-    return abs(kx) / screen.K_M, sol.Gamma
-
-
 class LifetimeRoutes(NamedTuple):
     """Lifetime of one evanescent joint mode computed three ways [s].
 
@@ -376,46 +363,29 @@ def short_lifetime_outputs(tau_max: float, a: float, screen: ScreenSpec, units: 
     }
 
 
-def entangled_term(
-    kx: float,
-    screen: ScreenSpec,
-    r: tuple[float, float],
-    R: tuple[float, float],
-    t_s: float,
-    units: ScaledUnits,
-) -> complex:
-    """One joint photon-screen factor exp(i(k~.r - eps~ t/hbar)) exp(i(K~.R - E~ t/hbar)).
-
-    Positions are dimensionless (x*k0, z*k0); t is in seconds.  The time
-    dependence is combined before exponentiating: since gamma and Gamma
-    are stored as the same float, the imaginary parts cancel identically
-    and the factor carries the sharp total frequency omega0, immune to
-    overflow at any t.
-    """
-    sol = recoil_solution(kx, screen)
-    t_hat = C_LIGHT * units.k0 * t_s
-    spatial = kx * r[0] + sol.kz_tilde * r[1] + sol.Kx_screen * R[0] + sol.Kz_tilde * R[1]
-    total_energy = sol.eps_tilde + sol.E_tilde  # == 1 + 0j by construction
-    return cmath.exp(1j * (spatial - total_energy * t_hat))
-
-
 def lifetime_scenario(
     *,
-    mass_kg: float = 0.1,
+    mass_kg: float | None = None,
     k0_si: float = 7.5e6,
     kx_ratio: float = 10.0,
     slit_width_ratio: float = 1.0,
     tau_max_s: float | None = None,
     reference_tau_s: float | None = None,
 ) -> dict:
-    """Macroscopic-screen scenario: lifetime routes, traverse time, tail odds.
+    """Macroscopic-screen scenario (mass_kg 0.1 if None): lifetime routes, traverse time, tail odds.
 
-    A ``kx_ratio`` at or below the evanescence threshold eta has no
-    lifetime and raises ConfigError for ``scenario.kx_ratio``; one so large
-    that Gamma or chi_z overflows raises DegenerateInputError naming it.
+    A Compton ratio outside the float range raises ConfigError for
+    ``scenario.mass_kg``, or ``scenario.k0_si`` if mass_kg is None.  A
+    ``kx_ratio`` at or below the evanescence threshold eta raises ConfigError
+    for ``scenario.kx_ratio``; one so large that Gamma or chi_z overflows
+    raises DegenerateInputError naming it.
     """
+    mass = 0.1 if mass_kg is None else mass_kg
     units = ScaledUnits(k0=k0_si)
-    screen = ScreenSpec.from_mass(mass_kg, units)
+    try:
+        screen = ScreenSpec.from_mass(mass, units)
+    except ValueError as e:
+        raise ConfigError("scenario.k0_si" if mass_kg is None else "scenario.mass_kg", str(e)) from None
     thr = critical_threshold(screen)
     sol = recoil_solution(kx_ratio, screen)
     if sol.kind is not WaveKind.CRAWLING:
@@ -452,7 +422,7 @@ def lifetime_scenario(
 
     return {
         "inputs": {
-            "mass_kg": mass_kg,
+            "mass_kg": mass,
             "k0_si": k0_si,
             "kx_ratio": kx_ratio,
             "slit_width_ratio": slit_width_ratio,

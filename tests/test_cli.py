@@ -112,18 +112,18 @@ class TestField:
 
     def test_rows_agree_with_per_point_calls(self, capsys, tmp_path):
         # one row call per height shares abscissae across the row; each point
-        # must still agree with its own field_at / probability_current_x to
-        # what the quadrature was asked for (3 integrals, safety factor 4)
+        # must still agree with its own one-point field_grid to what the
+        # quadrature was asked for (3 integrals, safety factor 4)
         from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
-        from nearwave.nearfield import field_at, field_dx_at, probability_current_x
+        from nearwave.nearfield import field_grid
 
         abs_tol, rel_tol = 1e-12, 1e-10
 
         def err(scale):
             return 4.0 * 3.0 * max(abs_tol, rel_tol * scale)
 
-        def scale(s):
-            return max(abs(s.psi_rw), abs(s.psi_cw), abs(s.psi_total))
+        def scale(rw, cw):
+            return max(abs(rw), abs(cw), abs(rw + cw))
 
         ks = [0.2 * i for i in range(-30, 31)]
         csv_path = tmp_path / "prof.csv"
@@ -143,17 +143,17 @@ class TestField:
             rows = {(float(r["x"]), float(r["z"])): r for r in csv.DictReader(io.StringIO(out))}
             assert len(rows) == len(xs) * len(zs)
             for (x, z), r in rows.items():
-                s = field_at(x, z, profile)
-                d = field_dx_at(x, z, profile)
-                bound = err(scale(s))
+                g = field_grid(x, z, profile)
+                psi_rw, psi_cw, dpsi_rw, dpsi_cw = g.psi_rw[0, 0], g.psi_cw[0, 0], g.dpsi_rw[0, 0], g.dpsi_cw[0, 0]
+                bound = err(scale(psi_rw, psi_cw))
                 for got, want in (
-                    (complex(float(r["re_psi_rw"]), float(r["im_psi_rw"])), s.psi_rw),
-                    (complex(float(r["re_psi_cw"]), float(r["im_psi_cw"])), s.psi_cw),
-                    (complex(float(r["re_psi_total"]), float(r["im_psi_total"])), s.psi_total),
+                    (complex(float(r["re_psi_rw"]), float(r["im_psi_rw"])), psi_rw),
+                    (complex(float(r["re_psi_cw"]), float(r["im_psi_cw"])), psi_cw),
+                    (complex(float(r["re_psi_total"]), float(r["im_psi_total"])), g.psi_total[0, 0]),
                 ):
                     assert abs(got - want) <= bound, (aperture, x, z, got, want)
-                j_bound = abs(d.psi_total) * bound + abs(s.psi_total) * err(scale(d))
-                assert abs(float(r["J_x"]) - probability_current_x(x, z, profile)) <= j_bound
+                j_bound = abs(dpsi_rw + dpsi_cw) * bound + abs(g.psi_total[0, 0]) * err(scale(dpsi_rw, dpsi_cw))
+                assert abs(float(r["J_x"]) - g.current_x[0, 0]) <= j_bound
                 mirror = float(rows[(-x, z)]["J_x"])
                 assert abs(float(r["J_x"]) + mirror) <= 2.0 * j_bound, (aperture, x, z)
 
@@ -339,6 +339,22 @@ class TestLifetime:
         assert rc == 2
         assert json.loads(err)["error"]["field"] == "grids.kx"
 
+    @pytest.mark.parametrize("name", ["lifetime", "scenario-lifetime"])
+    @pytest.mark.parametrize("scenario", [[], False, 0, ""])
+    def test_non_object_scenario_rejected(self, capsys, tmp_path, name, scenario):
+        cfg = dict(BASE_CFG, screen={"mass_kg": 0.1}, grids={"kx": [10.0]}, scenario=scenario)
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == "scenario"
+
+    def test_scenario_keys_besides_tau_max_not_read(self, capsys, tmp_path):
+        cfg = dict(BASE_CFG, screen={"mass_kg": 0.1}, grids={"kx": [10.0]})
+        plain = run_main(capsys, "lifetime", "--config", write_cfg(tmp_path, cfg))
+        extra = dict(cfg, scenario={"tau_max_s": 1e17, "kx_ratio": 0.5, "unknown": "x"})
+        assert run_main(capsys, "lifetime", "--config", write_cfg(tmp_path, extra)) == plain
+        assert plain[0] == 0
+
 
 class TestScenarios:
     def test_probe_spread_bundled_defaults(self, capsys):
@@ -436,6 +452,22 @@ class TestNonFiniteRecords:
         assert rc == 4 and out == ""
         error = json.loads(err)["error"]
         assert error["type"] == "degenerate-input" and "kx=1e+200: OverflowError" in error["message"]
+
+    @pytest.mark.parametrize("name, patch, field", [
+        ("recoil", {"screen": {"mass_kg": 1e300}}, "screen.mass_kg"),
+        ("lifetime", {"screen": {"mass_kg": 1e300}}, "screen.mass_kg"),
+        ("transfer", {"probe": {"mass_kg": 1e300, "K0_ratio": 1.0}}, "probe.mass_kg"),
+        ("transfer", {"k0_si": 1e-300}, "k0_si"),  # the electron's mass is no config field
+        ("recoil", {"k0_si": 1e-300, "screen": {"mass_kg": 0.1}}, "screen.mass_kg"),
+        ("scenario-lifetime", {"scenario": {"k0_si": 1e-300}}, "scenario.k0_si"),
+        ("scenario-lifetime", {"scenario": {"mass_kg": 1e300}}, "scenario.mass_kg"),
+    ])
+    def test_compton_ratio_outside_float_range_names_its_field(self, capsys, tmp_path, name, patch, field):
+        cfg = dict(BASE_CFG, grids={"kx": [3.0]}, **patch)
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == field
 
     def test_recoil_division_by_zero_names_kx(self, capsys, tmp_path):
         cfg = {"k0_si": 1e-300, "screen": {"K_M_ratio": 10}, "grids": {"kx": [2.0]}}

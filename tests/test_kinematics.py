@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from nearwave.errors import DegenerateInputError
 from nearwave.kinematics import (
-    ProbeState,
     absorbable_kx,
     evanescence_transfer,
     ff_exit_momentum,
-    grating_match,
     post_absorption_state,
     selection_residual,
     transferred_kz,
@@ -77,11 +75,6 @@ class TestPostAbsorptionState:
         assert state.Kz == pytest.approx(1j, rel=1e-15)
         assert state.omega == pytest.approx(math.sqrt(2.0) + 1.0, rel=1e-15)
 
-    def test_initial_state_on_shell(self):
-        state = ProbeState.initial(0.7, 2.0)
-        assert state.on_shell_residual() < 1e-15
-        assert state.Kz == 0.0
-
     @given(_signed_ratio, _ratio)
     def test_on_shell_after_absorption(self, K0, K_mu):
         state = post_absorption_state(K0, K_mu)
@@ -99,22 +92,6 @@ class TestPostAbsorptionState:
         for K_mu in (1e-3, 1e-1, 1.0, 10.0, 1e3):
             state = post_absorption_state(0.7, K_mu)
             assert state.on_shell_residual() <= 1e-12 * max(1.0, state.omega**2)
-
-
-class TestGratingMatch:
-    def test_direct_substitution(self):
-        assert grating_match(2, 1.0, 1.0) == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-15)
-
-    def test_boundary_order_unmatched(self):
-        assert grating_match(1, 1.0, 1.0) is None
-        assert grating_match(0, 1.0, 1.0) is None
-
-    def test_roundtrip_through_selection(self):
-        for m, kd, K_mu in ((2, 1.0, 1.0), (3, 0.7, 2.5), (-4, 0.9, 0.3)):
-            K0 = grating_match(m, kd, K_mu)
-            assert K0 is not None
-            got = absorbable_kx(math.copysign(K0, m), K_mu)
-            assert got == pytest.approx(m * kd, rel=1e-12)
 
 
 class TestExitMomentum:

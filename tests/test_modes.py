@@ -8,7 +8,6 @@ from nearwave.modes import (
     GratingSpec,
     WaveKind,
     classify,
-    compressed_wavelength,
     decay_depth,
     decay_depth_conventions,
     grating_modes,
@@ -114,17 +113,9 @@ class TestScalarKinematics:
         with pytest.raises(ValueError, match="undefined"):
             phase_velocity(0.0)
 
-    def test_compressed_wavelength(self):
-        assert compressed_wavelength(5.0) == 0.2
-        assert compressed_wavelength(1.0) == 1.0
-        assert compressed_wavelength(10.0) == pytest.approx(0.1, rel=1e-15)
-        with pytest.raises(ValueError):
-            compressed_wavelength(0.0)
-
     @given(st.floats(min_value=0.01, max_value=1e6))
     def test_reciprocal_identities_exact(self, kx):
         assert abs(phase_velocity(kx)) * abs(kx) == pytest.approx(1.0, rel=4e-16)
-        assert compressed_wavelength(kx) * abs(kx) == pytest.approx(1.0, rel=4e-16)
 
 
 class TestDecayDepth:

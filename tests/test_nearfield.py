@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -12,14 +13,7 @@ from scipy.interpolate import CubicSpline
 import nearwave
 from nearwave import aperture, nearfield, quadrature
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
-from nearwave.nearfield import (
-    FieldSample,
-    cw_fraction_profile,
-    field_at,
-    field_dx_at,
-    field_grid,
-    probability_current_x,
-)
+from nearwave.nearfield import cw_fraction_profile, field_grid
 from nearwave.quadrature import adaptive_quad
 
 
@@ -38,7 +32,7 @@ class TestFieldAtZ0:
         w = 1.3
         profile = GaussianProfile(w=w)
         for x in (0.0, 0.5, 2.0):
-            got = field_at(x, 0.0, profile).psi_total
+            got = field_grid(x, 0.0, profile).psi_total[0, 0]
             want = 2.0 * math.sqrt(math.pi) / w * math.exp(-((x / w) ** 2))
             assert got.real == pytest.approx(want, rel=1e-10)
             assert abs(got.imag) < 1e-12
@@ -46,14 +40,14 @@ class TestFieldAtZ0:
     def test_gaussian_against_grid_oracle(self):
         profile = GaussianProfile(w=1.3)
         for x in (0.0, 0.8):
-            got = field_at(x, 0.0, profile).psi_total.real
+            got = field_grid(x, 0.0, profile).psi_total[0, 0].real
             want = cosine_transform_oracle(profile, x, k_max=16.0, n=2**16 + 1)
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_slit_against_grid_oracle(self):
         profile = SingleSlitProfile(a=1.0)
         for x in (0.0, 0.2, 0.35):
-            got = field_at(x, 0.0, profile).psi_total.real
+            got = field_grid(x, 0.0, profile).psi_total[0, 0].real
             want = cosine_transform_oracle(profile, x, k_max=1e5)
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -64,22 +58,22 @@ class TestFieldAtZ0:
         profile = SingleSlitProfile(a=a)
         for x in (0.0, 0.2, 0.4):
             want = 2.0 * math.sqrt(math.pi / a) * math.cos(math.pi * x / a)
-            got = field_at(x, 0.0, profile).psi_total
+            got = field_grid(x, 0.0, profile).psi_total[0, 0]
             assert got.real == pytest.approx(want, rel=1e-9)
-        outside = field_at(1.7, 0.0, profile).psi_total
+        outside = field_grid(1.7, 0.0, profile).psi_total[0, 0]
         assert abs(outside) < 1e-9
 
     def test_even_in_x(self):
         profile = SingleSlitProfile(a=1.0)
         for x, z in ((0.7, 0.0), (1.3, 0.6)):
-            plus = field_at(x, z, profile)
-            minus = field_at(-x, z, profile)
-            assert plus.psi_rw == minus.psi_rw
-            assert plus.psi_cw == minus.psi_cw
+            plus = field_grid(x, z, profile)
+            minus = field_grid(-x, z, profile)
+            assert plus.psi_rw[0, 0] == minus.psi_rw[0, 0]
+            assert plus.psi_cw[0, 0] == minus.psi_cw[0, 0]
 
     def test_negative_z_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            field_at(0.0, -0.1, SingleSlitProfile(a=1.0))
+            field_grid(0.0, -0.1, SingleSlitProfile(a=1.0))
 
 
 class TestFieldStructure:
@@ -91,14 +85,14 @@ class TestFieldStructure:
             def field_tail(self, k_hi, xs, z):
                 return tuple(2.0 * col for col in super().field_tail(k_hi, xs, z))
 
-        base = field_at(0.7, 0.3, SingleSlitProfile(a=1.0)).psi_total
-        twice = field_at(0.7, 0.3, Doubled(a=1.0)).psi_total
+        base = field_grid(0.7, 0.3, SingleSlitProfile(a=1.0)).psi_total[0, 0]
+        twice = field_grid(0.7, 0.3, Doubled(a=1.0)).psi_total[0, 0]
         assert twice == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_cw_suppressed_with_height(self):
         profile = SingleSlitProfile(a=1.0)
-        low = field_at(0.0, 0.1, profile)
-        high = field_at(0.0, 5.0, profile)
+        low, _ = _cell(field_grid(0.0, 0.1, profile), 0, 0)
+        high, _ = _cell(field_grid(0.0, 5.0, profile), 0, 0)
         frac_low = abs(low.psi_cw) / abs(low.psi_total)
         frac_high = abs(high.psi_cw) / abs(high.psi_total)
         assert frac_high < frac_low
@@ -107,7 +101,7 @@ class TestFieldStructure:
         # |psi_cw| <= 2 * int_1^inf |F| e^{-chi z} dk
         profile = SingleSlitProfile(a=1.0)
         for x, z in ((0.0, 0.5), (1.5, 0.5), (0.3, 2.0)):
-            sample = field_at(x, z, profile)
+            psi_cw = field_grid(x, z, profile).psi_cw[0, 0]
 
             def envelope(k):
                 chi = np.sqrt((k - 1.0) * (k + 1.0))
@@ -116,7 +110,7 @@ class TestFieldStructure:
             # |cos| corners in |F| limit the attainable tolerance; a coarse
             # absolute target is ample for an upper bound
             bound = 2.0 * adaptive_quad(envelope, 1.0, 400.0, abs_tol=1e-9, rel_tol=1e-8).value
-            assert abs(sample.psi_cw) <= bound * (1.0 + 1e-9)
+            assert abs(psi_cw) <= bound * (1.0 + 1e-9)
 
     def test_far_field_cw_to_rw_ratio(self):
         # the evanescent set dies off only algebraically (like z^-3/2
@@ -125,8 +119,8 @@ class TestFieldStructure:
         profile = SingleSlitProfile(a=1.0)
         ratios = {}
         for z in (10.0, 50.0, 200.0):
-            s = field_at(0.0, z, profile)
-            ratios[z] = abs(s.psi_cw) / abs(s.psi_rw)
+            g = field_grid(0.0, z, profile)
+            ratios[z] = abs(g.psi_cw[0, 0]) / abs(g.psi_rw[0, 0])
         assert ratios[50.0] < 3e-3
         assert ratios[50.0] / ratios[200.0] == pytest.approx(4.0**1.5, rel=0.15)
         assert ratios[10.0] / ratios[50.0] == pytest.approx(5.0**1.5, rel=0.15)
@@ -137,8 +131,8 @@ class TestFieldStructure:
         zs = [z for z, _ in scan]
         fracs = [f for _, f in scan]
         assert zs == [0.0, 0.3, 3.0]
-        # entry at z = 0 equals the ratio from two direct field calls
-        direct = field_at(0.0, 0.0, profile)
+        # entry at z = 0 equals the ratio from a direct field call
+        direct, _ = _cell(field_grid(0.0, 0.0, profile), 0, 0)
         assert fracs[0] == pytest.approx(
             abs(direct.psi_cw) ** 2 / abs(direct.psi_total) ** 2, rel=1e-12
         )
@@ -310,11 +304,21 @@ def _counting_quad(monkeypatch):
     return calls, sizes
 
 
+class Parts(NamedTuple):
+    """RW and CW parts of psi, or of d(psi)/dx, at one point."""
+
+    psi_rw: complex
+    psi_cw: complex
+
+    @property
+    def psi_total(self) -> complex:
+        return self.psi_rw + self.psi_cw
+
+
 def _cell(grid, i, j):
-    """psi and d(psi)/dx at (grid.x[j], grid.z[i]), each as a FieldSample."""
-    x, z = float(grid.x[j]), float(grid.z[i])
-    return (FieldSample(x, z, complex(grid.psi_rw[i, j]), complex(grid.psi_cw[i, j])),
-            FieldSample(x, z, complex(grid.dpsi_rw[i, j]), complex(grid.dpsi_cw[i, j])))
+    """psi and d(psi)/dx at (grid.x[j], grid.z[i]), each as Parts."""
+    return (Parts(complex(grid.psi_rw[i, j]), complex(grid.psi_cw[i, j])),
+            Parts(complex(grid.dpsi_rw[i, j]), complex(grid.dpsi_cw[i, j])))
 
 
 def _assert_matches(got, want):
@@ -421,7 +425,7 @@ class TestGridEngine:
         grid = field_grid([-0.3, 0.3], zs, profile)
         calls, _ = _counting_quad(monkeypatch)
         scan = cw_fraction_profile(0.3, zs, profile)
-        point = field_at(-0.3, 0.3, profile)
+        point, _ = _cell(field_grid(-0.3, 0.3, profile), 0, 0)
         assert len(calls) == 2
         monkeypatch.undo()
         for i, (z, frac) in enumerate(scan):
@@ -435,11 +439,6 @@ class TestGridEngine:
     def test_point_queries_are_field_grid_cells(self, name):
         profile = _row_profiles()[name]
         x, zs = -0.2, [0.0, 0.3, 60.0]
-        for z in zs:
-            psi, dpsi = _cell(field_grid([x], [z], profile), 0, 0)
-            assert field_at(x, z, profile) == psi
-            assert field_dx_at(x, z, profile) == dpsi
-            assert probability_current_x(x, z, profile) == field_grid(x, z, profile).current_x[0, 0]
         grid = field_grid([x], zs, profile)
         cells = [_cell(grid, i, 0)[0] for i in range(len(zs))]
         want = [(z, abs(s.psi_cw) ** 2 / abs(s.psi_total) ** 2) for z, s in zip(zs, cells)]
@@ -532,7 +531,7 @@ class TestPartsAgainstMpmath:
         grid = field_grid(xs, [z], profile)
         for j, x in enumerate(xs):
             psi_rw, psi_cw, dpsi_rw, dpsi_cw = _mp_field_parts(profile, x, z)
-            got, want = _cell(grid, 0, j), (FieldSample(x, z, psi_rw, psi_cw), FieldSample(x, z, dpsi_rw, dpsi_cw))
+            got, want = _cell(grid, 0, j), (Parts(psi_rw, psi_cw), Parts(dpsi_rw, dpsi_cw))
             for g, w in zip(got, want):
                 bound = _bound(w.psi_rw, w.psi_cw, w.psi_total)
                 assert abs(g.psi_rw - w.psi_rw) <= bound, (x, g, w)
@@ -647,7 +646,7 @@ class TestMixedHeights:
         for i, z in enumerate(self.ZS):
             for j, x in enumerate(self.XS):
                 psi_rw, psi_cw, dpsi_rw, dpsi_cw = _mp_field_parts(profile, x, z)
-                want = (FieldSample(x, z, psi_rw, psi_cw), FieldSample(x, z, dpsi_rw, dpsi_cw))
+                want = (Parts(psi_rw, psi_cw), Parts(dpsi_rw, dpsi_cw))
                 for g, w in zip(_cell(grid, i, j), want):
                     bound = _bound(w.psi_rw, w.psi_cw, w.psi_total)
                     assert abs(g.psi_rw - w.psi_rw) <= bound, (x, z, g, w)
@@ -718,35 +717,36 @@ class TestCosSin:
 
 class TestProbabilityCurrent:
     def test_zero_on_axis(self):
-        assert probability_current_x(0.0, 0.5, SingleSlitProfile(a=1.0)) == 0.0
+        assert field_grid(0.0, 0.5, SingleSlitProfile(a=1.0)).current_x[0, 0] == 0.0
 
     def test_odd_in_x(self):
         profile = SingleSlitProfile(a=1.0)
-        jp = probability_current_x(1.5, 0.5, profile)
-        jm = probability_current_x(-1.5, 0.5, profile)
+        jp = field_grid(1.5, 0.5, profile).current_x[0, 0]
+        jm = field_grid(-1.5, 0.5, profile).current_x[0, 0]
         assert jm == pytest.approx(-jp, rel=1e-10)
         assert jp != 0.0
 
     def test_against_finite_difference(self):
         profile = SingleSlitProfile(a=1.0)
         x, z, h = 2.0, 0.5, 1e-4
-        psi = field_at(x, z, profile).psi_total
-        dnum = (field_at(x + h, z, profile).psi_total - field_at(x - h, z, profile).psi_total) / (2 * h)
+        psi = field_grid(x, z, profile).psi_total[0, 0]
+        dnum = (field_grid(x + h, z, profile).psi_total[0, 0] - field_grid(x - h, z, profile).psi_total[0, 0]) / (2 * h)
         want = (psi.conjugate() * dnum).imag
-        got = probability_current_x(x, z, profile)
+        got = field_grid(x, z, profile).current_x[0, 0]
         assert got == pytest.approx(want, rel=1e-5)
         assert got != 0.0
 
     def test_derivative_field_against_finite_difference(self):
         profile = SingleSlitProfile(a=1.0)
         x, z, h = 1.2, 0.8, 1e-4
-        dana = field_dx_at(x, z, profile).psi_total
-        dnum = (field_at(x + h, z, profile).psi_total - field_at(x - h, z, profile).psi_total) / (2 * h)
+        g = field_grid(x, z, profile)
+        dana = g.dpsi_rw[0, 0] + g.dpsi_cw[0, 0]
+        dnum = (field_grid(x + h, z, profile).psi_total[0, 0] - field_grid(x - h, z, profile).psi_total[0, 0]) / (2 * h)
         assert dana == pytest.approx(dnum, rel=1e-6)
 
     def test_gaussian_profile_current(self):
         # works for profiles without analytic tails too
         profile = GaussianProfile(w=1.0)
-        j = probability_current_x(1.0, 0.5, profile)
+        j = field_grid(1.0, 0.5, profile).current_x[0, 0]
         assert math.isfinite(j)
-        assert probability_current_x(0.0, 0.5, profile) == 0.0
+        assert field_grid(0.0, 0.5, profile).current_x[0, 0] == 0.0

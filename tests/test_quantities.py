@@ -10,7 +10,6 @@ from nearwave.quantities import (
     ELECTRON_MASS,
     HBAR,
     ScaledUnits,
-    complex_close,
     compton_wavenumber_ratio,
     stable_one_minus_inv_sqrt1p,
 )
@@ -24,50 +23,28 @@ class TestConstants:
 
 
 class TestScaledUnits:
-    def test_wavenumber_identity_scale(self):
-        units = ScaledUnits(k0=7.5e6)
-        assert units.to_si(1.0, "wavenumber") == 7.5e6
-
-    def test_length_gives_wavelength(self):
-        units = ScaledUnits(k0=7.5e6)
-        lam = units.to_si(2.0 * math.pi, "length")
-        assert lam == pytest.approx(8.3776e-7, rel=1e-4, abs=0)
-        assert lam == units.lambda0
-
     def test_energy_unit(self):
         # hbar*c*k0 checked against an independent hand multiplication of
         # the CODATA factors: 1.054571817 * 2.99792458 = 3.161526772,
         # times 7.5 gives 23.71145079
         units = ScaledUnits(k0=7.5e6)
-        assert units.to_si(1.0, "energy") == pytest.approx(2.371145079e-19, rel=1e-9, abs=0)
-
-    def test_velocity_and_time(self):
-        units = ScaledUnits(k0=2.0e6)
-        assert units.to_si(0.5, "velocity") == 0.5 * C_LIGHT
-        assert units.to_si(1.0, "time") == 1.0 / (C_LIGHT * 2.0e6)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown quantity kind"):
-            ScaledUnits(k0=1.0).to_si(1.0, "charge")
+        assert units.eps0 == pytest.approx(2.371145079e-19, rel=1e-9, abs=0)
 
     def test_invalid_k0(self):
         for bad in (0.0, -2.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 ScaledUnits(k0=bad)
 
-    @given(
-        st.floats(min_value=1e-12, max_value=1e12),
-        st.sampled_from(["wavenumber", "energy", "length", "time", "velocity"]),
-    )
-    def test_roundtrip_exact(self, value, kind):
-        units = ScaledUnits(k0=7.5e6)
-        back = units.from_si(units.to_si(value, kind), kind)
-        assert abs(back - value) <= 2.0 * math.ulp(value)
-
     def test_compton_ratio_for_macroscopic_screen(self):
         units = ScaledUnits(k0=7.5e6)
         km = compton_wavenumber_ratio(0.1, units)
         assert km == pytest.approx(3.790385e34, rel=1e-6)
+
+    @pytest.mark.parametrize("mass, k0", [(1e300, 7.5e6), (ELECTRON_MASS, 1e-300), (1e-300, 1e300), (0.0, 7.5e6),
+                                          (-1.0, 7.5e6), (math.nan, 7.5e6)])
+    def test_compton_ratio_outside_float_range_refused(self, mass, k0):
+        with pytest.raises(ValueError, match="not finite and positive"):
+            compton_wavenumber_ratio(mass, ScaledUnits(k0=k0))
 
 
 class TestStablePrimitive:
@@ -97,11 +74,3 @@ class TestStablePrimitive:
         stable = stable_one_minus_inv_sqrt1p(mu)
         assert stable == pytest.approx(naive, rel=1e-10)
 
-
-class TestComplexClose:
-    def test_tolerant_equality(self):
-        assert complex_close(1.0 + 1e-13j, 1.0)
-        assert not complex_close(1.0 + 1e-6j, 1.0)
-
-    def test_absolute_floor(self):
-        assert complex_close(0.0, 1e-20, abs_tol=1e-15)

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from nearwave.aperture import tail_probability
 from nearwave.modes import WaveKind, classify
-from nearwave.quantities import HBAR, C_LIGHT, ScaledUnits
+from nearwave.quantities import HBAR, ScaledUnits
 from nearwave.recoil import (
     ScreenSpec,
     critical_threshold,
-    decay_width_asymptotic,
-    entangled_term,
     lifetime_routes,
     lifetime_scenario,
     output_wavenumber,
@@ -235,21 +233,25 @@ class TestWidthsAndLifetimes:
     def _screen(self):
         return ScreenSpec.from_mass(0.1, self.UNITS)
 
+    def _routes(self, kx, K_M):
+        return lifetime_routes(recoil_solution(kx, ScreenSpec(K_M=K_M)), self.UNITS)
+
     def test_asymptotic_width_accuracy(self):
-        asym, exact = decay_width_asymptotic(100.0, ScreenSpec(K_M=1e6))
-        assert abs(asym - exact) / exact < 1e-3
+        # the deep-CW width |kx|/K_M against the exact Gamma, as lifetimes
+        routes = self._routes(100.0, 1e6)
+        assert abs(routes.exact_s / routes.deep_cw_s - 1.0) < 1e-3
 
     def test_asymptotic_ratio_approaches_one(self):
-        # deviation bounded by the documented 1/K_M + (k_c/kx)^2/2 budget
+        # deviation bounded by the 1/K_M + (k_c/kx)^2/2 budget of the deep-CW route
         for km, kx in ((1e3, 50.0), (1e6, 50.0), (1e9, 50.0)):
-            asym, exact = decay_width_asymptotic(kx, ScreenSpec(K_M=km))
+            routes = self._routes(kx, km)
             budget = 2.0 * (1.0 / km + 0.5 / (kx * kx))
-            assert abs(asym / exact - 1.0) <= budget
+            assert abs(routes.exact_s / routes.deep_cw_s - 1.0) <= budget
 
     def test_width_unbounded(self):
         screen = ScreenSpec(K_M=1e6)
-        _, g1 = decay_width_asymptotic(50.0, screen)
-        _, g10 = decay_width_asymptotic(500.0, screen)
+        g1 = recoil_solution(50.0, screen).Gamma
+        g10 = recoil_solution(500.0, screen).Gamma
         assert g10 / g1 == pytest.approx(10.0, rel=1e-3)
 
     def test_macroscopic_lifetime_value(self):
@@ -329,51 +331,13 @@ class TestShortLifetime:
 
 
 class TestEntangledTerm:
-    UNITS = ScaledUnits(k0=7.5e6)
-
-    def test_unimodular_time_factor(self):
-        screen = ScreenSpec(K_M=10.0)
-        for t in (0.0, 1e-15, 3.7e-9, 1e-3):
-            val = entangled_term(2.0, screen, (0.0, 0.0), (0.0, 0.0), t, self.UNITS)
-            assert abs(val) == pytest.approx(1.0, rel=1e-12)
-
-    def test_no_overflow_at_macroscopic_times(self):
-        # gamma*t_hat alone would overflow exp() at t = 1 s; the combined
-        # factor must stay unimodular because the widths cancel exactly
-        screen = ScreenSpec(K_M=10.0)
-        val = entangled_term(50.0, screen, (0.0, 0.0), (0.0, 0.0), 1.0, self.UNITS)
-        assert abs(val) == pytest.approx(1.0, rel=1e-9)
-
-    def test_reduces_to_input_frequency(self):
-        screen = ScreenSpec(K_M=10.0)
-        t = 2.4e-14
-        want = cmath.exp(-1j * C_LIGHT * self.UNITS.k0 * t)
-        got = entangled_term(2.0, screen, (0.0, 0.0), (0.0, 0.0), t, self.UNITS)
-        assert got == pytest.approx(want, rel=1e-12)
-
+    # the joint photon-screen mode: its two complex energies sum to the sharp input energy
     def test_energy_sum_imaginary_part_cancels(self):
         for km in KM_SWEEP:
             sol = recoil_solution(3.0, ScreenSpec(K_M=km))
             total = sol.eps_tilde + sol.E_tilde
             assert abs(total.imag) < 1e-15
             assert total.real == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
-
-    def test_pure_spatial_at_t0(self):
-        screen = ScreenSpec(K_M=10.0)
-        sol = recoil_solution(2.0, screen)
-        r, R = (0.3, 1.2), (0.1, 0.4)
-        want = cmath.exp(1j * (2.0 * r[0] + sol.kz_tilde * r[1])) * cmath.exp(
-            1j * (-2.0 * R[0] + sol.Kz_tilde * R[1])
-        )
-        got = entangled_term(2.0, screen, r, R, 0.0, self.UNITS)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_photon_decays_screen_grows_along_z(self):
-        screen = ScreenSpec(K_M=10.0)
-        base = abs(entangled_term(2.0, screen, (0.0, 0.0), (0.0, 0.0), 0.0, self.UNITS))
-        photon_up = abs(entangled_term(2.0, screen, (0.0, 1.0), (0.0, 0.0), 0.0, self.UNITS))
-        screen_up = abs(entangled_term(2.0, screen, (0.0, 0.0), (0.0, 1.0), 0.0, self.UNITS))
-        assert photon_up < base < screen_up
 
 
 class TestScenario:
