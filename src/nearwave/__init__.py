@@ -11,7 +11,6 @@ from .aperture import (
     SingleSlitProfile,
     TabulatedProfile,
     TailEstimate,
-    slit_te_amplitude_sq,
     tail_probability,
 )
 from .errors import ConfigError, DegenerateInputError, NearwaveError, QuadratureError
@@ -21,7 +20,6 @@ from .kinematics import (
     absorbable_kx,
     evanescence_transfer,
     ff_exit_momentum,
-    post_absorption_state,
     selection_residual,
     transferred_kz,
 )

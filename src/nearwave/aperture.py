@@ -5,13 +5,13 @@ F(kx).  Three families are provided: the lowest transverse-electric mode of
 a single slit of width ``a`` (in units of 1/k0), a Gaussian profile used as
 an analytic cross-check, and user-tabulated profiles loaded from CSV.
 
-Profiles are exposed unnormalized, exactly as written; the two-sided norm
-``integral of |F|^2 over all kx`` is available separately.  For the single
-slit that norm is exactly 1 (Parseval applied to the unit-norm slit mode),
-so |F|^2 doubles as a probability density over kx.
+Profiles are exposed unnormalized, exactly as written, and |F|^2 is
+``amplitude(kx) ** 2``.  For the single slit the two-sided norm, the
+integral of |F|^2 over all kx, is exactly 1 (Parseval applied to the
+unit-norm slit mode), so |F|^2 doubles as a probability density over kx.
 
 The slit form has removable singularities where a*kx = +-pi.  Direct
-evaluation of cos^2(a kx/2)/(pi^2 - a^2 kx^2)^2 loses every digit there, so
+evaluation of cos(a kx/2)/(pi^2 - a^2 kx^2) loses every digit there, so
 the implementation factors the denominator exactly and switches to a short
 series within |a|kx| - pi| < 1e-3.
 """
@@ -60,33 +60,6 @@ def _sin_half_over_u(u):
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = np.sin(0.5 * u) / u
     return _series_near_zero(direct, u, 0.5, 48.0, 3840.0)
-
-
-def _sin_half_sq_over_u_sq(u):
-    """sin(u/2)^2/u^2, series-protected near u = 0."""
-    u = np.asarray(u, dtype=float)
-    s = np.sin(0.5 * u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = (s * s) / (u * u)
-    return _series_near_zero(direct, u, 0.25, 48.0, 1440.0)
-
-
-def slit_te_amplitude_sq(kx, a: float):
-    """|F(kx)|^2 = 4*pi*a*cos^2(a kx/2)/(pi^2 - a^2 kx^2)^2 for the slit mode.
-
-    Evaluated through the exact factoring
-    pi^2 - q^2 = -(q - pi)(q + pi) with q = a|kx|, which confines the
-    cancellation to the single subtraction q - pi; the removable
-    singularity at q = pi takes its finite limit a/(4*pi).
-    """
-    if not (a > 0):
-        raise ValueError(f"slit width must be positive, got {a!r}")
-    q = a * np.abs(np.asarray(kx, dtype=float))
-    u = q - math.pi
-    ratio = _sin_half_sq_over_u_sq(u)
-    denom = 2.0 * math.pi + u
-    out = 4.0 * math.pi * a * ratio / (denom * denom)
-    return out if out.ndim else float(out)
 
 
 def _exp_integrals(z: complex, top: int) -> list[complex]:
@@ -233,7 +206,8 @@ def tail_probability(k_prime: float, a: float) -> TailEstimate:
     error = 8.0 * math.pi * sum(abs(d[m]) * q_t ** (1 - m) / (m - 1) for m in (order + 1, order + 2))
     if qp < _TAIL_START:
         breaks = np.arange(math.ceil(qp / math.pi) * math.pi, _TAIL_START, math.pi)
-        res = adaptive_quad(lambda q: 2.0 * slit_te_amplitude_sq(q, 1.0), qp, _TAIL_START,
+        slit = SingleSlitProfile(1.0)
+        res = adaptive_quad(lambda q: 2.0 * slit.amplitude(q) ** 2, qp, _TAIL_START,
                             abs_tol=1e-12, rel_tol=1e-12, breakpoints=breaks)
         value += res.value
         error += res.error
@@ -252,14 +226,6 @@ class ApertureProfile:
     __slots__ = ()
 
     def amplitude(self, kx):
-        raise NotImplementedError
-
-    def amplitude_sq(self, kx):
-        amp = self.amplitude(kx)
-        return amp * amp
-
-    def norm_sq(self) -> float:
-        """Two-sided norm: integral of |F|^2 over kx from -inf to inf."""
         raise NotImplementedError
 
     def cutoff(self) -> float:
@@ -294,12 +260,6 @@ class SingleSlitProfile(ApertureProfile):
         u = q - math.pi
         amp = 2.0 * math.sqrt(math.pi * self.a) * _sin_half_over_u(u) / (2.0 * math.pi + u)
         return amp if amp.ndim else float(amp)
-
-    def amplitude_sq(self, kx):
-        return slit_te_amplitude_sq(kx, self.a)
-
-    def norm_sq(self) -> float:
-        return 1.0
 
     def cutoff(self) -> float:
         # both expansion ratios pi/(a k) and 1/k of the tail series stay <= pi/100
@@ -353,9 +313,6 @@ class GaussianProfile(ApertureProfile):
         kx = np.asarray(kx, dtype=float)
         amp = np.exp(-0.25 * (kx * self.w) ** 2)
         return amp if amp.ndim else float(amp)
-
-    def norm_sq(self) -> float:
-        return math.sqrt(2.0 * math.pi) / self.w
 
     def cutoff(self) -> float:
         # amplitude below 1e-18 of its peak
@@ -461,12 +418,6 @@ class TabulatedProfile(ApertureProfile):
         d, c, b, f = self._coef[i].T
         amp = np.where(kx <= self.k_max, ((d * t + c) * t + b) * t + f, 0.0)
         return amp if amp.ndim else float(amp)
-
-    def norm_sq(self) -> float:
-        # |F|^2 is a degree-6 polynomial between knots, which K31 integrates exactly
-        res = adaptive_quad(lambda k: self.amplitude(k) ** 2, 0.0, self.k_max, abs_tol=1e-14,
-                            breakpoints=self.knots())
-        return 2.0 * res.value
 
     def cutoff(self) -> float:
         return self.k_max

@@ -19,12 +19,12 @@ row echoes the dimensionless inputs it was computed from.  The scenario
 subcommands fall back to bundled example configs when --config is omitted.
 
 Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
-4 degenerate kinematic input or a record whose numbers overflow (a decay
-width Gamma or chi_z that overflows is refused with its kx; JSON records
-never hold NaN or Infinity: the error names the JSON path of the first
-one, such as ``outputs.modes[0].si.Gamma_joule``, and the kx of the mode
-record it sits in), 141 (128 + SIGPIPE) when the reader of stdout has
-closed it.
+4 degenerate kinematic input or a record whose numbers overflow (refused
+with its kx, or transfer's two ratios; no record holds NaN or Infinity:
+the error names the JSON path of the first one, such as
+``outputs.modes[0].si.Gamma_joule``, with the kx of the mode record it sits
+in, or the CSV row and column), 141 (128 + SIGPIPE) when the reader of
+stdout has closed it.
 """
 
 from __future__ import annotations
@@ -76,7 +76,11 @@ def _write_text(out_path: str | None, text: str) -> None:
 
 
 def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
-    """Header and rows as LF-terminated CSV; no field holds a comma, quote or newline."""
+    """Header and rows as LF-terminated CSV; DegenerateInputError names the row (from 0) and column of an inf or nan."""
+    for i, row in enumerate(rows):
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DegenerateInputError(f"row {i}, column {name} is {float.__repr__(value)}, which CSV refuses")
     lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     _write_text(out_path, "\n".join(lines) + "\n")
 
@@ -150,12 +154,13 @@ def _emit_json(out_path: str | None, record: dict) -> None:
     _write_text(out_path, text + "\n")
 
 
-def _kx_record(build, kx: float, *args) -> dict:
-    """build(kx, *args), or DegenerateInputError naming kx if it overflows or divides by zero."""
+def _record(build, names: tuple[str, ...], *args):
+    """build(*args), or DegenerateInputError naming the leading args, one per name, on overflow or division by zero."""
     try:
-        return build(kx, *args)
+        return build(*args)
     except (ArithmeticError, ValueError) as e:
-        raise DegenerateInputError(f"kx={kx!r}: {type(e).__name__}: {e}") from e
+        given = ", ".join(f"{name}={value!r}" for name, value in zip(names, args))
+        raise DegenerateInputError(f"{given}: {type(e).__name__}: {e}") from e
 
 
 def _emit_error(kind: str, message: str, **extra) -> None:
@@ -206,21 +211,21 @@ def _cmd_absorb(cfg: dict, out: str | None) -> int:
     if any(abs(k) <= 1.0 for k in kxs):
         raise ConfigError("grids.kx", "absorption needs evanescent modes, all |kx| > 1")
     header = ["z0", "delta_z", "kx", "probability", "zero_width_limit", "ratio"]
-    rows = []
-    for kx in kxs:
-        p = probe.absorption_probability(float(kx), packet, profile)
-        lim, _ = probe.high_kx_limit(float(kx), profile)
-        rows.append([packet.z0, packet.delta_z, float(kx), p, lim, p / lim])
-    _emit_csv(out, header, rows)
+
+    def row(kx: float) -> list:
+        p = probe.absorption_probability(kx, packet, profile)
+        lim, _ = probe.high_kx_limit(kx, profile)
+        return [packet.z0, packet.delta_z, kx, p, lim, p / lim]
+
+    _emit_csv(out, header, [_record(row, ("kx",), float(kx)) for kx in kxs])
     return 0
 
 
-def _cmd_transfer(cfg: dict, out: str | None) -> int:
-    K0, K_mu = probe_kinematics_from(cfg)
+def _transfer_record(K0: float, K_mu: float) -> dict:
     result = kinematics.evanescence_transfer(K0, K_mu)
     fs = result.final_state
     scale = max(1.0, result.kx_selected**2, K0 * K0 + K_mu * K_mu)
-    record = {
+    return {
         "inputs": {"K0_ratio": K0, "K_mu_ratio": K_mu},
         "outputs": {
             "kx_selected": result.kx_selected,
@@ -255,7 +260,11 @@ def _cmd_transfer(cfg: dict, out: str | None) -> int:
         },
         "warnings": [],
     }
-    _emit_json(out, record)
+
+
+def _cmd_transfer(cfg: dict, out: str | None) -> int:
+    K0, K_mu = probe_kinematics_from(cfg)
+    _emit_json(out, _record(_transfer_record, ("K0_ratio", "K_mu_ratio"), K0, K_mu))
     return 0
 
 
@@ -280,7 +289,7 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
             "chi_z_per_m": sol.chi_z * units.k0,
         },
         "residuals": {
-            "root": recoil.root_residual(kx, screen),
+            "root": recoil.root_residual(sol),
             "energy_ledger": abs(sol.eps_real + sol.E_real - 1.0),
             "width_symmetry": abs(sol.gamma - sol.Gamma),
         },
@@ -300,7 +309,7 @@ def _cmd_recoil(cfg: dict, out: str | None) -> int:
     units = units_from(cfg)
     screen = screen_from(cfg)
     kxs = grid_from(cfg, "kx")
-    records = [_kx_record(_recoil_mode_record, float(kx), screen, units) for kx in kxs]
+    records = [_record(_recoil_mode_record, ("kx",), float(kx), screen, units) for kx in kxs]
     record = {
         "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "kx": [float(k) for k in kxs]},
         "outputs": {"modes": records},
@@ -341,7 +350,7 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
             "tau_traverse_s": trav.seconds,
         }
 
-    modes_out = [_kx_record(mode, float(kx)) for kx in kxs]
+    modes_out = [_record(mode, ("kx",), float(kx)) for kx in kxs]
     outputs = {"modes": modes_out}
     if tau_max is not None:
         short = outputs["short_lifetime"] = recoil.short_lifetime_outputs(tau_max, profile.a, screen, units)

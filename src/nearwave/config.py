@@ -33,6 +33,7 @@ from .quantities import ELECTRON_MASS, ScaledUnits, compton_wavenumber_ratio
 from .recoil import ScreenSpec
 
 _MAX_GRID_POINTS = 10**6  # a start/stop/num grid's largest num; np.linspace would allocate it at once
+_MAX_GRATING_ORDER = 10**5  # largest grating.m_max; spectrum builds and formats all 2 m_max + 1 rows in memory
 
 
 def load_config(path) -> dict:
@@ -154,8 +155,8 @@ def grating_from(cfg: dict) -> tuple[float, int]:
     sec = _section(cfg, "grating")
     period = _number(sec, "period", "grating", positive=True)
     m_max = sec.get("m_max")
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
-        raise ConfigError("grating.m_max", f"must be an integer >= 1, got {m_max!r}")
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or not 1 <= m_max <= _MAX_GRATING_ORDER:
+        raise ConfigError("grating.m_max", f"must be an integer from 1 to {_MAX_GRATING_ORDER}, got {m_max!r}")
     return period, m_max
 
 

@@ -66,17 +66,6 @@ def transferred_kz(K0: float, K_mu: float) -> complex:
     return complex(0.0, K_mu / abs(K0))
 
 
-def post_absorption_state(K0: float, K_mu: float) -> ProbeState:
-    """Probe state immediately after absorbing the selected mode."""
-    kx = absorbable_kx(K0, K_mu)
-    return ProbeState(
-        omega=math.hypot(K0, K_mu) + 1.0,
-        Kx=K0 + kx,
-        Kz=transferred_kz(K0, K_mu),
-        K_mu=K_mu,
-    )
-
-
 def ff_exit_momentum(K0: float, K_mu: float) -> float:
     """Free momentum magnitude after the probe leaves the screen.
 
@@ -119,11 +108,12 @@ def selection_residual(K0: float, K_mu: float, kx: float) -> float:
 
 
 def evanescence_transfer(K0: float, K_mu: float) -> TransferResult:
-    """Full absorption record for one probe input state."""
+    """Full absorption record for one probe input state; ``final_state`` is the probe just after absorbing."""
     kx = absorbable_kx(K0, K_mu)
+    kz = transferred_kz(K0, K_mu)
     return TransferResult(
         kx_selected=kx,
-        kz_transferred=transferred_kz(K0, K_mu),
-        final_state=post_absorption_state(K0, K_mu),
+        kz_transferred=kz,
+        final_state=ProbeState(omega=math.hypot(K0, K_mu) + 1.0, Kx=K0 + kx, Kz=kz, K_mu=K_mu),
         ff_momentum_magnitude=ff_exit_momentum(K0, K_mu),
     )

@@ -99,9 +99,9 @@ def absorption_probability(kx: float, packet: GaussianPacket, profile: ApertureP
     comparable across kx for a fixed packet but are not absolute rates.
     """
     chi = _chi_z(kx)
-    amp_sq = float(profile.amplitude_sq(kx))
+    amp = profile.amplitude(kx)
     i_val = overlap_integral(chi, packet.sigma, packet.z0)
-    return amp_sq * i_val * i_val
+    return amp * amp * i_val * i_val
 
 
 def high_kx_limit(kx: float, profile: ApertureProfile) -> tuple[float, float]:
@@ -111,7 +111,8 @@ def high_kx_limit(kx: float, profile: ApertureProfile) -> tuple[float, float]:
     large-|kx| approximation |F|^2/kx^2.
     """
     chi = _chi_z(kx)
-    amp_sq = float(profile.amplitude_sq(kx))
+    amp = profile.amplitude(kx)
+    amp_sq = amp * amp
     return amp_sq / (chi * chi), amp_sq / (kx * kx)
 
 

@@ -42,6 +42,9 @@ import numpy as np
 from .errors import QuadratureError
 
 _MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
+_MAX_ROUNDS = 40  # refinement sweeps before a run gives up
+_MAX_PANELS = 400_000  # a refinement that would pass this many panels is refused unevaluated
+_MAX_SEEDS = 200_000  # oscillation_breakpoints refuses to seed more panels
 
 # The K31 rule (Kronrod 1965) and its embedded G15 rule, tabulated as QUADPACK's
 # qk31 tabulates them (Piessens et al. 1983).  Each float64 is written as its repr,
@@ -147,8 +150,6 @@ def adaptive_quad(
     rel_tol: float = 1e-10,
     breakpoints=None,
     components: int = 1,
-    max_rounds: int = 40,
-    max_panels: int = 400_000,
 ) -> QuadResult:
     """Integrate ``f`` over [a, b].
 
@@ -160,7 +161,7 @@ def adaptive_quad(
         separable pair (L, R) of (a, n) and (b, n) arrays, component-major,
         whose m = a*b components are L[i] * R[j] in row-major order.
     a, b : float
-        Integration limits, a < b assumed after orientation fix.
+        Integration limits, a < b.
     abs_tol, rel_tol : float
         The run succeeds once the summed panel error of every component
         drops below ``max(abs_tol, rel_tol * |integral of that component|)``.
@@ -182,19 +183,16 @@ def adaptive_quad(
     Raises
     ------
     QuadratureError
-        If the budget is exhausted; the exception carries the best value
-        and the achieved error estimate.  A refinement that would exceed
-        ``max_panels`` is refused before it is evaluated, and a sweep that
-        returns a non-finite panel value raises at once.
+        If the budget of ``_MAX_ROUNDS`` sweeps is exhausted; the exception
+        carries the best value and the achieved error estimate.  A
+        refinement that would exceed ``_MAX_PANELS`` is refused before it is
+        evaluated, and a sweep that returns a non-finite panel value raises
+        at once.
     ValueError
-        If the integrand's output width is not ``components``.
+        If not a < b, or if the integrand's output width is not ``components``.
     """
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
+    if not a < b:
+        raise ValueError(f"integration limits must satisfy a < b, got [{a!r}, {b!r}]")
 
     edges = np.array([a, b], dtype=float)
     if breakpoints is not None:
@@ -210,7 +208,7 @@ def adaptive_quad(
     done_err = 0.0
     n_panels = len(lo)
 
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         vals, errs = _panel_estimates(f, lo, hi, components)
         if not np.isfinite(errs).all():  # a non-finite rule value makes its error non-finite
             raise QuadratureError(
@@ -223,16 +221,16 @@ def adaptive_quad(
         total_err = done_err + errs.sum(axis=0)
         if np.all(total_err <= budget):
             value = est_total if np.iscomplexobj(vals) else est_total.real
-            return QuadResult(sign * value, total_err, n_panels)
+            return QuadResult(value, total_err, n_panels)
         width = hi - lo if errs.ndim == 1 else (hi - lo)[:, None]
         ok = (errs <= budget * width / total_len).reshape(len(lo), -1).all(axis=1)
         done_val += vals[ok].sum(axis=0)
         done_err += errs[ok].sum(axis=0)
         if ok.all():
             value = done_val if np.iscomplexobj(vals) else done_val.real
-            return QuadResult(sign * value, done_err, n_panels)
+            return QuadResult(value, done_err, n_panels)
         bad = ~ok
-        if n_panels + np.count_nonzero(bad) > max_panels:
+        if n_panels + np.count_nonzero(bad) > _MAX_PANELS:
             break
         lo_bad, hi_bad = lo[bad], hi[bad]
         mid_bad = 0.5 * (lo_bad + hi_bad)
@@ -242,7 +240,7 @@ def adaptive_quad(
 
     # budget exhausted: report the best composite estimate, taking the
     # unaccepted panels at their last (unrefined) values
-    value = sign * (done_val + vals[bad].sum(axis=0))
+    value = done_val + vals[bad].sum(axis=0)
     achieved = float(np.max(done_err + errs[bad].sum(axis=0)))  # worst component
     raise QuadratureError(
         f"integration over [{a:g}, {b:g}] did not converge: achieved error "
@@ -252,11 +250,12 @@ def adaptive_quad(
     )
 
 
-def oscillation_breakpoints(a: float, b: float, rate: float, max_points: int = 200_000) -> np.ndarray:
+def oscillation_breakpoints(a: float, b: float, rate: float) -> np.ndarray:
     """Seed points spaced pi/rate apart, one half-oscillation per panel.
 
     ``rate`` is the largest |d(phase)/dx| expected on the interval.  A zero
-    or tiny rate yields no interior points.
+    or tiny rate yields no interior points; one that would need more than
+    ``_MAX_SEEDS`` points raises QuadratureError.
     """
     if rate <= 0.0:
         return np.empty(0)
@@ -264,7 +263,7 @@ def oscillation_breakpoints(a: float, b: float, rate: float, max_points: int = 2
     n = int((b - a) / step)
     if n <= 1:
         return np.empty(0)
-    if n > max_points:
+    if n > _MAX_SEEDS:
         raise QuadratureError(
             f"oscillation seeding would need {n} panels on [{a:g}, {b:g}]",
             value=None,

@@ -106,21 +106,6 @@ def output_wavenumber(kx: float, screen: ScreenSpec) -> complex:
     return complex((K_M + 1.0) / denom, math.sqrt(-r) / denom)
 
 
-def root_residual(kx: float, screen: ScreenSpec) -> float:
-    """|balance residual| when the root is substituted back.
-
-    The balance reads sqrt(K_M^2 + 1 - 2 k~_z + k~^2) - K_M = 1 - k~ with
-    k~_z = sqrt(k~^2 - kx^2); the left side is evaluated as
-    X/(sqrt(K_M^2+X)+K_M) so no precision is lost at K_M ~ 1e12.
-    """
-    K_M = screen.K_M
-    kt = output_wavenumber(kx, screen)
-    kz = cmath.sqrt(kt * kt - kx * kx)
-    x = 1.0 - 2.0 * kz + kt * kt
-    lhs = x / (cmath.sqrt(K_M * K_M + x) + K_M)
-    return abs(lhs - (1.0 - kt))
-
-
 class RecoilSolution(NamedTuple):
     """Joint photon+screen output for one kx (all values dimensionless).
 
@@ -224,6 +209,20 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
             f"k~={kt!r} vs eps~={sol.eps_tilde!r}"
         )
     return sol
+
+
+def root_residual(sol: RecoilSolution) -> float:
+    """|balance residual| when the solved root ``sol.k_tilde`` is substituted back.
+
+    The balance reads sqrt(K_M^2 + 1 - 2 k~_z + k~^2) - K_M = 1 - k~ with
+    k~_z = sqrt(k~^2 - kx^2); the left side is evaluated as
+    X/(sqrt(K_M^2+X)+K_M) so no precision is lost at K_M ~ 1e12.
+    """
+    K_M, kx, kt = sol.K_M, sol.kx, sol.k_tilde
+    kz = cmath.sqrt(kt * kt - kx * kx)
+    x = 1.0 - 2.0 * kz + kt * kt
+    lhs = x / (cmath.sqrt(K_M * K_M + x) + K_M)
+    return abs(lhs - (1.0 - kt))
 
 
 def screen_momentum_magnitude(kx: float, screen: ScreenSpec) -> complex:
@@ -429,7 +428,7 @@ def lifetime_scenario(
         },
         "outputs": outputs,
         "residuals": {
-            "root_residual": root_residual(kx_ratio, screen),
+            "root_residual": root_residual(sol),
             "energy_ledger": abs(sol.eps_real + sol.E_real - 1.0),
             "width_symmetry": abs(sol.gamma - sol.Gamma),
         },

@@ -98,7 +98,7 @@ def test_criterion_04_root_validity():
     for km in KM_SET:
         screen = ScreenSpec(K_M=km)
         for kx in _kx_grid_50():
-            worst = max(worst, root_residual(float(kx), screen))
+            worst = max(worst, root_residual(recoil_solution(float(kx), screen)))
     ok = worst < 1e-10
     assert _report(4, ok, f"max balance residual {worst:.3e} over {len(KM_SET)}x50 grid (< 1e-10)")
 

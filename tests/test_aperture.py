@@ -8,18 +8,22 @@ from nearwave.aperture import (
     GaussianProfile,
     SingleSlitProfile,
     TabulatedProfile,
-    slit_te_amplitude_sq,
     tail_probability,
 )
 from nearwave.quadrature import adaptive_quad
 
 
+def _slit_sq(kx, a):
+    """|F(kx)|^2 of the slit mode, squared from its amplitude."""
+    return SingleSlitProfile(a).amplitude(kx) ** 2
+
+
 class TestSlitAmplitudeSq:
     def test_center_value(self):
         # cos(0) = 1, denominator pi^4
-        assert slit_te_amplitude_sq(0.0, 1.0) == pytest.approx(4.0 / math.pi**3, rel=1e-15)
+        assert _slit_sq(0.0, 1.0) == pytest.approx(4.0 / math.pi**3, rel=1e-15)
         a = 0.37
-        assert slit_te_amplitude_sq(0.0, a) == pytest.approx(4.0 * a / math.pi**3, rel=1e-14)
+        assert _slit_sq(0.0, a) == pytest.approx(4.0 * a / math.pi**3, rel=1e-14)
 
     def test_removable_singularity_limit(self):
         # with u = a*kx - pi the form tends to a/(4*pi); numeric evaluation
@@ -28,9 +32,9 @@ class TestSlitAmplitudeSq:
         # is ~3e-5 and the two-sided average cancels to O(u^2).
         for a in (1.0, 2.5):
             limit = a / (4.0 * math.pi)
-            assert slit_te_amplitude_sq(math.pi / a, a) == pytest.approx(limit, rel=1e-14)
-            lo = slit_te_amplitude_sq((math.pi - 1e-4) / a, a)
-            hi = slit_te_amplitude_sq((math.pi + 1e-4) / a, a)
+            assert _slit_sq(math.pi / a, a) == pytest.approx(limit, rel=1e-14)
+            lo = _slit_sq((math.pi - 1e-4) / a, a)
+            hi = _slit_sq((math.pi + 1e-4) / a, a)
             assert lo == pytest.approx(limit, rel=1e-4)
             assert hi == pytest.approx(limit, rel=1e-4)
             assert 0.5 * (lo + hi) == pytest.approx(limit, rel=1e-8)
@@ -39,26 +43,30 @@ class TestSlitAmplitudeSq:
         a = 1.0
         limit = a / (4.0 * math.pi)
         for fac in (1.0 - 1e-6, 1.0 + 1e-6):
-            val = slit_te_amplitude_sq(math.pi * fac, a)
+            val = _slit_sq(math.pi * fac, a)
             assert abs(val - limit) < 1e-4 * limit
 
     def test_zero_at_three_pi(self):
-        assert slit_te_amplitude_sq(3.0 * math.pi, 1.0) < 1e-30
+        assert _slit_sq(3.0 * math.pi, 1.0) < 1e-30
 
     def test_even(self):
         kx = np.array([0.3, 1.0, math.pi, 7.7])
-        assert np.array_equal(slit_te_amplitude_sq(kx, 1.2), slit_te_amplitude_sq(-kx, 1.2))
+        assert np.array_equal(_slit_sq(kx, 1.2), _slit_sq(-kx, 1.2))
 
     def test_profile_amplitude_squares_to_density(self):
-        profile = SingleSlitProfile(a=1.4)
-        for kx in (0.0, 0.9, math.pi / 1.4, 5.0):
-            assert profile.amplitude(kx) ** 2 == pytest.approx(
-                slit_te_amplitude_sq(kx, 1.4), rel=1e-12
-            )
+        # |F|^2 = 4 pi a cos^2(a kx/2)/(pi^2 - a^2 kx^2)^2 at 40 digits.  The
+        # rounding of a*kx shifts cos^2(a kx/2) by a relative a kx eps tan(a kx/2),
+        # so the points keep |cos(a kx/2)| >= 1/2 and a*kx <= 12
+        import mpmath
 
-    def test_invalid_width(self):
-        with pytest.raises(ValueError, match="positive"):
-            slit_te_amplitude_sq(1.0, 0.0)
+        qs = np.concatenate([np.linspace(0.0, 12.0, 49), math.pi + np.linspace(-2e-3, 2e-3, 9)])
+        with mpmath.workdps(40):
+            for a in (0.3, 1.0, 2.7, 10.0):
+                for q in qs[np.abs(np.cos(0.5 * qs)) >= 0.5].tolist():
+                    kx = q / a
+                    k = mpmath.mpf(kx)
+                    want = 4 * mpmath.pi * a * mpmath.cos(a * k / 2) ** 2 / (mpmath.pi**2 - (a * k) ** 2) ** 2
+                    assert _slit_sq(kx, a) == pytest.approx(float(want), rel=1e-14, abs=0)
 
 
 class TestTailProbability:
@@ -271,9 +279,14 @@ class TestGaussianProfile:
         assert profile.amplitude(0.0) == 1.0
         assert profile.amplitude(2.0) == pytest.approx(math.exp(-(2.0 * w) ** 2 / 4.0), rel=1e-15)
         want = math.sqrt(2.0 * math.pi) / w
-        assert profile.norm_sq() == pytest.approx(want, rel=1e-12)
-        got = 2.0 * adaptive_quad(lambda k: profile.amplitude(k) ** 2, 0.0, 40.0 / w).value
-        assert got == pytest.approx(want, rel=1e-10)
+        got = 2.0 * adaptive_quad(lambda k: profile.amplitude(k) ** 2, 0.0, 40.0 / w, rel_tol=1e-13).value
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def _norm_sq(profile):
+    """Two-sided norm of a tabulated profile: 2 * integral of |F|^2 over [0, k_max], panels seeded at its knots."""
+    return 2.0 * adaptive_quad(lambda k: profile.amplitude(k) ** 2, 0.0, profile.k_max, abs_tol=1e-14,
+                               breakpoints=profile.knots()).value
 
 
 class TestTabulatedProfile:
@@ -307,7 +320,7 @@ class TestTabulatedProfile:
     def test_norm_against_analytic(self, tmp_path):
         path, w = self._gaussian_csv(tmp_path)
         profile = TabulatedProfile.from_csv(path)
-        assert profile.norm_sq() == pytest.approx(math.sqrt(2.0 * math.pi) / w, rel=1e-5)
+        assert _norm_sq(profile) == pytest.approx(math.sqrt(2.0 * math.pi) / w, rel=1e-5)
 
     def test_norm_sq_matches_mpmath_in_one_sweep(self, monkeypatch):
         # a tapered, rippled profile on a mirrored 81-sample grid; |F|^2 is a
@@ -325,7 +338,7 @@ class TestTabulatedProfile:
         sweeps = []
         estimates = quadrature._panel_estimates
         monkeypatch.setattr(quadrature, "_panel_estimates", lambda *args: sweeps.append(1) or estimates(*args))
-        got = profile.norm_sq()
+        got = _norm_sq(profile)
         assert len(sweeps) == 1
         half = ks[40:]
         spline = CubicSpline(half, f[40:], bc_type="natural")

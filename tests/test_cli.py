@@ -75,6 +75,24 @@ class TestSpectrum:
         # library float bit for bit (kx = 3 * (1/2.5), not 3/2.5)
         assert float(m3["kx"]) == 3 * (1.0 / 2.5)
 
+    def test_m_max_above_cap_rejected_before_any_mode(self, capsys, tmp_path, monkeypatch):
+        from nearwave import config, modes
+
+        built = []
+        monkeypatch.setattr(modes, "grating_modes", lambda *args: built.append(args) or [])
+        cfg = dict(BASE_CFG, grating={"period": 2.5, "m_max": config._MAX_GRATING_ORDER + 1})
+        rc, out, err = run_main(capsys, "spectrum", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and built == []
+        assert json.loads(err)["error"]["field"] == "grating.m_max"
+
+    def test_non_finite_cell_names_row_and_column(self, capsys, tmp_path):
+        # kx = m/period overflows chi_z to inf; the CSV writer refuses it as the JSON writer would
+        cfg = dict(BASE_CFG, grating={"period": 1e-300, "m_max": 3})
+        rc, out, err = run_main(capsys, "spectrum", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == "" and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "degenerate-input" and error["message"].startswith("row 0, column im_kz is inf")
+
 
 class TestField:
     def test_tabulated_profile_through_config(self, capsys, tmp_path):
@@ -262,6 +280,18 @@ class TestAbsorb:
         assert rc == 2
         assert json.loads(err)["error"]["field"] == "grids.kx"
 
+    @pytest.mark.parametrize("aperture, delta_z, kx, error", [
+        ({"kind": "gaussian", "w": 1e3}, 0.5, 5.0, "kx=5.0: ZeroDivisionError"),  # |F|^2 underflows: 0/0
+        ({"kind": "single_slit", "a": 1.0}, 0.5, 1e200, "kx=1e+200: ZeroDivisionError"),
+        ({"kind": "single_slit", "a": 1.0}, 1e-300, 3.0, "kx=3.0: OverflowError"),  # in overlap_integral
+    ])
+    def test_degenerate_row_names_its_kx(self, capsys, tmp_path, aperture, delta_z, kx, error):
+        cfg = dict(BASE_CFG, aperture=aperture, probe=dict(BASE_CFG["probe"], delta_z=delta_z), grids={"kx": [kx]})
+        rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == "" and "Traceback" not in err
+        payload = json.loads(err)["error"]
+        assert payload["type"] == "degenerate-input" and payload["message"].startswith(error)
+
 
 class TestTransfer:
     def test_record_matches_library(self, capsys, tmp_path):
@@ -285,6 +315,15 @@ class TestTransfer:
         rc, _, err = run_main(capsys, "transfer", "--config", path)
         assert rc == 4
         assert json.loads(err)["error"]["type"] == "degenerate-input"
+
+    @pytest.mark.parametrize("K0, K_mu", [(0.7, 1e300), (1e300, 1.0), (1e-300, 1.0), (1e200, 1e200)])
+    def test_overflow_names_both_ratios(self, capsys, tmp_path, K0, K_mu):
+        cfg = {"k0_si": 7.5e6, "probe": {"K0_ratio": K0, "K_mu_ratio": K_mu}}
+        rc, out, err = run_main(capsys, "transfer", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == "" and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "degenerate-input"
+        assert error["message"].startswith(f"K0_ratio={K0!r}, K_mu_ratio={K_mu!r}: ")
 
     def test_direct_compton_ratio_input(self, capsys, tmp_path):
         cfg = dict(BASE_CFG)

@@ -116,7 +116,7 @@ class TestAbsorptionProbability:
         chi = math.sqrt(24.0)
         p = absorption_probability(5.0, packet, profile)
         i_quad = _quad_overlap(chi, packet.sigma, packet.z0)
-        want = profile.amplitude_sq(5.0) * i_quad * i_quad
+        want = profile.amplitude(5.0) ** 2 * i_quad * i_quad
         assert p == pytest.approx(want, rel=1e-10, abs=0)
 
     def test_rejects_running_modes(self):
@@ -174,7 +174,7 @@ class TestHighKxLimit:
     def test_slit_value_at_kx5(self):
         profile = SingleSlitProfile(a=1.0)
         per_chi, _ = high_kx_limit(5.0, profile)
-        assert per_chi == pytest.approx(profile.amplitude_sq(5.0) / 24.0, rel=1e-14, abs=0)
+        assert per_chi == pytest.approx(profile.amplitude(5.0) ** 2 / 24.0, rel=1e-14, abs=0)
 
     def test_cross_check_via_tiny_sigma(self):
         profile = SingleSlitProfile(a=1.0)

@@ -87,7 +87,7 @@ class TestOutputWavenumber:
         for km in KM_SWEEP:
             screen = ScreenSpec(K_M=km)
             for kx in kx_grid():
-                worst = max(worst, root_residual(float(kx), screen))
+                worst = max(worst, root_residual(recoil_solution(float(kx), screen)))
         assert worst < 1e-10
 
 
@@ -202,7 +202,7 @@ class TestRecoilSolution:
             kx = eta * (1.0 + off)
             sol = recoil_solution(kx, screen)
             screen_momentum_magnitude(kx, screen)
-            assert root_residual(kx, screen) < 1e-10
+            assert root_residual(sol) < 1e-10
             gammas.append(sol.gamma)
         assert gammas[0] == gammas[1] == 0.0
         assert all(a < b for a, b in zip(gammas[1:], gammas[2:]))
@@ -222,7 +222,7 @@ class TestRecoilSolution:
         assert abs(sol.eps_real + sol.E_real - 1.0) <= 4 * np.finfo(float).eps
         assert sol.gamma == sol.Gamma
         assert sol.kz_tilde + sol.Kz_tilde == 1.0 + 0.0j
-        assert root_residual(kx, screen) < 1e-10
+        assert root_residual(sol) < 1e-10
         if sol.kind is WaveKind.CRAWLING:
             assert sol.kz_tilde.imag > 0.0 and sol.Kz_tilde.imag < 0.0
 
