@@ -41,10 +41,8 @@ from .nearfield import (
 from .probe import (
     GaussianPacket,
     absorption_probability,
-    high_kx_limit,
     overlap_integral,
     packet_spread,
-    probe_spread_scenario,
 )
 from .quadrature import QuadResult, adaptive_quad
 from .quantities import (
@@ -64,7 +62,6 @@ from .recoil import (
     TraverseTime,
     critical_threshold,
     lifetime_routes,
-    lifetime_scenario,
     output_wavenumber,
     recoil_solution,
     root_residual,

@@ -39,27 +39,16 @@ _TAIL_ORDER = 12  # highest power of 1/k kept in the slit field tail series
 _MAX_KNOT_SEEDS = 128
 
 
-def _series_near_zero(direct, u, c0: float, c2: float, c4: float) -> np.ndarray:
-    """Overwrite the entries of ``direct`` where |u| < _SERIES_WINDOW.
-
-    They get the series c0 - u^2/c2 + u^4/c4.  The direct form is thus
-    evaluated once over the whole array and only the few small entries
-    are redone.
-    """
-    out = np.asarray(direct)
+def _sin_half_over_u(u):
+    """sin(u/2)/u over the whole array; entries with |u| < _SERIES_WINDOW are redone as 1/2 - u^2/48 + u^4/3840."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(np.sin(0.5 * u) / u)
     small = np.abs(u) < _SERIES_WINDOW
     if small.any():
         us = u[small]
-        out[small] = c0 - us * us / c2 + us**4 / c4
+        out[small] = 0.5 - us * us / 48.0 + us**4 / 3840.0
     return out
-
-
-def _sin_half_over_u(u):
-    """sin(u/2)/u, series-protected near u = 0."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = np.sin(0.5 * u) / u
-    return _series_near_zero(direct, u, 0.5, 48.0, 3840.0)
 
 
 def _exp_integrals(z: complex, top: int) -> list[complex]:

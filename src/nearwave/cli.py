@@ -16,12 +16,15 @@ subcommands emit one JSON object with ``inputs``, ``outputs``,
 ``residuals`` and ``warnings`` keys, laid out byte for byte as
 ``json.dumps(record, sort_keys=True, indent=2)`` would lay it out.  Every
 row echoes the dimensionless inputs it was computed from.  The scenario
-subcommands fall back to bundled example configs when --config is omitted.
+subcommands fall back to bundled example configs when --config is omitted;
+each scenario's keys and defaults are one dict here.  This module builds
+every record, and it and :mod:`nearwave.config` alone name config fields.
 
 Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
-4 degenerate kinematic input or a record whose numbers overflow (refused
-with its kx, or transfer's two ratios; no record holds NaN or Infinity:
-the error names the JSON path of the first one, such as
+4 degenerate kinematic input or a record whose numbers overflow or divide
+by zero (:func:`_record` refuses it with its kx, transfer's two ratios or
+a scenario's values; no record or CSV holds NaN or Infinity: the error
+names the JSON path of the first one, such as
 ``outputs.modes[0].si.Gamma_joule``, with the kx of the mode record it sits
 in, or the CSV row and column), 141 (128 + SIGPIPE) when the reader of
 stdout has closed it.
@@ -43,18 +46,20 @@ from . import aperture as aperture_mod
 from . import kinematics, modes, nearfield, probe, recoil
 from .config import (
     aperture_from,
+    compton_ratio,
     grating_from,
     grid_from,
     load_config,
     packet_from,
     probe_kinematics_from,
-    scenario_kwargs,
+    scenario_from,
     screen_from,
     tau_max_from,
     units_from,
 )
 from .errors import ConfigError, DegenerateInputError, QuadratureError
 from .modes import GratingSpec, WaveKind
+from .quantities import C_LIGHT, ELECTRON_MASS, ScaledUnits
 
 
 def _fmt(value) -> str:
@@ -155,9 +160,14 @@ def _emit_json(out_path: str | None, record: dict) -> None:
 
 
 def _record(build, names: tuple[str, ...], *args):
-    """build(*args), or DegenerateInputError naming the leading args, one per name, on overflow or division by zero."""
+    """build(*args), or DegenerateInputError naming the leading args, one per name, on overflow or division by zero.
+
+    A ConfigError passes unchanged, as it names its config field.
+    """
     try:
         return build(*args)
+    except ConfigError:
+        raise
     except (ArithmeticError, ValueError) as e:
         given = ", ".join(f"{name}={value!r}" for name, value in zip(names, args))
         raise DegenerateInputError(f"{given}: {type(e).__name__}: {e}") from e
@@ -194,13 +204,16 @@ def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
     zs = grid_from(cfg, "z")
     if any(z < 0 for z in zs):
         raise ConfigError("grids.z", "field heights must be non-negative")
-    g = nearfield.field_grid(xs, zs, profile, abs_tol=tol)
-    total = g.psi_total
-    table = np.stack([*np.meshgrid(g.x, g.z), g.psi_rw.real, g.psi_rw.imag, g.psi_cw.real, g.psi_cw.imag,
-                      total.real, total.imag, g.current_x], axis=-1).reshape(-1, 9)  # one row per (z, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the quadrature, then the check below, refuse an inf or nan
+        g = nearfield.field_grid(xs, zs, profile, abs_tol=tol)
+        total = g.psi_total
+        table = np.stack([*np.meshgrid(g.x, g.z), g.psi_rw.real, g.psi_rw.imag, g.psi_cw.real, g.psi_cw.imag,
+                          total.real, total.imag, g.current_x], axis=-1).reshape(-1, 9)  # one row per (z, x)
+    header = "x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x"
+    if not np.isfinite(table).all():
+        _emit_csv(out, header.split(","), table.tolist())  # raises, naming the first inf or nan's row and column
     line = ",".join(["%.17g"] * 9) + "\n"  # "%.17g" % v is format(v, ".17g"), -0.0 included
-    header = "x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x\n"
-    _write_text(out, header + "".join(line % row for row in map(tuple, table.tolist())))
+    _write_text(out, header + "\n" + "".join(line % row for row in map(tuple, table.tolist())))
     return 0
 
 
@@ -213,8 +226,7 @@ def _cmd_absorb(cfg: dict, out: str | None) -> int:
     header = ["z0", "delta_z", "kx", "probability", "zero_width_limit", "ratio"]
 
     def row(kx: float) -> list:
-        p = probe.absorption_probability(kx, packet, profile)
-        lim, _ = probe.high_kx_limit(kx, profile)
+        p, lim = probe.absorption_probability(kx, packet, profile)
         return [packet.z0, packet.delta_z, kx, p, lim, p / lim]
 
     _emit_csv(out, header, [_record(row, ("kx",), float(kx)) for kx in kxs])
@@ -268,6 +280,15 @@ def _cmd_transfer(cfg: dict, out: str | None) -> int:
     return 0
 
 
+def _residuals(sol: recoil.RecoilSolution, root: str) -> dict:
+    """Root, energy-ledger and width-symmetry residuals of ``sol``, the first under the key ``root``."""
+    return {
+        root: recoil.root_residual(sol),
+        "energy_ledger": abs(sol.eps_real + sol.E_real - 1.0),
+        "width_symmetry": abs(sol.gamma - sol.Gamma),
+    }
+
+
 def _recoil_mode_record(kx: float, screen, units) -> dict:
     sol = recoil.recoil_solution(kx, screen)
     rec = {
@@ -288,11 +309,7 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
             "Gamma_joule": sol.Gamma * units.eps0,
             "chi_z_per_m": sol.chi_z * units.k0,
         },
-        "residuals": {
-            "root": recoil.root_residual(sol),
-            "energy_ledger": abs(sol.eps_real + sol.E_real - 1.0),
-            "width_symmetry": abs(sol.gamma - sol.Gamma),
-        },
+        "residuals": _residuals(sol, "root"),
     }
     rec.update(tau_s=None, tau_deep_cw_s=None, tau_traverse_s=None, traverse_regime_warning=None)
     if sol.kind is WaveKind.CRAWLING:
@@ -323,6 +340,27 @@ def _cmd_recoil(cfg: dict, out: str | None) -> int:
     return 0
 
 
+def _lifetime_mode(kx: float, screen: recoil.ScreenSpec, units: ScaledUnits):
+    """The solution, lifetime routes and traverse time of the evanescent mode kx."""
+    sol = recoil.recoil_solution(kx, screen)
+    return sol, recoil.lifetime_routes(sol, units), recoil.traverse_time(sol, units)
+
+
+def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: ScaledUnits) -> dict:
+    """The ``short_lifetime`` block of a lifetime record; ConfigError for ``scenario.tau_max_s`` if a*k' overflows."""
+    try:
+        short = recoil.short_lifetime_probability(tau_max, a, screen, units)
+    except OverflowError as e:
+        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to {e}") from None
+    return {
+        "tau_max_s": tau_max,
+        "k_prime_ratio": short.k_prime,
+        "probability": short.probability,
+        "in_regime": short.in_regime,
+        "cubic_asymptote": short.asymptote,
+    }
+
+
 def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     units = units_from(cfg)
     screen = screen_from(cfg)
@@ -337,9 +375,7 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     warnings = []
 
     def mode(kx: float) -> dict:
-        sol = recoil.recoil_solution(kx, screen)
-        routes = recoil.lifetime_routes(sol, units)
-        trav = recoil.traverse_time(sol, units)
+        _, routes, trav = _lifetime_mode(kx, screen, units)
         if trav.regime_warning:
             warnings.append(f"kx={kx:g}: traverse-time regime conditions not met")
         return {
@@ -353,7 +389,7 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     modes_out = [_record(mode, ("kx",), float(kx)) for kx in kxs]
     outputs = {"modes": modes_out}
     if tau_max is not None:
-        short = outputs["short_lifetime"] = recoil.short_lifetime_outputs(tau_max, profile.a, screen, units)
+        short = outputs["short_lifetime"] = _short_lifetime(tau_max, profile.a, screen, units)
         if not short["in_regime"]:
             warnings.append("tau_max inverts below the evanescence threshold")
     record = {
@@ -367,20 +403,107 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
     return 0
 
 
+# each scenario's keys with their defaults; None leaves an optional output out
+_PROBE_SPREAD = {"lambda0_si": 0.5e-6, "kx_ratio": 5.0, "velocity_ratio": 1e-3, "distance_si": 0.1,
+                 "delta_z_si": 1e-7, "reference_spread_ratio": None}
+_LIFETIME = {"mass_kg": 0.1, "k0_si": 7.5e6, "kx_ratio": 10.0, "slit_width_ratio": 1.0,
+             "tau_max_s": None, "reference_tau_s": None}
+
+
+def _probe_spread_record(*values) -> dict:
+    """Electron-probe record from the _PROBE_SPREAD values, in its key order.
+
+    An electron at ``velocity_ratio * c`` flies ``distance_si`` to the screen while its packet, prepared at the
+    decay depth of the ``kx_ratio`` mode (under both k0 conventions, see :func:`modes.decay_depth_conventions`),
+    spreads; the record flags a spread of at least three orders of magnitude.
+    """
+    s = dict(zip(_PROBE_SPREAD, values))
+    reference = s.pop("reference_spread_ratio")  # every other value is echoed as an input
+    lambda0, delta_z = s["lambda0_si"], s["delta_z_si"]
+    t = s["distance_si"] / (s["velocity_ratio"] * C_LIGHT)
+    zd_exact_per_lam, zd_reduced_per_lam = modes.decay_depth_conventions(s["kx_ratio"])
+    zd_exact_si = zd_exact_per_lam * lambda0
+    zd_reduced_si = zd_reduced_per_lam * lambda0
+
+    def ratio_for(dz: float) -> float:
+        return probe.packet_spread(dz, t, ELECTRON_MASS) / dz
+
+    spread_ratio = ratio_for(delta_z)
+    outputs = {
+        "time_of_flight_s": t,
+        "decay_depth_exact_per_lambda0": zd_exact_per_lam,
+        "decay_depth_reduced_per_lambda0": zd_reduced_per_lam,
+        "decay_depth_exact_si": zd_exact_si,
+        "decay_depth_reduced_si": zd_reduced_si,
+        "spread_ratio": spread_ratio,
+        "spread_ratio_at_exact_depth": ratio_for(zd_exact_si),
+        "spread_ratio_at_reduced_depth": ratio_for(zd_reduced_si),
+        "spread_exceeds_three_orders": spread_ratio >= 1e3,
+    }
+    if reference is not None:
+        outputs["reference_spread_ratio"] = reference
+        outputs["reference_relative_deviation"] = abs(reference - spread_ratio) / spread_ratio
+    return {
+        "inputs": {**s, "k0_si": 2.0 * math.pi / lambda0},
+        "outputs": outputs,
+        "residuals": {},
+        "warnings": [],
+    }
+
+
 def _cmd_scenario_probe_spread(cfg: dict, out: str | None) -> int:
-    kwargs = scenario_kwargs(cfg, (
-        "lambda0_si", "kx_ratio", "velocity_ratio", "distance_si",
-        "delta_z_si", "reference_spread_ratio",
-    ))
-    _emit_json(out, probe.probe_spread_scenario(**kwargs))
+    s = _PROBE_SPREAD | scenario_from(cfg, _PROBE_SPREAD)
+    if s["kx_ratio"] <= 1.0:
+        raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold 1, got {s['kx_ratio']!r}")
+    _emit_json(out, _record(_probe_spread_record, tuple(s), *s.values()))
     return 0
 
 
+def _lifetime_scenario_record(kx: float, screen: recoil.ScreenSpec, thr: recoil.Threshold, units: ScaledUnits,
+                              s: dict) -> dict:
+    """Screen record from the _LIFETIME values ``s``: lifetime routes, traverse time, tail odds."""
+    inputs = dict(s)
+    tau_max, reference = inputs.pop("tau_max_s"), inputs.pop("reference_tau_s")  # the others are echoed
+    sol, routes, trav = _lifetime_mode(kx, screen, units)
+    outputs = {
+        "K_M_ratio": screen.K_M,
+        "eta": thr.eta,
+        "one_minus_eta": thr.one_minus_eta,
+        "chi_z": sol.chi_z,
+        "Gamma_eps0": sol.Gamma,
+        "Gamma_si_joule": sol.Gamma * units.eps0,
+        "tau_exact_s": routes.exact_s,
+        "tau_chi_route_s": routes.chi_route_s,
+        "tau_deep_cw_s": routes.deep_cw_s,
+        "traverse_time_s": trav.seconds,
+        "traverse_regime_warning": trav.regime_warning,
+    }
+    warnings = ["traverse-time regime conditions not met"] if trav.regime_warning else []
+    if reference is not None:
+        outputs["reference_tau_s"] = reference
+        outputs["reference_relative_deviation"] = abs(reference - routes.deep_cw_s) / routes.deep_cw_s
+    if tau_max is not None:
+        short = outputs["short_lifetime"] = _short_lifetime(tau_max, s["slit_width_ratio"], screen, units)
+        if not short["in_regime"]:
+            warnings.append("tau_max inverts below the evanescence threshold; probability saturated at 1")
+    return {
+        "inputs": inputs,
+        "outputs": outputs,
+        "residuals": _residuals(sol, "root_residual"),
+        "warnings": warnings,
+    }
+
+
 def _cmd_scenario_lifetime(cfg: dict, out: str | None) -> int:
-    kwargs = scenario_kwargs(cfg, (
-        "mass_kg", "k0_si", "kx_ratio", "slit_width_ratio", "tau_max_s", "reference_tau_s",
-    ))
-    _emit_json(out, recoil.lifetime_scenario(**kwargs))
+    given = scenario_from(cfg, _LIFETIME)
+    s = _LIFETIME | given
+    units = ScaledUnits(k0=s["k0_si"])
+    mass_path = "scenario.mass_kg" if "mass_kg" in given else "scenario.k0_si"  # at the default mass, k0 is at fault
+    screen = recoil.ScreenSpec(K_M=compton_ratio(s["mass_kg"], units, mass_path))
+    kx, thr = s["kx_ratio"], recoil.critical_threshold(screen)
+    if kx <= thr.eta:
+        raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold {thr.eta!r}, got {kx!r}")
+    _emit_json(out, _record(_lifetime_scenario_record, ("kx",), kx, screen, thr, units, s))
     return 0
 
 

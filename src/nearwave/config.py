@@ -12,7 +12,7 @@ Top-level sections (each subcommand reads the ones it needs):
     grating   {"period": ..., "m_max": ...}        (period in lambda0 units)
     grids     {"kx": [..] or range, "x": range, "z": range}
               where range = {"start": ..., "stop": ..., "num": ...}
-    scenario  keyword block for the scenario subcommands; every value > 0
+    scenario  values for the scenario subcommands (and lifetime's tau_max_s), each > 0
 
 Validation failures raise :class:`~nearwave.errors.ConfigError` carrying the
 dotted path of the offending field.
@@ -87,7 +87,7 @@ def units_from(cfg: dict) -> ScaledUnits:
     return ScaledUnits(k0=finite_number(cfg["k0_si"], "k0_si", positive=True))
 
 
-def _compton_ratio(mass_kg: float, units: ScaledUnits, path: str) -> float:
+def compton_ratio(mass_kg: float, units: ScaledUnits, path: str) -> float:
     """compton_wavenumber_ratio, or ConfigError at ``path`` where it leaves the float range."""
     try:
         return compton_wavenumber_ratio(mass_kg, units)
@@ -103,7 +103,7 @@ def screen_from(cfg: dict) -> ScreenSpec:
         raise ConfigError("screen", "exactly one of mass_kg / K_M_ratio must be present")
     if has_mass:
         mass = _number(sec, "mass_kg", "screen", positive=True)
-        return ScreenSpec(K_M=_compton_ratio(mass, units_from(cfg), "screen.mass_kg"))
+        return ScreenSpec(K_M=compton_ratio(mass, units_from(cfg), "screen.mass_kg"))
     return ScreenSpec(K_M=_number(sec, "K_M_ratio", "screen", positive=True))
 
 
@@ -148,7 +148,7 @@ def probe_kinematics_from(cfg: dict) -> tuple[float, float]:
         mass, path = ELECTRON_MASS, "k0_si"
     else:
         raise ConfigError("probe", "need one of K_mu_ratio, mass_kg, or particle = 'electron'")
-    return K0, _compton_ratio(mass, units_from(cfg), path)
+    return K0, compton_ratio(mass, units_from(cfg), path)
 
 
 def grating_from(cfg: dict) -> tuple[float, int]:
@@ -202,7 +202,8 @@ def tau_max_from(cfg: dict) -> float | None:
     return finite_number(sec["tau_max_s"], "scenario.tau_max_s", positive=True) if "tau_max_s" in sec else None
 
 
-def scenario_kwargs(cfg: dict, allowed: tuple[str, ...]) -> dict:
+def scenario_from(cfg: dict, allowed: dict) -> dict:
+    """The scenario values the config gives, each checked against the keys of ``allowed``; {} when absent."""
     out = {}
     for key, val in _scenario(cfg).items():
         if key not in allowed:

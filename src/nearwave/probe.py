@@ -15,8 +15,7 @@ import math
 import numpy as np
 
 from .aperture import ApertureProfile
-from .errors import ConfigError
-from .quantities import C_LIGHT, ELECTRON_MASS, HBAR
+from .quantities import HBAR
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
@@ -92,28 +91,19 @@ def overlap_integral(chi: float, sigma: float, z0: float) -> float:
     return full - base * math.exp(-0.5 * (sigma * z0) ** 2) * _erfcx(-x)
 
 
-def absorption_probability(kx: float, packet: GaussianPacket, profile: ApertureProfile) -> float:
-    """Relative probability |F(kx) * I|^2 of absorbing the kx mode.
+def absorption_probability(kx: float, packet: GaussianPacket, profile: ApertureProfile) -> tuple[float, float]:
+    """Relative probability |F(kx) * I|^2 of absorbing the kx mode, and its zero-width limit.
 
-    The packet normalization constant is dropped throughout, so values are
-    comparable across kx for a fixed packet but are not absolute rates.
-    """
-    chi = _chi_z(kx)
-    amp = profile.amplitude(kx)
-    i_val = overlap_integral(chi, packet.sigma, packet.z0)
-    return amp * amp * i_val * i_val
-
-
-def high_kx_limit(kx: float, profile: ApertureProfile) -> tuple[float, float]:
-    """Zero-width-packet limit of the absorption probability.
-
-    Returns ``(per_chi_sq, per_kx_sq)``: |F|^2/(kx^2 - 1) and the further
-    large-|kx| approximation |F|^2/kx^2.
+    Returns ``(probability, zero_width_limit)``; the limit is the sigma -> 0
+    value |F|^2/chi_z^2 = |F|^2/(kx^2 - 1).  The packet normalization
+    constant is dropped throughout, so values are comparable across kx for
+    a fixed packet but are not absolute rates.
     """
     chi = _chi_z(kx)
     amp = profile.amplitude(kx)
     amp_sq = amp * amp
-    return amp_sq / (chi * chi), amp_sq / (kx * kx)
+    i_val = overlap_integral(chi, packet.sigma, packet.z0)
+    return amp_sq * i_val * i_val, amp_sq / (chi * chi)
 
 
 def packet_spread(delta_z: float, t: float, mass: float) -> float:
@@ -129,68 +119,3 @@ def packet_spread(delta_z: float, t: float, mass: float) -> float:
         raise ValueError(f"mass must be positive, got {mass!r}")
     ratio = HBAR * t / (2.0 * mass * delta_z * delta_z)
     return delta_z * math.sqrt(1.0 + ratio * ratio)
-
-
-def probe_spread_scenario(
-    *,
-    lambda0_si: float = 0.5e-6,
-    kx_ratio: float = 5.0,
-    velocity_ratio: float = 1e-3,
-    distance_si: float = 0.1,
-    delta_z_si: float = 1e-7,
-    reference_spread_ratio: float | None = None,
-) -> dict:
-    """Worked electron-probe scenario: flight time, decay depth, packet spread.
-
-    An electron at velocity ``velocity_ratio * c`` travels ``distance_si``
-    to the screen; its packet, prepared at the decay depth of the
-    ``kx_ratio`` mode, spreads during the flight.  The report quotes the
-    decay depth under both k0 conventions (see
-    :func:`nearwave.modes.decay_depth_conventions`) and flags whether the
-    spread exceeds the depth by at least three orders of magnitude.  A
-    ``kx_ratio`` of magnitude 1 or less is a running mode with no decay
-    depth and raises ConfigError for ``scenario.kx_ratio``.
-    """
-    from .modes import decay_depth_conventions
-
-    if abs(kx_ratio) <= 1.0:
-        raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold 1, got {kx_ratio!r}")
-    k0 = 2.0 * math.pi / lambda0_si
-    t = distance_si / (velocity_ratio * C_LIGHT)
-    zd_exact_per_lam, zd_reduced_per_lam = decay_depth_conventions(kx_ratio)
-    zd_exact_si = zd_exact_per_lam * lambda0_si
-    zd_reduced_si = zd_reduced_per_lam * lambda0_si
-
-    def ratio_for(dz: float) -> float:
-        return packet_spread(dz, t, ELECTRON_MASS) / dz
-
-    spread_ratio = ratio_for(delta_z_si)
-    out = {
-        "inputs": {
-            "lambda0_si": lambda0_si,
-            "k0_si": k0,
-            "kx_ratio": kx_ratio,
-            "velocity_ratio": velocity_ratio,
-            "distance_si": distance_si,
-            "delta_z_si": delta_z_si,
-        },
-        "outputs": {
-            "time_of_flight_s": t,
-            "decay_depth_exact_per_lambda0": zd_exact_per_lam,
-            "decay_depth_reduced_per_lambda0": zd_reduced_per_lam,
-            "decay_depth_exact_si": zd_exact_si,
-            "decay_depth_reduced_si": zd_reduced_si,
-            "spread_ratio": spread_ratio,
-            "spread_ratio_at_exact_depth": ratio_for(zd_exact_si),
-            "spread_ratio_at_reduced_depth": ratio_for(zd_reduced_si),
-            "spread_exceeds_three_orders": spread_ratio >= 1e3,
-        },
-        "residuals": {},
-        "warnings": [],
-    }
-    if reference_spread_ratio is not None:
-        out["outputs"]["reference_spread_ratio"] = reference_spread_ratio
-        out["outputs"]["reference_relative_deviation"] = (
-            abs(reference_spread_ratio - spread_ratio) / spread_ratio
-        )
-    return out

@@ -28,16 +28,9 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .aperture import TailEstimate, tail_probability
-from .errors import ConfigError, DegenerateInputError
+from .aperture import tail_probability
 from .modes import WaveKind
-from .quantities import (
-    C_LIGHT,
-    HBAR,
-    ScaledUnits,
-    compton_wavenumber_ratio,
-    stable_one_minus_inv_sqrt1p,
-)
+from .quantities import C_LIGHT, HBAR, ScaledUnits, stable_one_minus_inv_sqrt1p
 
 
 class ScreenSpec:
@@ -49,10 +42,6 @@ class ScreenSpec:
         if not (K_M > 0):
             raise ValueError(f"K_M must be positive, got {K_M!r}")
         self.K_M = K_M
-
-    @classmethod
-    def from_mass(cls, mass_kg: float, units: ScaledUnits) -> "ScreenSpec":
-        return cls(K_M=compton_wavenumber_ratio(mass_kg, units))
 
 
 class Threshold(NamedTuple):
@@ -324,7 +313,7 @@ class ShortLifetimeResult(NamedTuple):
     probability: float
     k_prime: float
     in_regime: bool
-    tail: TailEstimate | None
+    asymptote: float | None  # the tail's cubic-decay estimate (TailEstimate.asymptote), None out of regime
 
 
 def short_lifetime_probability(
@@ -337,100 +326,15 @@ def short_lifetime_probability(
     If k' does not clear the evanescence threshold every evanescent mode
     outlives tau_max's inversion and the probability saturates at 1,
     flagged as out of regime.  A tau_max so small that a*k' overflows
-    raises ConfigError for ``scenario.tau_max_s``.
+    raises OverflowError.
     """
     if not (tau_max > 0):
         raise ValueError(f"tau_max must be positive, got {tau_max!r}")
-    k_prime = screen.K_M / (C_LIGHT * units.k0 * tau_max)
+    rate = C_LIGHT * units.k0 * tau_max
+    k_prime = screen.K_M / rate if rate > 0.0 else math.inf
     if k_prime <= critical_threshold(screen).eta:
-        return ShortLifetimeResult(probability=1.0, k_prime=k_prime, in_regime=False, tail=None)
+        return ShortLifetimeResult(probability=1.0, k_prime=k_prime, in_regime=False, asymptote=None)
     if not math.isfinite(a * k_prime):
-        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {a * k_prime!r}")
+        raise OverflowError(f"a*k' = {a * k_prime!r}")
     tail = tail_probability(k_prime, a)
-    return ShortLifetimeResult(probability=tail.value, k_prime=k_prime, in_regime=True, tail=tail)
-
-
-def short_lifetime_outputs(tau_max: float, a: float, screen: ScreenSpec, units: ScaledUnits) -> dict:
-    """The ``short_lifetime`` block of a lifetime record, from :func:`short_lifetime_probability`."""
-    short = short_lifetime_probability(tau_max, a, screen, units)
-    return {
-        "tau_max_s": tau_max,
-        "k_prime_ratio": short.k_prime,
-        "probability": short.probability,
-        "in_regime": short.in_regime,
-        "cubic_asymptote": short.tail.asymptote if short.tail else None,
-    }
-
-
-def lifetime_scenario(
-    *,
-    mass_kg: float | None = None,
-    k0_si: float = 7.5e6,
-    kx_ratio: float = 10.0,
-    slit_width_ratio: float = 1.0,
-    tau_max_s: float | None = None,
-    reference_tau_s: float | None = None,
-) -> dict:
-    """Macroscopic-screen scenario (mass_kg 0.1 if None): lifetime routes, traverse time, tail odds.
-
-    A Compton ratio outside the float range raises ConfigError for
-    ``scenario.mass_kg``, or ``scenario.k0_si`` if mass_kg is None.  A
-    ``kx_ratio`` at or below the evanescence threshold eta raises ConfigError
-    for ``scenario.kx_ratio``; one so large that Gamma or chi_z overflows
-    raises DegenerateInputError naming it.
-    """
-    mass = 0.1 if mass_kg is None else mass_kg
-    units = ScaledUnits(k0=k0_si)
-    try:
-        screen = ScreenSpec.from_mass(mass, units)
-    except ValueError as e:
-        raise ConfigError("scenario.k0_si" if mass_kg is None else "scenario.mass_kg", str(e)) from None
-    thr = critical_threshold(screen)
-    sol = recoil_solution(kx_ratio, screen)
-    if sol.kind is not WaveKind.CRAWLING:
-        raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold {thr.eta!r}, got {kx_ratio!r}")
-    try:
-        routes = lifetime_routes(sol, units)
-        trav = traverse_time(sol, units)
-    except ArithmeticError as e:
-        raise DegenerateInputError(f"kx={kx_ratio!r}: {type(e).__name__}: {e}") from None
-
-    outputs = {
-        "K_M_ratio": screen.K_M,
-        "eta": thr.eta,
-        "one_minus_eta": thr.one_minus_eta,
-        "chi_z": sol.chi_z,
-        "Gamma_eps0": sol.Gamma,
-        "Gamma_si_joule": sol.Gamma * units.eps0,
-        "tau_exact_s": routes.exact_s,
-        "tau_chi_route_s": routes.chi_route_s,
-        "tau_deep_cw_s": routes.deep_cw_s,
-        "traverse_time_s": trav.seconds,
-        "traverse_regime_warning": trav.regime_warning,
-    }
-    warnings = []
-    if trav.regime_warning:
-        warnings.append("traverse-time regime conditions not met")
-    if reference_tau_s is not None:
-        outputs["reference_tau_s"] = reference_tau_s
-        outputs["reference_relative_deviation"] = abs(reference_tau_s - routes.deep_cw_s) / routes.deep_cw_s
-    if tau_max_s is not None:
-        short = outputs["short_lifetime"] = short_lifetime_outputs(tau_max_s, slit_width_ratio, screen, units)
-        if not short["in_regime"]:
-            warnings.append("tau_max inverts below the evanescence threshold; probability saturated at 1")
-
-    return {
-        "inputs": {
-            "mass_kg": mass,
-            "k0_si": k0_si,
-            "kx_ratio": kx_ratio,
-            "slit_width_ratio": slit_width_ratio,
-        },
-        "outputs": outputs,
-        "residuals": {
-            "root_residual": root_residual(sol),
-            "energy_ledger": abs(sol.eps_real + sol.E_real - 1.0),
-            "width_symmetry": abs(sol.gamma - sol.Gamma),
-        },
-        "warnings": warnings,
-    }
+    return ShortLifetimeResult(probability=tail.value, k_prime=k_prime, in_regime=True, asymptote=tail.asymptote)

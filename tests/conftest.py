@@ -1,6 +1,11 @@
+import contextlib
+import io
+import json
 import math
 
 from hypothesis import HealthCheck, settings
+
+from nearwave import cli
 
 settings.register_profile(
     "deterministic",
@@ -32,3 +37,11 @@ def log_slope(xs, ys) -> float:
     num = sum((x - mx) * (y - my) for x, y in zip(lx, ly))
     den = sum((x - mx) ** 2 for x in lx)
     return num / den
+
+
+def cli_record(*argv: str) -> dict:
+    """The JSON record that ``nearwave *argv`` prints, from ``cli.main`` in this process; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return json.loads(out.getvalue())

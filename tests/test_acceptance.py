@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 from scipy.integrate import simpson
 
-from conftest import log_slope, sig_figs
+from conftest import cli_record, log_slope, sig_figs
 from test_probe import _quad_overlap
 
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, tail_probability
@@ -24,11 +24,9 @@ from nearwave.nearfield import field_grid
 from nearwave.probe import (
     GaussianPacket,
     absorption_probability,
-    high_kx_limit,
     overlap_integral,
-    probe_spread_scenario,
 )
-from nearwave.quantities import ScaledUnits
+from nearwave.quantities import ScaledUnits, compton_wavenumber_ratio
 from nearwave.recoil import (
     ScreenSpec,
     lifetime_routes,
@@ -52,7 +50,7 @@ def _kx_grid_50():
 
 def test_criterion_01_macroscopic_lifetime():
     units = ScaledUnits(k0=7.5e6)
-    screen = ScreenSpec.from_mass(0.1, units)
+    screen = ScreenSpec(K_M=compton_wavenumber_ratio(0.1, units))
     routes = lifetime_routes(recoil_solution(10.0, screen), units)
     in_band = 1.6e18 <= routes.deep_cw_s <= 1.8e18
     near_quoted = abs(routes.deep_cw_s - 1.8e18) / 1.8e18 <= 0.10
@@ -68,7 +66,7 @@ def test_criterion_01_macroscopic_lifetime():
 
 
 def test_criterion_02_packet_spread():
-    rep = probe_spread_scenario(reference_spread_ratio=1500.0)["outputs"]
+    rep = cli_record("scenario-probe-spread")["outputs"]  # bundled: reference spread ratio 1500
     ratio = rep["spread_ratio"]
     in_band = 1.5e3 <= ratio <= 2.0e3
     flag = rep["spread_exceeds_three_orders"] is True
@@ -182,12 +180,12 @@ def test_criterion_07_overlap_closed_form():
     box_ok = worst < 1e-10
 
     # zero-width convergence: deviations shrink at least linearly per decade
-    lim, _ = high_kx_limit(kx, profile)
     ratios = (1e-2, 1e-3, 1e-4)
     devs = []
     for r in ratios:
         packet = GaussianPacket(z0=0.5, delta_z=1.0 / (math.sqrt(2.0) * r * chi))
-        devs.append(abs(absorption_probability(kx, packet, profile) - lim) / lim)
+        p, lim = absorption_probability(kx, packet, profile)
+        devs.append(abs(p - lim) / lim)
     # positive rate means dev ~ (sigma/chi)^rate; at least 1 is required for
     # the C*sigma/chi envelope and the measured decay is quadratic
     rate = log_slope(ratios, devs) if all(d > 0 for d in devs) else math.inf

@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -241,6 +243,26 @@ class TestField:
         error = json.loads(err)["error"]
         assert error["field"] == "aperture.path" and "line 4" in error["message"], error
 
+    @pytest.mark.parametrize("top, message", [
+        # F ~ 1e160 keeps every psi finite, but J_x = Im(psi* dpsi/dx) overflows off the screen
+        (1e160, "row 2, column J_x is inf, which CSV refuses"),
+        # F ~ 1.7e308 overflows the quadrature's contraction, which returns psi = inf
+        (1.7e308, "row 0, column re_psi_rw is inf, which CSV refuses"),
+    ])
+    def test_non_finite_cell_refused_by_row_and_column(self, capsys, tmp_path, top, message):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("kx,F\n" + "".join(f"{k},{top * (1 - k / 4)!r}\n" for k in (0.0, 0.5, 1.0, 1.5, 2.0)))
+        cfg = write_cfg(tmp_path, dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)},
+                                       grids={"x": [0.3, 1.0], "z": [0.0, 0.5]}))
+        out_path = tmp_path / "field.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
+            for argv in ([], ["--out", str(out_path)]):
+                rc, out, err = run_main(capsys, "field", "--config", cfg, *argv)
+                assert rc == 4 and out == "" and err.count("\n") == 1
+                assert json.loads(err)["error"]["message"] == message
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
         # refused before np.linspace allocates it: 10**13 points would need 80 TB
@@ -261,8 +283,9 @@ class TestAbsorb:
         from nearwave.aperture import SingleSlitProfile
         from nearwave.probe import GaussianPacket, absorption_probability
 
-        want = absorption_probability(2.0, GaussianPacket(z0=1.0, delta_z=0.5), SingleSlitProfile(a=1.0))
+        want, limit = absorption_probability(2.0, GaussianPacket(z0=1.0, delta_z=0.5), SingleSlitProfile(a=1.0))
         assert float(rows[0]["probability"]) == want  # 17g serialization is bit-exact
+        assert float(rows[0]["zero_width_limit"]) == limit
 
     def test_probe_k0_ratio_not_read(self, capsys, tmp_path):
         # absorption does not depend on the probe's K0_ratio; a non-number there is ignored
@@ -431,6 +454,27 @@ class TestScenarios:
         assert error["type"] == "config" and error["field"] == field
 
 
+    @pytest.mark.parametrize("name, key, default", [
+        ("scenario-probe-spread", "lambda0_si", 5e-7),
+        ("scenario-probe-spread", "kx_ratio", 5.0),
+        ("scenario-probe-spread", "velocity_ratio", 1e-3),
+        ("scenario-probe-spread", "distance_si", 0.1),
+        ("scenario-probe-spread", "delta_z_si", 1e-7),
+        ("scenario-lifetime", "mass_kg", 0.1),
+        ("scenario-lifetime", "k0_si", 7.5e6),
+        ("scenario-lifetime", "kx_ratio", 10.0),
+        ("scenario-lifetime", "slit_width_ratio", 1.0),
+    ])
+    def test_omitted_key_takes_its_default(self, capsys, tmp_path, name, key, default):
+        bundled = {"scenario-probe-spread": "probe_spread.json", "scenario-lifetime": "lifetime.json"}[name]
+        scenario = json.loads(resources.files("nearwave").joinpath("configs", bundled).read_text(encoding="utf-8"))
+        scenario = scenario["scenario"]
+        explicit = run_main(capsys, name, "--config", write_cfg(tmp_path, {"scenario": {**scenario, key: default}}))
+        del scenario[key]
+        assert run_main(capsys, name, "--config", write_cfg(tmp_path, {"scenario": scenario})) == explicit
+        assert explicit[0] == 0
+
+
 class TestRecoilSolvesPerRecord:
     @pytest.mark.parametrize("name, kxs", [
         ("recoil", [0.5, 2.0, 5.0]),
@@ -465,6 +509,25 @@ class TestNonFiniteRecords:
                                 write_cfg(tmp_path, {"scenario": {"tau_max_s": 1e-300}}))
         assert rc == 2 and out == ""
         assert json.loads(err)["error"]["field"] == "scenario.tau_max_s"
+
+    @pytest.mark.parametrize("name, cfg", [
+        ("lifetime", {"k0_si": 1e-290, "screen": {"K_M_ratio": 10.0}, "aperture": {"kind": "single_slit", "a": 1.0},
+                      "grids": {"kx": [3.0]}, "scenario": {"tau_max_s": 1e-50}}),
+        ("scenario-lifetime", {"scenario": {"mass_kg": 1e-300, "k0_si": 1e-250, "tau_max_s": 1e-300}}),
+    ])
+    def test_k_prime_rate_underflow_is_config_error(self, capsys, tmp_path, name, cfg):
+        # c k0 tau_max rounds to 0, so k' = K_M/(c k0 tau_max) is past the float range
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == ""
+        message = f"tau_max_s = {cfg['scenario']['tau_max_s']!r} inverts to a*k' = inf"
+        assert json.loads(err)["error"] == {"type": "config", "field": "scenario.tau_max_s", "message": message}
+
+    def test_probe_spread_division_by_zero_names_its_inputs(self, capsys, tmp_path):
+        rc, out, err = run_main(capsys, "scenario-probe-spread", "--config",
+                                write_cfg(tmp_path, {"scenario": {"lambda0_si": 1e-300}}))
+        assert rc == 4 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "degenerate-input" and "lambda0_si=1e-300" in error["message"]
 
     def test_lifetime_huge_finite_k_prime_underflows_to_zero(self, capsys, tmp_path):
         # a*k' ~ 4e264: the tail odds underflow to 0 instead of overflowing q'^n

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+from conftest import cli_record
+
 from nearwave.probe import (
     GaussianPacket,
     absorption_probability,
-    high_kx_limit,
     overlap_integral,
     packet_spread,
-    probe_spread_scenario,
 )
 from nearwave.aperture import SingleSlitProfile
 from nearwave.quantities import ELECTRON_MASS
@@ -114,7 +114,7 @@ class TestAbsorptionProbability:
         profile = SingleSlitProfile(a=1.0)
         packet = GaussianPacket(z0=1.0, delta_z=0.5)
         chi = math.sqrt(24.0)
-        p = absorption_probability(5.0, packet, profile)
+        p, _ = absorption_probability(5.0, packet, profile)
         i_quad = _quad_overlap(chi, packet.sigma, packet.z0)
         want = profile.amplitude(5.0) ** 2 * i_quad * i_quad
         assert p == pytest.approx(want, rel=1e-10, abs=0)
@@ -128,7 +128,7 @@ class TestAbsorptionProbability:
     def test_monotone_in_z0(self):
         profile = SingleSlitProfile(a=1.0)
         vals = [
-            absorption_probability(5.0, GaussianPacket(z0=z0, delta_z=0.5), profile)
+            absorption_probability(5.0, GaussianPacket(z0=z0, delta_z=0.5), profile)[0]
             for z0 in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
@@ -136,7 +136,7 @@ class TestAbsorptionProbability:
     def test_vanishes_at_deep_evanescence(self):
         profile = SingleSlitProfile(a=1.0)
         packet = GaussianPacket(z0=1.0, delta_z=0.5)
-        assert absorption_probability(200.0, packet, profile) < 1e-12
+        assert absorption_probability(200.0, packet, profile)[0] < 1e-12
 
     def test_zero_width_limit_and_convergence(self):
         # the sigma -> 0 value approaches |F|^2/chi^2 regardless of z0;
@@ -145,42 +145,32 @@ class TestAbsorptionProbability:
         profile = SingleSlitProfile(a=1.0)
         kx = 5.0
         chi = math.sqrt(24.0)
-        lim, _ = high_kx_limit(kx, profile)
         devs = []
         ratios = (1e-2, 1e-3, 1e-4)
         for r in ratios:
             sigma = r * chi
             packet = GaussianPacket(z0=0.5, delta_z=1.0 / (math.sqrt(2.0) * sigma))
-            p = absorption_probability(kx, packet, profile)
+            p, lim = absorption_probability(kx, packet, profile)
             devs.append(abs(p - lim) / lim)
         big_c = max(dev / r for dev, r in zip(devs, ratios))
         assert all(dev <= big_c * r * 1.0001 for dev, r in zip(devs, ratios))
         assert devs[0] > devs[1] > devs[2]
         packet = GaussianPacket(z0=0.0, delta_z=1.0 / (math.sqrt(2.0) * 1e-7 * chi))
-        assert absorption_probability(kx, packet, profile) == pytest.approx(lim, rel=1e-6)
+        p, lim = absorption_probability(kx, packet, profile)
+        assert p == pytest.approx(lim, rel=1e-6)
 
 
 class TestHighKxLimit:
-    def test_ratio_of_forms(self):
-        profile = SingleSlitProfile(a=1.0)
-        per_chi, per_kx = high_kx_limit(10.0, profile)
-        assert per_chi / per_kx == pytest.approx(100.0 / 99.0, rel=1e-12)
-
-    def test_forms_merge_at_large_kx(self):
-        profile = SingleSlitProfile(a=1.0)
-        per_chi, per_kx = high_kx_limit(3e4, profile)
-        assert per_chi / per_kx == pytest.approx(1.0, rel=1e-8)
-
     def test_slit_value_at_kx5(self):
         profile = SingleSlitProfile(a=1.0)
-        per_chi, _ = high_kx_limit(5.0, profile)
+        _, per_chi = absorption_probability(5.0, GaussianPacket(z0=1.0, delta_z=0.5), profile)
         assert per_chi == pytest.approx(profile.amplitude(5.0) ** 2 / 24.0, rel=1e-14, abs=0)
 
     def test_cross_check_via_tiny_sigma(self):
         profile = SingleSlitProfile(a=1.0)
-        per_chi, _ = high_kx_limit(5.0, profile)
         packet = GaussianPacket(z0=0.0, delta_z=1.0 / (math.sqrt(2.0) * 1e-8))
-        assert absorption_probability(5.0, packet, profile) == pytest.approx(per_chi, rel=1e-6)
+        p, per_chi = absorption_probability(5.0, packet, profile)
+        assert p == pytest.approx(per_chi, rel=1e-6)
 
 
 class TestPacketSpread:
@@ -221,7 +211,7 @@ class TestPacketSpread:
 
 class TestSpreadScenario:
     def test_report_values(self):
-        rep = probe_spread_scenario(reference_spread_ratio=1500.0)
+        rep = cli_record("scenario-probe-spread")  # bundled: reference spread ratio 1500
         out = rep["outputs"]
         assert out["time_of_flight_s"] == pytest.approx(3.33564e-7, rel=1e-5)
         assert out["decay_depth_exact_per_lambda0"] == pytest.approx(0.0324874, rel=1e-5)
@@ -233,5 +223,5 @@ class TestSpreadScenario:
         assert out["decay_depth_reduced_si"] == pytest.approx(1.0206e-7, rel=1e-4)
 
     def test_spread_at_exact_depth_is_larger(self):
-        out = probe_spread_scenario()["outputs"]
+        out = cli_record("scenario-probe-spread")["outputs"]
         assert out["spread_ratio_at_exact_depth"] > out["spread_ratio_at_reduced_depth"] > 1e3

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cli_record
+
 from nearwave.aperture import tail_probability
 from nearwave.modes import WaveKind, classify
-from nearwave.quantities import HBAR, ScaledUnits
+from nearwave.quantities import HBAR, ScaledUnits, compton_wavenumber_ratio
 from nearwave.recoil import (
     ScreenSpec,
     critical_threshold,
     lifetime_routes,
-    lifetime_scenario,
     output_wavenumber,
     recoil_solution,
     root_residual,
@@ -231,7 +232,7 @@ class TestWidthsAndLifetimes:
     UNITS = ScaledUnits(k0=7.5e6)
 
     def _screen(self):
-        return ScreenSpec.from_mass(0.1, self.UNITS)
+        return ScreenSpec(K_M=compton_wavenumber_ratio(0.1, self.UNITS))
 
     def _routes(self, kx, K_M):
         return lifetime_routes(recoil_solution(kx, ScreenSpec(K_M=K_M)), self.UNITS)
@@ -304,7 +305,7 @@ class TestShortLifetime:
     UNITS = ScaledUnits(k0=7.5e6)
 
     def _screen(self):
-        return ScreenSpec.from_mass(0.1, self.UNITS)
+        return ScreenSpec(K_M=compton_wavenumber_ratio(0.1, self.UNITS))
 
     def test_inversion_wavenumber(self):
         res = short_lifetime_probability(1e17, 1.0, self._screen(), self.UNITS)
@@ -327,7 +328,7 @@ class TestShortLifetime:
         res = short_lifetime_probability(1e40, 1.0, self._screen(), self.UNITS)
         assert res.probability == 1.0
         assert not res.in_regime
-        assert res.tail is None
+        assert res.asymptote is None
 
 
 class TestEntangledTerm:
@@ -342,7 +343,7 @@ class TestEntangledTerm:
 
 class TestScenario:
     def test_report_structure_and_values(self):
-        rep = lifetime_scenario(tau_max_s=1e17, reference_tau_s=1.8e18)
+        rep = cli_record("scenario-lifetime")  # bundled: 0.1 kg, kx 10, tau_max 1e17 s, reference 1.8e18 s
         out = rep["outputs"]
         assert out["tau_deep_cw_s"] == pytest.approx(1.68578e18, rel=1e-4)
         assert out["reference_relative_deviation"] < 0.10
