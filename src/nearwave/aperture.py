@@ -300,7 +300,8 @@ class GaussianProfile(ApertureProfile):
 
     def amplitude(self, kx):
         kx = np.asarray(kx, dtype=float)
-        amp = np.exp(-0.25 * (kx * self.w) ** 2)
+        with np.errstate(over="ignore"):  # (kx w)^2 = inf gives exp(-inf) = 0, the true limit
+            amp = np.exp(-0.25 * (kx * self.w) ** 2)
         return amp if amp.ndim else float(amp)
 
     def cutoff(self) -> float:

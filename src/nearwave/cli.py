@@ -226,7 +226,9 @@ def _cmd_absorb(cfg: dict, out: str | None) -> int:
     header = ["z0", "delta_z", "kx", "probability", "zero_width_limit", "ratio"]
 
     def row(kx: float) -> list:
-        p, lim = probe.absorption_probability(kx, packet, profile)
+        p, lim = probe.absorption_probability(kx, packet, profile.amplitude(kx))
+        if lim == 0.0:
+            raise ZeroDivisionError("|F|^2 is 0 or underflows at this kx, so probability/zero_width_limit is 0/0")
         return [packet.z0, packet.delta_z, kx, p, lim, p / lim]
 
     _emit_csv(out, header, [_record(row, ("kx",), float(kx)) for kx in kxs])
@@ -347,18 +349,22 @@ def _lifetime_mode(kx: float, screen: recoil.ScreenSpec, units: ScaledUnits):
 
 
 def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: ScaledUnits) -> dict:
-    """The ``short_lifetime`` block of a lifetime record; ConfigError for ``scenario.tau_max_s`` if a*k' overflows."""
-    try:
-        short = recoil.short_lifetime_probability(tau_max, a, screen, units)
-    except OverflowError as e:
-        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to {e}") from None
-    return {
-        "tau_max_s": tau_max,
-        "k_prime_ratio": short.k_prime,
-        "probability": short.probability,
-        "in_regime": short.in_regime,
-        "cubic_asymptote": short.asymptote,
-    }
+    """The ``short_lifetime`` block of a lifetime record: the odds that a slit-profile collapse lives under tau_max.
+
+    The deep-evanescent lifetime inverts to the wavenumber k' = K_M/(c k0 tau_max), and the odds are the slit mode
+    density above it.  A k' that does not clear the evanescence threshold saturates them at 1, out of regime.
+    ConfigError for ``scenario.tau_max_s`` if a*k' overflows.
+    """
+    rate = C_LIGHT * units.k0 * tau_max
+    k_prime = screen.K_M / rate if rate > 0.0 else math.inf
+    block = {"tau_max_s": tau_max, "k_prime_ratio": k_prime, "probability": 1.0, "in_regime": False,
+             "cubic_asymptote": None}
+    if k_prime <= recoil.critical_threshold(screen).eta:
+        return block
+    if not math.isfinite(a * k_prime):
+        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {a * k_prime!r}")
+    tail = aperture_mod.tail_probability(k_prime, a)
+    return block | {"probability": tail.value, "in_regime": True, "cubic_asymptote": tail.asymptote}
 
 
 def _cmd_lifetime(cfg: dict, out: str | None) -> int:

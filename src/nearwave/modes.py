@@ -107,11 +107,16 @@ def phase_velocity(kx: float) -> float:
     return 1.0 / kx
 
 
+def decay_constant(kx: float) -> float:
+    """chi_z = sqrt(kx^2 - 1) of a crawling mode behind a fixed screen."""
+    if abs(kx) <= 1.0:
+        raise ValueError(f"|kx| = {abs(kx)!r} <= 1 is not an evanescent mode and has no decay depth")
+    return math.sqrt((abs(kx) - 1.0) * (abs(kx) + 1.0))
+
+
 def decay_depth(kx: float) -> float:
     """Decay depth z_d * k0 = 1/chi_z of a crawling mode."""
-    if abs(kx) <= 1.0:
-        raise ValueError(f"|kx| = {abs(kx)!r} <= 1 is a running wave and has no decay depth")
-    return 1.0 / math.sqrt((abs(kx) - 1.0) * (abs(kx) + 1.0))
+    return 1.0 / decay_constant(kx)
 
 
 def decay_depth_conventions(kx: float) -> tuple[float, float]:

@@ -11,10 +11,9 @@ when the decay constant exceeds the packet width by many orders.
 from __future__ import annotations
 
 import math
+import struct
 
-import numpy as np
-
-from .aperture import ApertureProfile
+from .modes import decay_constant
 from .quantities import HBAR
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -43,12 +42,6 @@ class GaussianPacket:
         return 1.0 / (math.sqrt(2.0) * self.delta_z)
 
 
-def _chi_z(kx: float) -> float:
-    if abs(kx) <= 1.0:
-        raise ValueError(f"|kx| = {abs(kx)!r} <= 1 is not an evanescent mode")
-    return math.sqrt((abs(kx) - 1.0) * (abs(kx) + 1.0))
-
-
 def _erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) erfc(x) for x >= 0.
 
@@ -60,7 +53,7 @@ def _erfcx(x: float) -> float:
     from depth 8, whose truncation at x = 26 is 2e-23 relative.
     """
     if x < 26.0:
-        xh = float(np.float32(x))
+        xh = struct.unpack("f", struct.pack("f", x))[0]  # round to nearest float32
         xl = x - xh
         return math.erfc(x) * math.exp(xh * xh) * math.exp(2.0 * xh * xl + xl * xl)
     f = x
@@ -91,16 +84,15 @@ def overlap_integral(chi: float, sigma: float, z0: float) -> float:
     return full - base * math.exp(-0.5 * (sigma * z0) ** 2) * _erfcx(-x)
 
 
-def absorption_probability(kx: float, packet: GaussianPacket, profile: ApertureProfile) -> tuple[float, float]:
-    """Relative probability |F(kx) * I|^2 of absorbing the kx mode, and its zero-width limit.
+def absorption_probability(kx: float, packet: GaussianPacket, amp: float) -> tuple[float, float]:
+    """Relative probability |F(kx) * I|^2 of absorbing the kx mode, and its zero-width limit; ``amp`` is F(kx).
 
     Returns ``(probability, zero_width_limit)``; the limit is the sigma -> 0
     value |F|^2/chi_z^2 = |F|^2/(kx^2 - 1).  The packet normalization
     constant is dropped throughout, so values are comparable across kx for
     a fixed packet but are not absolute rates.
     """
-    chi = _chi_z(kx)
-    amp = profile.amplitude(kx)
+    chi = decay_constant(kx)
     amp_sq = amp * amp
     i_val = overlap_integral(chi, packet.sigma, packet.z0)
     return amp_sq * i_val * i_val, amp_sq / (chi * chi)

@@ -186,8 +186,8 @@ def adaptive_quad(
         If the budget of ``_MAX_ROUNDS`` sweeps is exhausted; the exception
         carries the best value and the achieved error estimate.  A
         refinement that would exceed ``_MAX_PANELS`` is refused before it is
-        evaluated, and a sweep that returns a non-finite panel value raises
-        at once.
+        evaluated, and a sweep that yields a non-finite panel value or error
+        raises at once.
     ValueError
         If not a < b, or if the integrand's output width is not ``components``.
     """
@@ -210,9 +210,10 @@ def adaptive_quad(
 
     for _ in range(_MAX_ROUNDS):
         vals, errs = _panel_estimates(f, lo, hi, components)
-        if not np.isfinite(errs).all():  # a non-finite rule value makes its error non-finite
+        finite_errs = np.isfinite(errs).all()  # a non-finite rule value makes its error non-finite
+        if not (finite_errs and np.isfinite(vals).all()):  # an overflowed sum can carry a finite error
             raise QuadratureError(
-                f"integrand is not finite on [{a:g}, {b:g}]",
+                f"{'panel sums overflow' if finite_errs else 'integrand is not finite'} on [{a:g}, {b:g}]",
                 value=None,
                 achieved=float(np.max(errs)),
             )

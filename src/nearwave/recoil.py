@@ -28,7 +28,6 @@ import cmath
 import math
 from typing import NamedTuple
 
-from .aperture import tail_probability
 from .modes import WaveKind
 from .quantities import C_LIGHT, HBAR, ScaledUnits, stable_one_minus_inv_sqrt1p
 
@@ -306,35 +305,3 @@ def traverse_time(sol: RecoilSolution, units: ScaledUnits) -> TraverseTime:
     seconds = sol.K_M / (C_LIGHT * units.k0 * sol.chi_z * sol.Kz_tilde.real)
     return TraverseTime(seconds=seconds, regime_warning=warn)
 
-
-class ShortLifetimeResult(NamedTuple):
-    """Probability of collapsing onto a mode shorter-lived than tau_max."""
-
-    probability: float
-    k_prime: float
-    in_regime: bool
-    asymptote: float | None  # the tail's cubic-decay estimate (TailEstimate.asymptote), None out of regime
-
-
-def short_lifetime_probability(
-    tau_max: float, a: float, screen: ScreenSpec, units: ScaledUnits
-) -> ShortLifetimeResult:
-    """Chance that a slit-profile collapse yields a lifetime below tau_max.
-
-    Inverts the deep-evanescent lifetime to the threshold wavenumber
-    k' = K_M/(c k0 tau_max) and integrates the slit mode density above it.
-    If k' does not clear the evanescence threshold every evanescent mode
-    outlives tau_max's inversion and the probability saturates at 1,
-    flagged as out of regime.  A tau_max so small that a*k' overflows
-    raises OverflowError.
-    """
-    if not (tau_max > 0):
-        raise ValueError(f"tau_max must be positive, got {tau_max!r}")
-    rate = C_LIGHT * units.k0 * tau_max
-    k_prime = screen.K_M / rate if rate > 0.0 else math.inf
-    if k_prime <= critical_threshold(screen).eta:
-        return ShortLifetimeResult(probability=1.0, k_prime=k_prime, in_regime=False, asymptote=None)
-    if not math.isfinite(a * k_prime):
-        raise OverflowError(f"a*k' = {a * k_prime!r}")
-    tail = tail_probability(k_prime, a)
-    return ShortLifetimeResult(probability=tail.value, k_prime=k_prime, in_regime=True, asymptote=tail.asymptote)

@@ -184,7 +184,7 @@ def test_criterion_07_overlap_closed_form():
     devs = []
     for r in ratios:
         packet = GaussianPacket(z0=0.5, delta_z=1.0 / (math.sqrt(2.0) * r * chi))
-        p, lim = absorption_probability(kx, packet, profile)
+        p, lim = absorption_probability(kx, packet, profile.amplitude(kx))
         devs.append(abs(p - lim) / lim)
     # positive rate means dev ~ (sigma/chi)^rate; at least 1 is required for
     # the C*sigma/chi envelope and the measured decay is quadratic

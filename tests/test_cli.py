@@ -243,17 +243,20 @@ class TestField:
         error = json.loads(err)["error"]
         assert error["field"] == "aperture.path" and "line 4" in error["message"], error
 
+    @staticmethod
+    def _tabulated_cfg(tmp_path, top):
+        """A field config over a tabulated profile falling linearly from F = top at kx = 0."""
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("kx,F\n" + "".join(f"{k},{top * (1 - k / 4)!r}\n" for k in (0.0, 0.5, 1.0, 1.5, 2.0)))
+        return write_cfg(tmp_path, dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)},
+                                        grids={"x": [0.3, 1.0], "z": [0.0, 0.5]}))
+
     @pytest.mark.parametrize("top, message", [
         # F ~ 1e160 keeps every psi finite, but J_x = Im(psi* dpsi/dx) overflows off the screen
         (1e160, "row 2, column J_x is inf, which CSV refuses"),
-        # F ~ 1.7e308 overflows the quadrature's contraction, which returns psi = inf
-        (1.7e308, "row 0, column re_psi_rw is inf, which CSV refuses"),
     ])
     def test_non_finite_cell_refused_by_row_and_column(self, capsys, tmp_path, top, message):
-        csv_path = tmp_path / "big.csv"
-        csv_path.write_text("kx,F\n" + "".join(f"{k},{top * (1 - k / 4)!r}\n" for k in (0.0, 0.5, 1.0, 1.5, 2.0)))
-        cfg = write_cfg(tmp_path, dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)},
-                                       grids={"x": [0.3, 1.0], "z": [0.0, 0.5]}))
+        cfg = self._tabulated_cfg(tmp_path, top)
         out_path = tmp_path / "field.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
@@ -262,6 +265,16 @@ class TestField:
                 assert rc == 4 and out == "" and err.count("\n") == 1
                 assert json.loads(err)["error"]["message"] == message
         assert not out_path.exists()
+
+    def test_overflowing_panel_sum_is_quadrature_error(self, capsys, tmp_path):
+        # F ~ 1.7e308 overflows each panel's K31 sum to inf while its error estimate stays finite
+        cfg = self._tabulated_cfg(tmp_path, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(capsys, "field", "--config", cfg)
+        assert rc == 3 and out == "" and err.count("\n") == 1
+        error = json.loads(err, parse_constant=_reject_constant)["error"]
+        assert error["type"] == "quadrature" and error["message"].startswith("panel sums overflow on ")
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
@@ -283,7 +296,8 @@ class TestAbsorb:
         from nearwave.aperture import SingleSlitProfile
         from nearwave.probe import GaussianPacket, absorption_probability
 
-        want, limit = absorption_probability(2.0, GaussianPacket(z0=1.0, delta_z=0.5), SingleSlitProfile(a=1.0))
+        amp = SingleSlitProfile(a=1.0).amplitude(2.0)
+        want, limit = absorption_probability(2.0, GaussianPacket(z0=1.0, delta_z=0.5), amp)
         assert float(rows[0]["probability"]) == want  # 17g serialization is bit-exact
         assert float(rows[0]["zero_width_limit"]) == limit
 
@@ -307,11 +321,15 @@ class TestAbsorb:
         ({"kind": "gaussian", "w": 1e3}, 0.5, 5.0, "kx=5.0: ZeroDivisionError"),  # |F|^2 underflows: 0/0
         ({"kind": "single_slit", "a": 1.0}, 0.5, 1e200, "kx=1e+200: ZeroDivisionError"),
         ({"kind": "single_slit", "a": 1.0}, 1e-300, 3.0, "kx=3.0: OverflowError"),  # in overlap_integral
+        # (kx w)^2 overflows to inf, and exp(-inf) = 0 is the true |F|
+        ({"kind": "gaussian", "w": 2.0}, 0.5, 1e200, "kx=1e+200: ZeroDivisionError: |F|^2 is 0 or underflows"),
     ])
     def test_degenerate_row_names_its_kx(self, capsys, tmp_path, aperture, delta_z, kx, error):
         cfg = dict(BASE_CFG, aperture=aperture, probe=dict(BASE_CFG["probe"], delta_z=delta_z), grids={"kx": [kx]})
-        rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
-        assert rc == 4 and out == "" and "Traceback" not in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
+            rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 4 and out == "" and err.count("\n") == 1 and "Traceback" not in err
         payload = json.loads(err)["error"]
         assert payload["type"] == "degenerate-input" and payload["message"].startswith(error)
 
@@ -688,6 +706,21 @@ class TestColdImport:
         code = "import sys, nearwave.cli; print(sorted({'dataclasses', 'numpy.polynomial'} & set(sys.modules)))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    def test_record_layers_load_neither_numpy_nor_the_field_layers(self):
+        # recoil and probe compute with math alone, and the package namespace re-exports nothing
+        code = (
+            "import json, sys\n"
+            "import nearwave\n"
+            "public = sorted(name for name in vars(nearwave) if not name.startswith('_'))\n"
+            "import nearwave.recoil, nearwave.probe, nearwave.kinematics, nearwave.modes, nearwave.quantities\n"
+            "import nearwave.errors\n"
+            "heavy = {'numpy', 'nearwave.aperture', 'nearwave.quadrature', 'nearwave.nearfield'}\n"
+            "print(json.dumps({'public': public, 'version': hasattr(nearwave, '__version__'),\n"
+            "                  'loaded': sorted(heavy & set(sys.modules))}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == {"public": [], "version": True, "loaded": []}
 
     def test_field_and_lifetime_leave_numpy_ma_unimported(self, tmp_path):
         # np.unique without index outputs imports numpy.ma (10-18 ms) on the

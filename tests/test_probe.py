@@ -114,7 +114,7 @@ class TestAbsorptionProbability:
         profile = SingleSlitProfile(a=1.0)
         packet = GaussianPacket(z0=1.0, delta_z=0.5)
         chi = math.sqrt(24.0)
-        p, _ = absorption_probability(5.0, packet, profile)
+        p, _ = absorption_probability(5.0, packet, profile.amplitude(5.0))
         i_quad = _quad_overlap(chi, packet.sigma, packet.z0)
         want = profile.amplitude(5.0) ** 2 * i_quad * i_quad
         assert p == pytest.approx(want, rel=1e-10, abs=0)
@@ -123,12 +123,12 @@ class TestAbsorptionProbability:
         profile = SingleSlitProfile(a=1.0)
         packet = GaussianPacket(z0=1.0, delta_z=0.5)
         with pytest.raises(ValueError, match="not an evanescent mode"):
-            absorption_probability(0.8, packet, profile)
+            absorption_probability(0.8, packet, profile.amplitude(0.8))
 
     def test_monotone_in_z0(self):
         profile = SingleSlitProfile(a=1.0)
         vals = [
-            absorption_probability(5.0, GaussianPacket(z0=z0, delta_z=0.5), profile)[0]
+            absorption_probability(5.0, GaussianPacket(z0=z0, delta_z=0.5), profile.amplitude(5.0))[0]
             for z0 in (0.0, 0.5, 1.0, 2.0, 5.0)
         ]
         assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
@@ -136,7 +136,7 @@ class TestAbsorptionProbability:
     def test_vanishes_at_deep_evanescence(self):
         profile = SingleSlitProfile(a=1.0)
         packet = GaussianPacket(z0=1.0, delta_z=0.5)
-        assert absorption_probability(200.0, packet, profile)[0] < 1e-12
+        assert absorption_probability(200.0, packet, profile.amplitude(200.0))[0] < 1e-12
 
     def test_zero_width_limit_and_convergence(self):
         # the sigma -> 0 value approaches |F|^2/chi^2 regardless of z0;
@@ -150,26 +150,26 @@ class TestAbsorptionProbability:
         for r in ratios:
             sigma = r * chi
             packet = GaussianPacket(z0=0.5, delta_z=1.0 / (math.sqrt(2.0) * sigma))
-            p, lim = absorption_probability(kx, packet, profile)
+            p, lim = absorption_probability(kx, packet, profile.amplitude(kx))
             devs.append(abs(p - lim) / lim)
         big_c = max(dev / r for dev, r in zip(devs, ratios))
         assert all(dev <= big_c * r * 1.0001 for dev, r in zip(devs, ratios))
         assert devs[0] > devs[1] > devs[2]
         packet = GaussianPacket(z0=0.0, delta_z=1.0 / (math.sqrt(2.0) * 1e-7 * chi))
-        p, lim = absorption_probability(kx, packet, profile)
+        p, lim = absorption_probability(kx, packet, profile.amplitude(kx))
         assert p == pytest.approx(lim, rel=1e-6)
 
 
 class TestHighKxLimit:
     def test_slit_value_at_kx5(self):
         profile = SingleSlitProfile(a=1.0)
-        _, per_chi = absorption_probability(5.0, GaussianPacket(z0=1.0, delta_z=0.5), profile)
+        _, per_chi = absorption_probability(5.0, GaussianPacket(z0=1.0, delta_z=0.5), profile.amplitude(5.0))
         assert per_chi == pytest.approx(profile.amplitude(5.0) ** 2 / 24.0, rel=1e-14, abs=0)
 
     def test_cross_check_via_tiny_sigma(self):
         profile = SingleSlitProfile(a=1.0)
         packet = GaussianPacket(z0=0.0, delta_z=1.0 / (math.sqrt(2.0) * 1e-8))
-        p, per_chi = absorption_probability(5.0, packet, profile)
+        p, per_chi = absorption_probability(5.0, packet, profile.amplitude(5.0))
         assert p == pytest.approx(per_chi, rel=1e-6)
 
 

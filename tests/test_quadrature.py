@@ -138,6 +138,12 @@ class TestAdaptiveQuad:
         assert calls == [31]  # one K31 call: the first and only sweep
         assert math.isnan(err.value.achieved)
 
+    def test_overflowed_panel_sum_raises(self):
+        # each panel's K31 sum of 1.7e308 overflows to inf while |K31 - G15| stays finite
+        with pytest.raises(QuadratureError, match="panel sums overflow") as err, np.errstate(over="ignore"):
+            adaptive_quad(lambda x: np.full((x.size, 2), 1.7e308), 0.0, 3.0, components=2)
+        assert math.isfinite(err.value.achieved)
+
     def test_integrable_decay_on_long_interval(self):
         res = adaptive_quad(lambda x: np.exp(-x), 0.0, 200.0)
         assert res.value == pytest.approx(1.0, rel=1e-12)

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import mpmath
@@ -20,7 +21,6 @@ from nearwave.recoil import (
     recoil_solution,
     root_residual,
     screen_momentum_magnitude,
-    short_lifetime_probability,
     traverse_time,
 )
 
@@ -302,33 +302,36 @@ class TestWidthsAndLifetimes:
 
 
 class TestShortLifetime:
-    UNITS = ScaledUnits(k0=7.5e6)
+    # the short_lifetime block of a lifetime record: a 0.1 kg screen at k0 = 7.5e6/m behind an a = 1 slit
+    def _short(self, tmp_path, tau_max):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"k0_si": 7.5e6, "screen": {"mass_kg": 0.1},
+                                    "aperture": {"kind": "single_slit", "a": 1.0}, "grids": {"kx": [10.0]},
+                                    "scenario": {"tau_max_s": tau_max}}))
+        return cli_record("lifetime", "--config", str(path))["outputs"]["short_lifetime"]
 
-    def _screen(self):
-        return ScreenSpec(K_M=compton_wavenumber_ratio(0.1, self.UNITS))
+    def test_inversion_wavenumber(self, tmp_path):
+        short = self._short(tmp_path, 1e17)
+        assert short["k_prime_ratio"] == pytest.approx(168.578, rel=1e-4)
+        assert short["in_regime"]
 
-    def test_inversion_wavenumber(self):
-        res = short_lifetime_probability(1e17, 1.0, self._screen(), self.UNITS)
-        assert res.k_prime == pytest.approx(168.578, rel=1e-4)
-        assert res.in_regime
+    def test_matches_tail_probability(self, tmp_path):
+        short = self._short(tmp_path, 1e17)
+        tail = tail_probability(short["k_prime_ratio"], 1.0)  # JSON floats round-trip
+        assert short["probability"] == tail.value
+        assert short["cubic_asymptote"] == tail.asymptote
 
-    def test_matches_tail_probability(self):
-        res = short_lifetime_probability(1e17, 1.0, self._screen(), self.UNITS)
-        want = tail_probability(res.k_prime, 1.0).value
-        assert res.probability == want
-
-    def test_cubic_scaling_under_halved_tau(self):
+    def test_cubic_scaling_under_halved_tau(self, tmp_path):
         # halving tau_max doubles k', shrinking the tail eightfold
-        screen = self._screen()
-        p1 = short_lifetime_probability(1e17, 1.0, screen, self.UNITS).probability
-        p2 = short_lifetime_probability(5e16, 1.0, screen, self.UNITS).probability
+        p1 = self._short(tmp_path, 1e17)["probability"]
+        p2 = self._short(tmp_path, 5e16)["probability"]
         assert p1 / p2 == pytest.approx(8.0, rel=0.02)
 
-    def test_long_tau_saturates(self):
-        res = short_lifetime_probability(1e40, 1.0, self._screen(), self.UNITS)
-        assert res.probability == 1.0
-        assert not res.in_regime
-        assert res.asymptote is None
+    def test_long_tau_saturates(self, tmp_path):
+        short = self._short(tmp_path, 1e40)
+        assert short["probability"] == 1.0
+        assert not short["in_regime"]
+        assert short["cubic_asymptote"] is None
 
 
 class TestEntangledTerm:

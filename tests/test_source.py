@@ -6,7 +6,7 @@ from pathlib import Path
 import nearwave
 
 SRC = Path(nearwave.__file__).parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ only re-exports
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ holds only __version__
 
 
 def _tree(path):
