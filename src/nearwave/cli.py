@@ -20,14 +20,14 @@ subcommands fall back to bundled example configs when --config is omitted;
 each scenario's keys and defaults are one dict here.  This module builds
 every record, and it and :mod:`nearwave.config` alone name config fields.
 
-Exit codes: 0 success, 2 configuration errors, 3 quadrature failure,
-4 degenerate kinematic input or a record whose numbers overflow or divide
-by zero (:func:`_record` refuses it with its kx, transfer's two ratios or
-a scenario's values; no record or CSV holds NaN or Infinity: the error
-names the JSON path of the first one, such as
-``outputs.modes[0].si.Gamma_joule``, with the kx of the mode record it sits
-in, or the CSV row and column), 141 (128 + SIGPIPE) when the reader of
-stdout has closed it.
+Exit codes: 0 success, 2 configuration errors (an unreadable config file or
+an unwritable --out among them), 3 quadrature failure, 4 degenerate
+kinematic input or a record whose numbers overflow or divide by zero
+(:func:`_record` refuses it with its kx, transfer's two ratios or a
+scenario's values; no record or CSV holds NaN or Infinity: the error names
+the JSON path of the first one, such as ``outputs.modes[0].si.Gamma_joule``,
+with the kx of the mode record it sits in, or the CSV row and column), 141
+(128 + SIGPIPE) when the reader of stdout has closed it.
 """
 
 from __future__ import annotations
@@ -72,12 +72,16 @@ def _fmt(value) -> str:
 
 
 def _write_text(out_path: str | None, text: str) -> None:
+    """``text`` to stdout or to the file ``out_path``; ConfigError for ``--out`` if that file cannot be written."""
     if out_path is None:
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as e:
+        raise ConfigError("--out", f"cannot write the output file: {e}") from None
 
 
 def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
@@ -178,11 +182,6 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     extra = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in extra.items()}
     payload = {"error": {"type": kind, "message": message, **extra}}
     sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-
-
-def _bundled_config(name: str) -> dict:
-    ref = resources.files("nearwave").joinpath("configs", name)
-    return json.loads(ref.read_text(encoding="utf-8"))
 
 
 def _cmd_spectrum(cfg: dict, out: str | None) -> int:
@@ -560,7 +559,7 @@ def main(argv=None) -> int:
         if args.config is not None:
             cfg = load_config(args.config)
         elif name in _BUNDLED:
-            cfg = _bundled_config(_BUNDLED[name])
+            cfg = load_config(resources.files("nearwave").joinpath("configs", _BUNDLED[name]))
         else:
             raise ConfigError("<args>", f"{name} requires --config")
         return handler(cfg, args.out)

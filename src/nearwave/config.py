@@ -42,6 +42,8 @@ def load_config(path) -> dict:
         raw = json.loads(p.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {p}")
+    except OSError as e:  # a directory, a permission, an I/O error
+        raise ConfigError("<file>", f"cannot read the config file: {e}")
     except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
         raise ConfigError("<file>", f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):

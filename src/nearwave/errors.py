@@ -1,11 +1,7 @@
 """Exception types shared across the package."""
 
 
-class NearwaveError(Exception):
-    """Base class for package-specific failures."""
-
-
-class QuadratureError(NearwaveError, RuntimeError):
+class QuadratureError(RuntimeError):
     """Adaptive integration could not reach the requested tolerance.
 
     Carries the best value obtained and the achieved error estimate so
@@ -18,7 +14,7 @@ class QuadratureError(NearwaveError, RuntimeError):
         self.achieved = achieved
 
 
-class DegenerateInputError(NearwaveError, ValueError):
+class DegenerateInputError(ValueError):
     """Kinematic input for which the selection rules break down.
 
     The canonical case is a probe initially at rest: the selected mode
@@ -27,7 +23,7 @@ class DegenerateInputError(NearwaveError, ValueError):
     """
 
 
-class ConfigError(NearwaveError, ValueError):
+class ConfigError(ValueError):
     """A scenario configuration failed validation.
 
     ``field`` holds the dotted path of the offending entry.

@@ -28,7 +28,8 @@ class Mode(NamedTuple):
     """One kx mode with its transverse wavenumber.
 
     ``kz`` satisfies kz**2 + kx**2 = threshold**2 as complex numbers; for a
-    crawling mode it is purely imaginary with magnitude ``chi_z``.
+    crawling mode it is +i*chi_z, decaying away from the screen on its
+    transmission side (+z).
     """
 
     kx: float
@@ -58,26 +59,22 @@ class GratingSpec:
         return math.floor(self.period)
 
 
-def classify(kx: float, threshold: float = 1.0, side: int = +1) -> Mode:
+def classify(kx: float, threshold: float = 1.0) -> Mode:
     """Classify a single kx against an evanescence threshold.
 
-    ``side`` picks the sign of the imaginary transverse wavenumber:
-    +1 for the transmission half-space (decay away from the screen in +z),
-    -1 for the incidence side.  |kx| equal to the threshold counts as
-    running (the inequality for evanescence is strict), with kz = 0.
+    |kx| equal to the threshold counts as running (the inequality for
+    evanescence is strict), with kz = 0.
     """
     if not (0.0 < threshold <= 1.0):
         raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
-    if side not in (+1, -1):
-        raise ValueError(f"side must be +1 or -1, got {side!r}")
     if abs(kx) > threshold:
         chi = math.sqrt((abs(kx) - threshold) * (abs(kx) + threshold))
-        return Mode(kx=kx, kind=WaveKind.CRAWLING, chi_z=chi, kz=complex(0.0, side * chi))
+        return Mode(kx=kx, kind=WaveKind.CRAWLING, chi_z=chi, kz=complex(0.0, chi))
     kz = math.sqrt((threshold - abs(kx)) * (threshold + abs(kx)))
     return Mode(kx=kx, kind=WaveKind.RUNNING, chi_z=0.0, kz=complex(kz, 0.0))
 
 
-def grating_modes(grating: GratingSpec, m_max: int, side: int = +1) -> list[tuple[int, Mode]]:
+def grating_modes(grating: GratingSpec, m_max: int) -> list[tuple[int, Mode]]:
     """Discrete modes m = -m_max..m_max of an idealized grating.
 
     kx(m) = m * kd and the mode is crawling iff |m| exceeds the integer
@@ -92,7 +89,7 @@ def grating_modes(grating: GratingSpec, m_max: int, side: int = +1) -> list[tupl
         kx = m * grating.kd
         if abs(m) > mc:
             chi = math.sqrt(max(kx * kx - 1.0, 0.0))
-            mode = Mode(kx=kx, kind=WaveKind.CRAWLING, chi_z=chi, kz=complex(0.0, side * chi))
+            mode = Mode(kx=kx, kind=WaveKind.CRAWLING, chi_z=chi, kz=complex(0.0, chi))
         else:
             kz = math.sqrt(max(1.0 - kx * kx, 0.0))
             mode = Mode(kx=kx, kind=WaveKind.RUNNING, chi_z=0.0, kz=complex(kz, 0.0))

@@ -157,8 +157,13 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
         right[1] *= -k
         return left.reshape(3 * nz, -1), right.reshape(2 * len(u), -1)
 
-    res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=0.5 * abs_tol,
-                        rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))
+    a, b = -0.5 * math.pi, float(np.arccosh(k_hi))
+    try:
+        res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
+                            components=3 * nz * 2 * len(u))
+    except QuadratureError as e:  # its interval is in t: name kx and the points instead
+        where = f"kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {u[-1]:g})"
+        raise QuadratureError(str(e).replace(f"[{a:g}, {b:g}]", where), achieved=e.achieved) from None
     v = 2.0 * res.value.reshape(3, nz, 2, len(u))
     cw = v[2]
     k_profile = profile.cutoff()

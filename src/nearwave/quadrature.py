@@ -7,12 +7,12 @@ call on 31 abscissas gives both.  K31 is the value and |K31 - G15| the
 local error estimate.  Panels whose estimate exceeds their prorated share
 of the error budget are bisected, and every pending panel of a round is
 evaluated in one vectorized sweep, so the integrand must accept numpy
-arrays.  Complex integrands are supported directly, and so are
-vector-valued ones returning one column per component: each component keeps
-its own error budget and a panel is accepted only when every component is
-within its share.  A separable integrand returns a component-major pair
-(L, R) of (a, n) and (b, n) arrays for the a*b components L[i] * R[j]
-(row-major), so its elementwise work runs along rows of n abscissas.
+arrays.  The integrand is real, and it may be vector-valued, returning
+one column per component: each component keeps its own error budget and
+a panel is accepted only when every component is within its share.  A
+separable integrand returns a component-major pair (L, R) of (a, n) and
+(b, n) arrays for the a*b components L[i] * R[j] (row-major), so its
+elementwise work runs along rows of n abscissas.
 Each panel weights the narrower factor along its 31 nodes by both rules,
 applies the other one to it through a transposed view in one batched
 matmul, and never builds the product.  Every round's pending panels are
@@ -76,9 +76,9 @@ _RULES = np.stack([_W_K, _W_K - np.insert(_W_G, np.arange(16), 0.0)])  # K31 and
 
 
 class QuadResult(NamedTuple):
-    """Value and attained error estimate of an adaptive integration."""
+    """Value and attained error estimate of an adaptive integration of a real integrand."""
 
-    value: complex
+    value: float
     error: float
     panels: int
 
@@ -134,7 +134,7 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
         if r.ndim == 3:
             h = h[:, None]
         if vals is None:  # filled in place: a list of chunks plus their concatenation would hold two copies
-            vals = np.empty((len(lo),) + r.shape[2:], r.dtype)
+            vals = np.empty((len(lo),) + r.shape[2:])
             errs = np.empty((len(lo),) + r.shape[2:])
         vals[start:start + p] = r[:, 0] * h
         errs[start:start + p] = np.abs(r[:, 1]) * h
@@ -156,8 +156,8 @@ def adaptive_quad(
     Parameters
     ----------
     f : callable
-        Vectorized integrand; maps an ndarray of n abscissas to n values
-        (real or complex), to an (n, m) array of m components, or to a
+        Vectorized real integrand; maps an ndarray of n abscissas to n
+        values, to an (n, m) array of m components, or to a
         separable pair (L, R) of (a, n) and (b, n) arrays, component-major,
         whose m = a*b components are L[i] * R[j] in row-major order.
     a, b : float
@@ -204,7 +204,7 @@ def adaptive_quad(
     hi = edges[1:]
 
     total_len = b - a
-    done_val = 0.0 + 0.0j
+    done_val = 0.0
     done_err = 0.0
     n_panels = len(lo)
 
@@ -221,15 +221,13 @@ def adaptive_quad(
         budget = np.maximum(abs_tol, rel_tol * np.abs(est_total))
         total_err = done_err + errs.sum(axis=0)
         if np.all(total_err <= budget):
-            value = est_total if np.iscomplexobj(vals) else est_total.real
-            return QuadResult(value, total_err, n_panels)
+            return QuadResult(est_total, total_err, n_panels)
         width = hi - lo if errs.ndim == 1 else (hi - lo)[:, None]
         ok = (errs <= budget * width / total_len).reshape(len(lo), -1).all(axis=1)
         done_val += vals[ok].sum(axis=0)
         done_err += errs[ok].sum(axis=0)
         if ok.all():
-            value = done_val if np.iscomplexobj(vals) else done_val.real
-            return QuadResult(value, done_err, n_panels)
+            return QuadResult(done_val, done_err, n_panels)
         bad = ~ok
         if n_panels + np.count_nonzero(bad) > _MAX_PANELS:
             break

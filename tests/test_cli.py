@@ -274,7 +274,10 @@ class TestField:
             rc, out, err = run_main(capsys, "field", "--config", cfg)
         assert rc == 3 and out == "" and err.count("\n") == 1
         error = json.loads(err, parse_constant=_reject_constant)["error"]
-        assert error["type"] == "quadrature" and error["message"].startswith("panel sums overflow on ")
+        # the bounds are the run's kx, z and |x|, not those of the substitution variable t = -pi/2 .. acosh 2
+        assert error["type"] == "quadrature" and error["message"] == (
+            "panel sums overflow on kx in [0, 2] (z from 0 to 0.5, |x| up to 1)")
+        assert math.isfinite(error["achieved"])
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
@@ -788,6 +791,19 @@ class TestErrorsAndChecks:
     def test_nonexistent_config_file(self, capsys):
         rc, _, err = run_main(capsys, "spectrum", "--config", "/nonexistent.json")
         assert rc == 2
+
+    @pytest.mark.parametrize("config, out, field", [
+        ("run.json", "missing/modes.csv", "--out"),  # --out in a directory that does not exist
+        ("run.json", ".", "--out"),  # --out naming a directory
+        (".", None, "<file>"),  # --config naming a directory
+    ])
+    def test_unwritable_out_or_unreadable_config_names_it(self, capsys, tmp_path, config, out, field):
+        write_cfg(tmp_path, BASE_CFG)
+        argv = ["--config", str(tmp_path / config)] + ([] if out is None else ["--out", str(tmp_path / out)])
+        rc, stdout, err = run_main(capsys, "spectrum", *argv)
+        assert rc == 2 and stdout == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == field
 
     def test_malformed_section_path(self, capsys, tmp_path):
         cfg = dict(BASE_CFG)

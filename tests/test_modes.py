@@ -49,11 +49,6 @@ class TestGratingModes:
         for m, mode in grating_modes(grating, 6):
             assert mode.kind is classify(mode.kx).kind
 
-    def test_incidence_side_flips_decay_sign(self):
-        by_m = dict(grating_modes(GratingSpec(period=0.9), 2, side=-1))
-        assert by_m[1].kz.imag < 0
-        assert by_m[0].kz.imag == 0.0
-
 
 class TestClassify:
     def test_deep_crawling(self):
@@ -71,10 +66,6 @@ class TestClassify:
         mode = classify(1.0)
         assert mode.kind is WaveKind.RUNNING
         assert mode.kz == 0.0
-
-    def test_incidence_side_sign(self):
-        assert classify(3.0, side=-1).kz.imag < 0
-        assert classify(3.0, side=+1).kz.imag > 0
 
     def test_reduced_threshold_moves_boundary(self):
         eta = 0.7

@@ -85,3 +85,47 @@ def test_every_public_function_and_class_is_referenced():
             unreferenced.append(node.name)
     extra = sorted(set(unreferenced) - set(PUBLIC_ONLY_FOR_CHECKS))
     assert not extra, extra
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # a default that no package call overrides is a constant with an option's cost: each one doubles the cases
+    # a test must cover.  A call passes a parameter by keyword, by position (a method called through an
+    # attribute binds its first parameter itself) or through * or ** unpacking.
+    exempt = {("main", "argv")}  # the console entry point reads sys.argv; tests pass argv
+    calls = {}
+    functions = []  # (function, positional offset of a call through an attribute)
+    for path in MODULES:
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node, 0))
+            elif isinstance(node, ast.ClassDef):
+                functions.extend((part, 1) for part in node.body if isinstance(part, ast.FunctionDef))
+    unpassed = []
+    for fn, offset in functions:
+        if fn.name.startswith("_") or fn.name in PUBLIC_ONLY_FOR_CHECKS:
+            continue
+        positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+        defaulted = positional[len(positional) - len(fn.args.defaults):] + [
+            a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+        for param in defaulted:
+            if (fn.name, param) in exempt:
+                continue
+            index = positional.index(param) if param in positional else None
+
+            def passes(call):
+                if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+                    return True
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    return True
+                shift = offset if isinstance(call.func, ast.Attribute) else 0
+                return index is not None and len(call.args) + shift > index
+
+            if not any(passes(call) for call in calls.get(fn.name, [])):
+                unpassed.append(f"{fn.name}({param})")
+    assert not unpassed, sorted(unpassed)
