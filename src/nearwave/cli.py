@@ -58,7 +58,7 @@ from .config import (
     units_from,
 )
 from .errors import ConfigError, DegenerateInputError, QuadratureError
-from .modes import GratingSpec, WaveKind
+from .modes import WaveKind
 from .quantities import C_LIGHT, ELECTRON_MASS, ScaledUnits
 
 
@@ -186,10 +186,9 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 
 def _cmd_spectrum(cfg: dict, out: str | None) -> int:
     period, m_max = grating_from(cfg)
-    grating = GratingSpec(period=period)
     header = ["period", "m", "kx", "kind", "re_kz", "im_kz", "z_d", "u_c"]
     rows = []
-    for m, mode in modes.grating_modes(grating, m_max):
+    for m, mode in modes.grating_modes(period, m_max):
         z_d = 1.0 / mode.chi_z if mode.kind is WaveKind.CRAWLING else None
         u_c = modes.phase_velocity(mode.kx) if m != 0 else None
         rows.append([period, m, mode.kx, mode.kind.value, mode.kz.real, mode.kz.imag, z_d, u_c])

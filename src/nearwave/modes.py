@@ -8,8 +8,7 @@ an imaginary transverse wavenumber i*chi_z and sub-luminal phase velocity.
 
 All wavenumbers here are in units of the input wavenumber k0, so the fixed
 (infinitely heavy) screen threshold is exactly 1.  A movable screen lowers
-the threshold slightly; that reduced threshold can be passed in, the full
-finite-mass solution living in :mod:`nearwave.recoil`.
+the threshold slightly; its modes are solved in :mod:`nearwave.recoil`.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ class WaveKind(enum.Enum):
 class Mode(NamedTuple):
     """One kx mode with its transverse wavenumber.
 
-    ``kz`` satisfies kz**2 + kx**2 = threshold**2 as complex numbers; for a
+    ``kz`` satisfies kz**2 + kx**2 = 1 as complex numbers; for a
     crawling mode it is +i*chi_z, decaying away from the screen on its
     transmission side (+z).
     """
@@ -38,63 +37,41 @@ class Mode(NamedTuple):
     kz: complex
 
 
-class GratingSpec:
-    """Idealized grating: slit period in units of the input wavelength."""
+def _mode(n: float, d: float) -> Mode:
+    """The mode of kx = n/d, classified and solved from n and d.
 
-    __slots__ = ("period",)
-
-    def __init__(self, period: float):
-        if not (period > 0):
-            raise ValueError(f"grating period must be positive, got {period!r}")
-        self.period = period  # d / lambda0
-
-    @property
-    def kd(self) -> float:
-        """Mode spacing 2*pi/d in units of k0, i.e. lambda0/d."""
-        return 1.0 / self.period
-
-    @property
-    def m_critical(self) -> int:
-        """Largest |m| that still propagates: floor(d/lambda0)."""
-        return math.floor(self.period)
-
-
-def classify(kx: float, threshold: float = 1.0) -> Mode:
-    """Classify a single kx against an evanescence threshold.
-
-    |kx| equal to the threshold counts as running (the inequality for
-    evanescence is strict), with kz = 0.
+    |n| > d is compared exactly, and |n| - d is exact near the threshold, so
+    no mode rounds across it; each factor is divided by d before the
+    product, so no finite kx overflows an intermediate.
     """
-    if not (0.0 < threshold <= 1.0):
-        raise ValueError(f"threshold must lie in (0, 1], got {threshold!r}")
-    if abs(kx) > threshold:
-        chi = math.sqrt((abs(kx) - threshold) * (abs(kx) + threshold))
+    kx = n / d
+    if abs(n) > d:
+        chi = math.sqrt(((abs(n) - d) / d) * ((abs(n) + d) / d))
         return Mode(kx=kx, kind=WaveKind.CRAWLING, chi_z=chi, kz=complex(0.0, chi))
-    kz = math.sqrt((threshold - abs(kx)) * (threshold + abs(kx)))
+    kz = math.sqrt(((d - abs(n)) / d) * ((d + abs(n)) / d))
     return Mode(kx=kx, kind=WaveKind.RUNNING, chi_z=0.0, kz=complex(kz, 0.0))
 
 
-def grating_modes(grating: GratingSpec, m_max: int) -> list[tuple[int, Mode]]:
-    """Discrete modes m = -m_max..m_max of an idealized grating.
+def classify(kx: float) -> Mode:
+    """Classify a single kx against the fixed-screen threshold |kx| = 1.
 
-    kx(m) = m * kd and the mode is crawling iff |m| exceeds the integer
-    critical order floor(d/lambda0); classification uses the integer rule
-    so the boundary order is exact even when m*kd rounds past 1.
+    |kx| = 1 counts as running (the inequality for evanescence is strict),
+    with kz = 0.
     """
+    return _mode(kx, 1.0)
+
+
+def grating_modes(period: float, m_max: int) -> list[tuple[int, Mode]]:
+    """Discrete modes m = -m_max..m_max of an idealized grating of period d/lambda0.
+
+    kx(m) = m/period, and the mode is crawling iff |m| > period, compared
+    exactly, so the boundary order is exact even when m/period rounds to 1.
+    """
+    if not (period > 0):
+        raise ValueError(f"grating period must be positive, got {period!r}")
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max!r}")
-    mc = grating.m_critical
-    out = []
-    for m in range(-m_max, m_max + 1):
-        kx = m * grating.kd
-        if abs(m) > mc:
-            chi = math.sqrt(max(kx * kx - 1.0, 0.0))
-            mode = Mode(kx=kx, kind=WaveKind.CRAWLING, chi_z=chi, kz=complex(0.0, chi))
-        else:
-            kz = math.sqrt(max(1.0 - kx * kx, 0.0))
-            mode = Mode(kx=kx, kind=WaveKind.RUNNING, chi_z=0.0, kz=complex(kz, 0.0))
-        out.append((m, mode))
-    return out
+    return [(m, _mode(m, period)) for m in range(-m_max, m_max + 1)]
 
 
 def phase_velocity(kx: float) -> float:
@@ -108,12 +85,7 @@ def decay_constant(kx: float) -> float:
     """chi_z = sqrt(kx^2 - 1) of a crawling mode behind a fixed screen."""
     if abs(kx) <= 1.0:
         raise ValueError(f"|kx| = {abs(kx)!r} <= 1 is not an evanescent mode and has no decay depth")
-    return math.sqrt((abs(kx) - 1.0) * (abs(kx) + 1.0))
-
-
-def decay_depth(kx: float) -> float:
-    """Decay depth z_d * k0 = 1/chi_z of a crawling mode."""
-    return 1.0 / decay_constant(kx)
+    return classify(kx).chi_z
 
 
 def decay_depth_conventions(kx: float) -> tuple[float, float]:
@@ -124,5 +96,5 @@ def decay_depth_conventions(kx: float) -> tuple[float, float]:
     if one reads k0 as 1/lambda0.  Reports quote both because the two
     conventions circulate in the literature and differ by 2*pi.
     """
-    zd = decay_depth(kx)
+    zd = 1.0 / decay_constant(kx)
     return zd / (2.0 * math.pi), zd

@@ -58,7 +58,9 @@ profile's (unnormalized) amplitude scale.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import re
 import warnings
 from typing import NamedTuple
 
@@ -114,6 +116,16 @@ def _cos_sin(x) -> np.ndarray:
     return out
 
 
+@contextlib.contextmanager
+def _naming_kx(k_hi: float, zs: np.ndarray, x_max: float):
+    """Re-raise a QuadratureError with its interval, in theta, t or k, replaced by kx and the points."""
+    try:
+        yield
+    except QuadratureError as e:
+        where = f"kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {x_max:g})"
+        raise QuadratureError(re.sub(r"\[[^\]]*\]", where, str(e), count=1), achieved=e.achieved) from None
+
+
 def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float, np.ndarray, np.ndarray]:
     """k_hi, each row's exponential end k_exp and the seeds on t in (-pi/2, acosh k_hi), for rows zs."""
     z_max = float(zs.max())
@@ -122,9 +134,10 @@ def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
     k_hi = max(1.5, min(profile.cutoff(), float(k_exp.max())))  # beyond its own end a row carries < e^-46
     t_mid = float(np.arccosh(min(2.0, k_hi)))  # k = 2, where the seeds switch from t to k; t_hi below k = 2
-    rw = oscillation_breakpoints(0.0, 0.5 * math.pi, (math.hypot(x_max, z_max) + rate0) / _HALF_WAVES_PER_PANEL)
-    s = oscillation_breakpoints(0.0, t_mid, (x_max + rate0) * math.sinh(t_mid) / _HALF_WAVES_PER_PANEL)
-    k = oscillation_breakpoints(2.0, k_hi, (x_max + rate0) / _HALF_WAVES_PER_PANEL)
+    with _naming_kx(k_hi, zs, x_max):
+        rw = oscillation_breakpoints(0.0, 0.5 * math.pi, (math.hypot(x_max, z_max) + rate0) / _HALF_WAVES_PER_PANEL)
+        s = oscillation_breakpoints(0.0, t_mid, (x_max + rate0) * math.sinh(t_mid) / _HALF_WAVES_PER_PANEL)
+        k = oscillation_breakpoints(2.0, k_hi, (x_max + rate0) / _HALF_WAVES_PER_PANEL)
     decay = []  # e^{-chi z_max} falls _EFOLDS_PER_PANEL e-folds from one decay seed to the next, down to e^-46
     if z_max > 0.0:
         decay = np.arcsinh(np.arange(1, int(_EXP_CUT / _EFOLDS_PER_PANEL) + 1) * _EFOLDS_PER_PANEL / z_max)
@@ -157,13 +170,9 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
         right[1] *= -k
         return left.reshape(3 * nz, -1), right.reshape(2 * len(u), -1)
 
-    a, b = -0.5 * math.pi, float(np.arccosh(k_hi))
-    try:
-        res = adaptive_quad(integrand, a, b, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
-                            components=3 * nz * 2 * len(u))
-    except QuadratureError as e:  # its interval is in t: name kx and the points instead
-        where = f"kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {u[-1]:g})"
-        raise QuadratureError(str(e).replace(f"[{a:g}, {b:g}]", where), achieved=e.achieved) from None
+    with _naming_kx(k_hi, zs, u[-1]):
+        res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=0.5 * abs_tol,
+                            rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))
     v = 2.0 * res.value.reshape(3, nz, 2, len(u))
     cw = v[2]
     k_profile = profile.cutoff()

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from importlib import resources
 
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from nearwave import aperture, cli, recoil
 from nearwave.kinematics import evanescence_transfer
-from nearwave.modes import GratingSpec
+from nearwave.modes import grating_modes
 from nearwave.probe import GaussianPacket
 from nearwave.quantities import ScaledUnits
 from nearwave.recoil import ScreenSpec, recoil_solution
@@ -74,8 +76,35 @@ class TestSpectrum:
         want = math.sqrt((1.2) ** 2 - 1.0)
         assert float(m3["im_kz"]) == pytest.approx(want, rel=5e-15, abs=0)
         # 17g formatting is round-trip exact: the parsed cell reproduces the
-        # library float bit for bit (kx = 3 * (1/2.5), not 3/2.5)
-        assert float(m3["kx"]) == 3 * (1.0 / 2.5)
+        # library float bit for bit (kx = 3/2.5, not 3 * (1/2.5))
+        assert float(m3["kx"]) == 3 / 2.5
+
+    @pytest.mark.parametrize("period, kind, column", [(2.9999999999999996, "CW", "im_kz"),
+                                                      (3.0000000000000004, "RW", "re_kz")])
+    def test_order_one_ulp_from_the_threshold(self, capsys, tmp_path, period, kind, column):
+        # 3/period rounds to 1 -/+ 1 ulp, but |3| vs period decides the kind and |3| - period is exact,
+        # so |kz| = sqrt(|9/period^2 - 1|) = 1.7206e-8 on both sides, and z_d = 1/chi_z stays finite
+        cfg = dict(BASE_CFG, grating={"period": period, "m_max": 4})
+        rc, out, err = run_main(capsys, "spectrum", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 0 and err == ""
+        rows = {int(r["m"]): r for r in csv.DictReader(io.StringIO(out))}
+        for m in (3, -3):
+            assert rows[m]["kind"] == kind
+            assert float(rows[m][column]) == pytest.approx(1.72063788530119e-08, rel=4e-16)
+
+    @given(st.floats(min_value=5e-324, max_value=sys.float_info.max), st.integers(min_value=1, max_value=20))
+    def test_any_finite_period_exits_cleanly(self, period, m_max):
+        # a kx, chi_z or u_c that overflows is refused with exit 4; nothing divides by zero
+        cfg = json.dumps({"grating": {"period": period, "m_max": m_max}})
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(cfg)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(["spectrum", "--config", path])
+        assert rc in (0, 4), (rc, err.getvalue())
+        assert (rc == 0) == (err.getvalue() == "") and "Traceback" not in err.getvalue()
 
     def test_m_max_above_cap_rejected_before_any_mode(self, capsys, tmp_path, monkeypatch):
         from nearwave import config, modes
@@ -278,6 +307,16 @@ class TestField:
         assert error["type"] == "quadrature" and error["message"] == (
             "panel sums overflow on kx in [0, 2] (z from 0 to 0.5, |x| up to 1)")
         assert math.isfinite(error["achieved"])
+
+    def test_seeding_refusal_names_the_grid(self, capsys, tmp_path):
+        # |x| = 1e7 needs more oscillation seeds than the cap allows on the running-wave range, whose
+        # internal variable theta = t + pi/2 runs over [0, pi/2]: the message names kx and the points instead
+        cfg = dict(BASE_CFG, grids={"x": [1e7], "z": [0.5]})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 3 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "quadrature" and error["achieved"] is None
+        assert "|x| up to 1e+07" in error["message"] and "1.5708" not in error["message"], error
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
@@ -941,7 +980,7 @@ class TestOutFileAndDeterminism:
 @pytest.mark.parametrize("build, message", [
     (lambda: aperture.SingleSlitProfile(a=0.0), "slit width must be positive, got 0.0"),
     (lambda: aperture.GaussianProfile(w=-1.0), "width must be positive, got -1.0"),
-    (lambda: GratingSpec(period=0.0), "grating period must be positive, got 0.0"),
+    (lambda: grating_modes(0.0, 1), "grating period must be positive, got 0.0"),
     (lambda: ScreenSpec(K_M=-2.0), "K_M must be positive, got -2.0"),
     (lambda: GaussianPacket(z0=1.0, delta_z=0.0), "delta_z must be positive, got 0.0"),
     (lambda: GaussianPacket(z0=-0.5, delta_z=1.0), "z0 must be non-negative, got -0.5"),

@@ -1,14 +1,15 @@
 import math
+import random
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from nearwave.modes import (
-    GratingSpec,
     WaveKind,
     classify,
-    decay_depth,
+    decay_constant,
     decay_depth_conventions,
     grating_modes,
     phase_velocity,
@@ -17,37 +18,55 @@ from nearwave.modes import (
 
 class TestGratingModes:
     def test_period_2p5_boundary(self):
-        grating = GratingSpec(period=2.5)
-        assert grating.m_critical == 2
-        by_m = dict(grating_modes(grating, 4))
+        by_m = dict(grating_modes(2.5, 4))
         for m in (0, 1, 2, -1, -2):
             assert by_m[m].kind is WaveKind.RUNNING
         for m in (3, 4, -3, -4):
             assert by_m[m].kind is WaveKind.CRAWLING
 
     def test_period_one_keeps_first_order(self):
-        by_m = dict(grating_modes(GratingSpec(period=1.0), 3))
+        by_m = dict(grating_modes(1.0, 3))
         assert by_m[0].kind is WaveKind.RUNNING
         assert by_m[1].kind is WaveKind.RUNNING and by_m[-1].kind is WaveKind.RUNNING
         assert by_m[2].kind is WaveKind.CRAWLING
 
     def test_subwavelength_period(self):
-        by_m = dict(grating_modes(GratingSpec(period=0.9), 3))
+        by_m = dict(grating_modes(0.9, 3))
         assert by_m[0].kind is WaveKind.RUNNING
         assert all(by_m[m].kind is WaveKind.CRAWLING for m in (1, 2, 3, -1, -2, -3))
 
     def test_sorted_and_counted(self):
-        out = grating_modes(GratingSpec(period=2.5), 5)
+        out = grating_modes(2.5, 5)
         assert [m for m, _ in out] == list(range(-5, 6))
 
     def test_invalid_period(self):
         with pytest.raises(ValueError, match="positive"):
-            GratingSpec(period=0.0)
+            grating_modes(0.0, 3)
 
     def test_matches_classify_rule(self):
-        grating = GratingSpec(period=2.5)
-        for m, mode in grating_modes(grating, 6):
+        for m, mode in grating_modes(2.5, 6):
             assert mode.kind is classify(mode.kx).kind
+
+    def test_rows_against_mpmath(self):
+        # kx = m/period and kz = sqrt(1 - (m/period)^2) from the exact binary period; the periods
+        # sit at random in 0.3-6 and one ulp either side of the integers, where |m| = period
+        rng = random.Random(0)
+        periods = [rng.uniform(0.3, 6.0) for _ in range(200)]
+        periods += [math.nextafter(float(n), side) for n in range(1, 40) for side in (0.0, math.inf)]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for period in periods:
+                for m, mode in grating_modes(period, 40):
+                    kx = mpmath.mpf(m) / mpmath.mpf(period)
+                    kz = mpmath.sqrt(abs(1 - kx * kx))
+                    assert mode.kind is (WaveKind.CRAWLING if abs(kx) > 1 else WaveKind.RUNNING)
+                    got = mode.chi_z if mode.kind is WaveKind.CRAWLING else mode.kz.real
+                    for value, want in ((mode.kx, kx), (got, kz)):
+                        if want != 0:
+                            worst = max(worst, float(abs(value - want) / abs(want)))
+                        else:
+                            assert value == 0.0
+        assert worst <= 4e-16, worst
 
 
 class TestClassify:
@@ -67,17 +86,6 @@ class TestClassify:
         assert mode.kind is WaveKind.RUNNING
         assert mode.kz == 0.0
 
-    def test_reduced_threshold_moves_boundary(self):
-        eta = 0.7
-        assert classify(0.8, threshold=eta).kind is WaveKind.CRAWLING
-        assert classify(0.8).kind is WaveKind.RUNNING
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            classify(1.0, threshold=0.0)
-        with pytest.raises(ValueError):
-            classify(1.0, threshold=1.5)
-
     @given(st.floats(min_value=-60.0, max_value=60.0))
     def test_dispersion_closure(self, kx):
         mode = classify(kx)
@@ -88,7 +96,7 @@ class TestClassify:
         kxs = [1.2, 1.7, 3.0, 8.0, 30.0]
         chis = [classify(k).chi_z for k in kxs]
         assert all(a < b for a, b in zip(chis, chis[1:]))
-        zds = [decay_depth(k) for k in kxs]
+        zds = [1.0 / decay_constant(k) for k in kxs]
         assert all(a > b for a, b in zip(zds, zds[1:]))
 
 
@@ -111,14 +119,14 @@ class TestScalarKinematics:
 
 class TestDecayDepth:
     def test_chi_of_one(self):
-        assert decay_depth(math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-15)
+        assert decay_constant(math.sqrt(2.0)) == pytest.approx(1.0, rel=1e-15)
 
     def test_vanishes_at_large_kx(self):
-        assert decay_depth(1e8) < 2e-8
+        assert 1.0 / decay_constant(1e8) < 2e-8
 
     def test_running_has_none(self):
         with pytest.raises(ValueError, match="no decay depth"):
-            decay_depth(0.9)
+            decay_constant(0.9)
 
     def test_both_conventions_at_kx5(self):
         # direct evaluation: 1/(2*pi*sqrt(24)) and 1/sqrt(24) per lambda0;

@@ -53,9 +53,9 @@ def test_every_private_module_level_name_is_referenced():
         assert not private - referenced, (path.name, sorted(private - referenced))
 
 
-# public names that no package code calls, each kept because an acceptance criterion or a warning rests on it
+# public names that no package code calls, each kept because an acceptance criterion or a warning rests on it;
+# an entry that names nothing, or a name that package code reaches, fails the check below
 PUBLIC_ONLY_FOR_CHECKS = {
-    "classify": "acceptance criterion 10 classifies kx against the threshold",
     "screen_momentum_magnitude": "acceptance criterion 6 checks its two routes agree",
     "cw_fraction_profile": "carries the cancellation-noise warning of the evanescent fraction",
     "E_tilde": "acceptance criterion 05 sums eps~ + E~",
@@ -85,6 +85,8 @@ def test_every_public_function_and_class_is_referenced():
             unreferenced.append(node.name)
     extra = sorted(set(unreferenced) - set(PUBLIC_ONLY_FOR_CHECKS))
     assert not extra, extra
+    stale = sorted(set(PUBLIC_ONLY_FOR_CHECKS) - set(unreferenced))
+    assert not stale, f"exempt, but undefined or reached by package code: {stale}"
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
