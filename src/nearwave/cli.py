@@ -11,9 +11,10 @@ Usage:
     nearwave scenario-lifetime     [--config run.json] [--out report.json]
 
 Grid subcommands emit CSV (UTF-8, LF, header row, floats printed with 17
-significant digits so repeated runs are byte-identical); single-record
-subcommands emit one JSON object with ``inputs``, ``outputs``,
-``residuals`` and ``warnings`` keys, laid out byte for byte as
+significant digits so repeated runs are byte-identical, an empty cell where
+a value is undefined, such as ``absorb``'s 0/0 ratio where |F|^2 is 0);
+single-record subcommands emit one JSON object with ``inputs``,
+``outputs``, ``residuals`` and ``warnings`` keys, laid out byte for byte as
 ``json.dumps(record, sort_keys=True, indent=2)`` would lay it out.  Every
 row echoes the dimensionless inputs it was computed from.  The scenario
 subcommands fall back to bundled example configs when --config is omitted;
@@ -21,7 +22,8 @@ each scenario's keys and defaults are one dict here.  This module builds
 every record, and it and :mod:`nearwave.config` alone name config fields.
 
 Exit codes: 0 success, 2 configuration errors (an unreadable config file or
-an unwritable --out among them), 3 quadrature failure, 4 degenerate
+an unwritable --out among them, and a ``tau_max_s`` whose a*k' or cubic
+asymptote leaves the float range), 3 quadrature failure, 4 degenerate
 kinematic input or a record whose numbers overflow or divide by zero
 (:func:`_record` refuses it with its kx, transfer's two ratios or a
 scenario's values; no record or CSV holds NaN or Infinity: the error names
@@ -225,11 +227,10 @@ def _cmd_absorb(cfg: dict, out: str | None) -> int:
 
     def row(kx: float) -> list:
         p, lim = probe.absorption_probability(kx, packet, profile.amplitude(kx))
-        if lim == 0.0:
-            raise ZeroDivisionError("|F|^2 is 0 or underflows at this kx, so probability/zero_width_limit is 0/0")
-        return [packet.z0, packet.delta_z, kx, p, lim, p / lim]
+        # |F|^2 is 0 or underflows: the ratio is 0/0, so its cell stays empty
+        return [packet.z0, packet.delta_z, kx, p, lim, p / lim if lim != 0.0 else None]
 
-    _emit_csv(out, header, [_record(row, ("kx",), float(kx)) for kx in kxs])
+    _emit_csv(out, header, [_record(row, ("kx",), kx) for kx in kxs])
     return 0
 
 
@@ -313,12 +314,9 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
     }
     rec.update(tau_s=None, tau_deep_cw_s=None, tau_traverse_s=None, traverse_regime_warning=None)
     if sol.kind is WaveKind.CRAWLING:
-        routes = recoil.lifetime_routes(sol, units)
-        trav = recoil.traverse_time(sol, units)
-        rec["tau_s"] = routes.exact_s
-        rec["tau_deep_cw_s"] = routes.deep_cw_s
-        rec["tau_traverse_s"] = trav.seconds
-        rec["traverse_regime_warning"] = trav.regime_warning
+        lt = recoil.lifetimes(sol, units)
+        rec.update(tau_s=lt.exact_s, tau_deep_cw_s=lt.deep_cw_s, tau_traverse_s=lt.traverse_s,
+                   traverse_regime_warning=lt.regime_warning)
     return rec
 
 
@@ -326,9 +324,9 @@ def _cmd_recoil(cfg: dict, out: str | None) -> int:
     units = units_from(cfg)
     screen = screen_from(cfg)
     kxs = grid_from(cfg, "kx")
-    records = [_record(_recoil_mode_record, ("kx",), float(kx), screen, units) for kx in kxs]
+    records = [_record(_recoil_mode_record, ("kx",), kx, screen, units) for kx in kxs]
     record = {
-        "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "kx": [float(k) for k in kxs]},
+        "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "kx": kxs},
         "outputs": {"modes": records},
         "residuals": {
             "max_root": max(r["residuals"]["root"] for r in records),
@@ -340,18 +338,13 @@ def _cmd_recoil(cfg: dict, out: str | None) -> int:
     return 0
 
 
-def _lifetime_mode(kx: float, screen: recoil.ScreenSpec, units: ScaledUnits):
-    """The solution, lifetime routes and traverse time of the evanescent mode kx."""
-    sol = recoil.recoil_solution(kx, screen)
-    return sol, recoil.lifetime_routes(sol, units), recoil.traverse_time(sol, units)
-
-
 def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: ScaledUnits) -> dict:
     """The ``short_lifetime`` block of a lifetime record: the odds that a slit-profile collapse lives under tau_max.
 
     The deep-evanescent lifetime inverts to the wavenumber k' = K_M/(c k0 tau_max), and the odds are the slit mode
     density above it.  A k' that does not clear the evanescence threshold saturates them at 1, out of regime.
-    ConfigError for ``scenario.tau_max_s`` if a*k' overflows.
+    ConfigError for ``scenario.tau_max_s`` if a*k' overflows, or is so small that the cubic asymptote
+    8 pi/(3 (a k')^3) overflows.
     """
     rate = C_LIGHT * units.k0 * tau_max
     k_prime = screen.K_M / rate if rate > 0.0 else math.inf
@@ -359,9 +352,12 @@ def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: 
              "cubic_asymptote": None}
     if k_prime <= recoil.critical_threshold(screen).eta:
         return block
-    if not math.isfinite(a * k_prime):
+    try:
+        tail = aperture_mod.tail_probability(k_prime, a) if math.isfinite(a * k_prime) else None
+    except OverflowError:  # (a k')^-3 leaves the float range
+        tail = None
+    if tail is None or not math.isfinite(tail.asymptote):
         raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {a * k_prime!r}")
-    tail = aperture_mod.tail_probability(k_prime, a)
     return block | {"probability": tail.value, "in_regime": True, "cubic_asymptote": tail.asymptote}
 
 
@@ -373,32 +369,31 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
         raise ConfigError("aperture.kind", "lifetime tail odds are defined for the single_slit profile")
     kxs = grid_from(cfg, "kx")
     threshold = recoil.critical_threshold(screen).eta
-    if any(abs(float(kx)) <= threshold for kx in kxs):
+    if any(abs(kx) <= threshold for kx in kxs):
         raise ConfigError("grids.kx", f"lifetimes need evanescent modes, all |kx| > {threshold:.6g}")
     tau_max = tau_max_from(cfg)
     warnings = []
 
     def mode(kx: float) -> dict:
-        _, routes, trav = _lifetime_mode(kx, screen, units)
-        if trav.regime_warning:
+        lt = recoil.lifetimes(recoil.recoil_solution(kx, screen), units)
+        if lt.regime_warning:
             warnings.append(f"kx={kx:g}: traverse-time regime conditions not met")
         return {
             "kx": kx,
-            "tau_exact_s": routes.exact_s,
-            "tau_chi_route_s": routes.chi_route_s,
-            "tau_deep_cw_s": routes.deep_cw_s,
-            "tau_traverse_s": trav.seconds,
+            "tau_exact_s": lt.exact_s,
+            "tau_chi_route_s": lt.chi_route_s,
+            "tau_deep_cw_s": lt.deep_cw_s,
+            "tau_traverse_s": lt.traverse_s,
         }
 
-    modes_out = [_record(mode, ("kx",), float(kx)) for kx in kxs]
+    modes_out = [_record(mode, ("kx",), kx) for kx in kxs]
     outputs = {"modes": modes_out}
     if tau_max is not None:
         short = outputs["short_lifetime"] = _short_lifetime(tau_max, profile.a, screen, units)
         if not short["in_regime"]:
             warnings.append("tau_max inverts below the evanescence threshold")
     record = {
-        "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "slit_a": profile.a,
-                   "kx": [float(k) for k in kxs]},
+        "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "slit_a": profile.a, "kx": kxs},
         "outputs": outputs,
         "residuals": {},
         "warnings": warnings,
@@ -468,7 +463,8 @@ def _lifetime_scenario_record(kx: float, screen: recoil.ScreenSpec, thr: recoil.
     """Screen record from the _LIFETIME values ``s``: lifetime routes, traverse time, tail odds."""
     inputs = dict(s)
     tau_max, reference = inputs.pop("tau_max_s"), inputs.pop("reference_tau_s")  # the others are echoed
-    sol, routes, trav = _lifetime_mode(kx, screen, units)
+    sol = recoil.recoil_solution(kx, screen)
+    lt = recoil.lifetimes(sol, units)
     outputs = {
         "K_M_ratio": screen.K_M,
         "eta": thr.eta,
@@ -476,16 +472,16 @@ def _lifetime_scenario_record(kx: float, screen: recoil.ScreenSpec, thr: recoil.
         "chi_z": sol.chi_z,
         "Gamma_eps0": sol.Gamma,
         "Gamma_si_joule": sol.Gamma * units.eps0,
-        "tau_exact_s": routes.exact_s,
-        "tau_chi_route_s": routes.chi_route_s,
-        "tau_deep_cw_s": routes.deep_cw_s,
-        "traverse_time_s": trav.seconds,
-        "traverse_regime_warning": trav.regime_warning,
+        "tau_exact_s": lt.exact_s,
+        "tau_chi_route_s": lt.chi_route_s,
+        "tau_deep_cw_s": lt.deep_cw_s,
+        "traverse_time_s": lt.traverse_s,
+        "traverse_regime_warning": lt.regime_warning,
     }
-    warnings = ["traverse-time regime conditions not met"] if trav.regime_warning else []
+    warnings = ["traverse-time regime conditions not met"] if lt.regime_warning else []
     if reference is not None:
         outputs["reference_tau_s"] = reference
-        outputs["reference_relative_deviation"] = abs(reference - routes.deep_cw_s) / routes.deep_cw_s
+        outputs["reference_relative_deviation"] = abs(reference - lt.deep_cw_s) / lt.deep_cw_s
     if tau_max is not None:
         short = outputs["short_lifetime"] = _short_lifetime(tau_max, s["slit_width_ratio"], screen, units)
         if not short["in_regime"]:

@@ -24,15 +24,13 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
-
 from .aperture import ApertureProfile, GaussianProfile, SingleSlitProfile, TabulatedProfile
 from .errors import ConfigError
 from .probe import GaussianPacket
 from .quantities import ELECTRON_MASS, ScaledUnits, compton_wavenumber_ratio
 from .recoil import ScreenSpec
 
-_MAX_GRID_POINTS = 10**6  # a start/stop/num grid's largest num; np.linspace would allocate it at once
+_MAX_GRID_POINTS = 10**6  # a start/stop/num grid's largest num; the whole grid is built at once
 _MAX_GRATING_ORDER = 10**5  # largest grating.m_max; spectrum builds and formats all 2 m_max + 1 rows in memory
 
 
@@ -162,14 +160,28 @@ def grating_from(cfg: dict) -> tuple[float, int]:
     return period, m_max
 
 
-def _grid(sec: dict, key: str, path: str) -> np.ndarray:
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num) bit for bit, in Python floats: an overflow gives inf or nan, not a warning."""
+    div = max(num - 1, 1)
+    delta = stop - start
+    step = delta / div
+    if step == 0.0:  # a delta too small to divide: numpy scales each index by delta instead
+        xs = [i / div * delta + start for i in range(num)]
+    else:
+        xs = [i * step + start for i in range(num)]
+    if num > 1:
+        xs[-1] = stop
+    return xs
+
+
+def _grid(sec: dict, key: str, path: str) -> list[float]:
     if key not in sec:
         raise ConfigError(f"{path}.{key}", "required grid is missing")
     spec = sec[key]
     if isinstance(spec, list):
         if not spec:
             raise ConfigError(f"{path}.{key}", "grid list must be non-empty")
-        arr = np.asarray([finite_number(v, f"{path}.{key}") for v in spec])
+        xs = [finite_number(v, f"{path}.{key}") for v in spec]
     elif isinstance(spec, dict):
         start = _number(spec, "start", f"{path}.{key}")
         stop = _number(spec, "stop", f"{path}.{key}")
@@ -178,15 +190,15 @@ def _grid(sec: dict, key: str, path: str) -> np.ndarray:
             raise ConfigError(f"{path}.{key}.num", f"must be an integer from 1 to {_MAX_GRID_POINTS}, got {num!r}")
         if not (stop >= start):
             raise ConfigError(f"{path}.{key}", "stop must be >= start")
-        arr = np.linspace(start, stop, num)
+        xs = _linspace(start, stop, num)
+        if not all(map(math.isfinite, xs)):
+            raise ConfigError(f"{path}.{key}", "grid values must be finite")
     else:
         raise ConfigError(f"{path}.{key}", "grid must be a list or a start/stop/num object")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{path}.{key}", "grid values must be finite")
-    return arr
+    return xs
 
 
-def grid_from(cfg: dict, key: str) -> np.ndarray:
+def grid_from(cfg: dict, key: str) -> list[float]:
     return _grid(_section(cfg, "grids"), key, "grids")
 
 

@@ -46,48 +46,6 @@ class TransferResult(NamedTuple):
     ff_momentum_magnitude: float
 
 
-def _require_moving(K0: float) -> None:
-    if K0 == 0.0:
-        raise DegenerateInputError(
-            "probe at rest: every mode satisfies the selection rule only in the "
-            "zero-frequency limit, outside this fixed-frequency model"
-        )
-
-
-def absorbable_kx(K0: float, K_mu: float) -> float:
-    """Mode selected by a probe of wavenumber K0; same sign as K0, |kx| > 1."""
-    _require_moving(K0)
-    return math.copysign(math.sqrt(1.0 + (K_mu / K0) ** 2), K0)
-
-
-def transferred_kz(K0: float, K_mu: float) -> complex:
-    """Imaginary transverse wavenumber handed to the probe: i*K_mu/|K0|."""
-    _require_moving(K0)
-    return complex(0.0, K_mu / abs(K0))
-
-
-def ff_exit_momentum(K0: float, K_mu: float) -> float:
-    """Free momentum magnitude after the probe leaves the screen.
-
-    Computed two algebraically identical ways, from the post-absorption
-    energy and mass shell and from the expanded form in K0.  The shell
-    form subtracts (s+1)^2 - K_mu^2, so its round-off grows with that
-    cancellation scale; the agreement gate accounts for it, and a
-    disagreement beyond it would indicate a broken invariant and raises.
-    The stable expanded form is returned.
-    """
-    _require_moving(K0)
-    s = math.hypot(K0, K_mu)
-    from_shell = math.sqrt((s + 1.0) ** 2 - K_mu * K_mu)
-    expanded = math.sqrt(K0 * K0 + 2.0 * s + 1.0)
-    tol = 1e-12 * max(expanded, (s + 1.0) ** 2 / expanded)
-    if abs(from_shell - expanded) > tol:
-        raise ArithmeticError(
-            f"exit-momentum forms disagree: {from_shell!r} vs {expanded!r}"
-        )
-    return expanded
-
-
 def selection_residual(K0: float, K_mu: float, kx: float) -> float:
     """Residual of the conservation/mass-shell system at a candidate kx.
 
@@ -108,12 +66,35 @@ def selection_residual(K0: float, K_mu: float, kx: float) -> float:
 
 
 def evanescence_transfer(K0: float, K_mu: float) -> TransferResult:
-    """Full absorption record for one probe input state; ``final_state`` is the probe just after absorbing."""
-    kx = absorbable_kx(K0, K_mu)
-    kz = transferred_kz(K0, K_mu)
+    """Full absorption record for one probe input state; ``final_state`` is the probe just after absorbing.
+
+    The selected mode kx has the sign of K0 and |kx| > 1; the probe takes its
+    imaginary transverse wavenumber i*K_mu/|K0|.  The free momentum magnitude
+    after the probe leaves the screen is computed two algebraically identical
+    ways, from the post-absorption energy and mass shell and from the
+    expanded form in K0.  The shell form subtracts (s+1)^2 - K_mu^2, so its
+    round-off grows with that cancellation scale; the agreement gate accounts
+    for it, and a disagreement beyond it would indicate a broken invariant
+    and raises.  The stable expanded form is returned.
+    """
+    if K0 == 0.0:
+        raise DegenerateInputError(
+            "probe at rest: every mode satisfies the selection rule only in the "
+            "zero-frequency limit, outside this fixed-frequency model"
+        )
+    kx = math.copysign(math.sqrt(1.0 + (K_mu / K0) ** 2), K0)
+    kz = complex(0.0, K_mu / abs(K0))
+    s = math.hypot(K0, K_mu)
+    from_shell = math.sqrt((s + 1.0) ** 2 - K_mu * K_mu)
+    expanded = math.sqrt(K0 * K0 + 2.0 * s + 1.0)
+    tol = 1e-12 * max(expanded, (s + 1.0) ** 2 / expanded)
+    if abs(from_shell - expanded) > tol:
+        raise ArithmeticError(
+            f"exit-momentum forms disagree: {from_shell!r} vs {expanded!r}"
+        )
     return TransferResult(
         kx_selected=kx,
         kz_transferred=kz,
-        final_state=ProbeState(omega=math.hypot(K0, K_mu) + 1.0, Kx=K0 + kx, Kz=kz, K_mu=K_mu),
-        ff_momentum_magnitude=ff_exit_momentum(K0, K_mu),
+        final_state=ProbeState(omega=s + 1.0, Kx=K0 + kx, Kz=kz, K_mu=K_mu),
+        ff_momentum_magnitude=expanded,
     )

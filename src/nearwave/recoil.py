@@ -80,20 +80,6 @@ def _branch_conditioning(kx: float, eta: float) -> float:
     return _EPS * abs(kx) / gap
 
 
-def output_wavenumber(kx: float, screen: ScreenSpec) -> complex:
-    """Output photon wavenumber magnitude k~/k0 (complex past the threshold).
-
-    Positive branch of the recoil balance; the negative branch would send
-    an undeflected photon (kx = 0) away from k~ = k0 and is unphysical.
-    """
-    K_M = screen.K_M
-    r = _radicand(kx, K_M)
-    denom = K_M + 2.0
-    if r >= 0.0:
-        return complex((K_M + 1.0 + math.sqrt(r)) / denom, 0.0)
-    return complex((K_M + 1.0) / denom, math.sqrt(-r) / denom)
-
-
 class RecoilSolution(NamedTuple):
     """Joint photon+screen output for one kx (all values dimensionless).
 
@@ -137,15 +123,17 @@ class RecoilSolution(NamedTuple):
 def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
     """Solve the recoil balance at one kx and assemble the full record.
 
-    Internal cross-checks are enforced at 1e-12 relative: the imaginary
-    part of k~ must equal the decay width computed from the threshold form
-    chi_z/(K_M+1), and hbar*c*k~ must reproduce eps~ componentwise.
+    k~ is the positive-branch root of the balance (the negative branch would
+    send an undeflected photon, kx = 0, away from k~ = k0 and is unphysical),
+    taken from the radicand r = 1 - (1+2/K_M) kx^2.  Its real part is the
+    photon energy eps_real; its imaginary part is checked against the decay
+    width from the threshold form chi_z/(K_M+1) at 1e-12 relative, widened
+    by the branch-point conditioning.
     """
     K_M = screen.K_M
     eta = critical_threshold(screen).eta
     denom = K_M + 2.0
     r = _radicand(kx, K_M)
-    kt = output_wavenumber(kx, screen)
 
     if r < 0.0:
         chi = eta * (1.0 + 1.0 / K_M) * math.sqrt((abs(kx) - eta) * (abs(kx) + eta))
@@ -153,6 +141,7 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
         kz_tilde = complex(1.0 / denom, chi)
         Kz_tilde = complex(1.0 - 1.0 / denom, -chi)
         eps_real = (K_M + 1.0) / denom
+        kt = complex(eps_real, math.sqrt(-r) / denom)
         gamma = chi / (K_M + 1.0)
         E_real = 1.0 / denom
     else:
@@ -164,9 +153,22 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
         kz_tilde = complex(kz_re, 0.0)
         Kz_tilde = complex(1.0 - kz_re, 0.0)
         eps_real = (K_M + 1.0 + sqrt_r) / denom
+        kt = complex(eps_real, 0.0)
         gamma = 0.0
         E_real = one_minus_sqrt_r / denom
-    sol = RecoilSolution(
+
+    scale = max(1.0, abs(kt))
+    # below the threshold the two routes share the same sqrt(r) expression
+    # and must agree to rounding; above it the branch-point conditioning of
+    # the gap |kx| - eta sets the attainable agreement
+    cond = _branch_conditioning(kx, eta) if kind is WaveKind.CRAWLING else 0.0
+    width_tol = max(scale, gamma) * (1e-12 + 4.0 * cond)
+    if abs(kt.imag - gamma) > width_tol:
+        raise ArithmeticError(
+            f"decay-width routes disagree at kx={kx!r}, K_M={K_M!r}: "
+            f"Im(k~)={kt.imag!r} vs chi/(K_M+1)={gamma!r}"
+        )
+    return RecoilSolution(
         kx=kx,
         kind=kind,
         k_tilde=kt,
@@ -179,24 +181,6 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
         eta=eta,
         K_M=K_M,
     )
-
-    scale = max(1.0, abs(kt))
-    # below the threshold the two routes share the same sqrt(r) expression
-    # and must agree to rounding; above it the branch-point conditioning of
-    # the gap |kx| - eta sets the attainable agreement
-    cond = _branch_conditioning(kx, eta) if sol.kind is WaveKind.CRAWLING else 0.0
-    width_tol = max(scale, sol.gamma) * (1e-12 + 4.0 * cond)
-    if abs(kt.imag - sol.gamma) > width_tol:
-        raise ArithmeticError(
-            f"decay-width routes disagree at kx={kx!r}, K_M={K_M!r}: "
-            f"Im(k~)={kt.imag!r} vs chi/(K_M+1)={sol.gamma!r}"
-        )
-    if abs(kt - sol.eps_tilde) > max(1e-12 * scale, width_tol):
-        raise ArithmeticError(
-            f"energy/wavenumber mismatch at kx={kx!r}, K_M={K_M!r}: "
-            f"k~={kt!r} vs eps~={sol.eps_tilde!r}"
-        )
-    return sol
 
 
 def root_residual(sol: RecoilSolution) -> float:
@@ -247,61 +231,39 @@ def screen_momentum_magnitude(kx: float, screen: ScreenSpec) -> complex:
     return route_a
 
 
-class LifetimeRoutes(NamedTuple):
-    """Lifetime of one evanescent joint mode computed three ways [s].
+class Lifetimes(NamedTuple):
+    """Lifetime of one evanescent joint mode three ways, and the screen's drift time across its decay depth [s].
 
     ``exact_s`` is hbar/(Gamma * eps0); ``chi_route_s`` replaces Gamma by
     its unit-threshold form (hbar^2/M) k0 chi_z; ``deep_cw_s`` further
     replaces chi_z by |kx|, the usual headline estimate M/(hbar k0 |k_x|).
+    ``traverse_s`` is d_z/v_z with v_z = hbar k0 Re(Kz~)/M and d_z =
+    1/(chi_z k0); in the heavy-screen, deep-evanescent regime it reproduces
+    the Gamow lifetime.  ``regime_warning`` is set when K_M < 1e3 or
+    |kx| < 10 k_c, where that equality is not expected to hold.
     """
 
     exact_s: float
     chi_route_s: float
     deep_cw_s: float
-
-
-def _require_decaying(sol: RecoilSolution, what: str) -> None:
-    """ValueError if ``sol`` is a running mode, OverflowError if its Gamma or chi_z overflowed."""
-    if sol.kind is not WaveKind.CRAWLING:
-        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no {what}")
-    if not (math.isfinite(sol.Gamma) and math.isfinite(sol.chi_z)):
-        raise OverflowError(f"Gamma = {sol.Gamma!r}, chi_z = {sol.chi_z!r}; no {what}")
-
-
-def lifetime_routes(sol: RecoilSolution, units: ScaledUnits) -> LifetimeRoutes:
-    """The three lifetimes of the evanescent mode ``sol``.
-
-    ValueError for a running mode, OverflowError where Gamma or chi_z is not finite.
-    """
-    _require_decaying(sol, "finite lifetime")
-    ck0 = C_LIGHT * units.k0
-    return LifetimeRoutes(
-        exact_s=HBAR / (sol.Gamma * units.eps0),
-        chi_route_s=sol.K_M / (ck0 * sol.chi_z),
-        deep_cw_s=sol.K_M / (ck0 * abs(sol.kx)),
-    )
-
-
-class TraverseTime(NamedTuple):
-    """Time for the recoiling screen to traverse one decay depth [s].
-
-    ``regime_warning`` is set when K_M < 1e3 or |kx| < 10 k_c, where the
-    equality of traverse time and lifetime is not expected to hold.
-    """
-
-    seconds: float
+    traverse_s: float
     regime_warning: bool
 
 
-def traverse_time(sol: RecoilSolution, units: ScaledUnits) -> TraverseTime:
-    """Decay depth over screen drift velocity, d_z / v_z, for the evanescent mode ``sol``.
+def lifetimes(sol: RecoilSolution, units: ScaledUnits) -> Lifetimes:
+    """The lifetimes and traverse time of the evanescent mode ``sol``.
 
-    v_z = hbar k0 Re(Kz~)/M and d_z = 1/(chi_z k0); in the heavy-screen,
-    deep-evanescent regime this reproduces the Gamow lifetime.  ValueError and
-    OverflowError as for :func:`lifetime_routes`.
+    ValueError for a running mode, OverflowError where Gamma or chi_z is not finite.
     """
-    _require_decaying(sol, "traverse time")
-    warn = sol.K_M < 1e3 or abs(sol.kx) < 10.0 * sol.eta
-    seconds = sol.K_M / (C_LIGHT * units.k0 * sol.chi_z * sol.Kz_tilde.real)
-    return TraverseTime(seconds=seconds, regime_warning=warn)
-
+    if sol.kind is not WaveKind.CRAWLING:
+        raise ValueError(f"|kx| = {abs(sol.kx)!r} is below the threshold; no finite lifetime")
+    if not (math.isfinite(sol.Gamma) and math.isfinite(sol.chi_z)):
+        raise OverflowError(f"Gamma = {sol.Gamma!r}, chi_z = {sol.chi_z!r}; no finite lifetime")
+    ck0 = C_LIGHT * units.k0
+    return Lifetimes(
+        exact_s=HBAR / (sol.Gamma * units.eps0),
+        chi_route_s=sol.K_M / (ck0 * sol.chi_z),
+        deep_cw_s=sol.K_M / (ck0 * abs(sol.kx)),
+        traverse_s=sol.K_M / (ck0 * sol.chi_z * sol.Kz_tilde.real),
+        regime_warning=sol.K_M < 1e3 or abs(sol.kx) < 10.0 * sol.eta,
+    )

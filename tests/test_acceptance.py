@@ -18,7 +18,7 @@ from conftest import cli_record, log_slope, sig_figs
 from test_probe import _quad_overlap
 
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, tail_probability
-from nearwave.kinematics import absorbable_kx, selection_residual, transferred_kz
+from nearwave.kinematics import evanescence_transfer, selection_residual
 from nearwave.modes import classify, decay_depth_conventions
 from nearwave.nearfield import field_grid
 from nearwave.probe import (
@@ -29,7 +29,7 @@ from nearwave.probe import (
 from nearwave.quantities import ScaledUnits, compton_wavenumber_ratio
 from nearwave.recoil import (
     ScreenSpec,
-    lifetime_routes,
+    lifetimes,
     recoil_solution,
     root_residual,
     screen_momentum_magnitude,
@@ -51,7 +51,7 @@ def _kx_grid_50():
 def test_criterion_01_macroscopic_lifetime():
     units = ScaledUnits(k0=7.5e6)
     screen = ScreenSpec(K_M=compton_wavenumber_ratio(0.1, units))
-    routes = lifetime_routes(recoil_solution(10.0, screen), units)
+    routes = lifetimes(recoil_solution(10.0, screen), units)
     in_band = 1.6e18 <= routes.deep_cw_s <= 1.8e18
     near_quoted = abs(routes.deep_cw_s - 1.8e18) / 1.8e18 <= 0.10
     routes_agree = abs(routes.exact_s - routes.chi_route_s) / routes.chi_route_s <= 1e-6
@@ -132,10 +132,11 @@ def test_criterion_06_algebraic_identities():
     # when kx ~ 1e6, so residuals are measured against the largest term)
     worst_sel = worst_disp = 0.0
     for k0_, kmu_ in zip(K0, K_mu):
-        kx = absorbable_kx(k0_, kmu_)
+        transfer = evanescence_transfer(k0_, kmu_)
+        kx = transfer.kx_selected
         scale = max(1.0, kx * kx, k0_ * k0_ + kmu_ * kmu_)
         worst_sel = max(worst_sel, abs(selection_residual(k0_, kmu_, kx)) / scale)
-        kz = transferred_kz(k0_, kmu_)
+        kz = transfer.kz_transferred
         worst_disp = max(worst_disp, abs(kz * kz + kx * kx - 1.0) / max(1.0, kx * kx))
 
     # exit-momentum forms

@@ -327,6 +327,16 @@ class TestField:
         assert json.loads(err)["error"]["field"] == "grids.x.num"
 
 
+    def test_grid_overflow_is_refused_without_a_warning(self, capsys, tmp_path):
+        # stop - start overflows to inf
+        cfg = dict(BASE_CFG, grids=dict(BASE_CFG["grids"], x={"start": -1e308, "stop": 1e308, "num": 3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
+            rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["field"] == "grids.x"
+
+
 class TestAbsorb:
     def test_values_match_library(self, capsys, tmp_path):
         cfg = dict(BASE_CFG)
@@ -359,21 +369,35 @@ class TestAbsorb:
         assert rc == 2
         assert json.loads(err)["error"]["field"] == "grids.kx"
 
-    @pytest.mark.parametrize("aperture, delta_z, kx, error", [
-        ({"kind": "gaussian", "w": 1e3}, 0.5, 5.0, "kx=5.0: ZeroDivisionError"),  # |F|^2 underflows: 0/0
-        ({"kind": "single_slit", "a": 1.0}, 0.5, 1e200, "kx=1e+200: ZeroDivisionError"),
-        ({"kind": "single_slit", "a": 1.0}, 1e-300, 3.0, "kx=3.0: OverflowError"),  # in overlap_integral
-        # (kx w)^2 overflows to inf, and exp(-inf) = 0 is the true |F|
-        ({"kind": "gaussian", "w": 2.0}, 0.5, 1e200, "kx=1e+200: ZeroDivisionError: |F|^2 is 0 or underflows"),
-    ])
-    def test_degenerate_row_names_its_kx(self, capsys, tmp_path, aperture, delta_z, kx, error):
-        cfg = dict(BASE_CFG, aperture=aperture, probe=dict(BASE_CFG["probe"], delta_z=delta_z), grids={"kx": [kx]})
+    def test_degenerate_row_names_its_kx(self, capsys, tmp_path):
+        # delta_z = 1e-300 overflows in overlap_integral
+        cfg = dict(BASE_CFG, probe=dict(BASE_CFG["probe"], delta_z=1e-300), grids={"kx": [3.0]})
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
             rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
         assert rc == 4 and out == "" and err.count("\n") == 1 and "Traceback" not in err
         payload = json.loads(err)["error"]
-        assert payload["type"] == "degenerate-input" and payload["message"].startswith(error)
+        assert payload["type"] == "degenerate-input" and payload["message"].startswith("kx=3.0: OverflowError")
+
+    @pytest.mark.parametrize("aperture, kx", [
+        ({"kind": "gaussian", "w": 1e3}, 5.0),  # |F|^2 underflows
+        ({"kind": "single_slit", "a": 1.0}, 1e200),
+        ({"kind": "gaussian", "w": 2.0}, 1e200),  # (kx w)^2 overflows to inf, and exp(-inf) = 0 is the true |F|
+        ({"kind": "tabulated"}, 3.0),  # beyond the last sample, at kx = 2
+    ])
+    def test_zero_amplitude_row_is_written(self, capsys, tmp_path, aperture, kx):
+        # probability and its zero-width limit are both 0, and their 0/0 ratio is left empty
+        if aperture["kind"] == "tabulated":
+            (tmp_path / "prof.csv").write_text("kx,F\n0.0,1.0\n0.5,0.875\n1.0,0.75\n1.5,0.625\n2.0,0.5\n")
+            aperture = dict(aperture, path=str(tmp_path / "prof.csv"))
+        cfg = dict(BASE_CFG, aperture=aperture, grids={"kx": [kx]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 0 and err == ""
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert float(row["kx"]) == kx
+        assert (row["probability"], row["zero_width_limit"], row["ratio"]) == ("0", "0", "")
 
 
 class TestTransfer:
@@ -581,6 +605,22 @@ class TestNonFiniteRecords:
         assert rc == 2 and out == ""
         message = f"tau_max_s = {cfg['scenario']['tau_max_s']!r} inverts to a*k' = inf"
         assert json.loads(err)["error"] == {"type": "config", "field": "scenario.tau_max_s", "message": message}
+
+    @pytest.mark.parametrize("name, cfg", [
+        # a*k' = 4.4e-286: (a k')^-3 raises OverflowError
+        ("lifetime", {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e30}, "aperture": {"kind": "single_slit", "a": 1e-300},
+                      "grids": {"kx": [2.0]}, "scenario": {"tau_max_s": 1.0}}),
+        ("scenario-lifetime", {"scenario": {"slit_width_ratio": 1e-300, "tau_max_s": 1.0}}),
+        # a*k' = 3e-103: (a k')^-3 is finite, but 8 pi/3 times it is inf
+        ("lifetime", {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e30},
+                      "aperture": {"kind": "single_slit", "a": 3e-103 / 4.4475212693086945e14},
+                      "grids": {"kx": [2.0]}, "scenario": {"tau_max_s": 1.0}}),
+    ])
+    def test_cubic_asymptote_overflow_is_config_error(self, capsys, tmp_path, name, cfg):
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == "scenario.tau_max_s"
 
     def test_probe_spread_division_by_zero_names_its_inputs(self, capsys, tmp_path):
         rc, out, err = run_main(capsys, "scenario-probe-spread", "--config",
@@ -841,6 +881,31 @@ class TestErrorsAndChecks:
         argv = ["--config", str(tmp_path / config)] + ([] if out is None else ["--out", str(tmp_path / out)])
         rc, stdout, err = run_main(capsys, "spectrum", *argv)
         assert rc == 2 and stdout == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "config" and error["field"] == field
+
+    @pytest.mark.parametrize("name, cfg, field", [
+        ("recoil", [BASE_CFG], "<root>"),
+        ("recoil", {k: v for k, v in BASE_CFG.items() if k != "screen"}, "screen"),
+        ("recoil", dict(BASE_CFG, screen=[10.0]), "screen"),
+        ("recoil", {k: v for k, v in BASE_CFG.items() if k != "k0_si"}, "k0_si"),
+        ("recoil", dict(BASE_CFG, screen={"mass_kg": 0.1, "K_M_ratio": 10.0}), "screen"),
+        ("recoil", dict(BASE_CFG, screen={}), "screen"),
+        ("field", dict(BASE_CFG, aperture={"kind": "tabulated", "path": 1}), "aperture.path"),
+        ("field", dict(BASE_CFG, aperture={"kind": "square", "a": 1.0}), "aperture.kind"),
+        ("absorb", dict(BASE_CFG, probe=dict(BASE_CFG["probe"], z0=-1.0), grids={"kx": [2.0]}), "probe"),
+        ("transfer", dict(BASE_CFG, probe={"K0_ratio": 1.0}), "probe"),
+        ("recoil", dict(BASE_CFG, grids={}), "grids.kx"),
+        ("recoil", dict(BASE_CFG, grids={"kx": []}), "grids.kx"),
+        ("field", dict(BASE_CFG, grids=dict(BASE_CFG["grids"], x={"start": 1.0, "stop": 0.0, "num": 2})), "grids.x"),
+        ("field", dict(BASE_CFG, grids=dict(BASE_CFG["grids"], x="0:1")), "grids.x"),
+        ("scenario-lifetime", {"scenario": {"kx": 10.0}}, "scenario.kx"),
+        ("field", dict(BASE_CFG, grids=dict(BASE_CFG["grids"], z=[0.5, -0.5])), "grids.z"),
+        ("lifetime", dict(BASE_CFG, aperture={"kind": "gaussian", "w": 1.0}, grids={"kx": [10.0]}), "aperture.kind"),
+    ])
+    def test_refusal_names_its_field(self, capsys, tmp_path, name, cfg, field):
+        rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and err.count("\n") == 1
         error = json.loads(err)["error"]
         assert error["type"] == "config" and error["field"] == field
 

@@ -5,13 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nearwave.errors import DegenerateInputError
-from nearwave.kinematics import (
-    absorbable_kx,
-    evanescence_transfer,
-    ff_exit_momentum,
-    selection_residual,
-    transferred_kz,
-)
+from nearwave.kinematics import evanescence_transfer, selection_residual
 
 _ratio = st.floats(min_value=1e-3, max_value=1e3)
 _signed_ratio = st.one_of(_ratio, _ratio.map(lambda v: -v))
@@ -19,51 +13,51 @@ _signed_ratio = st.one_of(_ratio, _ratio.map(lambda v: -v))
 
 class TestSelectedMode:
     def test_equal_wavenumbers(self):
-        assert absorbable_kx(1.0, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert evanescence_transfer(1.0, 1.0).kx_selected == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
     def test_half_compton(self):
         k = 1.0
-        assert absorbable_kx(k / 2.0, k) == pytest.approx(math.sqrt(5.0), rel=1e-15)
+        assert evanescence_transfer(k / 2.0, k).kx_selected == pytest.approx(math.sqrt(5.0), rel=1e-15)
 
     def test_ultrarelativistic_limit(self):
-        assert absorbable_kx(1e9, 1.0) == pytest.approx(1.0, rel=1e-12)
+        assert evanescence_transfer(1e9, 1.0).kx_selected == pytest.approx(1.0, rel=1e-12)
         # still strictly evanescent wherever the excess is representable
-        assert absorbable_kx(1e6, 1.0) > 1.0
+        assert evanescence_transfer(1e6, 1.0).kx_selected > 1.0
 
     def test_sign_follows_probe(self):
-        assert absorbable_kx(-2.0, 1.0) < 0
-        assert absorbable_kx(2.0, 1.0) > 0
+        assert evanescence_transfer(-2.0, 1.0).kx_selected < 0
+        assert evanescence_transfer(2.0, 1.0).kx_selected > 0
 
     def test_rest_probe_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            absorbable_kx(0.0, 1.0)
+            evanescence_transfer(0.0, 1.0)
 
     @given(_signed_ratio, _ratio)
     def test_always_evanescent(self, K0, K_mu):
-        assert abs(absorbable_kx(K0, K_mu)) > 1.0
+        assert abs(evanescence_transfer(K0, K_mu).kx_selected) > 1.0
 
     @given(_signed_ratio, _ratio)
     def test_selection_residual_small(self, K0, K_mu):
-        kx = absorbable_kx(K0, K_mu)
+        kx = evanescence_transfer(K0, K_mu).kx_selected
         scale = max(1.0, kx * kx, K0 * K0 + K_mu * K_mu)
         assert abs(selection_residual(K0, K_mu, kx)) <= 1e-12 * scale
 
 
 class TestTransferredKz:
     def test_unit_ratio(self):
-        assert transferred_kz(1.0, 1.0) == 1j
+        assert evanescence_transfer(1.0, 1.0).kz_transferred == 1j
 
     def test_half_ratio(self):
-        assert transferred_kz(2.0, 1.0) == 0.5j
+        assert evanescence_transfer(2.0, 1.0).kz_transferred == 0.5j
 
     def test_purely_imaginary_positive(self):
-        kz = transferred_kz(-3.0, 2.0)
+        kz = evanescence_transfer(-3.0, 2.0).kz_transferred
         assert kz.real == 0.0 and kz.imag > 0
 
     @given(_signed_ratio, _ratio)
     def test_mode_dispersion_closes(self, K0, K_mu):
-        kx = absorbable_kx(K0, K_mu)
-        kz = transferred_kz(K0, K_mu)
+        rec = evanescence_transfer(K0, K_mu)
+        kx, kz = rec.kx_selected, rec.kz_transferred
         assert abs(kz * kz + kx * kx - 1.0) <= 1e-12 * max(1.0, kx * kx)
 
 
@@ -97,20 +91,20 @@ class TestPostAbsorptionState:
 
 class TestExitMomentum:
     def test_massless_formal_limit(self):
-        assert ff_exit_momentum(3.0, 1e-300) == pytest.approx(4.0, rel=1e-12)
+        assert evanescence_transfer(3.0, 1e-300).ff_momentum_magnitude == pytest.approx(4.0, rel=1e-12)
 
     def test_unit_case_both_forms(self):
         want = math.sqrt(2.0 + 2.0 * math.sqrt(2.0))
-        assert ff_exit_momentum(1.0, 1.0) == pytest.approx(want, rel=1e-14)
+        assert evanescence_transfer(1.0, 1.0).ff_momentum_magnitude == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(2.1974, rel=1e-4)
 
     def test_kx_independent_reconstruction(self):
         # recompute from the complex intermediate state's energy and mass:
         # K = sqrt(omega^2 - K_mu^2) must agree without referencing kx
         for K0, K_mu in ((1.0, 1.0), (0.3, 2.0), (-5.0, 0.4)):
-            state = evanescence_transfer(K0, K_mu).final_state
-            recon = math.sqrt(state.omega**2 - state.K_mu**2)
-            assert ff_exit_momentum(K0, K_mu) == pytest.approx(recon, rel=1e-12)
+            rec = evanescence_transfer(K0, K_mu)
+            recon = math.sqrt(rec.final_state.omega**2 - rec.final_state.K_mu**2)
+            assert rec.ff_momentum_magnitude == pytest.approx(recon, rel=1e-12)
 
     @given(_signed_ratio, _ratio)
     def test_forms_agree_across_sweep(self, K0, K_mu):
@@ -121,13 +115,13 @@ class TestExitMomentum:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            ff_exit_momentum(0.0, 1.0)
+            evanescence_transfer(0.0, 1.0)
 
 
 class TestTransferRecord:
     def test_full_record_coherent(self):
         rec = evanescence_transfer(0.5, 2.0)
-        assert rec.kx_selected == pytest.approx(absorbable_kx(0.5, 2.0), rel=0)
+        assert rec.kx_selected == pytest.approx(math.sqrt(1.0 + (2.0 / 0.5) ** 2), rel=0)
         assert rec.final_state.Kx == 0.5 + rec.kx_selected
         assert rec.ff_momentum_magnitude > abs(rec.final_state.K_mu) * 0
         # energy conservation by construction: omega = omega0 + 1

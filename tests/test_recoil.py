@@ -16,12 +16,10 @@ from nearwave.quantities import HBAR, ScaledUnits, compton_wavenumber_ratio
 from nearwave.recoil import (
     ScreenSpec,
     critical_threshold,
-    lifetime_routes,
-    output_wavenumber,
+    lifetimes,
     recoil_solution,
     root_residual,
     screen_momentum_magnitude,
-    traverse_time,
 )
 
 KM_SWEEP = (2.0, 10.0, 1e3, 1e6, 1e12)
@@ -61,10 +59,10 @@ class TestThreshold:
 class TestOutputWavenumber:
     def test_undeflected_mode(self):
         for km in KM_SWEEP:
-            assert output_wavenumber(0.0, ScreenSpec(K_M=km)) == 1.0
+            assert recoil_solution(0.0, ScreenSpec(K_M=km)).k_tilde == 1.0
 
     def test_worked_complex_value(self):
-        kt = output_wavenumber(2.0, ScreenSpec(K_M=10.0))
+        kt = recoil_solution(2.0, ScreenSpec(K_M=10.0)).k_tilde
         assert kt.real == pytest.approx(11.0 / 12.0, rel=1e-15)
         assert kt.imag == pytest.approx(math.sqrt(3.8) / 12.0, rel=1e-14)
 
@@ -79,7 +77,7 @@ class TestOutputWavenumber:
             assert residual < mpmath.mpf(10) ** -20
 
     def test_heavy_screen_reduces_to_unit(self):
-        kt = output_wavenumber(7.0, ScreenSpec(K_M=1e15))
+        kt = recoil_solution(7.0, ScreenSpec(K_M=1e15)).k_tilde
         assert kt.real == pytest.approx(1.0, rel=1e-12)
         assert kt.imag == pytest.approx(0.0, abs=1e-7)
 
@@ -119,7 +117,7 @@ class TestRecoilSolution:
             screen = ScreenSpec(K_M=km)
             for kx in (1.01, 2.0, 5.0, 50.0):
                 sol = recoil_solution(kx, screen)
-                kt = output_wavenumber(kx, screen)
+                kt = sol.k_tilde
                 assert sol.gamma == pytest.approx(kt.imag, rel=1e-12, abs=0)
 
     def test_sign_structure(self):
@@ -235,7 +233,7 @@ class TestWidthsAndLifetimes:
         return ScreenSpec(K_M=compton_wavenumber_ratio(0.1, self.UNITS))
 
     def _routes(self, kx, K_M):
-        return lifetime_routes(recoil_solution(kx, ScreenSpec(K_M=K_M)), self.UNITS)
+        return lifetimes(recoil_solution(kx, ScreenSpec(K_M=K_M)), self.UNITS)
 
     def test_asymptotic_width_accuracy(self):
         # the deep-CW width |kx|/K_M against the exact Gamma, as lifetimes
@@ -256,49 +254,46 @@ class TestWidthsAndLifetimes:
         assert g10 / g1 == pytest.approx(10.0, rel=1e-3)
 
     def test_macroscopic_lifetime_value(self):
-        tau = lifetime_routes(recoil_solution(10.0, self._screen()), self.UNITS).exact_s
+        tau = lifetimes(recoil_solution(10.0, self._screen()), self.UNITS).exact_s
         assert tau == pytest.approx(1.6943e18, rel=1e-4)
         assert 1.6e18 <= tau <= 1.8e18
 
     def test_route_agreement_at_heavy_mass(self):
-        routes = lifetime_routes(recoil_solution(10.0, self._screen()), self.UNITS)
+        routes = lifetimes(recoil_solution(10.0, self._screen()), self.UNITS)
         assert abs(routes.exact_s - routes.chi_route_s) / routes.chi_route_s < 1e-6
         assert routes.deep_cw_s == pytest.approx(0.1 / (HBAR * 7.5e6 * 7.5e7), rel=1e-12)
 
     def test_lifetime_halves_when_kx_doubles(self):
         screen = self._screen()
-        t1 = lifetime_routes(recoil_solution(10.0, screen), self.UNITS).deep_cw_s
-        t2 = lifetime_routes(recoil_solution(20.0, screen), self.UNITS).deep_cw_s
+        t1 = lifetimes(recoil_solution(10.0, screen), self.UNITS).deep_cw_s
+        t2 = lifetimes(recoil_solution(20.0, screen), self.UNITS).deep_cw_s
         assert t1 / t2 == pytest.approx(2.0, rel=1e-12)
 
     def test_running_mode_has_no_lifetime(self):
         with pytest.raises(ValueError, match="no finite lifetime"):
-            lifetime_routes(recoil_solution(0.5, self._screen()), self.UNITS)
+            lifetimes(recoil_solution(0.5, self._screen()), self.UNITS)
 
     def test_overflowed_width_has_no_lifetime(self):
         sol = recoil_solution(1e200, ScreenSpec(K_M=1e300))
         assert sol.Gamma == math.inf
-        for route in (lifetime_routes, traverse_time):
-            with pytest.raises(OverflowError, match="Gamma = inf, chi_z = inf"):
-                route(sol, self.UNITS)
+        with pytest.raises(OverflowError, match="Gamma = inf, chi_z = inf"):
+            lifetimes(sol, self.UNITS)
 
     def test_traverse_equals_lifetime_in_regime(self):
         screen = self._screen()
         sol = recoil_solution(10.0, screen)
-        trav = traverse_time(sol, self.UNITS)
-        tau = lifetime_routes(sol, self.UNITS).exact_s
-        assert not trav.regime_warning
-        assert trav.seconds == pytest.approx(tau, rel=1e-10)
+        lt = lifetimes(sol, self.UNITS)
+        assert not lt.regime_warning
+        assert lt.traverse_s == pytest.approx(lt.exact_s, rel=1e-10)
 
     def test_traverse_flags_light_screen(self):
         sol = recoil_solution(2.0, ScreenSpec(K_M=10.0))
-        trav = traverse_time(sol, self.UNITS)
-        assert trav.regime_warning
+        lt = lifetimes(sol, self.UNITS)
+        assert lt.regime_warning
         # outside the regime the two times genuinely part ways; the ratio is
         # K_M (K_M+2) / (K_M+1)^2 = 120/121 here
-        tau = lifetime_routes(sol, self.UNITS).exact_s
-        assert trav.seconds / tau == pytest.approx(120.0 / 121.0, rel=1e-12)
-        assert abs(trav.seconds / tau - 1.0) > 1e-3
+        assert lt.traverse_s / lt.exact_s == pytest.approx(120.0 / 121.0, rel=1e-12)
+        assert abs(lt.traverse_s / lt.exact_s - 1.0) > 1e-3
 
 
 class TestShortLifetime:
