@@ -27,12 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import adaptive_quad
+from .quadrature import _RULES, _X_K
 
 _SERIES_WINDOW = 1e-3
-# scaled wavenumber beyond which the slit's 1/k tail series replaces quadrature:
-# min(a, pi)*kx for the field, a*kx for tail_probability
+# min(a, pi)*kx beyond which the slit field's 1/k tail series replaces quadrature
 _TAIL_START = 100.0
+# q = a*kx from which tail_probability sums its 1/q series; one K31 panel covers [q', 10] below
+_ODDS_SERIES_START = 10.0
 _TAIL_ORDER = 12  # highest power of 1/k kept in the slit field tail series
 # past this many samples a panel per spline piece costs more than refining
 # the small third-derivative jumps of densely sampled data
@@ -150,9 +151,12 @@ def _tail_probability_coefficients(order: int) -> np.ndarray:
     return d
 
 
-def _tail_sum(c: list[float], k_hi: float, en: list[complex]) -> complex:
-    """sum_m c_m integral_{k_hi}^inf k^-m e^{-s k} dk = sum_m c_m E_m(s k_hi) / k_hi^(m-1), from en[n] = E_n(s k_hi)."""
-    return sum(c[m] * en[m] * k_hi ** (1 - m) for m in range(2, len(c)))
+def _odds_series_order(q: float) -> int:
+    """Smallest even order with (pi/q)^(order-4) <= 1e-17: the 1/q series of the slit tail odds converges to rounding.
+
+    Each order pair is (pi/q)^2 smaller than the last, so 38 orders at q = 10, 16 at 100 and 8 at 1e6.
+    """
+    return 4 + 2 * math.ceil(17.0 / (2.0 * math.log10(q / math.pi)))
 
 
 class TailEstimate(NamedTuple):
@@ -172,34 +176,35 @@ def tail_probability(k_prime: float, a: float) -> TailEstimate:
     """Probability of finding any |kx| above k_prime for the slit profile.
 
     In q = a*kx this is integral_{q'}^inf 8 pi cos^2(q/2)/(pi^2 - q^2)^2 dq,
-    which depends on a and k' only through q' = a*k'.  Adaptive panels (one
-    half-oscillation of cos^2 per seed panel) cover [q', _TAIL_START]; from
-    q_t = max(q', _TAIL_START) on, the field tail's 1/q series takes over:
+    which depends on a and k' only through q' = a*k'.  From
+    q_s = max(q', _ODDS_SERIES_START) on, the field tail's 1/q series sums it:
     with c from :func:`_slit_tail_series` at a = 1, z = 0 and d = c*c (its
-    Cauchy square, complete through q^-(_TAIL_ORDER+2)),
-    |F|^2 = 2 pi (1 + cos q) sum_M d_M q^-M, so the remainder is
-    4 pi [sum_M d_M q_t^(1-M)/(M-1) + Re sum_M d_M E_M(-i q_t)/q_t^(M-1)].
-    ``error`` is the panel error plus the bound 8 pi |d_M| q_t^(1-M)/(M-1)
-    of the first omitted terms; each further order is (pi/q_t)^2 smaller.
+    Cauchy square), |F|^2 = 2 pi (1 + cos q) sum_M d_M q^-M, so the remainder is
+    4 pi sum_M d_M q_s^(1-M) [1/(M-1) + Re E_M(-i q_s)], through the order of
+    :func:`_odds_series_order`.  Below q_s one K31 panel covers [q', q_s]: |F|^2
+    is entire (the double zero of cos^2 at q = pi cancels the double pole) and
+    the panel spans at most 3.2 half-waves of cos q, so K31 is exact to rounding.
+    ``error`` is the panel's |K31 - G15| plus the bound 8 pi |d_M| q_s^(1-M)/(M-1)
+    of the first omitted term.
     """
     if not (math.isfinite(k_prime) and k_prime > 0):
         raise ValueError(f"k_prime must be finite and positive, got {k_prime!r}")
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"slit width must be finite and positive, got {a!r}")
     qp = a * k_prime
-    q_t = max(qp, _TAIL_START)
-    order = _TAIL_ORDER + 2  # c through q^-order squares completely through q^-(order+2)
-    d = _tail_probability_coefficients(order)
-    value = sum(d[m] * q_t ** (1 - m) / (m - 1) for m in range(2, order + 1))
-    value = 4.0 * math.pi * (value + _tail_sum(d[: order + 1], q_t, _exp_integrals(-1j * q_t, order)).real)
-    error = 8.0 * math.pi * sum(abs(d[m]) * q_t ** (1 - m) / (m - 1) for m in (order + 1, order + 2))
-    if qp < _TAIL_START:
-        breaks = np.arange(math.ceil(qp / math.pi) * math.pi, _TAIL_START, math.pi)
-        slit = SingleSlitProfile(1.0)
-        res = adaptive_quad(lambda q: 2.0 * slit.amplitude(q) ** 2, qp, _TAIL_START,
-                            abs_tol=1e-12, rel_tol=1e-12, breakpoints=breaks)
-        value += res.value
-        error += res.error
+    q_s = max(qp, _ODDS_SERIES_START)
+    order = _odds_series_order(q_s)
+    d = _tail_probability_coefficients(order)  # complete through q^-(order+2)
+    en = _exp_integrals(-1j * q_s, order)
+    value = 4.0 * math.pi * sum(d[m] * q_s ** (1 - m) * (1.0 / (m - 1) + en[m].real) for m in range(2, order + 1))
+    error = 8.0 * math.pi * abs(d[order + 2]) * q_s ** (-1 - order) / (order + 1)
+    if qp < q_s:
+        half = 0.5 * (q_s - qp)
+        # nodes measured from q' keep the lower end exact, where the density is largest
+        density = 2.0 * SingleSlitProfile(1.0).amplitude(qp + half * (1.0 + _X_K)) ** 2
+        k31, k31_minus_g15 = half * (_RULES @ density)
+        value += k31
+        error += abs(k31_minus_g15)
     asym = 8.0 * math.pi / 3.0 * qp**-3.0
     return TailEstimate(value=float(value), error=float(error), asymptote=float(asym))
 

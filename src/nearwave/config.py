@@ -127,13 +127,11 @@ def aperture_from(cfg: dict) -> ApertureProfile:
 
 def packet_from(cfg: dict) -> GaussianPacket:
     sec = _section(cfg, "probe")
-    try:
-        return GaussianPacket(
-            z0=_number(sec, "z0", "probe"),
-            delta_z=_number(sec, "delta_z", "probe", positive=True),
-        )
-    except ValueError as e:
-        raise ConfigError("probe", str(e))
+    z0 = _number(sec, "z0", "probe")
+    delta_z = _number(sec, "delta_z", "probe", positive=True)
+    if z0 < 0:
+        raise ConfigError("probe.z0", f"z0 must be non-negative, got {z0!r}")
+    return GaussianPacket(z0=z0, delta_z=delta_z)
 
 
 def probe_kinematics_from(cfg: dict) -> tuple[float, float]:

@@ -7,12 +7,11 @@ call on 31 abscissas gives both.  K31 is the value and |K31 - G15| the
 local error estimate.  Panels whose estimate exceeds their prorated share
 of the error budget are bisected, and every pending panel of a round is
 evaluated in one vectorized sweep, so the integrand must accept numpy
-arrays.  The integrand is real, and it may be vector-valued, returning
-one column per component: each component keeps its own error budget and
-a panel is accepted only when every component is within its share.  A
-separable integrand returns a component-major pair (L, R) of (a, n) and
-(b, n) arrays for the a*b components L[i] * R[j] (row-major), so its
-elementwise work runs along rows of n abscissas.
+arrays.  The integrand is real and separable: it returns a component-major
+pair (L, R) of (a, n) and (b, n) arrays for the a*b components
+L[i] * R[j] (row-major), so its elementwise work runs along rows of n
+abscissas.  Each component keeps its own error budget and a panel is
+accepted only when every component is within its share.
 Each panel weights the narrower factor along its 31 nodes by both rules,
 applies the other one to it through a transposed view in one batched
 matmul, and never builds the product.  Every round's pending panels are
@@ -21,11 +20,10 @@ panel edge with one ``searchsorted``.  The procedure is deterministic for
 fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
-abscissas x components, so one sweep of a wide vector integrand cannot
-allocate hundreds of MB at once.  The caller states the component count
-(``components``, 1 for a scalar integrand) so that every chunk, the first
-included, is sized before the integrand is called; a result of another
-width raises ``ValueError``.
+abscissas x components, so one sweep of a wide integrand cannot allocate
+hundreds of MB at once.  The caller states the component count
+(``components``) so that every chunk, the first included, is sized before
+the integrand is called; a result of another width raises ``ValueError``.
 
 Oscillatory integrands should be seeded with breakpoints a few
 half-oscillations apart at most (K31 resolves three per panel to rounding;
@@ -76,10 +74,10 @@ _RULES = np.stack([_W_K, _W_K - np.insert(_W_G, np.arange(16), 0.0)])  # K31 and
 
 
 class QuadResult(NamedTuple):
-    """Value and attained error estimate of an adaptive integration of a real integrand."""
+    """Per-component values and attained error estimates of an adaptive integration of a real integrand."""
 
-    value: float
-    error: float
+    value: np.ndarray
+    error: np.ndarray
     panels: int
 
 
@@ -104,40 +102,26 @@ def _separable_sums(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
 
 
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
-    """K31 values and |K31 - G15| error estimates on a batch of panels.
+    """K31 values and |K31 - G15| error estimates on a batch of panels, each shaped (panels, components).
 
     ``components`` is the integrand's stated output width; each call gets
     at most ``_MAX_ELEMENTS // (31 * components)`` panels (at least one).
-    Returns per-panel values and error estimates, shaped (panels,) for a
-    scalar integrand and (panels, m) for one returning m components.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X_K
     step = max(1, _MAX_ELEMENTS // (_X_K.size * components))
-    vals = errs = None
+    # filled in place: a list of chunks plus their concatenation would hold two copies
+    vals = np.empty((len(lo), components))
+    errs = np.empty((len(lo), components))
     for start in range(0, len(lo), step):
-        h = half[start:start + step]
-        p = len(h)
-        fx = f(x[start:start + step].ravel())
-        separable = isinstance(fx, tuple)  # (a, n) and (b, n) factors
-        if not separable:
-            fx = np.asarray(fx)
-        width = len(fx[0]) * len(fx[1]) if separable else fx.size // (p * _X_K.size)
+        h = half[start:start + step, None]
+        left, right = f(x[start:start + step].ravel())
+        width = len(left) * len(right)
         if width != components:
             raise ValueError(f"integrand returned {width} components per abscissa, not components={components}")
-        if separable:
-            r = _separable_sums(*fx, p)  # (panels, 2, m)
-        elif fx.ndim == 1:
-            r = fx.reshape(p, _X_K.size) @ _RULES.T  # (panels, 2)
-        else:  # contract over the nodes: (2, nodes) @ (panels, nodes, m)
-            r = _RULES @ fx.reshape(p, _X_K.size, -1)  # (panels, 2, m)
-        if r.ndim == 3:
-            h = h[:, None]
-        if vals is None:  # filled in place: a list of chunks plus their concatenation would hold two copies
-            vals = np.empty((len(lo),) + r.shape[2:])
-            errs = np.empty((len(lo),) + r.shape[2:])
-        vals[start:start + p] = r[:, 0] * h
-        errs[start:start + p] = np.abs(r[:, 1]) * h
+        r = _separable_sums(left, right, len(h))  # (panels, 2, components)
+        vals[start:start + len(h)] = r[:, 0] * h
+        errs[start:start + len(h)] = np.abs(r[:, 1]) * h
     return vals, errs
 
 
@@ -149,15 +133,14 @@ def adaptive_quad(
     abs_tol: float = 1e-12,
     rel_tol: float = 1e-10,
     breakpoints=None,
-    components: int = 1,
+    components: int,
 ) -> QuadResult:
     """Integrate ``f`` over [a, b].
 
     Parameters
     ----------
     f : callable
-        Vectorized real integrand; maps an ndarray of n abscissas to n
-        values, to an (n, m) array of m components, or to a
+        Vectorized real integrand; maps an ndarray of n abscissas to a
         separable pair (L, R) of (a, n) and (b, n) arrays, component-major,
         whose m = a*b components are L[i] * R[j] in row-major order.
     a, b : float
@@ -169,16 +152,13 @@ def adaptive_quad(
         Interior seed points, e.g. oscillation nodes.  Points outside
         (a, b) are ignored.
     components : int
-        The integrand's output width m: 1 for a scalar integrand, m for an
-        (n, m) array and a*b for a separable pair.  Integrand calls are
-        sized from it, at most ``_MAX_ELEMENTS`` abscissas x components
-        each.
+        The integrand's output width m = a*b.  Integrand calls are sized
+        from it, at most ``_MAX_ELEMENTS`` abscissas x components each.
 
     Returns
     -------
     QuadResult
-        ``value`` and ``error`` are scalars for a scalar integrand and
-        length-m arrays for a vector-valued one.
+        ``value`` and ``error`` are length-m arrays.
 
     Raises
     ------
@@ -222,8 +202,7 @@ def adaptive_quad(
         total_err = done_err + errs.sum(axis=0)
         if np.all(total_err <= budget):
             return QuadResult(est_total, total_err, n_panels)
-        width = hi - lo if errs.ndim == 1 else (hi - lo)[:, None]
-        ok = (errs <= budget * width / total_len).reshape(len(lo), -1).all(axis=1)
+        ok = (errs <= budget * (hi - lo)[:, None] / total_len).all(axis=1)
         done_val += vals[ok].sum(axis=0)
         done_err += errs[ok].sum(axis=0)
         if ok.all():

@@ -111,14 +111,6 @@ class RecoilSolution(NamedTuple):
     def chi_z(self) -> float:
         return self.kz_tilde.imag
 
-    @property
-    def eps_tilde(self) -> complex:
-        return complex(self.eps_real, self.gamma)
-
-    @property
-    def E_tilde(self) -> complex:
-        return complex(self.E_real, -self.Gamma)
-
 
 def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
     """Solve the recoil balance at one kx and assemble the full record.

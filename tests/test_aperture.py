@@ -82,7 +82,7 @@ class TestTailProbability:
 
     @pytest.mark.parametrize("q_prime", [5.0, 50.0, 500.0, 5e5])
     def test_fields_are_builtin_floats(self, q_prime):
-        # both routes (panels below q' = 100, the series above) sum numpy coefficients
+        # the series sums numpy coefficients, and below q' = 10 the panel adds a numpy sum
         tail = tail_probability(q_prime, 1.0)
         assert [type(v) for v in (tail.value, tail.error, tail.asymptote)] == [float] * 3
 
@@ -118,8 +118,8 @@ class TestTailProbability:
         assert tail.value / tail.asymptote == pytest.approx(0.5, abs=0.01)
 
     def test_analytic_tail_joins_panel_route(self):
-        # just below and just above the panel/expansion switch at a*k' = 1e4;
-        # after removing the known cubic trend the seam must be smooth
+        # around a*k' = 1e4, deep in the 1/q series: after removing the
+        # known cubic trend the tail must be smooth across it
         # (abs=0 matters: these values sit at the 1e-12 scale where the
         # pytest.approx default absolute tolerance would accept anything)
         below = tail_probability(9.99e3, 1.0).value
@@ -179,6 +179,12 @@ class TestTailProbability:
                 for n in orders:
                     want = complex(mpmath.expint(n, mpmath.mpc(z.real, z.imag)))
                     assert en[n] == pytest.approx(want, rel=1e-14, abs=0), (z, n)
+            # the tail odds' 1/q series reads E_n(-i q_s) through order 38 at q_s = 10
+            for mag in (10.0, 10.001, 31.7, 99.99, 100.0):
+                en = _exp_integrals(complex(0.0, -mag), 40)
+                for n in range(1, 41):
+                    want = complex(mpmath.expint(n, mpmath.mpc(0.0, -mag)))
+                    assert en[n] == pytest.approx(want, rel=1e-14, abs=0), (mag, n)
 
     def test_exp1_series_against_mpmath(self):
         # E_1 at |z| <= 1 comes from its power series: the right half-disc,
@@ -214,7 +220,9 @@ class TestTailProbability:
         # reference: pi-panel mp.quad up to 96*pi, then 40 terms of the 1/q
         # series 4 pi sum_n (n+1) pi^(2n) [q^-(3+2n)/(3+2n) + Re E_(4+2n)(-iq) q^-(3+2n)]
         # with closed-form coefficients and mpmath's E_n; q' on both sides of
-        # the panel/series switch at 100 and of the reference's own at 96*pi
+        # the panel/series switch at 10, at 5.05 and 9.18 (where a Si/Cin closed
+        # form loses ~1e-14 to cancellation), and on both sides of 100 and of
+        # the reference's own switch at 96*pi
         import mpmath as mp
 
         def density(q):
@@ -234,7 +242,8 @@ class TestTailProbability:
             top = 96
             panels = [mp.quad(density, [j * mp.pi, (j + 1) * mp.pi]) for j in range(top)]
             beyond = series(top * mp.pi)
-            for qp in (0.7, 3.0, 57.3, 99.9, 100.0, 100.1, 317.0, 2500.0, 9999.0, 1e4, 2.3e4, 1e6):
+            for qp in (0.7, 3.0, 5.05, 9.18, 9.999, 10.0, 10.001, 57.3, 99.9, 100.0, 100.1, 317.0, 2500.0, 9999.0, 1e4,
+                       2.3e4, 1e6):
                 if qp < top * math.pi:
                     j = math.ceil(qp / math.pi)
                     want = mp.quad(density, [qp, j * mp.pi]) + mp.fsum(panels[j:]) + beyond
@@ -245,30 +254,34 @@ class TestTailProbability:
                     assert got == pytest.approx(float(want), rel=1e-14, abs=0), (qp, a)
 
     def test_series_converged_at_its_start(self, monkeypatch):
-        # four more orders of the 1/q series move no value, on either side of q' = 100
+        # four more orders of the 1/q series than its start q_s = max(q', 10) asks for move no value,
+        # on either side of q' = 10
         from nearwave import aperture
 
-        qs = (3.0, 99.9, 100.0, 100.1, 317.0, 2500.0, 1e6)
+        qs = (3.0, 9.99, 10.0, 10.01, 100.0, 2500.0, 1e6)
         base = [tail_probability(q, 1.0) for q in qs]
-        monkeypatch.setattr(aperture, "_TAIL_ORDER", aperture._TAIL_ORDER + 4)
+        order = aperture._odds_series_order
+        monkeypatch.setattr(aperture, "_odds_series_order", lambda q: order(q) + 4)
         for q, want in zip(qs, base):
             assert tail_probability(q, 1.0).value == pytest.approx(want.value, rel=1e-16, abs=0), q
             assert want.error <= 1e-14 * want.value
 
     def test_series_joins_panel_route(self):
-        # just below and just above the panel/series switch at a*k' = 100;
+        # just below and just above the panel/series switch at a*k' = 10;
         # after removing the cubic trend the seam must be smooth (the
-        # cos(q)/q ripple moves q^3*tail by ~3e-4 per 0.01 here)
-        below = tail_probability(99.99, 1.0).value
-        above = tail_probability(100.01, 1.0).value
-        mid = tail_probability(100.0, 1.0).value
+        # cos(q)/q ripple moves q^3*tail by ~2.5e-4 per 0.001 here; abs=0
+        # matters, as pytest.approx's default absolute tolerance would
+        # accept anything at this scale)
+        below = tail_probability(9.999, 1.0).value
+        above = tail_probability(10.001, 1.0).value
+        mid = tail_probability(10.0, 1.0).value
         assert below > mid > above
-        assert below * 99.99**3 == pytest.approx(above * 100.01**3, rel=2e-3, abs=0)
-        assert mid * 100.0**3 == pytest.approx(above * 100.01**3, rel=2e-3, abs=0)
+        assert below * 9.999**3 == pytest.approx(above * 10.001**3, rel=2e-3, abs=0)
+        assert mid * 10.0**3 == pytest.approx(above * 10.001**3, rel=2e-3, abs=0)
         # and the drop across the seam is the density's integral over it
         nodes, weights = np.polynomial.legendre.leggauss(20)
-        q = 100.0 + 0.01 * nodes
-        drop = 0.01 * np.dot(weights, 8.0 * math.pi * np.cos(q / 2) ** 2 / (math.pi**2 - q * q) ** 2)
+        q = 10.0 + 0.001 * nodes
+        drop = 0.001 * np.dot(weights, 8.0 * math.pi * np.cos(q / 2) ** 2 / (math.pi**2 - q * q) ** 2)
         assert below - above == pytest.approx(drop, rel=0, abs=1e-14 * mid)
 
 
@@ -279,14 +292,16 @@ class TestGaussianProfile:
         assert profile.amplitude(0.0) == 1.0
         assert profile.amplitude(2.0) == pytest.approx(math.exp(-(2.0 * w) ** 2 / 4.0), rel=1e-15)
         want = math.sqrt(2.0 * math.pi) / w
-        got = 2.0 * adaptive_quad(lambda k: profile.amplitude(k) ** 2, 0.0, 40.0 / w, rel_tol=1e-13).value
+        res = adaptive_quad(lambda k: (profile.amplitude(k)[None] ** 2, np.ones((1, len(k)))), 0.0, 40.0 / w,
+                            rel_tol=1e-13, components=1)
+        got = 2.0 * res.value[0]
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def _norm_sq(profile):
     """Two-sided norm of a tabulated profile: 2 * integral of |F|^2 over [0, k_max], panels seeded at its knots."""
-    return 2.0 * adaptive_quad(lambda k: profile.amplitude(k) ** 2, 0.0, profile.k_max, abs_tol=1e-14,
-                               breakpoints=profile.knots()).value
+    return 2.0 * adaptive_quad(lambda k: (profile.amplitude(k)[None] ** 2, np.ones((1, len(k)))), 0.0, profile.k_max,
+                               abs_tol=1e-14, breakpoints=profile.knots(), components=1).value[0]
 
 
 class TestTabulatedProfile:

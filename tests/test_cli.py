@@ -807,10 +807,10 @@ class TestColdImport:
     def test_field_and_lifetime_leave_numpy_ma_unimported(self, tmp_path):
         # np.unique without index outputs imports numpy.ma (10-18 ms) on the
         # first adaptive_quad call of a process; the edges are deduplicated
-        # without it.  tau_max_s = 1e18 puts q' = a k' near 17, below the
-        # series start q' = 100, so tail_probability integrates panels too.
+        # without it.  tau_max_s = 3e18 puts q' = a k' near 5.6, below the
+        # series start q' = 10, so tail_probability runs its K31 panel too.
         cfg = dict(BASE_CFG, screen={"mass_kg": 0.1}, grids=dict(BASE_CFG["grids"], kx=[10.0]),
-                   scenario={"tau_max_s": 1e18})
+                   scenario={"tau_max_s": 3e18})
         path = write_cfg(tmp_path, cfg)
         out = str(tmp_path / "out")
         a = BASE_CFG["aperture"]["a"]
@@ -824,7 +824,7 @@ class TestColdImport:
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         seen = json.loads(proc.stdout)
-        assert seen["rcs"] == [0, 0] and seen["q"] < 100.0
+        assert seen["rcs"] == [0, 0] and seen["q"] < 10.0
         assert not seen["ma"]
 
     def test_every_subcommand_runs_without_scipy(self, tmp_path):
@@ -893,7 +893,7 @@ class TestErrorsAndChecks:
         ("recoil", dict(BASE_CFG, screen={}), "screen"),
         ("field", dict(BASE_CFG, aperture={"kind": "tabulated", "path": 1}), "aperture.path"),
         ("field", dict(BASE_CFG, aperture={"kind": "square", "a": 1.0}), "aperture.kind"),
-        ("absorb", dict(BASE_CFG, probe=dict(BASE_CFG["probe"], z0=-1.0), grids={"kx": [2.0]}), "probe"),
+        ("absorb", dict(BASE_CFG, probe=dict(BASE_CFG["probe"], z0=-1.0), grids={"kx": [2.0]}), "probe.z0"),
         ("transfer", dict(BASE_CFG, probe={"K0_ratio": 1.0}), "probe"),
         ("recoil", dict(BASE_CFG, grids={}), "grids.kx"),
         ("recoil", dict(BASE_CFG, grids={"kx": []}), "grids.kx"),

@@ -109,7 +109,8 @@ class TestFieldStructure:
 
             # |cos| corners in |F| limit the attainable tolerance; a coarse
             # absolute target is ample for an upper bound
-            bound = 2.0 * adaptive_quad(envelope, 1.0, 400.0, abs_tol=1e-9, rel_tol=1e-8).value
+            bound = 2.0 * adaptive_quad(lambda k: (envelope(k)[None], np.ones((1, len(k)))), 1.0, 400.0,
+                                        abs_tol=1e-9, rel_tol=1e-8, components=1).value[0]
             assert abs(psi_cw) <= bound * (1.0 + 1e-9)
 
     def test_far_field_cw_to_rw_ratio(self):

@@ -334,7 +334,7 @@ class TestEntangledTerm:
     def test_energy_sum_imaginary_part_cancels(self):
         for km in KM_SWEEP:
             sol = recoil_solution(3.0, ScreenSpec(K_M=km))
-            total = sol.eps_tilde + sol.E_tilde
+            total = complex(sol.eps_real, sol.gamma) + complex(sol.E_real, -sol.Gamma)
             assert abs(total.imag) < 1e-15
             assert total.real == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
 

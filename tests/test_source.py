@@ -58,8 +58,6 @@ def test_every_private_module_level_name_is_referenced():
 PUBLIC_ONLY_FOR_CHECKS = {
     "screen_momentum_magnitude": "acceptance criterion 6 checks its two routes agree",
     "cw_fraction_profile": "carries the cancellation-noise warning of the evanescent fraction",
-    "eps_tilde": "acceptance criterion 05 sums eps~ + E~",
-    "E_tilde": "acceptance criterion 05 sums eps~ + E~",
 }
 
 
