@@ -159,6 +159,22 @@ def _odds_series_order(q: float) -> int:
     return 4 + 2 * math.ceil(17.0 / (2.0 * math.log10(q / math.pi)))
 
 
+def _odds_series(q_s: float) -> tuple[float, float]:
+    """Slit tail odds above q_s >= _ODDS_SERIES_START from the 1/q series, and its first omitted term's bound."""
+    order = _odds_series_order(q_s)
+    d = _tail_probability_coefficients(order)  # complete through q^-(order+2)
+    en = _exp_integrals(-1j * q_s, order)
+    value = 4.0 * math.pi * sum(d[m] * q_s ** (1 - m) * (1.0 / (m - 1) + en[m].real) for m in range(2, order + 1))
+    error = 8.0 * math.pi * abs(d[order + 2]) * q_s ** (-1 - order) / (order + 1)
+    return value, error
+
+
+@functools.cache
+def _odds_series_at_start() -> tuple[float, float]:
+    """:func:`_odds_series` at _ODDS_SERIES_START, the same for every q' below it; built once."""
+    return _odds_series(_ODDS_SERIES_START)
+
+
 class TailEstimate(NamedTuple):
     """Integrated mode-probability above a wavenumber, with diagnostics.
 
@@ -185,21 +201,19 @@ def tail_probability(k_prime: float, a: float) -> TailEstimate:
     is entire (the double zero of cos^2 at q = pi cancels the double pole) and
     the panel spans at most 3.2 half-waves of cos q, so K31 is exact to rounding.
     ``error`` is the panel's |K31 - G15| plus the bound 8 pi |d_M| q_s^(1-M)/(M-1)
-    of the first omitted term.
+    of the first omitted term.  Below _ODDS_SERIES_START the series part is
+    one constant, summed on first use.
     """
     if not (math.isfinite(k_prime) and k_prime > 0):
         raise ValueError(f"k_prime must be finite and positive, got {k_prime!r}")
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"slit width must be finite and positive, got {a!r}")
     qp = a * k_prime
-    q_s = max(qp, _ODDS_SERIES_START)
-    order = _odds_series_order(q_s)
-    d = _tail_probability_coefficients(order)  # complete through q^-(order+2)
-    en = _exp_integrals(-1j * q_s, order)
-    value = 4.0 * math.pi * sum(d[m] * q_s ** (1 - m) * (1.0 / (m - 1) + en[m].real) for m in range(2, order + 1))
-    error = 8.0 * math.pi * abs(d[order + 2]) * q_s ** (-1 - order) / (order + 1)
-    if qp < q_s:
-        half = 0.5 * (q_s - qp)
+    if qp >= _ODDS_SERIES_START:
+        value, error = _odds_series(qp)
+    else:
+        value, error = _odds_series_at_start()
+        half = 0.5 * (_ODDS_SERIES_START - qp)
         # nodes measured from q' keep the lower end exact, where the density is largest
         density = 2.0 * SingleSlitProfile(1.0).amplitude(qp + half * (1.0 + _X_K)) ** 2
         k31, k31_minus_g15 = half * (_RULES @ density)
@@ -214,6 +228,8 @@ class ApertureProfile:
 
     :meth:`field_tail` returns the psi and d(psi)/dx remainders beyond
     :meth:`cutoff` over a row, or None when the profile has no analytic tail.
+    :meth:`screen_field` returns psi and d(psi)/dx on the screen plane, or
+    None when the profile has no closed form there.
     :meth:`knots` lists the kx > 0 where integrals over kx put panel edges.
     """
 
@@ -232,6 +248,10 @@ class ApertureProfile:
 
     def field_tail(self, k_hi: float, xs, z: float) -> tuple[np.ndarray, np.ndarray] | None:
         """(psi, dpsi): 2*integral_{k_hi}^inf F e^{-chi z} [cos(kx x), -kx sin(kx x)] dkx at each x of xs, or None."""
+        return None
+
+    def screen_field(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(psi, dpsi): 2*integral_0^inf F [cos(kx u), -kx sin(kx u)] dkx at each u = |x| >= 0, or None."""
         return None
 
 
@@ -291,6 +311,20 @@ class SingleSlitProfile(ApertureProfile):
             psi[j] = scale * p
             dpsi[j] = -scale * d
         return psi, dpsi
+
+    def screen_field(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slit mode 2 sqrt(pi/a) cos(pi u/a) for u < a/2, zero beyond, and its d/dx at x = u >= 0.
+
+        The cosine transform of F is this mode exactly.  At the edge u = a/2
+        it returns the mean of the one-sided limits, as the transform does:
+        psi = 0 and d(psi)/dx = -sqrt(pi/a) pi/a.
+        """
+        scale = 2.0 * math.sqrt(math.pi / self.a)
+        phase = math.pi * (u / self.a)
+        inside = u < 0.5 * self.a
+        weight = np.where(inside, 1.0, np.where(u == 0.5 * self.a, 0.5, 0.0))
+        psi = np.where(inside, scale * np.cos(phase), 0.0)
+        return psi, weight * (-scale * math.pi / self.a) * np.sin(phase)
 
 
 class GaussianProfile(ApertureProfile):

@@ -13,10 +13,21 @@ dk/dt = kz = -sin t on t < 0 (RW), k = cosh t with dk/dt = chi = sinh t on
 t > 0 (CW), and t = 0 a panel edge.  The CW range is truncated where the
 exponential or the profile makes the integrand negligible.  Slit profiles
 supply an analytic tail beyond k = 100/min(a, pi) (a 1/k series of
-F e^{-chi z} summed with exponential integrals), so at z ~ 0, where the
-integrand decays only like 1/k^2, panels cover just k <= 100/min(a, pi).
+F e^{-chi z} summed with exponential integrals), so at small z > 0, where
+the integrand decays only like 1/k^2, panels cover just k <= 100/min(a, pi).
 One ``field_tail`` call per row returns the psi and d(psi)/dx remainders
 at every distinct |x|.
+
+On the screen plane z = 0 a slit needs neither.  The cosine transform of
+its F is its own mode (``ApertureProfile.screen_field``): 2 sqrt(pi/a)
+cos(pi x/a) inside |x| < a/2, zero outside, with the mean of both sides
+at the edge.  Its z = 0 rows share one quadrature over the RW range
+k in [0, 1] alone, whose integrand is entire, seeded three half-waves of
+the fastest phase (|x| + a/2) apart, and psi_cw = mode - psi_rw,
+d(psi_cw)/dx likewise.  The split is exact: psi_cw is the rest of the
+same transform, so its error is psi_rw's, within the same budget.  (Si
+and Cin closed forms of the RW part lose digits to cancellation at small
+a, and any closed form of psi_cw reduces to the same difference.)
 
 A grid is one separable quadrature over t with component-major factors.
 The left factor is (3 nz, n): three blocks of row weights on the n
@@ -32,11 +43,12 @@ k_hi is the largest per-row end; a row that ends below it carries less
 than e^-46 beyond its own end.
 
 The seeds follow where the integrand changes character (QUADPACK
-practice, Piessens et al. 1983), for the largest |x| and z of the grid.
-Oscillation seeds sit three half-waves of the fastest phase apart (a
-slit's F adds its own a k / 2): on the RW range in theta = t + pi/2
-(phase k |x| + kz z), and on the CW range t in [0, acosh 2] and the range
-[2, k_hi] in k, mapped by t = acosh k (phase k |x|).  The G15 remainder
+practice, Piessens et al. 1983), for the largest |x| and z of the rows
+that share a run.  Oscillation seeds sit three half-waves of the fastest
+phase apart (a slit's F adds its own a k / 2): on the RW range in
+theta = t + pi/2 (phase k |x| + kz z), and on the CW range t in
+[0, acosh 2] and the range [2, k_hi] in k, mapped by t = acosh k (phase
+k |x|).  The G15 remainder
 on a 3 pi phase span is ~1e-20 of the panel amplitude, and the
 |K31 - G15| estimate still guards every panel.  On the CW side z does not
 oscillate: e^{-chi z} only decays, so it adds decay seeds at
@@ -126,10 +138,15 @@ def _naming_kx(k_hi: float, zs: np.ndarray, x_max: float):
         raise QuadratureError(re.sub(r"\[[^\]]*\]", where, str(e), count=1), achieved=e.achieved) from None
 
 
+def _own_rate(profile: ApertureProfile) -> float:
+    """The rate at which F itself oscillates in k: a/2 for a slit, none for the other profiles."""
+    return 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0
+
+
 def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float, np.ndarray, np.ndarray]:
     """k_hi, each row's exponential end k_exp and the seeds on t in (-pi/2, acosh k_hi), for rows zs."""
     z_max = float(zs.max())
-    rate0 = 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0  # F's own oscillation
+    rate0 = _own_rate(profile)
     with np.errstate(divide="ignore"):
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
     k_hi = max(1.5, min(profile.cutoff(), float(k_exp.max())))  # beyond its own end a row carries < e^-46
@@ -187,13 +204,38 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
     return v[0] + 1j * v[1], cw
 
 
+def _screen_parts(u: np.ndarray, mode: tuple[np.ndarray, np.ndarray], profile: ApertureProfile, abs_tol: float):
+    """The RW and CW parts of psi and d(psi)/dx at z = 0 and the distances u, each (2, len(u)).
+
+    ``mode`` is the profile's :meth:`~ApertureProfile.screen_field` at u.
+    One quadrature over k in [0, 1] gives the RW integrals; the CW ones are
+    the mode minus them.
+    """
+    def integrand(k):
+        right = _cos_sin(np.multiply.outer(u, k))
+        right[1] *= -k
+        return profile.amplitude(k)[None], right.reshape(2 * len(u), -1)
+
+    with _naming_kx(1.0, np.zeros(1), float(u[-1])):
+        seeds = oscillation_breakpoints(0.0, 1.0, (float(u[-1]) + _own_rate(profile)) / _HALF_WAVES_PER_PANEL)
+        res = adaptive_quad(integrand, 0.0, 1.0, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
+                            components=2 * len(u))
+    rw = 2.0 * res.value.reshape(2, len(u))
+    return rw, np.stack(mode) - rw
+
+
 def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldGrid:
     """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
     psi is even in x and d(psi)/dx odd, so the quadrature runs over the
-    distinct |x| alone.  Consecutive rows share a run while its seeded
-    panels x components stay within ``_ROUND_ELEMENTS`` and one K31 panel
-    within the quadrature's per-call element cap.
+    distinct |x| alone.  Rows at z = 0 of a profile with a closed form
+    there (:meth:`~ApertureProfile.screen_field`, the slit mode) take one
+    run over the RW range k in [0, 1], shared by them all: psi_total is
+    that mode, so psi_cw = mode - psi_rw holds exactly, with psi_rw's own
+    error and no CW panel or analytic tail.  The other rows are split into
+    runs of consecutive rows while a run's seeded panels x components stay
+    within ``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's
+    per-call element cap; their k_hi and seeds come from these rows alone.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
@@ -202,14 +244,23 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
     u, at = np.unique(np.abs(xs), return_inverse=True)
     rw = np.empty((len(zs), 2, len(u)), complex)
     cw = np.empty_like(rw)
-    axis = _axis(float(u[-1]), zs, profile)  # the whole grid's seeds outnumber any batch's
-    per_row = 3 * 2 * len(u)
-    per_run = max(1, min(_MAX_ELEMENTS // (_X_K.size * per_row), _ROUND_ELEMENTS // ((len(axis[2]) + 1) * per_row)))
-    for start in range(0, len(zs), per_run):
-        batch = zs[start:start + per_run]
-        if per_run < len(zs):
-            axis = _axis(float(u[-1]), batch, profile)
-        rw[start:start + per_run], cw[start:start + per_run] = _integrals(u, batch, profile, axis, abs_tol)
+    screen = zs == 0.0
+    mode = profile.screen_field(u) if screen.any() else None
+    if mode is None:
+        screen[:] = False
+    else:
+        rw[screen], cw[screen] = _screen_parts(u, mode, profile, abs_tol)
+    rows = np.flatnonzero(~screen)
+    if len(rows):
+        axis = _axis(float(u[-1]), zs[rows], profile)  # these rows' seeds outnumber any batch's
+        per_row = 3 * 2 * len(u)
+        per_run = max(1, min(_MAX_ELEMENTS // (_X_K.size * per_row),
+                             _ROUND_ELEMENTS // ((len(axis[2]) + 1) * per_row)))
+        for start in range(0, len(rows), per_run):
+            batch = rows[start:start + per_run]
+            if per_run < len(rows):
+                axis = _axis(float(u[-1]), zs[batch], profile)
+            rw[batch], cw[batch] = _integrals(u, zs[batch], profile, axis, abs_tol)
     rw, cw = rw[:, :, at], cw[:, :, at]
     sign = np.where(xs < 0, -1.0, 1.0)
     return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1] * sign, cw[:, 1] * sign)

@@ -262,9 +262,25 @@ class TestTailProbability:
         base = [tail_probability(q, 1.0) for q in qs]
         order = aperture._odds_series_order
         monkeypatch.setattr(aperture, "_odds_series_order", lambda q: order(q) + 4)
-        for q, want in zip(qs, base):
-            assert tail_probability(q, 1.0).value == pytest.approx(want.value, rel=1e-16, abs=0), q
-            assert want.error <= 1e-14 * want.value
+        aperture._odds_series_at_start.cache_clear()  # below q' = 10 the series sum is cached; redo it longer
+        try:
+            for q, want in zip(qs, base):
+                assert tail_probability(q, 1.0).value == pytest.approx(want.value, rel=1e-16, abs=0), q
+                assert want.error <= 1e-14 * want.value
+        finally:
+            aperture._odds_series_at_start.cache_clear()
+
+    def test_series_below_its_start_is_summed_once(self, monkeypatch):
+        # below q' = 10 the series part is the constant sum at q_s = 10: built once, then no E_n table per call
+        from nearwave import aperture
+
+        aperture._odds_series_at_start.cache_clear()
+        first = tail_probability(3.0, 1.0)
+        assert aperture._odds_series_at_start() == aperture._odds_series(10.0)
+        tables = []
+        monkeypatch.setattr(aperture, "_exp_integrals", lambda *args: tables.append(args))
+        again = [tail_probability(q, 1.0) for q in (3.0, 0.5, 9.99)]
+        assert tables == [] and again[0] == first
 
     def test_series_joins_panel_route(self):
         # just below and just above the panel/series switch at a*k' = 10;

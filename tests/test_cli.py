@@ -234,11 +234,24 @@ class TestField:
         assert float(rows[0]["J_x"]) == -float(rows[1]["J_x"])
 
     def test_overflowing_slit_tail_is_quadrature_error(self, capsys, tmp_path):
-        # a = 1e-30 overflows the slit tail's (pi/a)^(2n)/a^2 coefficients at z = 0
-        cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": 1e-30}, grids={"x": [0.0], "z": [0.0]})
+        # a = 1e-30 overflows the slit tail's (pi/a)^(2n)/a^2 coefficients at z = 1e-31, where the
+        # panels end at k = 100/a (on the screen plane itself the slit takes no tail)
+        cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": 1e-30}, grids={"x": [0.0], "z": [1e-31]})
         rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
         assert rc == 3 and out == ""
         assert "not finite" in json.loads(err)["error"]["message"]
+
+    def test_tiny_slit_on_the_screen_plane_is_its_mode(self, capsys, tmp_path):
+        # on the screen plane the slit's CW part is its mode minus the RW part, so a = 1e-30 takes
+        # no tail series and psi_total is the mode's peak 2 sqrt(pi/a) at x = 0
+        a = 1e-30
+        cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": a}, grids={"x": [0.0], "z": [0.0]})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 0 and err == ""
+        (row,) = csv.DictReader(io.StringIO(out))
+        want = 2.0 * math.sqrt(math.pi / a)
+        assert abs(float(row["re_psi_total"]) - want) <= 1e-15 * want and float(row["im_psi_total"]) == 0.0
+        assert float(row["J_x"]) == 0.0
 
     def test_nan_integrand_error_line_is_strict_json(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(aperture.GaussianProfile, "amplitude", lambda self, kx: np.full(np.shape(kx), np.nan))
@@ -310,13 +323,16 @@ class TestField:
 
     def test_seeding_refusal_names_the_grid(self, capsys, tmp_path):
         # |x| = 1e7 needs more oscillation seeds than the cap allows on the running-wave range, whose
-        # internal variable theta = t + pi/2 runs over [0, pi/2]: the message names kx and the points instead
-        cfg = dict(BASE_CFG, grids={"x": [1e7], "z": [0.5]})
-        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
-        assert rc == 3 and out == "" and err.count("\n") == 1
-        error = json.loads(err)["error"]
-        assert error["type"] == "quadrature" and error["achieved"] is None
-        assert "|x| up to 1e+07" in error["message"] and "1.5708" not in error["message"], error
+        # internal variable theta = t + pi/2 runs over [0, pi/2]: the message names kx and the points instead;
+        # on the screen plane the slit's run over kx in [0, 1] is refused the same way
+        for z, kx_range in ((0.5, "kx in [0, 92.0054]"), (0.0, "kx in [0, 1]")):
+            cfg = dict(BASE_CFG, grids={"x": [1e7], "z": [z]})
+            rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+            assert rc == 3 and out == "" and err.count("\n") == 1
+            error = json.loads(err)["error"]
+            assert error["type"] == "quadrature" and error["achieved"] is None
+            assert f"{kx_range} (z from {z:g} to {z:g}, |x| up to 1e+07)" in error["message"], error
+            assert "1.5708" not in error["message"], error
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):

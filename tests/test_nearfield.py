@@ -224,8 +224,9 @@ class TestSlitAnalyticTails:
                 assert np.all(np.abs(got - v) <= 1e-16), (name, z)
 
     def test_one_series_per_row_and_one_table_per_edge(self, monkeypatch):
-        # a z = 0 slit row of n points builds the tail series once and one
-        # E_n table per point and edge, shared by psi and d(psi)/dx
+        # a slit row of n points at z = 1e-3, where the panels still end at
+        # k = 100/min(a, pi), builds the tail series once and one E_n table
+        # per point and edge, shared by psi and d(psi)/dx
         calls = {"series": 0, "tables": 0}
 
         def counted(key, fn):
@@ -237,7 +238,7 @@ class TestSlitAnalyticTails:
         monkeypatch.setattr(aperture, "_slit_tail_series", counted("series", aperture._slit_tail_series))
         monkeypatch.setattr(aperture, "_exp_integrals", counted("tables", aperture._exp_integrals))
         xs = [-1.3, -0.5, 0.0, 0.2, 0.7]
-        field_grid(xs, 0.0, SingleSlitProfile(a=1.0))
+        field_grid(xs, 1e-3, SingleSlitProfile(a=1.0))
         assert calls == {"series": 1, "tables": 2 * len(xs)}
 
 
@@ -305,6 +306,12 @@ def _counting_quad(monkeypatch):
     return calls, sizes
 
 
+def _pop_screen_run(calls, n_u: int):
+    """Remove a slit grid's screen run from ``calls``: the first run, 2 components per distinct |x| in each result."""
+    screen = calls.pop(0)
+    assert set(screen) == {2 * n_u}, screen
+
+
 class Parts(NamedTuple):
     """RW and CW parts of psi, or of d(psi)/dx, at one point."""
 
@@ -364,16 +371,17 @@ class TestRowEngine:
         _assert_current_odd(grid, 0)  # xs is symmetric
 
     def test_wide_row_peak_memory_is_bounded(self):
-        # 101 points to |x| = 50 on the screen plane: one k-range pass with
-        # 51 column pairs (one per distinct |x|) over ~530 panels,
-        # evaluated in capped chunks
-        assert _peak_mb("field_grid(np.linspace(-50.0, 50.0, 101), 0.0, SingleSlitProfile(a=1.0))") < 100.0
+        # 101 points to |x| = 50 at z = 1e-3, where the panels still end at
+        # k = 100: one k-range pass with 51 column pairs (one per distinct
+        # |x|) over ~530 panels, evaluated in capped chunks
+        assert _peak_mb("field_grid(np.linspace(-50.0, 50.0, 101), 1e-3, SingleSlitProfile(a=1.0))") < 100.0
 
 
 class TestGridEngine:
-    # unsorted heights: z = 0 and 0.3 run to k_hi (and take the slit's
-    # analytic tail); z = 60 ends at k = 1.5 on its own and carries less
-    # than e^-46 beyond
+    # unsorted heights: z = 0 and 0.3 run to k_hi (and z = 0.3 takes the
+    # slit's analytic tail; the slit's z = 0 row runs on its own over the RW
+    # range); z = 60 ends at k = 1.5 on its own and carries less than e^-46
+    # beyond
     ZS = (0.3, 60.0, 0.0)
     XS = (-1.7, -0.4, -0.2, 0.0, 0.2, 0.4, 1.7)
 
@@ -382,6 +390,8 @@ class TestGridEngine:
         profile = _row_profiles()[name]
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid(self.XS, self.ZS, profile)
+        if name == "slit":
+            _pop_screen_run(calls, n_u=4)
         assert len(calls) == 1  # one quadrature over t for the RW and CW ranges, whatever the rows
         if name == "tabulated":  # seeded at its knots, it converges in one sweep, one integrand call
             assert [len(c) for c in calls] == [1]
@@ -409,6 +419,7 @@ class TestGridEngine:
         zs = (0.0, 0.3, 1.0, 3.0, 60.0)
         calls, _ = _counting_quad(monkeypatch)
         scan = cw_fraction_profile(0.2, zs, profile)
+        _pop_screen_run(calls, n_u=1)
         assert len(calls) == 1
         monkeypatch.undo()
         for (z, frac), want_z in zip(scan, zs):
@@ -426,6 +437,8 @@ class TestGridEngine:
         grid = field_grid([-0.3, 0.3], zs, profile)
         calls, _ = _counting_quad(monkeypatch)
         scan = cw_fraction_profile(0.3, zs, profile)
+        if name == "slit":
+            _pop_screen_run(calls, n_u=1)
         point, _ = _cell(field_grid(-0.3, 0.3, profile), 0, 0)
         assert len(calls) == 2
         monkeypatch.undo()
@@ -461,12 +474,14 @@ class TestGridEngine:
             _assert_cell_matches_point(grid, i, j, profile)
 
     def test_wide_grid_calls_stay_within_the_element_cap(self, monkeypatch):
-        # the 101 x by 40 z slit grid below: 51 column pairs per row, 306
-        # components, and 548 seeded panels, so a run's first round holds
-        # 6 rows within _ROUND_ELEMENTS; 40 rows take 7 runs, each
-        # chunked by abscissas x components
+        # the 101 x by 40 z slit grid below: the z = 0 row takes its own run;
+        # the others have 51 column pairs per row, 306 components, and 548
+        # seeded panels, so a run's first round holds 6 rows within
+        # _ROUND_ELEMENTS; 39 rows take 7 runs, each chunked by abscissas x
+        # components
         calls, sizes = _counting_quad(monkeypatch)
         field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, 1.0, 40), SingleSlitProfile(a=1.0))
+        _pop_screen_run(calls, n_u=51)
         assert len(calls) == 7
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         assert max(len(c) for c in calls) > 2  # a sweep was split into chunks
@@ -537,6 +552,125 @@ class TestPartsAgainstMpmath:
                 bound = _bound(w.psi_rw, w.psi_cw, w.psi_total)
                 assert abs(g.psi_rw - w.psi_rw) <= bound, (x, g, w)
                 assert abs(g.psi_cw - w.psi_cw) <= bound, (x, g, w)
+
+
+def _mp_slit(a):
+    """The slit amplitude in mpmath, written 2 sqrt(pi a) sin(w/2)/(w (2 pi + w)) with w = a k - pi.
+
+    The form keeps every digit at the removable singularity w = 0, which
+    lies inside [0, 1] for a > pi.
+    """
+    def amp(k):
+        w = a * k - mpmath.pi
+        sin_half_over_w = mpmath.mpf(0.5) if w == 0 else mpmath.sin(w / 2) / w
+        return 2 * mpmath.sqrt(mpmath.pi * a) * sin_half_over_w / (2 * mpmath.pi + w)
+
+    return amp
+
+
+def _mp_screen_rw(x, a):
+    """psi_rw and d(psi_rw)/dx at (x, z = 0): 2 integral_0^1 F [cos(k x), -k sin(k x)] dk, Gauss-Legendre pieces."""
+    amp = _mp_slit(a)
+    pieces = mpmath.linspace(0, 1, 3 + int(abs(x) + a / 2))  # under one half-wave of cos(k x) cos(a k/2) each
+    psi = 2 * mpmath.quad(lambda k: amp(k) * mpmath.cos(k * x), pieces, method="gauss-legendre")
+    dpsi = -2 * mpmath.quad(lambda k: k * amp(k) * mpmath.sin(k * x), pieces, method="gauss-legendre")
+    return psi, dpsi
+
+
+def _mp_screen_cw_direct(x, a):
+    """psi_cw and d(psi_cw)/dx at (x, z = 0) as integrals over k in [1, inf), not from the slit mode.
+
+    Up to K = max(1, 2 pi/a), past the removable singularity k = pi/a,
+    mpmath.quad takes F itself; beyond K, F cos(k x) splits into
+    sqrt(pi a)/(pi^2 - a^2 k^2) [cos(k b+) + cos(k b-)] with b+- = x +- a/2
+    (sines likewise), and mpmath.quadosc takes each term between the zeros
+    of its own oscillation beyond K.
+    """
+    amp = _mp_slit(a)
+    k_split = max(mpmath.mpf(1), 2 * mpmath.pi / a)
+    psi = dpsi = mpmath.mpf(0)
+    if k_split > 1:
+        pieces = mpmath.linspace(1, k_split, 2 + int((k_split - 1) * (abs(x) + a / 2)))
+        psi += 2 * mpmath.quad(lambda k: amp(k) * mpmath.cos(k * x), pieces)
+        dpsi -= 2 * mpmath.quad(lambda k: k * amp(k) * mpmath.sin(k * x), pieces)
+
+    def envelope(k):
+        return mpmath.sqrt(mpmath.pi * a) / (mpmath.pi**2 - (a * k) ** 2)
+
+    for b in (x + a / 2, x - a / 2):
+        if b == 0:  # cos(0 k) = 1 and sin(0 k) = 0
+            psi += 2 * mpmath.quad(envelope, [k_split, mpmath.inf])
+            continue
+        step = mpmath.pi / abs(b)
+        first = mpmath.floor(k_split / step)  # the zeros start past k_split, where no pole lies
+        psi += 2 * mpmath.quadosc(lambda k: envelope(k) * mpmath.cos(k * b), [k_split, mpmath.inf],
+                                  zeros=lambda n: (first + n + 0.5) * step)
+        dpsi -= 2 * mpmath.quadosc(lambda k: k * envelope(k) * mpmath.sin(k * b), [k_split, mpmath.inf],
+                                   zeros=lambda n: (first + n) * step)
+    return psi, dpsi
+
+
+def _mp_slit_mode(x, a):
+    """The slit mode 2 sqrt(pi/a) cos(pi x/a) inside |x| < a/2 and its d/dx; at |x| = a/2 the mean of both sides."""
+    scale = 2 * mpmath.sqrt(mpmath.pi / a)
+    inside = 1 if abs(x) < a / 2 else mpmath.mpf(0.5) if abs(x) == a / 2 else 0
+    psi = scale * mpmath.cos(mpmath.pi * x / a) if abs(x) < a / 2 else mpmath.mpf(0)
+    return psi, -inside * scale * mpmath.pi / a * mpmath.sin(mpmath.pi * x / a)
+
+
+def _screen_points():
+    """(x, a) spots on the screen plane: 40 seeded draws, a log-uniform in [1e-8, 50], and the edge cases."""
+    rng = np.random.default_rng(2602)
+    points = []
+    for i in range(40):
+        a = float(10.0 ** rng.uniform(-8.0, math.log10(50.0)))
+        # odd draws sit within a few widths of the slit, even ones anywhere to |x| = 60
+        x = a * 10.0 ** rng.uniform(-2.0, math.log10(2.0)) if i % 2 else rng.uniform(0.0, 60.0)
+        points.append((float(rng.choice((-1.0, 1.0)) * x), a))
+    for a in (1e-8, 0.01, math.pi, 50.0):
+        points += [(0.0, a), (0.5 * a, a), (-0.5 * a, a), (60.0, a), (-60.0, a)]
+    return points
+
+
+def _engine_screen_parts(x: float, a: float) -> np.ndarray:
+    """[psi_rw, psi_cw, dpsi_rw, dpsi_cw] of the slit a at (x, z = 0) from field_grid."""
+    g = field_grid([x], [0.0], SingleSlitProfile(a=a))
+    return np.array([g.psi_rw[0, 0], g.psi_cw[0, 0], g.dpsi_rw[0, 0], g.dpsi_cw[0, 0]])
+
+
+def _assert_within_part_budget(got, want, where):
+    """Each part within the quadrature's own budget max(abs_tol / 2, rel_tol |part|) at the default abs_tol."""
+    for name, g, w in zip(("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw"), got, want):
+        assert abs(mpmath.mpc(g) - w) <= max(5e-13, 1e-10 * abs(w)), (name, where, g, w)
+
+
+class TestScreenPartsAgainstMpmath:
+    # On the screen plane a slit row integrates its RW parts over k in [0, 1]
+    # and takes its CW parts as the slit mode minus them.  The oracle
+    # integrates the RW parts at 30 digits and takes the CW parts from the
+    # mode at 30 digits; test_cw_parts_as_direct_integrals checks that split
+    # against the CW integrals themselves.
+
+    def test_each_part_matches_mpmath(self):
+        with mpmath.workdps(30):
+            for x, a in _screen_points():
+                xm, am = mpmath.mpf(x), mpmath.mpf(a)
+                psi_rw, dpsi_rw = _mp_screen_rw(xm, am)
+                mode, dmode = _mp_slit_mode(xm, am)
+                want = (psi_rw, mode - psi_rw, dpsi_rw, dmode - dpsi_rw)
+                _assert_within_part_budget(_engine_screen_parts(x, a), want, (x, a))
+
+    @pytest.mark.parametrize("x, a", [(0.5, 1.0), (1.2, math.pi), (6.0, 12.0), (30.0, 12.0)])
+    def test_cw_parts_as_direct_integrals(self, x, a):
+        # the slit's edge x = a/2 (for a below and above pi), a point inside and one outside
+        with mpmath.workdps(30):
+            xm, am = mpmath.mpf(x), mpmath.mpf(a)
+            psi_rw, dpsi_rw = _mp_screen_rw(xm, am)
+            psi_cw, dpsi_cw = _mp_screen_cw_direct(xm, am)
+            _assert_within_part_budget(_engine_screen_parts(x, a), (psi_rw, psi_cw, dpsi_rw, dpsi_cw), (x, a))
+            mode, dmode = _mp_slit_mode(xm, am)
+            # the RW and CW integrals add up to the mode, the oracle of test_each_part_matches_mpmath
+            assert abs(psi_rw + psi_cw - mode) < 1e-25 and abs(dpsi_rw + dpsi_cw - dmode) < 1e-25 * (1 + abs(dmode))
 
 
 def _mp_tabulated_field(ks, fs, x: float, z: float) -> np.ndarray:
