@@ -55,7 +55,9 @@ def _sin_half_over_u(u):
 def _exp_integrals(z: complex, top: int) -> list[complex]:
     """Generalized exponential integrals E_n(z) for n = 1..top, Re(z) >= 0, as a list indexed by n (entry 0 unused).
 
-    Two routes:
+    z must be nonzero (E_1 is infinite there): the callers pass s k_hi with
+    Re s, a row height, > 0 (:meth:`SingleSlitProfile.field_tail`) and
+    -i q_s with q_s > 0 (:func:`_odds_series`).  Two routes:
 
     * |z| <= 1: upward recurrence E_{n+1} = (e^{-z} - z E_n)/n from E_1's
       power series (:func:`_exp1_series`).
@@ -66,8 +68,6 @@ def _exp_integrals(z: complex, top: int) -> list[complex]:
       upward step by |z|/n <= 1, so neither direction amplifies it (upward
       from E_1 alone grows it like |z|^n/n!).
     """
-    if z == 0:
-        return [0.0, math.inf] + [1.0 / (n - 1) for n in range(2, top + 1)]
     z = complex(z)
     e = np.exp(-z)
     n0 = min(top, math.ceil(abs(z)))
@@ -287,7 +287,7 @@ class SingleSlitProfile(ApertureProfile):
         psi sums c_m E_m(s k_hi)/k_hi^(m-1) and d(psi)/dx sums
         c_m E_(m-1)(s k_hi)/k_hi^(m-2).  Accurate to rounding for
         k_hi >= :meth:`cutoff`, where the omitted terms are O((pi/100)^11)
-        relative to the leading one.
+        relative to the leading one.  Rows need z > 0, so s != 0 on both edges.
         """
         c = _slit_tail_series(self.a, z, _TAIL_ORDER)
         scale = 2.0 * math.sqrt(math.pi * self.a)
@@ -306,8 +306,7 @@ class SingleSlitProfile(ApertureProfile):
                     sp += c[m] * en[m] * psi_pow[m]
                     sd += c[m] * en[m - 1] * dpsi_pow[m]
                 p += sp.real
-                if s != 0:  # s = 0 means beta = 0, where sin(beta k) vanishes (and E_1 is infinite)
-                    d += sd.imag
+                d += sd.imag
             psi[j] = scale * p
             dpsi[j] = -scale * d
         return psi, dpsi
@@ -349,7 +348,7 @@ class GaussianProfile(ApertureProfile):
 
 
 def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Natural cubic spline through (x, y): one row (d, c, b, y_i) per interval.
+    """Natural cubic spline through (x, y): rows d, c, b and y_i, one column per interval.
 
     On [x_i, x_(i+1)] the spline is ((d t + c) t + b) t + y_i with t = k - x_i.
     The second derivatives m solve the tridiagonal system
@@ -372,7 +371,7 @@ def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for j in range(len(rhs) - 2, -1, -1):
         m[j + 1] = (rhs[j] - hs[j + 1] * m[j + 2]) / diag[j]
     m = np.array(m)
-    return np.column_stack([np.diff(m) / (6.0 * h), 0.5 * m[:-1], s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+    return np.stack([np.diff(m) / (6.0 * h), 0.5 * m[:-1], s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
 
 
 class TabulatedProfile(ApertureProfile):
@@ -413,7 +412,7 @@ class TabulatedProfile(ApertureProfile):
         self._coef = _natural_cubic(self._knots, np.asarray(vals) / np.asarray(counts))
         if grid[0] > 0.0:  # a constant piece on [0, first knot] holds the first sample's value
             self._knots = np.insert(self._knots, 0, 0.0)
-            self._coef = np.vstack([[0.0, 0.0, 0.0, self._coef[0, 3]], self._coef])
+            self._coef = np.insert(self._coef, 0, [0.0, 0.0, 0.0, self._coef[3, 0]], axis=1)
         self.k_max = float(grid[-1])
 
     @classmethod
@@ -444,7 +443,7 @@ class TabulatedProfile(ApertureProfile):
         # interval 0..n-2 straight from the inner knots
         i = np.searchsorted(self._knots[1:-1], k, side="right")
         t = k - self._knots[i]
-        d, c, b, f = self._coef[i].T
+        d, c, b, f = self._coef.take(i, axis=1)  # four contiguous rows, as the products below want
         amp = np.where(kx <= self.k_max, ((d * t + c) * t + b) * t + f, 0.0)
         return amp if amp.ndim else float(amp)
 

@@ -204,16 +204,21 @@ def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
     zs = grid_from(cfg, "z")
     if any(z < 0 for z in zs):
         raise ConfigError("grids.z", "field heights must be non-negative")
+    table = np.empty((len(zs), len(xs), 9))  # one row per (z, x)
+    psi = table[..., 2:8].view(complex)  # psi_rw, psi_cw and psi_total as (re, im) column pairs
     with np.errstate(over="ignore", invalid="ignore"):  # the quadrature, then the check below, refuse an inf or nan
         g = nearfield.field_grid(xs, zs, profile, abs_tol=tol)
-        total = g.psi_total
-        table = np.stack([*np.meshgrid(g.x, g.z), g.psi_rw.real, g.psi_rw.imag, g.psi_cw.real, g.psi_cw.imag,
-                          total.real, total.imag, g.current_x], axis=-1).reshape(-1, 9)  # one row per (z, x)
+        table[..., 0] = g.x
+        table[..., 1] = g.z[:, None]
+        psi[..., 0] = g.psi_rw
+        psi[..., 1] = g.psi_cw
+        np.add(g.psi_rw, g.psi_cw, out=psi[..., 2])
+        table[..., 8] = g.current_x
     header = "x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x"
-    if not np.isfinite(table).all():
-        _emit_csv(out, header.split(","), table.tolist())  # raises, naming the first inf or nan's row and column
+    if not np.isfinite(table).all():  # then _emit_csv raises, naming the first inf or nan's row and column
+        _emit_csv(out, header.split(","), table.reshape(-1, 9).tolist())
     line = ",".join(["%.17g"] * 9) + "\n"  # "%.17g" % v is format(v, ".17g"), -0.0 included
-    _write_text(out, header + "\n" + "".join(line % row for row in map(tuple, table.tolist())))
+    _write_text(out, header + "\n" + (line * (len(zs) * len(xs))) % tuple(table.ravel().tolist()))
     return 0
 
 

@@ -28,6 +28,9 @@ d(psi_cw)/dx likewise.  The split is exact: psi_cw is the rest of the
 same transform, so its error is psi_rw's, within the same budget.  (Si
 and Cin closed forms of the RW part lose digits to cancellation at small
 a, and any closed form of psi_cw reduces to the same difference.)
+``field_grid`` calls that run (``_screen_parts``) whenever a grid has a
+z = 0 row; it asks the profile for its mode, and a profile without one
+sends its z = 0 rows down the general route below.
 
 A grid is one separable quadrature over t with component-major factors.
 The left factor is (3 nz, n): three blocks of row weights on the n
@@ -39,6 +42,12 @@ and psi_rw = 2 (V_re + i V_im), psi_cw = 2 V_cw plus the tail.  Every
 cos/sin pair (cos t and sin t on t < 0, the RW phase kz z, and k u_j)
 comes from one tan of the half angle (``_cos_sin``).  psi is even in x
 and d(psi)/dx odd, so each point takes its columns and the sign of x.
+The distinct |x| are a sorted set of Python floats (-0.0 and 0.0 are
+one), and each x finds its column through a dict.  That takes ~3 us at
+a handful of points, where np.unique takes ~10 us; at 10^6 distinct
+points it takes ~2.4 us a point, 36x np.unique, but a third of what
+formatting the point's CSV row costs, so it is the one route at every
+size.
 k_hi is the largest per-row end; a row that ends below it carries less
 than e^-46 beyond its own end.
 
@@ -70,7 +79,6 @@ profile's (unnormalized) amplitude scale.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import re
 import warnings
@@ -128,14 +136,10 @@ def _cos_sin(x) -> np.ndarray:
     return out
 
 
-@contextlib.contextmanager
-def _naming_kx(k_hi: float, zs: np.ndarray, x_max: float):
-    """Re-raise a QuadratureError with its interval, in theta, t or k, replaced by kx and the points."""
-    try:
-        yield
-    except QuadratureError as e:
-        where = f"kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {x_max:g})"
-        raise QuadratureError(re.sub(r"\[[^\]]*\]", where, str(e), count=1), achieved=e.achieved) from None
+def _in_kx(e: QuadratureError, k_hi: float, zs: np.ndarray, x_max: float) -> QuadratureError:
+    """``e`` with its interval, in theta, t or k, replaced by kx and the points."""
+    where = f"kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {x_max:g})"
+    return QuadratureError(re.sub(r"\[[^\]]*\]", where, str(e), count=1), achieved=e.achieved)
 
 
 def _own_rate(profile: ApertureProfile) -> float:
@@ -151,10 +155,12 @@ def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
     k_hi = max(1.5, min(profile.cutoff(), float(k_exp.max())))  # beyond its own end a row carries < e^-46
     t_mid = float(np.arccosh(min(2.0, k_hi)))  # k = 2, where the seeds switch from t to k; t_hi below k = 2
-    with _naming_kx(k_hi, zs, x_max):
+    try:
         rw = oscillation_breakpoints(0.0, 0.5 * math.pi, (math.hypot(x_max, z_max) + rate0) / _HALF_WAVES_PER_PANEL)
         s = oscillation_breakpoints(0.0, t_mid, (x_max + rate0) * math.sinh(t_mid) / _HALF_WAVES_PER_PANEL)
         k = oscillation_breakpoints(2.0, k_hi, (x_max + rate0) / _HALF_WAVES_PER_PANEL)
+    except QuadratureError as e:
+        raise _in_kx(e, k_hi, zs, x_max) from None
     decay = []  # e^{-chi z_max} falls _EFOLDS_PER_PANEL e-folds from one decay seed to the next, down to e^-46
     if z_max > 0.0:
         decay = np.arcsinh(np.arange(1, int(_EXP_CUT / _EFOLDS_PER_PANEL) + 1) * _EFOLDS_PER_PANEL / z_max)
@@ -187,9 +193,11 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
         right[1] *= -k
         return left.reshape(3 * nz, -1), right.reshape(2 * len(u), -1)
 
-    with _naming_kx(k_hi, zs, u[-1]):
+    try:
         res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=0.5 * abs_tol,
                             rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))
+    except QuadratureError as e:
+        raise _in_kx(e, k_hi, zs, u[-1]) from None
     v = 2.0 * res.value.reshape(3, nz, 2, len(u))
     cw = v[2]
     k_profile = profile.cutoff()
@@ -204,54 +212,67 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
     return v[0] + 1j * v[1], cw
 
 
-def _screen_parts(u: np.ndarray, mode: tuple[np.ndarray, np.ndarray], profile: ApertureProfile, abs_tol: float):
-    """The RW and CW parts of psi and d(psi)/dx at z = 0 and the distances u, each (2, len(u)).
+def _screen_parts(u: np.ndarray, profile: ApertureProfile, abs_tol: float):
+    """The RW and CW parts of psi and d(psi)/dx at z = 0 and the distances u, each (2, len(u)), or None.
 
-    ``mode`` is the profile's :meth:`~ApertureProfile.screen_field` at u.
-    One quadrature over k in [0, 1] gives the RW integrals; the CW ones are
-    the mode minus them.
+    None when the profile has no closed form on the screen plane
+    (:meth:`~ApertureProfile.screen_field`).  Otherwise one quadrature over
+    k in [0, 1] gives the RW integrals, and the CW ones are the mode minus
+    them.
     """
+    mode = profile.screen_field(u)
+    if mode is None:
+        return None
+
     def integrand(k):
         right = _cos_sin(np.multiply.outer(u, k))
         right[1] *= -k
         return profile.amplitude(k)[None], right.reshape(2 * len(u), -1)
 
-    with _naming_kx(1.0, np.zeros(1), float(u[-1])):
-        seeds = oscillation_breakpoints(0.0, 1.0, (float(u[-1]) + _own_rate(profile)) / _HALF_WAVES_PER_PANEL)
+    x_max = float(u[-1])
+    try:
+        seeds = oscillation_breakpoints(0.0, 1.0, (x_max + _own_rate(profile)) / _HALF_WAVES_PER_PANEL)
         res = adaptive_quad(integrand, 0.0, 1.0, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
                             components=2 * len(u))
+    except QuadratureError as e:
+        raise _in_kx(e, 1.0, np.zeros(1), x_max) from None
     rw = 2.0 * res.value.reshape(2, len(u))
-    return rw, np.stack(mode) - rw
+    return rw, np.subtract(mode, rw)
 
 
 def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldGrid:
     """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
     psi is even in x and d(psi)/dx odd, so the quadrature runs over the
-    distinct |x| alone.  Rows at z = 0 of a profile with a closed form
-    there (:meth:`~ApertureProfile.screen_field`, the slit mode) take one
-    run over the RW range k in [0, 1], shared by them all: psi_total is
-    that mode, so psi_cw = mode - psi_rw holds exactly, with psi_rw's own
-    error and no CW panel or analytic tail.  The other rows are split into
-    runs of consecutive rows while a run's seeded panels x components stay
-    within ``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's
-    per-call element cap; their k_hi and seeds come from these rows alone.
+    distinct |x| alone (a sorted set of Python floats, in which -0.0 and
+    0.0 are one).  Rows at z = 0 of a profile with a closed form there
+    (:meth:`~ApertureProfile.screen_field`, the slit mode) take one run
+    over the RW range k in [0, 1], shared by them all (``_screen_parts``,
+    called whenever a z = 0 row exists): psi_total is that mode, so
+    psi_cw = mode - psi_rw holds exactly, with psi_rw's own error and no
+    CW panel or analytic tail.  The other rows are split into runs of
+    consecutive rows while a run's seeded panels x components stay within
+    ``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's per-call
+    element cap; their k_hi and seeds come from these rows alone.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
-    if (zs < 0).any():
-        raise ValueError(f"z must be non-negative (transmission side), got {float(zs[zs < 0][0])!r}")
-    u, at = np.unique(np.abs(xs), return_inverse=True)
-    rw = np.empty((len(zs), 2, len(u)), complex)
-    cw = np.empty_like(rw)
-    screen = zs == 0.0
-    mode = profile.screen_field(u) if screen.any() else None
-    if mode is None:
-        screen[:] = False
-    else:
-        rw[screen], cw[screen] = _screen_parts(u, mode, profile, abs_tol)
-    rows = np.flatnonzero(~screen)
-    if len(rows):
+    z_list = zs.tolist()
+    negative = [z for z in z_list if z < 0]
+    if negative:
+        raise ValueError(f"z must be non-negative (transmission side), got {negative[0]!r}")
+    dist = np.abs(xs).tolist()
+    u = sorted(set(dist))
+    column = {d: j for j, d in enumerate(u)}
+    at = [column[d] for d in dist]
+    u = np.array(u)
+    parts = np.empty((2, len(zs), 2, len(u)), complex)  # RW, then CW; per row the psi integrals, then d/dx
+    screen = [i for i, z in enumerate(z_list) if z == 0.0]
+    screen_parts = _screen_parts(u, profile, abs_tol) if screen else None
+    if screen_parts is not None:
+        parts[0, screen], parts[1, screen] = screen_parts
+    rows = [i for i, z in enumerate(z_list) if z != 0.0 or screen_parts is None]
+    if rows:
         axis = _axis(float(u[-1]), zs[rows], profile)  # these rows' seeds outnumber any batch's
         per_row = 3 * 2 * len(u)
         per_run = max(1, min(_MAX_ELEMENTS // (_X_K.size * per_row),
@@ -260,10 +281,10 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
             batch = rows[start:start + per_run]
             if per_run < len(rows):
                 axis = _axis(float(u[-1]), zs[batch], profile)
-            rw[batch], cw[batch] = _integrals(u, zs[batch], profile, axis, abs_tol)
-    rw, cw = rw[:, :, at], cw[:, :, at]
-    sign = np.where(xs < 0, -1.0, 1.0)
-    return FieldGrid(xs, zs, rw[:, 0], cw[:, 0], rw[:, 1] * sign, cw[:, 1] * sign)
+            parts[0, batch], parts[1, batch] = _integrals(u, zs[batch], profile, axis, abs_tol)
+    parts = parts[..., at]
+    parts[:, :, 1] *= np.where(xs < 0, -1.0, 1.0)
+    return FieldGrid(xs, zs, parts[0, :, 0], parts[1, :, 0], parts[0, :, 1], parts[1, :, 1])
 
 
 def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *,

@@ -106,23 +106,25 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
 
     ``components`` is the integrand's stated output width; each call gets
     at most ``_MAX_ELEMENTS // (31 * components)`` panels (at least one).
+    Each call's (panels, 2, components) sums are scaled by the half widths
+    straight into one preallocated array, whose two halves are returned as
+    views.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X_K
     step = max(1, _MAX_ELEMENTS // (_X_K.size * components))
     # filled in place: a list of chunks plus their concatenation would hold two copies
-    vals = np.empty((len(lo), components))
-    errs = np.empty((len(lo), components))
+    sums = np.empty((len(lo), 2, components))
     for start in range(0, len(lo), step):
-        h = half[start:start + step, None]
+        h = half[start:start + step, None, None]
         left, right = f(x[start:start + step].ravel())
         width = len(left) * len(right)
         if width != components:
             raise ValueError(f"integrand returned {width} components per abscissa, not components={components}")
-        r = _separable_sums(left, right, len(h))  # (panels, 2, components)
-        vals[start:start + len(h)] = r[:, 0] * h
-        errs[start:start + len(h)] = np.abs(r[:, 1]) * h
-    return vals, errs
+        np.multiply(_separable_sums(left, right, len(h)), h, out=sums[start:start + len(h)])
+    errs = sums[:, 1]
+    np.abs(errs, out=errs)  # the half widths are positive, so |sum| * h = |sum * h|
+    return sums[:, 0], errs
 
 
 def adaptive_quad(
@@ -177,9 +179,10 @@ def adaptive_quad(
     edges = np.array([a, b], dtype=float)
     if breakpoints is not None:
         bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
-        edges = np.concatenate([edges, bp[(bp > a) & (bp < b)]])
-    edges = np.sort(edges)
-    edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
+        bp = bp[(bp > a) & (bp < b)]
+        if bp.size:
+            edges = np.sort(np.concatenate([edges, bp]))
+            edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
     lo = edges[:-1]
     hi = edges[1:]
 

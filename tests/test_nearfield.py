@@ -172,7 +172,7 @@ class TestSlitAnalyticTails:
         k_lo, k_hi = 1e4, 3e5
         k = np.linspace(k_lo, k_hi, 2**22 + 1)
         chi = np.sqrt(k * k - 1.0)
-        for xs, z in (((0.0, 0.5, 2.0), 0.0), ((0.2,), 1e-3)):
+        for xs, z in (((0.0, 0.5, 2.0), 1e-3), ((0.2,), 1e-3)):
             ana = tail_window(profile, k_lo, k_hi, xs, z)[0]
             for x, got in zip(xs, ana):
                 f = profile.amplitude(k) * np.exp(-z * chi) * np.cos(k * x)
@@ -183,10 +183,11 @@ class TestSlitAnalyticTails:
         profile = SingleSlitProfile(a=1.0)
         k_lo, k_hi = 1e4, 3e5
         k = np.linspace(k_lo, k_hi, 2**22 + 1)
-        xs = (0.3, 0.5, 2.0)
-        ana = tail_window(profile, k_lo, k_hi, xs, 0.0)[1]
+        xs, z = (0.3, 0.5, 2.0), 1e-3
+        weight = profile.amplitude(k) * np.exp(-z * np.sqrt(k * k - 1.0))
+        ana = tail_window(profile, k_lo, k_hi, xs, z)[1]
         for x, got in zip(xs, ana):
-            f = profile.amplitude(k) * (-k * np.sin(k * x))
+            f = weight * (-k * np.sin(k * x))
             brute = 2.0 * simpson(f, x=k)
             assert got == pytest.approx(brute, abs=5e-10, rel=1e-5)
 
@@ -202,7 +203,7 @@ class TestSlitAnalyticTails:
         amp = profile.amplitude(k)
         chi = np.sqrt((k - 1.0) * (k + 1.0))
         xs = (0.3 * a, 1.4 * a)
-        for z in (0.0, 1e-3, 0.05, 0.3):
+        for z in (1e-3, 0.05, 0.3):
             weight = amp * np.exp(-z * chi)
             for x, ana, ana_dx in zip(xs, *tail_window(profile, k_lo, k_hi, xs, z)):
                 psi = 2.0 * simpson(weight * np.cos(k * x), x=k)
@@ -216,7 +217,7 @@ class TestSlitAnalyticTails:
         profile = SingleSlitProfile(a=a)
         k_t = profile.cutoff()
         xs = (0.0, 0.3 * a, 0.5 * a + 1e-3, 1.4 * a, 4.0 * a)
-        zs = (0.0, 0.01, 0.2)
+        zs = (1e-3, 0.01, 0.2)
         base = [profile.field_tail(k_t, xs, z) for z in zs]
         monkeypatch.setattr(aperture, "_TAIL_ORDER", aperture._TAIL_ORDER + 4)
         for z, want in zip(zs, base):
@@ -448,6 +449,33 @@ class TestGridEngine:
             delta = _bound(s.psi_rw, s.psi_cw, s.psi_total)
             assert abs(frac - cw**2 / total**2) <= 2.0 * frac * (delta / cw + delta / total), z
         _assert_matches(point, _cell(grid, 1, 0)[0])
+
+    @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
+    def test_rows_and_columns_do_not_depend_on_their_neighbours(self, name):
+        # -0.0 and 0.0, a duplicated x and +-x pairs share their |x|
+        profile = _row_profiles()[name]
+        xs = [0.4, -0.0, 1.7, 0.0, 0.4, -0.4, -1.7]
+        zs = [0.5, 0.0, 2.0, 0.0]
+        grid = field_grid(xs, zs, profile)
+        parts = ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw")
+        for i, z in enumerate(zs):
+            row = field_grid(xs, [z], profile)
+            for part in parts:
+                got, want = getattr(grid, part)[i], getattr(row, part)[0]
+                if z == 0.0 and name == "slit":  # the screen run sees |x| alone, whatever the other rows
+                    assert got.tobytes() == want.tobytes(), (part, z)
+                else:  # a z > 0 row's seeds depend on the other rows of its run
+                    assert np.all(np.abs(got - want) <= 2.0 * np.maximum(5e-13, 1e-10 * np.abs(want))), (part, z)
+        perm = [3, 6, 0, 4, 1, 5, 2]
+        shuffled = field_grid([xs[j] for j in perm], zs, profile)
+        for part in (*parts, "current_x"):
+            got, want = getattr(shuffled, part), getattr(grid, part)[:, perm]
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), part
+        for j, k, sign in ((1, 3, 1.0), (0, 4, 1.0), (0, 5, -1.0), (2, 6, -1.0)):
+            for part in ("psi_rw", "psi_cw"):
+                col = getattr(grid, part)
+                assert np.ascontiguousarray(col[:, j]).tobytes() == np.ascontiguousarray(col[:, k]).tobytes()
+            assert np.array_equal(grid.current_x[:, k], sign * grid.current_x[:, j]), (xs[j], xs[k])
 
     @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
     def test_point_queries_are_field_grid_cells(self, name):
