@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import math
 import re
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -286,23 +285,3 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
     parts[:, :, 1] *= np.where(xs < 0, -1.0, 1.0)
     return FieldGrid(xs, zs, parts[0, :, 0], parts[1, :, 0], parts[0, :, 1], parts[1, :, 1])
 
-
-def cw_fraction_profile(x: float, z_grid, profile: ApertureProfile, *,
-                        abs_tol: float = 1e-12) -> list[tuple[float, float]]:
-    """Evanescent intensity fraction |psi_cw|^2/|psi_total|^2 along a z scan.
-
-    Where |psi_total| <= abs_tol the total is cancellation noise; the
-    fraction there is nan and a RuntimeWarning names the point.
-    """
-    zs = [float(z) for z in z_grid]
-    if any(b <= a for a, b in zip(zs, zs[1:])):
-        raise ValueError("z grid must be strictly increasing")
-    g = field_grid(x, zs, profile, abs_tol=abs_tol)
-    out = []
-    for z, p_rw, p_cw in zip(zs, g.psi_rw[:, 0].tolist(), g.psi_cw[:, 0].tolist()):
-        total = abs(p_rw + p_cw)
-        if total <= abs_tol:
-            warnings.warn(f"CW fraction at (x={x!r}, z={z!r}) is cancellation noise: |psi_total| = "
-                          f"{total:.3e} <= abs_tol", RuntimeWarning, stacklevel=2)
-        out.append((z, abs(p_cw) ** 2 / total**2 if total > abs_tol else math.nan))
-    return out

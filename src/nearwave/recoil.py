@@ -60,10 +60,6 @@ def critical_threshold(screen: ScreenSpec) -> Threshold:
     return Threshold(eta=eta, one_minus_eta=stable_one_minus_inv_sqrt1p(2.0 / screen.K_M))
 
 
-def _radicand(kx: float, K_M: float) -> float:
-    return 1.0 - (1.0 + 2.0 / K_M) * kx * kx
-
-
 _EPS = 2.220446049250313e-16
 
 
@@ -125,7 +121,7 @@ def recoil_solution(kx: float, screen: ScreenSpec) -> RecoilSolution:
     K_M = screen.K_M
     eta = critical_threshold(screen).eta
     denom = K_M + 2.0
-    r = _radicand(kx, K_M)
+    r = 1.0 - (1.0 + 2.0 / K_M) * kx * kx
 
     if r < 0.0:
         chi = eta * (1.0 + 1.0 / K_M) * math.sqrt((abs(kx) - eta) * (abs(kx) + eta))
@@ -187,40 +183,6 @@ def root_residual(sol: RecoilSolution) -> float:
     x = 1.0 - 2.0 * kz + kt * kt
     lhs = x / (cmath.sqrt(K_M * K_M + x) + K_M)
     return abs(lhs - (1.0 - kt))
-
-
-def screen_momentum_magnitude(kx: float, screen: ScreenSpec) -> complex:
-    """Complex 'magnitude' sqrt(Kx^2 + Kz~^2) of the recoiling screen momentum.
-
-    Computed from the components and from the equivalent form
-    sqrt(1 - 2 sqrt(k~^2 - kx^2) + k~^2); the two must agree to 1e-12.
-    """
-    sol = recoil_solution(kx, screen)
-    w = kx * kx + sol.Kz_tilde * sol.Kz_tilde
-    route_a = cmath.sqrt(w)
-    kt = sol.k_tilde
-    route_b = cmath.sqrt(1.0 - 2.0 * cmath.sqrt(kt * kt - kx * kx) + kt * kt)
-    # agreement floor from rounding propagation: the strict identity gate,
-    # the cancellation of terms of magnitude t_scale down to |w|=|route|^2
-    # amplified by 1/|kz~| from the inner square root, the branch-point
-    # conditioning of the stored decay constant on the evanescent side,
-    # and, within rounding of the branch point itself, the sqrt(eps)-scale
-    # residue that makes the branch ambiguous for one route only
-    t_scale = max(1.0, kx * kx) + abs(sol.Kz_tilde) ** 2
-    kz_mag = max(abs(sol.kz_tilde), 1e-300)
-    route_mag = max(abs(route_a), 1e-300)
-    amplify = (1.0 + 1.0 / kz_mag) / route_mag
-    tol = 1e-12 * max(1.0, abs(route_a)) + 8.0 * _EPS * t_scale * amplify
-    if sol.kind is WaveKind.CRAWLING:
-        tol += 4.0 * sol.chi_z * _branch_conditioning(kx, sol.eta) * amplify
-    r = _radicand(kx, screen.K_M)
-    r_scale = max(1.0, (1.0 + 2.0 / screen.K_M) * kx * kx)
-    if abs(r) <= 32.0 * _EPS * r_scale:
-        im_floor = math.sqrt(32.0 * _EPS * r_scale) / (screen.K_M + 2.0)
-        tol += 4.0 * (1.0 + abs(kt)) * im_floor * amplify
-    if abs(route_a - route_b) > tol:
-        raise ArithmeticError(f"momentum-magnitude routes disagree: {route_a!r} vs {route_b!r}")
-    return route_a
 
 
 class Lifetimes(NamedTuple):

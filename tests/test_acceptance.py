@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 from scipy.integrate import simpson
 
-from conftest import cli_record, log_slope, sig_figs
+from conftest import cli_record, log_slope, screen_momentum_magnitude, sig_figs
 from test_probe import _quad_overlap
 
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, tail_probability
@@ -32,7 +32,6 @@ from nearwave.recoil import (
     lifetimes,
     recoil_solution,
     root_residual,
-    screen_momentum_magnitude,
 )
 
 RNG_SEED = 20260808

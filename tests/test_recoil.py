@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cli_record
+from conftest import cli_record, screen_momentum_magnitude
 
 from nearwave.aperture import tail_probability
 from nearwave.modes import WaveKind, classify
@@ -19,7 +19,6 @@ from nearwave.recoil import (
     lifetimes,
     recoil_solution,
     root_residual,
-    screen_momentum_magnitude,
 )
 
 KM_SWEEP = (2.0, 10.0, 1e3, 1e6, 1e12)

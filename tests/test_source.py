@@ -53,14 +53,6 @@ def test_every_private_module_level_name_is_referenced():
         assert not private - referenced, (path.name, sorted(private - referenced))
 
 
-# public names that no package code calls, each kept because an acceptance criterion or a warning rests on it;
-# an entry that names nothing, or a name that package code reaches, fails the check below
-PUBLIC_ONLY_FOR_CHECKS = {
-    "screen_momentum_magnitude": "acceptance criterion 6 checks its two routes agree",
-    "cw_fraction_profile": "carries the cancellation-noise warning of the evanescent fraction",
-}
-
-
 def test_every_public_function_and_class_is_referenced():
     # a public function, class, method or property that only tests reach is a second code path to keep in step.
     # A class is split into its header and body statements, so a method's own body does not count as a use of it
@@ -82,10 +74,7 @@ def test_every_public_function_and_class_is_referenced():
         outside = (refs for (owner, part), refs in zip(units, references) if node is not part and node is not owner)
         if not any(node.name in refs for refs in outside):
             unreferenced.append(node.name)
-    extra = sorted(set(unreferenced) - set(PUBLIC_ONLY_FOR_CHECKS))
-    assert not extra, extra
-    stale = sorted(set(PUBLIC_ONLY_FOR_CHECKS) - set(unreferenced))
-    assert not stale, f"exempt, but undefined or reached by package code: {stale}"
+    assert not unreferenced, sorted(unreferenced)
 
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
@@ -109,7 +98,7 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                 functions.extend((part, 1) for part in node.body if isinstance(part, ast.FunctionDef))
     unpassed = []
     for fn, offset in functions:
-        if fn.name.startswith("_") or fn.name in PUBLIC_ONLY_FOR_CHECKS:
+        if fn.name.startswith("_"):
             continue
         positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
         defaulted = positional[len(positional) - len(fn.args.defaults):] + [
