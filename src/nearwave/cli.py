@@ -2,7 +2,7 @@
 
 Usage:
     nearwave spectrum --config run.json [--out modes.csv]
-    nearwave field    --config run.json [--out field.csv] [--tolerance 1e-10]
+    nearwave field    --config run.json [--out field.csv]
     nearwave absorb   --config run.json [--out absorb.csv]
     nearwave transfer --config run.json [--out transfer.json]
     nearwave recoil   --config run.json [--out recoil.json]
@@ -198,16 +198,21 @@ def _cmd_spectrum(cfg: dict, out: str | None) -> int:
     return 0
 
 
-def _cmd_field(cfg: dict, out: str | None, tol: float) -> int:
+_MAX_FIELD_POINTS = 4 * 10**6  # largest x-by-z grid; a slit field peaks near 0.75 kB of memory a point
+
+
+def _cmd_field(cfg: dict, out: str | None) -> int:
     profile = aperture_from(cfg)
     xs = grid_from(cfg, "x")
     zs = grid_from(cfg, "z")
     if any(z < 0 for z in zs):
         raise ConfigError("grids.z", "field heights must be non-negative")
+    if len(xs) * len(zs) > _MAX_FIELD_POINTS:
+        raise ConfigError("grids", f"{len(xs)} x by {len(zs)} z points exceed the cap of {_MAX_FIELD_POINTS}")
     table = np.empty((len(zs), len(xs), 9))  # one row per (z, x)
     psi = table[..., 2:8].view(complex)  # psi_rw, psi_cw and psi_total as (re, im) column pairs
     with np.errstate(over="ignore", invalid="ignore"):  # the quadrature, then the check below, refuse an inf or nan
-        g = nearfield.field_grid(xs, zs, profile, abs_tol=tol)
+        g = nearfield.field_grid(xs, zs, profile)
         table[..., 0] = g.x
         table[..., 1] = g.z[:, None]
         psi[..., 0] = g.psi_rw
@@ -541,28 +546,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"run the {name} computation")
         p.add_argument("--config", help="path to the JSON scenario config")
         p.add_argument("--out", help="output file (stdout when omitted)")
-        if name == "field":
-            p.add_argument("--tolerance", type=float, default=1e-12,
-                           help="absolute quadrature tolerance (default 1e-12)")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name = args.subcommand
-    handler = _HANDLERS[name]
     try:
-        if name == "field":
-            if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-                raise ConfigError("--tolerance", f"must be a finite positive number, got {args.tolerance!r}")
-            handler = functools.partial(_cmd_field, tol=args.tolerance)
         if args.config is not None:
             cfg = load_config(args.config)
         elif name in _BUNDLED:
             cfg = load_config(resources.files("nearwave").joinpath("configs", _BUNDLED[name]))
         else:
             raise ConfigError("<args>", f"{name} requires --config")
-        return handler(cfg, args.out)
+        return _HANDLERS[name](cfg, args.out)
     except ConfigError as e:
         _emit_error("config", e.message, field=e.field)
         return 2

@@ -92,7 +92,8 @@ from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoi
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
 _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
 _EFOLDS_PER_PANEL = 6.0  # decay seeds of the CW range span this many e-folds of e^{-chi z_max}
-_REL_TOL = 1e-10  # relative tolerance of every field integral; abs_tol is the caller's
+_ABS_TOL = 5e-13  # every field integral is within max(_ABS_TOL, _REL_TOL |integral|), the field's one budget
+_REL_TOL = 1e-10
 # seeded panels x components of one quadrature run: each round holds a few such arrays
 _ROUND_ELEMENTS = 1 << 20
 
@@ -170,7 +171,7 @@ def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float
     return k_hi, k_exp, seeds
 
 
-def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, abs_tol: float):
+def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
     """The RW and CW integrals of the rows zs at the distances u = |x|, one quadrature over t.
 
     ``axis`` is :func:`_axis` of these rows.  Returns two (nz, 2, len(u))
@@ -193,7 +194,7 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
         return left.reshape(3 * nz, -1), right.reshape(2 * len(u), -1)
 
     try:
-        res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=0.5 * abs_tol,
+        res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=_ABS_TOL,
                             rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))
     except QuadratureError as e:
         raise _in_kx(e, k_hi, zs, u[-1]) from None
@@ -211,7 +212,7 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis, ab
     return v[0] + 1j * v[1], cw
 
 
-def _screen_parts(u: np.ndarray, profile: ApertureProfile, abs_tol: float):
+def _screen_parts(u: np.ndarray, profile: ApertureProfile):
     """The RW and CW parts of psi and d(psi)/dx at z = 0 and the distances u, each (2, len(u)), or None.
 
     None when the profile has no closed form on the screen plane
@@ -231,7 +232,7 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile, abs_tol: float):
     x_max = float(u[-1])
     try:
         seeds = oscillation_breakpoints(0.0, 1.0, (x_max + _own_rate(profile)) / _HALF_WAVES_PER_PANEL)
-        res = adaptive_quad(integrand, 0.0, 1.0, abs_tol=0.5 * abs_tol, rel_tol=_REL_TOL, breakpoints=seeds,
+        res = adaptive_quad(integrand, 0.0, 1.0, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, breakpoints=seeds,
                             components=2 * len(u))
     except QuadratureError as e:
         raise _in_kx(e, 1.0, np.zeros(1), x_max) from None
@@ -239,7 +240,7 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile, abs_tol: float):
     return rw, np.subtract(mode, rw)
 
 
-def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> FieldGrid:
+def field_grid(xs, zs, profile: ApertureProfile) -> FieldGrid:
     """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
     psi is even in x and d(psi)/dx odd, so the quadrature runs over the
@@ -267,7 +268,7 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
     u = np.array(u)
     parts = np.empty((2, len(zs), 2, len(u)), complex)  # RW, then CW; per row the psi integrals, then d/dx
     screen = [i for i, z in enumerate(z_list) if z == 0.0]
-    screen_parts = _screen_parts(u, profile, abs_tol) if screen else None
+    screen_parts = _screen_parts(u, profile) if screen else None
     if screen_parts is not None:
         parts[0, screen], parts[1, screen] = screen_parts
     rows = [i for i, z in enumerate(z_list) if z != 0.0 or screen_parts is None]
@@ -280,7 +281,7 @@ def field_grid(xs, zs, profile: ApertureProfile, *, abs_tol: float = 1e-12) -> F
             batch = rows[start:start + per_run]
             if per_run < len(rows):
                 axis = _axis(float(u[-1]), zs[batch], profile)
-            parts[0, batch], parts[1, batch] = _integrals(u, zs[batch], profile, axis, abs_tol)
+            parts[0, batch], parts[1, batch] = _integrals(u, zs[batch], profile, axis)
     parts = parts[..., at]
     parts[:, :, 1] *= np.where(xs < 0, -1.0, 1.0)
     return FieldGrid(xs, zs, parts[0, :, 0], parts[1, :, 0], parts[0, :, 1], parts[1, :, 1])

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nearwave import aperture, cli, recoil
+from nearwave import aperture, cli, nearfield, recoil
 from nearwave.kinematics import evanescence_transfer
 from nearwave.modes import grating_modes
 from nearwave.probe import GaussianPacket
@@ -206,17 +206,26 @@ class TestField:
                 mirror = float(rows[(-x, z)]["J_x"])
                 assert abs(float(r["J_x"]) + mirror) <= 2.0 * j_bound, (aperture, x, z)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    def test_bad_tolerance_rejected_before_computing(self, capsys, tmp_path, monkeypatch, value):
-        def refuse(*args, **kwargs):
-            raise AssertionError("field computed despite an invalid --tolerance")
+    def test_oversized_grid_refused_before_computing(self, capsys, tmp_path, monkeypatch):
+        reached = []
 
-        monkeypatch.setattr(cli.nearfield, "field_grid", refuse)
-        cfg = write_cfg(tmp_path, BASE_CFG)
-        rc, out, err = run_main(capsys, "field", "--config", cfg, "--tolerance", value)
-        assert rc == 2
-        assert out == ""
-        assert json.loads(err)["error"]["field"] == "--tolerance"
+        def sentinel(xs, zs, profile):
+            reached.append(len(xs) * len(zs))
+            raise AssertionError("stop here")
+
+        def grids(nx, nz):
+            return dict(BASE_CFG, grids={"x": {"start": 0.0, "stop": 1.0, "num": nx},
+                                         "z": {"start": 0.5, "stop": 2.0, "num": nz}})
+
+        monkeypatch.setattr(nearfield, "field_grid", sentinel)  # not cli.nearfield: cli may import it lazily
+        cap = cli._MAX_FIELD_POINTS
+        assert 41 * 97561 == cap + 1 and 40 * 100000 == cap
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, grids(97561, 41)))
+        assert rc == 2 and out == "" and reached == []
+        assert json.loads(err)["error"]["field"] == "grids"
+        with pytest.raises(AssertionError, match="stop here"):
+            cli.main(["field", "--config", write_cfg(tmp_path, grids(100000, 40))])
+        assert reached == [cap]
 
 
     @pytest.mark.parametrize("a, x", [(0.5, 20.0), (1.0, 60.0)])
@@ -954,8 +963,8 @@ class TestErrorsAndChecks:
         assert rc == 2 and out == ""
         assert json.loads(err)["error"]["field"] == "<file>"
 
-    @pytest.mark.parametrize("name", sorted(set(cli._HANDLERS) - {"field"}))
-    def test_tolerance_only_offered_on_field(self, capsys, name):
+    @pytest.mark.parametrize("name", sorted(cli._HANDLERS))
+    def test_tolerance_offered_on_no_subcommand(self, capsys, name):
         with pytest.raises(SystemExit) as exc:
             cli.main([name, "--tolerance", "0.5"])
         assert exc.value.code == 2
@@ -992,17 +1001,17 @@ class TestParser:
         assert all(name in out for name in cli._HANDLERS)
 
     def test_cached_parser_carries_no_option_into_the_next_call(self, tmp_path, monkeypatch):
-        tolerances = []
+        outs = []
 
-        def record(cfg, out, tol):
-            tolerances.append(tol)
+        def record(cfg, out):
+            outs.append(out)
             return 0
 
-        monkeypatch.setattr(cli, "_cmd_field", record)
+        monkeypatch.setitem(cli._HANDLERS, "field", record)
         cfg = write_cfg(tmp_path, BASE_CFG)
-        assert cli.main(["field", "--config", cfg, "--tolerance", "1e-9"]) == 0
+        assert cli.main(["field", "--config", cfg, "--out", "p"]) == 0
         assert cli.main(["field", "--config", cfg]) == 0
-        assert tolerances == [1e-9, 1e-12]
+        assert outs == ["p", None]
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["field", "--bogus"]])
     def test_usage_errors_exit_2(self, capsys, argv):

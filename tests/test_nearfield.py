@@ -660,7 +660,7 @@ def _engine_screen_parts(x: float, a: float) -> np.ndarray:
 
 
 def _assert_within_part_budget(got, want, where):
-    """Each part within the quadrature's own budget max(abs_tol / 2, rel_tol |part|) at the default abs_tol."""
+    """Each part within the field's fixed quadrature budget max(5e-13, 1e-10 |part|)."""
     for name, g, w in zip(("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw"), got, want):
         assert abs(mpmath.mpc(g) - w) <= max(5e-13, 1e-10 * abs(w)), (name, where, g, w)
 
