@@ -23,7 +23,6 @@ import csv
 import functools
 import math
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -159,36 +158,21 @@ def _odds_series_order(q: float) -> int:
     return 4 + 2 * math.ceil(17.0 / (2.0 * math.log10(q / math.pi)))
 
 
-def _odds_series(q_s: float) -> tuple[float, float]:
-    """Slit tail odds above q_s >= _ODDS_SERIES_START from the 1/q series, and its first omitted term's bound."""
+def _odds_series(q_s: float) -> float:
+    """Slit tail odds above q_s >= _ODDS_SERIES_START from the 1/q series."""
     order = _odds_series_order(q_s)
-    d = _tail_probability_coefficients(order)  # complete through q^-(order+2)
+    d = _tail_probability_coefficients(order)
     en = _exp_integrals(-1j * q_s, order)
-    value = 4.0 * math.pi * sum(d[m] * q_s ** (1 - m) * (1.0 / (m - 1) + en[m].real) for m in range(2, order + 1))
-    error = 8.0 * math.pi * abs(d[order + 2]) * q_s ** (-1 - order) / (order + 1)
-    return value, error
+    return 4.0 * math.pi * sum(d[m] * q_s ** (1 - m) * (1.0 / (m - 1) + en[m].real) for m in range(2, order + 1))
 
 
 @functools.cache
-def _odds_series_at_start() -> tuple[float, float]:
+def _odds_series_at_start() -> float:
     """:func:`_odds_series` at _ODDS_SERIES_START, the same for every q' below it; built once."""
     return _odds_series(_ODDS_SERIES_START)
 
 
-class TailEstimate(NamedTuple):
-    """Integrated mode-probability above a wavenumber, with diagnostics.
-
-    ``asymptote`` carries the leading cubic-decay estimate
-    8*pi/(3*(a*k')^3) for comparison against the integrated value.  All
-    three are built-in floats, never numpy.float64.
-    """
-
-    value: float
-    error: float
-    asymptote: float
-
-
-def tail_probability(k_prime: float, a: float) -> TailEstimate:
+def tail_probability(k_prime: float, a: float) -> float:
     """Probability of finding any |kx| above k_prime for the slit profile.
 
     In q = a*kx this is integral_{q'}^inf 8 pi cos^2(q/2)/(pi^2 - q^2)^2 dq,
@@ -200,9 +184,8 @@ def tail_probability(k_prime: float, a: float) -> TailEstimate:
     :func:`_odds_series_order`.  Below q_s one K31 panel covers [q', q_s]: |F|^2
     is entire (the double zero of cos^2 at q = pi cancels the double pole) and
     the panel spans at most 3.2 half-waves of cos q, so K31 is exact to rounding.
-    ``error`` is the panel's |K31 - G15| plus the bound 8 pi |d_M| q_s^(1-M)/(M-1)
-    of the first omitted term.  Below _ODDS_SERIES_START the series part is
-    one constant, summed on first use.
+    Below _ODDS_SERIES_START the series part is one constant, summed on first
+    use.  Returns a built-in float, never numpy.float64.
     """
     if not (math.isfinite(k_prime) and k_prime > 0):
         raise ValueError(f"k_prime must be finite and positive, got {k_prime!r}")
@@ -210,17 +193,11 @@ def tail_probability(k_prime: float, a: float) -> TailEstimate:
         raise ValueError(f"slit width must be finite and positive, got {a!r}")
     qp = a * k_prime
     if qp >= _ODDS_SERIES_START:
-        value, error = _odds_series(qp)
-    else:
-        value, error = _odds_series_at_start()
-        half = 0.5 * (_ODDS_SERIES_START - qp)
-        # nodes measured from q' keep the lower end exact, where the density is largest
-        density = 2.0 * SingleSlitProfile(1.0).amplitude(qp + half * (1.0 + _X_K)) ** 2
-        k31, k31_minus_g15 = half * (_RULES @ density)
-        value += k31
-        error += abs(k31_minus_g15)
-    asym = 8.0 * math.pi / 3.0 * qp**-3.0
-    return TailEstimate(value=float(value), error=float(error), asymptote=float(asym))
+        return float(_odds_series(qp))
+    half = 0.5 * (_ODDS_SERIES_START - qp)
+    # nodes measured from q' keep the lower end exact, where the density is largest
+    density = 2.0 * SingleSlitProfile(1.0).amplitude(qp + half * (1.0 + _X_K)) ** 2
+    return float(_odds_series_at_start() + (half * (_RULES @ density))[0])
 
 
 class ApertureProfile:

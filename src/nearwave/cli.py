@@ -23,7 +23,9 @@ every record, and it and :mod:`nearwave.config` alone name config fields.
 
 Exit codes: 0 success, 2 configuration errors (an unreadable config file or
 an unwritable --out among them, and a ``tau_max_s`` whose a*k' or cubic
-asymptote leaves the float range), 3 quadrature failure, 4 degenerate
+asymptote leaves the float range, a*k' = 0.0 included), 3 quadrature failure
+(a ``field`` grid whose phase rate, infinite included, needs too many seeds,
+or one quadrature round too large for memory, is refused unevaluated), 4 degenerate
 kinematic input or a record whose numbers overflow or divide by zero
 (:func:`_record` refuses it with its kx, transfer's two ratios or a
 scenario's values; no record or CSV holds NaN or Infinity: the error names
@@ -213,12 +215,12 @@ def _cmd_field(cfg: dict, out: str | None) -> int:
     psi = table[..., 2:8].view(complex)  # psi_rw, psi_cw and psi_total as (re, im) column pairs
     with np.errstate(over="ignore", invalid="ignore"):  # the quadrature, then the check below, refuse an inf or nan
         g = nearfield.field_grid(xs, zs, profile)
-        table[..., 0] = g.x
-        table[..., 1] = g.z[:, None]
+        table[..., 0] = xs
+        table[..., 1] = np.reshape(zs, (-1, 1))
         psi[..., 0] = g.psi_rw
         psi[..., 1] = g.psi_cw
         np.add(g.psi_rw, g.psi_cw, out=psi[..., 2])
-        table[..., 8] = g.current_x
+        table[..., 8] = (psi[..., 2].conj() * (g.dpsi_rw + g.dpsi_cw)).imag  # J_x = Im(psi* d(psi)/dx)
     header = "x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x"
     if not np.isfinite(table).all():  # then _emit_csv raises, naming the first inf or nan's row and column
         _emit_csv(out, header.split(","), table.reshape(-1, 9).tolist())
@@ -354,7 +356,7 @@ def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: 
     The deep-evanescent lifetime inverts to the wavenumber k' = K_M/(c k0 tau_max), and the odds are the slit mode
     density above it.  A k' that does not clear the evanescence threshold saturates them at 1, out of regime.
     ConfigError for ``scenario.tau_max_s`` if a*k' overflows, or is so small that the cubic asymptote
-    8 pi/(3 (a k')^3) overflows.
+    8 pi/(3 (a k')^3) overflows or divides by zero.
     """
     rate = C_LIGHT * units.k0 * tau_max
     k_prime = screen.K_M / rate if rate > 0.0 else math.inf
@@ -362,13 +364,15 @@ def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: 
              "cubic_asymptote": None}
     if k_prime <= recoil.critical_threshold(screen).eta:
         return block
+    q = a * k_prime
     try:
-        tail = aperture_mod.tail_probability(k_prime, a) if math.isfinite(a * k_prime) else None
-    except OverflowError:  # (a k')^-3 leaves the float range
-        tail = None
-    if tail is None or not math.isfinite(tail.asymptote):
-        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {a * k_prime!r}")
-    return block | {"probability": tail.value, "in_regime": True, "cubic_asymptote": tail.asymptote}
+        asymptote = 8.0 * math.pi / 3.0 * q**-3.0
+    except (OverflowError, ZeroDivisionError):  # q is below about 1e-103, or 0.0
+        asymptote = math.inf
+    if not (math.isfinite(q) and math.isfinite(asymptote)):
+        raise ConfigError("scenario.tau_max_s", f"tau_max_s = {tau_max!r} inverts to a*k' = {q!r}")
+    probability = aperture_mod.tail_probability(k_prime, a)
+    return block | {"probability": probability, "in_regime": True, "cubic_asymptote": asymptote}
 
 
 def _cmd_lifetime(cfg: dict, out: str | None) -> int:

@@ -4,13 +4,12 @@
 class QuadratureError(RuntimeError):
     """Adaptive integration could not reach the requested tolerance.
 
-    Carries the best value obtained and the achieved error estimate so
-    callers can report exactly how far the computation got.
+    Carries the achieved error estimate so callers can report how far the
+    computation got.
     """
 
-    def __init__(self, message: str, value=None, achieved: float | None = None):
+    def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
-        self.value = value
         self.achieved = achieved
 
 

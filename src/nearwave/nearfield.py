@@ -101,21 +101,10 @@ _ROUND_ELEMENTS = 1 << 20
 class FieldGrid(NamedTuple):
     """psi and d(psi)/dx at t = 0 on an (x, z) grid, RW and CW parts as (len(z), len(x)) arrays."""
 
-    x: np.ndarray
-    z: np.ndarray
     psi_rw: np.ndarray
     psi_cw: np.ndarray
     dpsi_rw: np.ndarray
     dpsi_cw: np.ndarray
-
-    @property
-    def psi_total(self) -> np.ndarray:
-        return self.psi_rw + self.psi_cw
-
-    @property
-    def current_x(self) -> np.ndarray:
-        """J_x = Im(psi* d(psi)/dx) at every point."""
-        return (self.psi_total.conj() * (self.dpsi_rw + self.dpsi_cw)).imag
 
 
 def _cos_sin(x) -> np.ndarray:
@@ -241,7 +230,7 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile):
 
 
 def field_grid(xs, zs, profile: ApertureProfile) -> FieldGrid:
-    """psi, d(psi)/dx and J_x at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
+    """The RW and CW parts of psi and d(psi)/dx at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
     psi is even in x and d(psi)/dx odd, so the quadrature runs over the
     distinct |x| alone (a sorted set of Python floats, in which -0.0 and
@@ -284,5 +273,5 @@ def field_grid(xs, zs, profile: ApertureProfile) -> FieldGrid:
             parts[0, batch], parts[1, batch] = _integrals(u, zs[batch], profile, axis)
     parts = parts[..., at]
     parts[:, :, 1] *= np.where(xs < 0, -1.0, 1.0)
-    return FieldGrid(xs, zs, parts[0, :, 0], parts[1, :, 0], parts[0, :, 1], parts[1, :, 1])
+    return FieldGrid(parts[0, :, 0], parts[1, :, 0], parts[0, :, 1], parts[1, :, 1])
 

@@ -33,6 +33,7 @@ refinement loop then only has to mop up.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +43,8 @@ from .errors import QuadratureError
 _MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
 _MAX_ROUNDS = 40  # refinement sweeps before a run gives up
 _MAX_PANELS = 400_000  # a refinement that would pass this many panels is refused unevaluated
+# a round that would hold more pending panels x components is refused unevaluated: ~17 bytes each at peak
+_MAX_ROUND_ELEMENTS = 1 << 27
 _MAX_SEEDS = 200_000  # oscillation_breakpoints refuses to seed more panels
 
 # The K31 rule (Kronrod 1965) and its embedded G15 rule, tabulated as QUADPACK's
@@ -166,10 +169,11 @@ def adaptive_quad(
     ------
     QuadratureError
         If the budget of ``_MAX_ROUNDS`` sweeps is exhausted; the exception
-        carries the best value and the achieved error estimate.  A
-        refinement that would exceed ``_MAX_PANELS`` is refused before it is
-        evaluated, and a sweep that yields a non-finite panel value or error
-        raises at once.
+        carries the achieved error estimate.  A refinement that would
+        exceed ``_MAX_PANELS``, or a round whose panels x components would
+        exceed ``_MAX_ROUND_ELEMENTS``, is refused before it is evaluated,
+        and a sweep that yields a non-finite panel value or error raises at
+        once.
     ValueError
         If not a < b, or if the integrand's output width is not ``components``.
     """
@@ -185,6 +189,9 @@ def adaptive_quad(
             edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
     lo = edges[:-1]
     hi = edges[1:]
+    if len(lo) * components > _MAX_ROUND_ELEMENTS:
+        raise QuadratureError(f"{len(lo)} seeded panels x {components} components on [{a:g}, {b:g}] "
+                              f"exceed the cap of {_MAX_ROUND_ELEMENTS} per round")
 
     total_len = b - a
     done_val = 0.0
@@ -197,7 +204,6 @@ def adaptive_quad(
         if not (finite_errs and np.isfinite(vals).all()):  # an overflowed sum can carry a finite error
             raise QuadratureError(
                 f"{'panel sums overflow' if finite_errs else 'integrand is not finite'} on [{a:g}, {b:g}]",
-                value=None,
                 achieved=float(np.max(errs)),
             )
         est_total = done_val + vals.sum(axis=0)
@@ -211,7 +217,8 @@ def adaptive_quad(
         if ok.all():
             return QuadResult(done_val, done_err, n_panels)
         bad = ~ok
-        if n_panels + np.count_nonzero(bad) > _MAX_PANELS:
+        n_bad = np.count_nonzero(bad)
+        if n_panels + n_bad > _MAX_PANELS or 2 * n_bad * components > _MAX_ROUND_ELEMENTS:
             break
         lo_bad, hi_bad = lo[bad], hi[bad]
         mid_bad = 0.5 * (lo_bad + hi_bad)
@@ -219,14 +226,11 @@ def adaptive_quad(
         hi = np.stack([mid_bad, hi_bad], axis=1).ravel()
         n_panels += len(lo_bad)
 
-    # budget exhausted: report the best composite estimate, taking the
-    # unaccepted panels at their last (unrefined) values
-    value = done_val + vals[bad].sum(axis=0)
+    # budget exhausted: the unaccepted panels count at their last (unrefined) errors
     achieved = float(np.max(done_err + errs[bad].sum(axis=0)))  # worst component
     raise QuadratureError(
         f"integration over [{a:g}, {b:g}] did not converge: achieved error "
         f"{achieved:.3e} with {n_panels} panels",
-        value=value,
         achieved=achieved,
     )
 
@@ -236,18 +240,16 @@ def oscillation_breakpoints(a: float, b: float, rate: float) -> np.ndarray:
 
     ``rate`` is the largest |d(phase)/dx| expected on the interval.  A zero
     or tiny rate yields no interior points; one that would need more than
-    ``_MAX_SEEDS`` points raises QuadratureError.
+    ``_MAX_SEEDS`` points, an infinite one included, raises QuadratureError.
     """
     if rate <= 0.0:
         return np.empty(0)
     step = np.pi / rate
-    n = int((b - a) / step)
+    count = (b - a) / step if step > 0.0 else math.inf  # an infinite rate has no step
+    if count >= _MAX_SEEDS + 1:  # int(count) > _MAX_SEEDS, without int(inf)
+        need = int(count) if math.isfinite(count) else f"more than {_MAX_SEEDS}"
+        raise QuadratureError(f"oscillation seeding would need {need} panels on [{a:g}, {b:g}]")
+    n = int(count)
     if n <= 1:
         return np.empty(0)
-    if n > _MAX_SEEDS:
-        raise QuadratureError(
-            f"oscillation seeding would need {n} panels on [{a:g}, {b:g}]",
-            value=None,
-            achieved=None,
-        )
     return a + step * np.arange(1, n + 1)

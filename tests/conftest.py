@@ -42,6 +42,16 @@ def log_slope(xs, ys) -> float:
     return num / den
 
 
+def psi_total(grid):
+    """psi = psi_rw + psi_cw of a :class:`~nearwave.nearfield.FieldGrid`, as (len(zs), len(xs))."""
+    return grid.psi_rw + grid.psi_cw
+
+
+def current_x(grid):
+    """J_x = Im(psi* d(psi)/dx) of a FieldGrid, the expression of the ``field`` command's J_x column."""
+    return (psi_total(grid).conj() * (grid.dpsi_rw + grid.dpsi_cw)).imag
+
+
 def cli_record(*argv: str) -> dict:
     """The JSON record that ``nearwave *argv`` prints, from ``cli.main`` in this process; it must exit 0."""
     out = io.StringIO()

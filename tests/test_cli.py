@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nearwave import aperture, cli, nearfield, recoil
+from conftest import current_x, psi_total
+
+from nearwave import aperture, cli, nearfield, quadrature, recoil
 from nearwave.kinematics import evanescence_transfer
 from nearwave.modes import grating_modes
 from nearwave.probe import GaussianPacket
@@ -198,11 +200,11 @@ class TestField:
                 for got, want in (
                     (complex(float(r["re_psi_rw"]), float(r["im_psi_rw"])), psi_rw),
                     (complex(float(r["re_psi_cw"]), float(r["im_psi_cw"])), psi_cw),
-                    (complex(float(r["re_psi_total"]), float(r["im_psi_total"])), g.psi_total[0, 0]),
+                    (complex(float(r["re_psi_total"]), float(r["im_psi_total"])), psi_total(g)[0, 0]),
                 ):
                     assert abs(got - want) <= bound, (aperture, x, z, got, want)
-                j_bound = abs(dpsi_rw + dpsi_cw) * bound + abs(g.psi_total[0, 0]) * err(scale(dpsi_rw, dpsi_cw))
-                assert abs(float(r["J_x"]) - g.current_x[0, 0]) <= j_bound
+                j_bound = abs(dpsi_rw + dpsi_cw) * bound + abs(psi_total(g)[0, 0]) * err(scale(dpsi_rw, dpsi_cw))
+                assert abs(float(r["J_x"]) - current_x(g)[0, 0]) <= j_bound
                 mirror = float(rows[(-x, z)]["J_x"])
                 assert abs(float(r["J_x"]) + mirror) <= 2.0 * j_bound, (aperture, x, z)
 
@@ -342,6 +344,40 @@ class TestField:
             assert error["type"] == "quadrature" and error["achieved"] is None
             assert f"{kx_range} (z from {z:g} to {z:g}, |x| up to 1e+07)" in error["message"], error
             assert "1.5708" not in error["message"], error
+
+    @pytest.mark.parametrize("aperture, x, z", [
+        # hypot(|x|, z) overflows, so the running-wave range's phase rate is inf
+        ({"kind": "single_slit", "a": 1.0}, 1.7e308, 1.7e308),
+        ({"kind": "gaussian", "w": 1.0}, 1.7e308, 1.7e308),
+        # the screen run's |x| + a/2 overflows
+        ({"kind": "single_slit", "a": 1e308}, 1.7e308, 0.0),
+    ])
+    def test_infinite_phase_rate_refusal_names_the_grid(self, capsys, tmp_path, aperture, x, z):
+        cfg = dict(BASE_CFG, aperture=aperture, grids={"x": [x], "z": [z]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 3 and out == "" and err.count("\n") == 1 and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["type"] == "quadrature" and error["achieved"] is None
+        assert f"more than {quadrature._MAX_SEEDS} panels on kx in [0, " in error["message"], error
+        assert f"(z from {z:g} to {z:g}, |x| up to {x:g})" in error["message"], error
+
+    def test_wide_row_refused_before_allocating(self, tmp_path):
+        # 200,001 x to |x| = 50 at z = 0.5 make one row of 885,756 components (147,626 distinct |x|) over
+        # 512 seeded panels: its first round would hold 6.8 GiB.  adaptive_quad refuses it unevaluated, so
+        # a fresh process exits 3 within a 1 GB address space
+        resource = pytest.importorskip("resource")
+        cfg = dict(BASE_CFG, grids={"x": {"start": -50.0, "stop": 50.0, "num": 200001}, "z": [0.5]})
+        limit = 1 << 30
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "nearwave.cli", "field", "--config", write_cfg(tmp_path, cfg)],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3 and proc.stdout == "" and proc.stderr.count("\n") == 1, proc.stderr
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "quadrature" and error["message"].startswith("512 seeded panels x 885756 components")
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
@@ -640,6 +676,11 @@ class TestNonFiniteRecords:
         ("lifetime", {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e30},
                       "aperture": {"kind": "single_slit", "a": 3e-103 / 4.4475212693086945e14},
                       "grids": {"kx": [2.0]}, "scenario": {"tau_max_s": 1.0}}),
+        # a*k' underflows to 0.0: (a k')^-3 raises ZeroDivisionError
+        ("lifetime", {"k0_si": 7.5e6, "screen": {"K_M_ratio": 1e-300}, "aperture": {"kind": "single_slit", "a": 1e-180},
+                      "grids": {"kx": [2.0]}, "scenario": {"tau_max_s": 1e-170}}),
+        ("scenario-lifetime", {"scenario": {"mass_kg": 1e-300, "slit_width_ratio": 1e-250, "tau_max_s": 1e-170,
+                                            "kx_ratio": 2.0}}),
     ])
     def test_cubic_asymptote_overflow_is_config_error(self, capsys, tmp_path, name, cfg):
         rc, out, err = run_main(capsys, name, "--config", write_cfg(tmp_path, cfg))

@@ -10,6 +10,8 @@ import pytest
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
+from conftest import current_x, psi_total
+
 import nearwave
 from nearwave import aperture, nearfield, quadrature
 from nearwave.aperture import GaussianProfile, SingleSlitProfile, TabulatedProfile
@@ -32,7 +34,7 @@ class TestFieldAtZ0:
         w = 1.3
         profile = GaussianProfile(w=w)
         for x in (0.0, 0.5, 2.0):
-            got = field_grid(x, 0.0, profile).psi_total[0, 0]
+            got = psi_total(field_grid(x, 0.0, profile))[0, 0]
             want = 2.0 * math.sqrt(math.pi) / w * math.exp(-((x / w) ** 2))
             assert got.real == pytest.approx(want, rel=1e-10)
             assert abs(got.imag) < 1e-12
@@ -40,14 +42,14 @@ class TestFieldAtZ0:
     def test_gaussian_against_grid_oracle(self):
         profile = GaussianProfile(w=1.3)
         for x in (0.0, 0.8):
-            got = field_grid(x, 0.0, profile).psi_total[0, 0].real
+            got = psi_total(field_grid(x, 0.0, profile))[0, 0].real
             want = cosine_transform_oracle(profile, x, k_max=16.0, n=2**16 + 1)
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_slit_against_grid_oracle(self):
         profile = SingleSlitProfile(a=1.0)
         for x in (0.0, 0.2, 0.35):
-            got = field_grid(x, 0.0, profile).psi_total[0, 0].real
+            got = psi_total(field_grid(x, 0.0, profile))[0, 0].real
             want = cosine_transform_oracle(profile, x, k_max=1e5)
             assert got == pytest.approx(want, rel=1e-8)
 
@@ -58,9 +60,9 @@ class TestFieldAtZ0:
         profile = SingleSlitProfile(a=a)
         for x in (0.0, 0.2, 0.4):
             want = 2.0 * math.sqrt(math.pi / a) * math.cos(math.pi * x / a)
-            got = field_grid(x, 0.0, profile).psi_total[0, 0]
+            got = psi_total(field_grid(x, 0.0, profile))[0, 0]
             assert got.real == pytest.approx(want, rel=1e-9)
-        outside = field_grid(1.7, 0.0, profile).psi_total[0, 0]
+        outside = psi_total(field_grid(1.7, 0.0, profile))[0, 0]
         assert abs(outside) < 1e-9
 
     def test_even_in_x(self):
@@ -85,8 +87,8 @@ class TestFieldStructure:
             def field_tail(self, k_hi, xs, z):
                 return tuple(2.0 * col for col in super().field_tail(k_hi, xs, z))
 
-        base = field_grid(0.7, 0.3, SingleSlitProfile(a=1.0)).psi_total[0, 0]
-        twice = field_grid(0.7, 0.3, Doubled(a=1.0)).psi_total[0, 0]
+        base = psi_total(field_grid(0.7, 0.3, SingleSlitProfile(a=1.0)))[0, 0]
+        twice = psi_total(field_grid(0.7, 0.3, Doubled(a=1.0)))[0, 0]
         assert twice == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_cw_suppressed_with_height(self):
@@ -130,7 +132,7 @@ class TestFieldStructure:
         # the evanescent intensity fraction |psi_cw|^2/|psi_total|^2 along z
         profile = SingleSlitProfile(a=1.0)
         grid = field_grid(0.0, [0.0, 0.3, 3.0], profile)
-        assert list(grid.z) == [0.0, 0.3, 3.0]
+        assert grid.psi_rw.shape == (3, 1)
         fracs = _cw_fractions(grid)
         # entry at z = 0 equals the ratio from a direct field call
         direct, _ = _cell(field_grid(0.0, 0.0, profile), 0, 0)
@@ -144,7 +146,7 @@ class TestFieldStructure:
         # so the total is within abs_tol of zero and the fraction is undefined there
         profile = SingleSlitProfile(a=1.0)
         grid = field_grid(0.6, [0.0, 0.5], profile)
-        assert list(grid.z) == [0.0, 0.5]
+        assert grid.psi_rw.shape == (2, 1)
         (screen, _), (above, _) = _cell(grid, 0, 0), _cell(grid, 1, 0)
         assert abs(screen.psi_total) <= 1e-12
         assert abs(screen.psi_rw) == pytest.approx(0.671, abs=1e-3)
@@ -322,7 +324,7 @@ class Parts(NamedTuple):
 
 
 def _cell(grid, i, j):
-    """psi and d(psi)/dx at (grid.x[j], grid.z[i]), each as Parts."""
+    """psi and d(psi)/dx in row i, column j of a grid, each as Parts."""
     return (Parts(complex(grid.psi_rw[i, j]), complex(grid.psi_cw[i, j])),
             Parts(complex(grid.dpsi_rw[i, j]), complex(grid.dpsi_cw[i, j])))
 
@@ -338,21 +340,21 @@ def _assert_matches(got, want):
         assert abs(getattr(got, part) - getattr(want, part)) <= bound, (got, want)
 
 
-def _assert_cell_matches_point(grid, i, j, profile):
-    """Cell (i, j) of a grid agrees with a one-point grid at its (x, z)."""
-    one = field_grid([grid.x[j]], [grid.z[i]], profile)
+def _assert_cell_matches_point(grid, xs, zs, i, j, profile):
+    """Cell (i, j) of a grid over xs and zs agrees with a one-point grid at its (x, z)."""
+    one = field_grid([xs[j]], [zs[i]], profile)
     for got, want in zip(_cell(grid, i, j), _cell(one, 0, 0)):
         _assert_matches(got, want)
 
 
 def _assert_current_odd(grid, i):
     """J_x(-x) = -J_x(x) on row i of a grid over a symmetric x grid."""
-    jx = grid.current_x[i]
-    for j in range(len(grid.x)):
+    jx = current_x(grid)[i]
+    for j in range(len(jx)):
         psi, dpsi = _cell(grid, i, j)
         j_bound = (abs(dpsi.psi_total) * _bound(psi.psi_rw, psi.psi_cw, psi.psi_total)
                    + abs(psi.psi_total) * _bound(dpsi.psi_rw, dpsi.psi_cw, dpsi.psi_total))
-        assert abs(jx[j] + jx[-1 - j]) <= 2.0 * j_bound, (psi.x, jx[j], jx[-1 - j])
+        assert abs(jx[j] + jx[-1 - j]) <= 2.0 * j_bound, (j, jx[j], jx[-1 - j])
 
 
 class TestRowEngine:
@@ -370,7 +372,7 @@ class TestRowEngine:
         monkeypatch.undo()
         assert grid.psi_rw.shape == (1, n)
         for j in range(n):
-            _assert_cell_matches_point(grid, 0, j, profile)
+            _assert_cell_matches_point(grid, xs, [z], 0, j, profile)
         _assert_current_odd(grid, 0)  # xs is symmetric
 
     def test_wide_row_peak_memory_is_bounded(self):
@@ -399,12 +401,12 @@ class TestGridEngine:
         if name == "tabulated":  # seeded at its knots, it converges in one sweep, one integrand call
             assert [len(c) for c in calls] == [1]
         monkeypatch.undo()
-        assert list(grid.z) == list(self.ZS) and list(grid.x) == list(self.XS)
-        for name in ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw", "current_x"):
-            assert getattr(grid, name).shape == (len(self.ZS), len(self.XS)), name
+        assert nearfield.FieldGrid._fields == ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw")
+        for part in (*grid, current_x(grid)):
+            assert part.shape == (len(self.ZS), len(self.XS))
         for i in range(len(self.ZS)):
             for j in range(len(self.XS)):
-                _assert_cell_matches_point(grid, i, j, profile)
+                _assert_cell_matches_point(grid, self.XS, self.ZS, i, j, profile)
             _assert_current_odd(grid, i)
 
     def test_screen_row_meets_closed_form(self):
@@ -425,7 +427,7 @@ class TestGridEngine:
         _pop_screen_run(calls, n_u=1)
         assert len(calls) == 1
         monkeypatch.undo()
-        assert list(scan.z) == list(zs)
+        assert scan.psi_rw.shape == (len(zs), 1)
         for z, frac in zip(zs, _cw_fractions(scan)):
             s, _ = _cell(field_grid([0.2], [z], profile), 0, 0)
             cw, total = abs(s.psi_cw), abs(s.psi_total)
@@ -470,14 +472,14 @@ class TestGridEngine:
                     assert np.all(np.abs(got - want) <= 2.0 * np.maximum(5e-13, 1e-10 * np.abs(want))), (part, z)
         perm = [3, 6, 0, 4, 1, 5, 2]
         shuffled = field_grid([xs[j] for j in perm], zs, profile)
-        for part in (*parts, "current_x"):
-            got, want = getattr(shuffled, part), getattr(grid, part)[:, perm]
-            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), part
+        for got, want in zip((*shuffled, current_x(shuffled)), (*grid, current_x(grid))):
+            want = want[:, perm]
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
         for j, k, sign in ((1, 3, 1.0), (0, 4, 1.0), (0, 5, -1.0), (2, 6, -1.0)):
             for part in ("psi_rw", "psi_cw"):
                 col = getattr(grid, part)
                 assert np.ascontiguousarray(col[:, j]).tobytes() == np.ascontiguousarray(col[:, k]).tobytes()
-            assert np.array_equal(grid.current_x[:, k], sign * grid.current_x[:, j]), (xs[j], xs[k])
+            assert np.array_equal(current_x(grid)[:, k], sign * current_x(grid)[:, j]), (xs[j], xs[k])
 
     def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
         # rounding keeps most +-x of this grid apart: 794 distinct |x|, so a
@@ -492,7 +494,7 @@ class TestGridEngine:
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         monkeypatch.undo()
         for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):  # rows on both sides of the batch edge
-            _assert_cell_matches_point(grid, i, j, profile)
+            _assert_cell_matches_point(grid, xs, zs, i, j, profile)
 
     def test_wide_grid_calls_stay_within_the_element_cap(self, monkeypatch):
         # the 101 x by 40 z slit grid below: the z = 0 row takes its own run;
@@ -725,16 +727,17 @@ def _mp_tabulated_field(ks, fs, x: float, z: float) -> np.ndarray:
     return np.array([complex(v) for v in parts])
 
 
-def _assert_grid_matches_mpmath(grid, ks, fs, rel: float):
+def _assert_grid_matches_mpmath(grid, xs, zs, ks, fs, rel: float):
     """Every RW and CW part of psi and d(psi)/dx within rel of its size, J_x within rel of |psi| |d(psi)/dx|."""
-    for i, z in enumerate(grid.z.tolist()):
-        for j, x in enumerate(grid.x.tolist()):
+    jx = current_x(grid)
+    for i, z in enumerate(zs):
+        for j, x in enumerate(xs):
             want = _mp_tabulated_field(ks, fs, x, z)
             got = np.array([grid.psi_rw[i, j], grid.psi_cw[i, j], grid.dpsi_rw[i, j], grid.dpsi_cw[i, j]])
             assert np.all(np.abs(got - want) <= rel * np.abs(want)), (x, z, got, want)
             psi, dpsi = want[0] + want[1], want[2] + want[3]
             scale = (abs(want[0]) + abs(want[1])) * (abs(want[2]) + abs(want[3]))
-            assert abs(grid.current_x[i, j] - (psi.conjugate() * dpsi).imag) <= rel * scale, (x, z)
+            assert abs(jx[i, j] - (psi.conjugate() * dpsi).imag) <= rel * scale, (x, z)
 
 
 class TestTabulatedKnots:
@@ -767,9 +770,10 @@ class TestTabulatedKnots:
         ks = np.linspace(0.0, 6.0, 13)
         fs = np.exp(-0.3 * ks**2) * np.cos(np.pi * ks / 12.0) ** 2
         calls, _ = _counting_quad(monkeypatch)
-        grid = field_grid([-1.7, 0.3, 4.0], [0.0, 0.4, 2.5], TabulatedProfile(ks, fs))
+        xs, zs = [-1.7, 0.3, 4.0], [0.0, 0.4, 2.5]
+        grid = field_grid(xs, zs, TabulatedProfile(ks, fs))
         assert [len(c) for c in calls] == [1]  # one sweep, one integrand call
-        _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
+        _assert_grid_matches_mpmath(grid, xs, zs, ks, fs, 1e-13)
 
     @pytest.mark.parametrize("k_max", [0.8, 1.3, 4.0])
     def test_jump_at_k_max(self, tmp_path, monkeypatch, k_max):
@@ -780,9 +784,10 @@ class TestTabulatedKnots:
         path = tmp_path / "jump.csv"
         path.write_text("kx,F\n" + "".join(f"{k!r},{f!r}\n" for k, f in zip(ks.tolist(), fs.tolist())))
         calls, _ = _counting_quad(monkeypatch)
-        grid = field_grid([0.3, 1.7], [0.4, 2.5], TabulatedProfile.from_csv(path))
+        xs, zs = [0.3, 1.7], [0.4, 2.5]
+        grid = field_grid(xs, zs, TabulatedProfile.from_csv(path))
         assert all(len(c) == 1 for c in calls), calls  # one sweep
-        _assert_grid_matches_mpmath(grid, ks, fs, 1e-13)
+        _assert_grid_matches_mpmath(grid, xs, zs, ks, fs, 1e-13)
 
 
 class TestMixedHeights:
@@ -873,22 +878,22 @@ class TestCosSin:
 
 class TestProbabilityCurrent:
     def test_zero_on_axis(self):
-        assert field_grid(0.0, 0.5, SingleSlitProfile(a=1.0)).current_x[0, 0] == 0.0
+        assert current_x(field_grid(0.0, 0.5, SingleSlitProfile(a=1.0)))[0, 0] == 0.0
 
     def test_odd_in_x(self):
         profile = SingleSlitProfile(a=1.0)
-        jp = field_grid(1.5, 0.5, profile).current_x[0, 0]
-        jm = field_grid(-1.5, 0.5, profile).current_x[0, 0]
+        jp = current_x(field_grid(1.5, 0.5, profile))[0, 0]
+        jm = current_x(field_grid(-1.5, 0.5, profile))[0, 0]
         assert jm == pytest.approx(-jp, rel=1e-10)
         assert jp != 0.0
 
     def test_against_finite_difference(self):
         profile = SingleSlitProfile(a=1.0)
         x, z, h = 2.0, 0.5, 1e-4
-        psi = field_grid(x, z, profile).psi_total[0, 0]
-        dnum = (field_grid(x + h, z, profile).psi_total[0, 0] - field_grid(x - h, z, profile).psi_total[0, 0]) / (2 * h)
+        psi = psi_total(field_grid(x, z, profile))[0, 0]
+        dnum = (psi_total(field_grid(x + h, z, profile))[0, 0] - psi_total(field_grid(x - h, z, profile))[0, 0]) / (2 * h)
         want = (psi.conjugate() * dnum).imag
-        got = field_grid(x, z, profile).current_x[0, 0]
+        got = current_x(field_grid(x, z, profile))[0, 0]
         assert got == pytest.approx(want, rel=1e-5)
         assert got != 0.0
 
@@ -897,12 +902,12 @@ class TestProbabilityCurrent:
         x, z, h = 1.2, 0.8, 1e-4
         g = field_grid(x, z, profile)
         dana = g.dpsi_rw[0, 0] + g.dpsi_cw[0, 0]
-        dnum = (field_grid(x + h, z, profile).psi_total[0, 0] - field_grid(x - h, z, profile).psi_total[0, 0]) / (2 * h)
+        dnum = (psi_total(field_grid(x + h, z, profile))[0, 0] - psi_total(field_grid(x - h, z, profile))[0, 0]) / (2 * h)
         assert dana == pytest.approx(dnum, rel=1e-6)
 
     def test_gaussian_profile_current(self):
         # works for profiles without analytic tails too
         profile = GaussianProfile(w=1.0)
-        j = field_grid(1.0, 0.5, profile).current_x[0, 0]
+        j = current_x(field_grid(1.0, 0.5, profile))[0, 0]
         assert math.isfinite(j)
-        assert field_grid(0.0, 0.5, profile).current_x[0, 0] == 0.0
+        assert current_x(field_grid(0.0, 0.5, profile))[0, 0] == 0.0

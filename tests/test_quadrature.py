@@ -127,8 +127,6 @@ class TestAdaptiveQuad:
                 components=1,
             )
         assert err.value.achieved is not None and err.value.achieved > 0
-        # the partial value is still a sane estimate
-        assert err.value.value[0] == pytest.approx(0.455, abs=0.05)
 
     def test_non_finite_integrand_raises_after_one_sweep(self):
         calls = []
@@ -166,6 +164,25 @@ class TestAdaptiveQuad:
         with pytest.raises(QuadratureError) as err:
             adaptive_quad(_one_row(f), 0.0, 1.0, components=1)
         assert max(batches) <= 31 * 1000
+        assert math.isfinite(err.value.achieved) and err.value.achieved > 0
+
+    def test_oversized_round_refused_before_evaluation(self, monkeypatch):
+        # a round of pending panels x components past _MAX_ROUND_ELEMENTS is never evaluated: a seeded
+        # round that passes it is refused before the first integrand call, and a refinement that would
+        # pass it ends the run with the achieved error, as a refinement past _MAX_PANELS does
+        monkeypatch.setattr(quadrature, "_MAX_ROUND_ELEMENTS", 40)
+        batches = []
+
+        def f(x):  # 4 components of unseeded oscillation: every panel stays over its share
+            batches.append(x.size)
+            return np.cos(np.multiply.outer([1e9, 2e9], x)), np.ones((2, len(x)))
+
+        with pytest.raises(QuadratureError, match=r"^11 seeded panels x 4 components on \[0, 1\] exceed the cap of 40"):
+            adaptive_quad(f, 0.0, 1.0, breakpoints=np.linspace(0.05, 0.95, 10), components=4)
+        assert batches == []
+        with pytest.raises(QuadratureError, match="did not converge") as err:
+            adaptive_quad(f, 0.0, 1.0, breakpoints=np.linspace(0.2, 0.8, 4), components=4)
+        assert sum(batches) == 31 * (5 + 10)  # the 5 seeded panels, then their 10 halves; 20 halves would pass
         assert math.isfinite(err.value.achieved) and err.value.achieved > 0
 
 
@@ -264,6 +281,11 @@ class TestOscillationBreakpoints:
     def test_runaway_rate_raises(self):
         with pytest.raises(QuadratureError, match="panels"):
             oscillation_breakpoints(0.0, 1e9, 1e6)
+
+    def test_infinite_rate_raises(self):
+        # an overflowed phase rate has no step (pi/inf = 0): refused as a finite rate past _MAX_SEEDS is
+        with pytest.raises(QuadratureError, match=rf"more than {quadrature._MAX_SEEDS} panels on \[0, 1\]"):
+            oscillation_breakpoints(0.0, 1.0, math.inf)
 
 
 def _dense(f):

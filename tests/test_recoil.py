@@ -311,9 +311,9 @@ class TestShortLifetime:
 
     def test_matches_tail_probability(self, tmp_path):
         short = self._short(tmp_path, 1e17)
-        tail = tail_probability(short["k_prime_ratio"], 1.0)  # JSON floats round-trip
-        assert short["probability"] == tail.value
-        assert short["cubic_asymptote"] == tail.asymptote
+        k_prime = short["k_prime_ratio"]  # JSON floats round-trip
+        assert short["probability"] == tail_probability(k_prime, 1.0)
+        assert short["cubic_asymptote"] == 8.0 * math.pi / 3.0 * (1.0 * k_prime) ** -3.0
 
     def test_cubic_scaling_under_halved_tau(self, tmp_path):
         # halving tau_max doubles k', shrinking the tail eightfold
