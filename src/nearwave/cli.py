@@ -1,14 +1,9 @@
 """Command-line front end.
 
-Usage:
-    nearwave spectrum --config run.json [--out modes.csv]
-    nearwave field    --config run.json [--out field.csv]
-    nearwave absorb   --config run.json [--out absorb.csv]
-    nearwave transfer --config run.json [--out transfer.json]
-    nearwave recoil   --config run.json [--out recoil.json]
-    nearwave lifetime --config run.json [--out lifetime.json]
-    nearwave scenario-probe-spread [--config run.json] [--out report.json]
-    nearwave scenario-lifetime     [--config run.json] [--out report.json]
+Usage (options may come before or after the subcommand; ``nearwave --help``
+is the one help page, as one flat parser serves every subcommand):
+    nearwave {spectrum,field,absorb,transfer,recoil,lifetime} --config run.json [--out FILE]
+    nearwave {scenario-probe-spread,scenario-lifetime} [--config run.json] [--out FILE]
 
 Grid subcommands emit CSV (UTF-8, LF, header row, floats printed with 17
 significant digits so repeated runs are byte-identical, an empty cell where
@@ -76,25 +71,28 @@ def _fmt(value) -> str:
 
 
 def _write_text(out_path: str | None, text: str) -> None:
-    """``text`` to stdout or to the file ``out_path``; ConfigError for ``--out`` if that file cannot be written."""
+    """``text`` to stdout or, encoded once, to the file ``out_path``; ConfigError for ``--out`` if writing it fails."""
     if out_path is None:
         sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit
         return
     try:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(out_path, "wb") as fh:
+            fh.write(text.encode())
     except OSError as e:
         raise ConfigError("--out", f"cannot write the output file: {e}") from None
 
 
 def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
     """Header and rows as LF-terminated CSV; DegenerateInputError names the row (from 0) and column of an inf or nan."""
+    lines = [",".join(header)]
     for i, row in enumerate(rows):
-        for name, value in zip(header, row):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DegenerateInputError(f"row {i}, column {name} is {float.__repr__(value)}, which CSV refuses")
-    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
+        line = ",".join(map(_fmt, row))
+        if "n" in line:  # "inf" and "nan" print one; no finite float, int or empty cell does
+            for name, value in zip(header, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise DegenerateInputError(f"row {i}, column {name} is {float.__repr__(value)}, which CSV refuses")
+        lines.append(line)
     _write_text(out_path, "\n".join(lines) + "\n")
 
 
@@ -237,12 +235,13 @@ def _cmd_absorb(cfg: dict, out: str | None) -> int:
         raise ConfigError("grids.kx", "absorption needs evanescent modes, all |kx| > 1")
     header = ["z0", "delta_z", "kx", "probability", "zero_width_limit", "ratio"]
 
-    def row(kx: float) -> list:
-        p, lim = probe.absorption_probability(kx, packet, profile.amplitude(kx))
+    def row(kx: float, amp: float) -> list:
+        p, lim = probe.absorption_probability(kx, packet, amp)
         # |F|^2 is 0 or underflows: the ratio is 0/0, so its cell stays empty
         return [packet.z0, packet.delta_z, kx, p, lim, p / lim if lim != 0.0 else None]
 
-    _emit_csv(out, header, [_record(row, ("kx",), kx) for kx in kxs])
+    amps = profile.amplitude(kxs).tolist()  # F over the whole grid in one call
+    _emit_csv(out, header, [_record(row, ("kx",), kx, amp) for kx, amp in zip(kxs, amps)])
     return 0
 
 
@@ -540,16 +539,17 @@ _BUNDLED = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand, built once per process."""
+    """The one parser of every subcommand, built once per process; options may come before or after the subcommand."""
+    width = max(map(len, _HANDLERS)) + 2
     parser = argparse.ArgumentParser(
         prog="nearwave",
-        description="Evanescent near-field spectra, probe absorption and screen-recoil calculations.",
+        description="Evanescent near-field spectra, probe absorption and screen-recoil\ncalculations.",
+        epilog="subcommands:\n" + "".join(f"  {name:<{width}}run the {name} computation\n" for name in _HANDLERS),
+        formatter_class=argparse.RawDescriptionHelpFormatter,  # one line per subcommand, as laid out above
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=f"run the {name} computation")
-        p.add_argument("--config", help="path to the JSON scenario config")
-        p.add_argument("--out", help="output file (stdout when omitted)")
+    parser.add_argument("subcommand", choices=_HANDLERS, help="the computation to run, one of those below")
+    parser.add_argument("--config", help="path to the JSON scenario config")
+    parser.add_argument("--out", help="output file (stdout when omitted)")
     return parser
 
 

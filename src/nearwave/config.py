@@ -37,7 +37,10 @@ _MAX_GRATING_ORDER = 10**5  # largest grating.m_max; spectrum builds and formats
 def load_config(path) -> dict:
     p = Path(path)
     try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
+        text = p.read_bytes().decode()
+        if "\r" in text:  # universal newlines, as a text-mode read gives them: JSON error positions count characters
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text)
     except FileNotFoundError:
         raise ConfigError("<file>", f"config file not found: {p}")
     except OSError as e:  # a directory, a permission, an I/O error

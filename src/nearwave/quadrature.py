@@ -247,8 +247,7 @@ def oscillation_breakpoints(a: float, b: float, rate: float) -> np.ndarray:
     step = np.pi / rate
     count = (b - a) / step if step > 0.0 else math.inf  # an infinite rate has no step
     if count >= _MAX_SEEDS + 1:  # int(count) > _MAX_SEEDS, without int(inf)
-        need = int(count) if math.isfinite(count) else f"more than {_MAX_SEEDS}"
-        raise QuadratureError(f"oscillation seeding would need {need} panels on [{a:g}, {b:g}]")
+        raise QuadratureError(f"oscillation seeding would need more than {_MAX_SEEDS} panels on [{a:g}, {b:g}]")
     n = int(count)
     if n <= 1:
         return np.empty(0)

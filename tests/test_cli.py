@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -19,9 +21,11 @@ from hypothesis import strategies as st
 from conftest import current_x, psi_total
 
 from nearwave import aperture, cli, nearfield, quadrature, recoil
+from nearwave.config import aperture_from, load_config
+from nearwave.errors import ConfigError
 from nearwave.kinematics import evanescence_transfer
 from nearwave.modes import grating_modes
-from nearwave.probe import GaussianPacket
+from nearwave.probe import GaussianPacket, absorption_probability
 from nearwave.quantities import ScaledUnits
 from nearwave.recoil import ScreenSpec, recoil_solution
 
@@ -363,6 +367,16 @@ class TestField:
         assert f"more than {quadrature._MAX_SEEDS} panels on kx in [0, " in error["message"], error
         assert f"(z from {z:g} to {z:g}, |x| up to {x:g})" in error["message"], error
 
+    def test_astronomical_seed_count_is_refused_in_short(self, capsys, tmp_path):
+        # a = 1e-30 at |x| = 1e300 would need a 300-digit number of seeds; the message gives the cap instead
+        cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": 1e-30}, grids={"x": [1e300], "z": [0.5]})
+        rc, out, err = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 3 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "quadrature" and error["achieved"] is None
+        assert error["message"] == (f"oscillation seeding would need more than {quadrature._MAX_SEEDS} panels on "
+                                    "kx in [0, 92.0054] (z from 0.5 to 0.5, |x| up to 1e+300)")
+
     def test_wide_row_refused_before_allocating(self, tmp_path):
         # 200,001 x to |x| = 50 at z = 0.5 make one row of 885,756 components (147,626 distinct |x|) over
         # 512 seeded panels: its first round would hold 6.8 GiB.  adaptive_quad refuses it unevaluated, so
@@ -413,6 +427,28 @@ class TestAbsorb:
         want, limit = absorption_probability(2.0, GaussianPacket(z0=1.0, delta_z=0.5), amp)
         assert float(rows[0]["probability"]) == want  # 17g serialization is bit-exact
         assert float(rows[0]["zero_width_limit"]) == limit
+
+    @pytest.mark.parametrize("aperture_cfg", [
+        {"kind": "single_slit", "a": 1.3},
+        {"kind": "gaussian", "w": 0.4},
+        {"kind": "tabulated"},
+    ])
+    def test_probability_is_per_kx_amplitude_bit_for_bit(self, capsys, tmp_path, aperture_cfg):
+        # F is evaluated once over the grid; each row must equal a scalar amplitude call at its kx
+        if aperture_cfg["kind"] == "tabulated":
+            (tmp_path / "prof.csv").write_text("kx,F\n0.0,1.0\n0.7,0.9\n1.5,0.6\n2.5,0.45\n4.0,0.2\n6.0,0.05\n")
+            aperture_cfg = dict(aperture_cfg, path=str(tmp_path / "prof.csv"))
+        kxs = [1.05, -1.3, 1.7, 2.0, 2.35, 2.9, 3.3, -3.7, 4.1, 4.6, 5.2, 5.9, 6.0, 7.5, 9.25, 13.0, 40.0]
+        cfg = dict(BASE_CFG, aperture=aperture_cfg, grids={"kx": kxs})
+        rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 0 and err == ""
+        profile = aperture_from(cfg)
+        packet = GaussianPacket(z0=1.0, delta_z=0.5)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["kx"]) for r in rows] == kxs
+        for kx, row in zip(kxs, rows):
+            want, limit = absorption_probability(kx, packet, profile.amplitude(kx))
+            assert (row["probability"], row["zero_width_limit"]) == (format(want, ".17g"), format(limit, ".17g")), kx
 
     def test_probe_k0_ratio_not_read(self, capsys, tmp_path):
         # absorption does not depend on the probe's K0_ratio; a non-number there is ignored
@@ -1004,6 +1040,36 @@ class TestErrorsAndChecks:
         assert rc == 2 and out == ""
         assert json.loads(err)["error"]["field"] == "<file>"
 
+    @pytest.mark.parametrize("arg, content, field, message", [
+        ("nope.json", None, "<file>", "config file not found: nope.json"),
+        ("./nope.json", None, "<file>", "config file not found: nope.json"),
+        ("d/", None, "<file>", f"cannot read the config file: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'd'"),
+        ("run.json", b'\xef\xbb\xbf{"k0_si": 1.0}', "<file>",
+         "config is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("run.json", b'{"k0_si": "\xff"}', "<file>",
+         "config is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+        ("run.json", b"[1, 2]", "<root>", "config must be a JSON object"),
+        ("run.json", b'{"k0_si": 1' + b"0" * 4999 + b"}", "<file>",
+         "config is not valid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+         "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit"),
+        # positions count each CR LF and lone CR as one newline, as a text-mode read translates them
+        ("run.json", b'{\r\n  "k0_si": 1.0,\r\n  "screen": \r}', "<file>",
+         "config is not valid JSON: Expecting value: line 4 column 1 (char 31)"),
+    ], ids=["missing", "dot-prefixed", "directory-with-slash", "bom", "invalid-utf-8", "array", "5000-digits", "crlf"])
+    def test_config_read_error_names_field_and_message(self, tmp_path, monkeypatch, arg, content, field, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        if content is not None:
+            (tmp_path / arg).write_bytes(content)
+        with pytest.raises(ConfigError) as exc:
+            load_config(arg)
+        assert (exc.value.field, exc.value.message) == (field, message)
+
+    def test_dot_prefixed_config_path_loads(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_cfg(tmp_path, BASE_CFG)
+        assert load_config("./run.json") == BASE_CFG
+
     @pytest.mark.parametrize("name", sorted(cli._HANDLERS))
     def test_tolerance_offered_on_no_subcommand(self, capsys, name):
         with pytest.raises(SystemExit) as exc:
@@ -1026,13 +1092,13 @@ class TestParser:
         cfg = write_cfg(tmp_path, BASE_CFG)
         run_main(capsys, "spectrum", "--config", cfg)
         built = []
-        add_parser = argparse._SubParsersAction.add_parser
+        init = argparse.ArgumentParser.__init__
 
-        def counted(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
         rc, _, _ = run_main(capsys, "spectrum", "--config", cfg)
         assert rc == 0 and built == []
         with pytest.raises(SystemExit) as exc:
@@ -1063,6 +1129,30 @@ class TestParser:
         assert err.startswith("usage: nearwave [-h]")
         assert "{" + ",".join(cli._HANDLERS) + "}" in err  # every subcommand, also after "field"
         assert "\nnearwave: error: " in err
+
+    def test_help_lists_each_subcommand_on_its_own_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "40")  # a narrow terminal rewraps no line of the list
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        lines = capsys.readouterr().out.splitlines()
+        assert exc.value.code == 0
+        for name in cli._HANDLERS:
+            assert any(re.fullmatch(rf" +{name} +run the {name} computation", line) for line in lines), name
+
+    def test_subcommand_help_exits_0_and_names_both_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["field", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--config CONFIG" in out and "--out OUT" in out
+
+    def test_options_before_the_subcommand_write_the_same_bytes(self, capsys, tmp_path):
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        before = run_main(capsys, "--config", cfg, "spectrum")
+        assert before[0] == 0 and before == run_main(capsys, "spectrum", "--config", cfg)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_main(capsys, "--out", str(first), "--config", cfg, "spectrum") == (0, "", "")
+        assert run_main(capsys, "spectrum", "--config", cfg, "--out", str(second)) == (0, "", "")
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestClosedStdout:
