@@ -39,18 +39,6 @@ _TAIL_ORDER = 12  # highest power of 1/k kept in the slit field tail series
 _MAX_KNOT_SEEDS = 128
 
 
-def _sin_half_over_u(u):
-    """sin(u/2)/u over the whole array; entries with |u| < _SERIES_WINDOW are redone as 1/2 - u^2/48 + u^4/3840."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(np.sin(0.5 * u) / u)
-    small = np.abs(u) < _SERIES_WINDOW
-    if small.any():
-        us = u[small]
-        out[small] = 0.5 - us * us / 48.0 + us**4 / 3840.0
-    return out
-
-
 def _exp_integrals(z: complex, top: int) -> list[complex]:
     """Generalized exponential integrals E_n(z) for n = 1..top, Re(z) >= 0, as a list indexed by n (entry 0 unused).
 
@@ -247,9 +235,18 @@ class SingleSlitProfile(ApertureProfile):
         self.a = a
 
     def amplitude(self, kx):
-        q = self.a * np.abs(np.asarray(kx, dtype=float))
-        u = q - math.pi
-        amp = 2.0 * math.sqrt(math.pi * self.a) * _sin_half_over_u(u) / (2.0 * math.pi + u)
+        # u = a |kx| - pi, inf where a |kx| passes the float range; sin(u/2)/u is redone as
+        # 1/2 - u^2/48 + u^4/3840 where |u| < _SERIES_WINDOW
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u = self.a * np.abs(np.asarray(kx, dtype=float)) - math.pi
+            sinc = np.asarray(np.sin(0.5 * u) / u)
+        small = np.abs(u) < _SERIES_WINDOW
+        if small.any():
+            us = u[small]
+            sinc[small] = 0.5 - us * us / 48.0 + us**4 / 3840.0
+        amp = 2.0 * math.sqrt(math.pi * self.a) * sinc / (2.0 * math.pi + u)
+        if u.max() == math.inf:  # F falls like 1/(a kx)^2, so 0 is its limit there
+            amp = np.where(u == math.inf, 0.0, amp)
         return amp if amp.ndim else float(amp)
 
     def cutoff(self) -> float:
@@ -324,6 +321,7 @@ class GaussianProfile(ApertureProfile):
         return max(3.0, 12.9 / self.w)
 
 
+@np.errstate(all="ignore")  # samples near the float range may overflow the fit: refused below
 def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Natural cubic spline through (x, y): rows d, c, b and y_i, one column per interval.
 
@@ -348,7 +346,10 @@ def _natural_cubic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for j in range(len(rhs) - 2, -1, -1):
         m[j + 1] = (rhs[j] - hs[j + 1] * m[j + 2]) / diag[j]
     m = np.array(m)
-    return np.stack([np.diff(m) / (6.0 * h), 0.5 * m[:-1], s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+    coef = np.stack([np.diff(m) / (6.0 * h), 0.5 * m[:-1], s - h * (2.0 * m[:-1] + m[1:]) / 6.0, y[:-1]])
+    if not np.isfinite(coef).all():
+        raise ValueError("the cubic spline through the samples overflows the float range")
+    return coef
 
 
 class TabulatedProfile(ApertureProfile):

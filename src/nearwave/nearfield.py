@@ -10,7 +10,7 @@ integral collects running waves, the second the evanescent set.  Both have
 an integrable square-root derivative singularity at k = 1, which one
 variable t in [-pi/2, acosh k_hi] removes from both sides: k = cos t with
 dk/dt = kz = -sin t on t < 0 (RW), k = cosh t with dk/dt = chi = sinh t on
-t > 0 (CW), and t = 0 a panel edge.  The CW range is truncated where the
+t > 0 (CW), and t = 0 the end of both.  The CW range is truncated where the
 exponential or the profile makes the integrand negligible.  Slit profiles
 supply an analytic tail beyond k = 100/min(a, pi) (a 1/k series of
 F e^{-chi z} summed with exponential integrals), so at small z > 0, where
@@ -32,46 +32,44 @@ a, and any closed form of psi_cw reduces to the same difference.)
 z = 0 row; it asks the profile for its mode, and a profile without one
 sends its z = 0 rows down the general route below.
 
-A grid is one separable quadrature over t with component-major factors.
-The left factor is (3 nz, n): three blocks of row weights on the n
-abscissas, each zero outside its range: Re and Im of F kz e^{i kz z}
-(t < 0) and F chi e^{-chi z} (t > 0).  The right factor is (2 nu, n): the
-rows cos(k u_j) and -k sin(k u_j), one pair per distinct u_j = |x_j|.
-Both are contracted with the K31 weights without forming their product,
-and psi_rw = 2 (V_re + i V_im), psi_cw = 2 V_cw plus the tail.  Every
-cos/sin pair (cos t and sin t on t < 0, the RW phase kz z, and k u_j)
-comes from one tan of the half angle (``_cos_sin``).  psi is even in x
-and d(psi)/dx odd, so each point takes its columns and the sign of x.
-The distinct |x| are a sorted set of Python floats (-0.0 and 0.0 are
-one), and each x finds its column through a dict.  That takes ~3 us at
-a handful of points, where np.unique takes ~10 us; at 10^6 distinct
-points it takes ~2.4 us a point, 36x np.unique, but a third of what
-formatting the point's CSV row costs, so it is the one route at every
-size.
+A grid is two separable quadratures over t, one per side of t = 0, with
+component-major factors and the same seeds.  The running run's left
+factor is (2 nz, n), Re and Im of F kz e^{i kz z}; the crawling run's is
+(nz, n), F chi e^{-chi z}.  Both take the right factor (2 nu, n) of
+``_right``, rows cos(k u_j) and -k sin(k u_j) per distinct u_j = |x_j|,
+as the screen run does.  Each run contracts its pair with the K31 weights
+without forming the product: psi_rw = 2 (V_re + i V_im) and
+psi_cw = 2 V_cw plus the tail.  Every cos/sin pair (cos t and sin t on
+t < 0, the RW phase kz z, and k u_j) comes from one tan of the half
+angle (``_cos_sin``).  psi is even in x and d(psi)/dx odd, so each point
+takes its columns and the sign of x.  The distinct |x| are a sorted set
+of Python floats (-0.0 and 0.0 are one), and each x finds its column
+through a dict: ~3 us at a handful of points against ~10 us for
+np.unique, and at 10^6 points a third of what formatting a CSV row costs.
 k_hi is the largest per-row end; a row that ends below it carries less
 than e^-46 beyond its own end.
 
 The seeds follow where the integrand changes character (QUADPACK
 practice, Piessens et al. 1983), for the largest |x| and z of the rows
-that share a run.  Oscillation seeds sit three half-waves of the fastest
-phase apart (a slit's F adds its own a k / 2): on the RW range in
+that share a batch.  Oscillation seeds sit three half-waves of the
+fastest phase apart (a slit's F adds its own a k / 2): on the RW range in
 theta = t + pi/2 (phase k |x| + kz z), and on the CW range t in
 [0, acosh 2] and the range [2, k_hi] in k, mapped by t = acosh k (phase
-k |x|).  The G15 remainder
-on a 3 pi phase span is ~1e-20 of the panel amplitude, and the
-|K31 - G15| estimate still guards every panel.  On the CW side z does not
-oscillate: e^{-chi z} only decays, so it adds decay seeds at
-t = asinh(6 j / z_max), j = 1..7, six e-folds of the highest row apart
-down to e^-46 (lower rows decay more slowly over the same panels).  The count of CW seeds below
-k = 2 thus does not grow with z_max.  The seeds also include the
-profile's knots (``ApertureProfile.knots``, mapped to t = -acos k and
-t = acosh k), the kx where a tabulated spline's third derivative jumps or
-F drops to zero: no panel straddles one, so K31 keeps its polynomial
-exactness there.  Rows share one quadrature as long as its first round,
-seeded panels x components, stays within ``_ROUND_ELEMENTS`` and one K31
-panel within the quadrature's per-call element cap; further rows go to
-further runs.  ``field_grid`` returns the RW and CW parts of psi and
-d(psi)/dx as (nz, nx) arrays.
+k |x|).  The G15 remainder on a 3 pi phase span is ~1e-20 of the panel
+amplitude, and the |K31 - G15| estimate still guards every panel.  On the
+CW side z does not oscillate: e^{-chi z} only decays, so it adds decay
+seeds at t = asinh(6 j / z_max), j = 1..7, six e-folds of the highest row
+apart down to e^-46 (lower rows decay more slowly over the same panels).
+The count of CW seeds below k = 2 thus does not grow with z_max.  The
+seeds also include the profile's knots (``ApertureProfile.knots``, mapped
+to t = -acos k and t = acosh k), the kx where a tabulated spline's third
+derivative jumps or F drops to zero: no panel straddles one, so K31 keeps
+its polynomial exactness there.  Each run keeps the seeds inside its own
+limits.  Rows share a batch as long as its two first rounds together, at
+most (seeds + 1) panels x 6 nu components per row, stay within
+``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's per-call
+element cap; further rows go to further batches.  ``field_grid`` returns
+the RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -94,7 +92,7 @@ _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the
 _EFOLDS_PER_PANEL = 6.0  # decay seeds of the CW range span this many e-folds of e^{-chi z_max}
 _ABS_TOL = 5e-13  # every field integral is within max(_ABS_TOL, _REL_TOL |integral|), the field's one budget
 _REL_TOL = 1e-10
-# seeded panels x components of one quadrature run: each round holds a few such arrays
+# seeded panels x components of one row batch's two runs: each round holds a few such arrays
 _ROUND_ELEMENTS = 1 << 20
 
 
@@ -117,9 +115,11 @@ def _cos_sin(x) -> np.ndarray:
     """
     out = np.empty((2,) + np.shape(x))
     tau = np.tan(np.multiply(x, 0.5, out=out[1]), out=out[1])
-    sq = np.square(tau)
-    inv = 1.0 / (sq + 1.0)
-    np.multiply(np.subtract(1.0, sq, out=sq), inv, out=out[0])
+    sq = np.square(tau, out=out[0])
+    inv = np.add(sq, 1.0)  # the one temporary: fresh ones cost page faults on every call
+    np.divide(1.0, inv, out=inv)
+    np.subtract(1.0, sq, out=sq)
+    sq *= inv  # cos, in out[0]
     tau *= inv
     tau *= 2.0  # sin, in out[1]
     return out
@@ -137,7 +137,7 @@ def _own_rate(profile: ApertureProfile) -> float:
 
 
 def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float, np.ndarray, np.ndarray]:
-    """k_hi, each row's exponential end k_exp and the seeds on t in (-pi/2, acosh k_hi), for rows zs."""
+    """k_hi, each row's exponential end k_exp and the seeds on t of both runs, for rows zs."""
     z_max = float(zs.max())
     rate0 = _own_rate(profile)
     with np.errstate(divide="ignore"):
@@ -155,40 +155,46 @@ def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float
         decay = np.arcsinh(np.arange(1, int(_EXP_CUT / _EFOLDS_PER_PANEL) + 1) * _EFOLDS_PER_PANEL / z_max)
     knots = profile.knots()
     rw -= 0.5 * math.pi
-    seeds = np.concatenate([rw[rw < 0.0], [0.0], s[s < t_mid], [t_mid], np.arccosh(k[k < k_hi]), decay,
+    seeds = np.concatenate([rw, s, [t_mid], np.arccosh(k), decay,
                             -np.arccos(knots[knots < 1.0]), np.arccosh(knots[knots > 1.0])])
     return k_hi, k_exp, seeds
 
 
-def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
-    """The RW and CW integrals of the rows zs at the distances u = |x|, one quadrature over t.
+def _right(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The right factor of every field run: rows cos(k u_j), then -k sin(k u_j), shape (2 len(u), len(k))."""
+    right = _cos_sin(np.multiply.outer(u, k))
+    right[1] *= -k
+    return right.reshape(2 * len(u), -1)
 
-    ``axis`` is :func:`_axis` of these rows.  Returns two (nz, 2, len(u))
-    arrays: per row, the psi integrals, then the d/dx ones.
+
+def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
+    """The RW and CW integrals of the rows zs at the distances u = |x|, one quadrature per side of t = 0.
+
+    ``axis`` is :func:`_axis` of these rows.  Returns a complex and a real
+    (nz, 2, len(u)) array: per row, the psi integrals, then the d/dx ones.
     """
     k_hi, k_exp, seeds = axis
-    nz = len(zs)
+    nz, nu = len(zs), len(u)
 
-    def integrand(t):
-        m = np.searchsorted(t, 0.0)  # the panels are ascending and t = 0 is an edge
-        cos_t, sin_t = _cos_sin(t[:m])
-        chi = np.sinh(t[m:])
-        k = np.concatenate([cos_t, np.cosh(t[m:])])
-        w = profile.amplitude(k) * np.concatenate([-sin_t, chi])  # F dk/dt, kz = -sin t
-        left = np.zeros((3, nz, len(t)))
-        np.multiply(_cos_sin(np.multiply.outer(zs, -sin_t)), w[:m], out=left[:2, :, :m])  # e^{i kz z}
-        np.multiply(np.exp(np.multiply.outer(-zs, chi)), w[m:], out=left[2, :, m:])
-        right = _cos_sin(np.multiply.outer(u, k))
-        right[1] *= -k
-        return left.reshape(3 * nz, -1), right.reshape(2 * len(u), -1)
+    def running(t):  # k = cos t, dk/dt = kz = -sin t
+        k, sin_t = _cos_sin(t)
+        left = _cos_sin(np.multiply.outer(zs, -sin_t))  # e^{i kz z}
+        left *= profile.amplitude(k) * -sin_t
+        return left.reshape(2 * nz, -1), _right(u, k)
 
-    try:
-        res = adaptive_quad(integrand, -0.5 * math.pi, float(np.arccosh(k_hi)), abs_tol=_ABS_TOL,
-                            rel_tol=_REL_TOL, breakpoints=seeds, components=3 * nz * 2 * len(u))
+    def crawling(t):  # k = cosh t, dk/dt = chi = sinh t
+        k, chi = np.cosh(t), np.sinh(t)
+        return np.exp(np.multiply.outer(-zs, chi)) * (profile.amplitude(k) * chi), _right(u, k)
+
+    try:  # crawling first: on wide rows its first round is the larger, refused before any work
+        cw = adaptive_quad(crawling, 0.0, float(np.arccosh(k_hi)), abs_tol=_ABS_TOL, rel_tol=_REL_TOL,
+                           breakpoints=seeds, components=2 * nz * nu).value
+        rw = adaptive_quad(running, -0.5 * math.pi, 0.0, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, breakpoints=seeds,
+                           components=4 * nz * nu).value
     except QuadratureError as e:
         raise _in_kx(e, k_hi, zs, u[-1]) from None
-    v = 2.0 * res.value.reshape(3, nz, 2, len(u))
-    cw = v[2]
+    rw = 2.0 * rw.reshape(2, nz, 2, nu)
+    cw = 2.0 * cw.reshape(nz, 2, nu)
     k_profile = profile.cutoff()
     for row, z, k_cut in zip(cw, zs.tolist(), k_exp):
         if k_profile <= k_cut:  # then k_hi is k_profile
@@ -198,7 +204,7 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
                 row += tail
                 if not np.isfinite(row).all():
                     raise QuadratureError(f"the analytic tail beyond k = {k_hi!r} is not finite at z = {z!r}")
-    return v[0] + 1j * v[1], cw
+    return rw[0] + 1j * rw[1], cw
 
 
 def _screen_parts(u: np.ndarray, profile: ApertureProfile):
@@ -214,9 +220,7 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile):
         return None
 
     def integrand(k):
-        right = _cos_sin(np.multiply.outer(u, k))
-        right[1] *= -k
-        return profile.amplitude(k)[None], right.reshape(2 * len(u), -1)
+        return profile.amplitude(k)[None], _right(u, k)
 
     x_max = float(u[-1])
     try:
@@ -232,17 +236,11 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile):
 def field_grid(xs, zs, profile: ApertureProfile) -> FieldGrid:
     """The RW and CW parts of psi and d(psi)/dx at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
-    psi is even in x and d(psi)/dx odd, so the quadrature runs over the
-    distinct |x| alone (a sorted set of Python floats, in which -0.0 and
-    0.0 are one).  Rows at z = 0 of a profile with a closed form there
-    (:meth:`~ApertureProfile.screen_field`, the slit mode) take one run
-    over the RW range k in [0, 1], shared by them all (``_screen_parts``,
-    called whenever a z = 0 row exists): psi_total is that mode, so
-    psi_cw = mode - psi_rw holds exactly, with psi_rw's own error and no
-    CW panel or analytic tail.  The other rows are split into runs of
-    consecutive rows while a run's seeded panels x components stay within
-    ``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's per-call
-    element cap; their k_hi and seeds come from these rows alone.
+    The quadratures run over the distinct |x| alone.  Rows at z = 0 of a
+    profile with a closed form there take the one screen run
+    (``_screen_parts``); the other rows go in batches of consecutive rows,
+    each a running and a crawling run (``_integrals``) whose k_hi and seeds
+    come from its own rows, sized as the module docstring says.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))

@@ -15,9 +15,7 @@ accepted only when every component is within its share.
 Each panel weights the narrower factor along its 31 nodes by both rules,
 applies the other one to it through a transposed view in one batched
 matmul, and never builds the product.  Every round's pending panels are
-kept in ascending order, so an integrand may split its abscissas at a
-panel edge with one ``searchsorted``.  The procedure is deterministic for
-fixed inputs.
+kept in ascending order.  The procedure is deterministic for fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
 abscissas x components, so one sweep of a wide integrand cannot allocate

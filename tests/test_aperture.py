@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ class TestSlitAmplitudeSq:
 
     def test_zero_at_three_pi(self):
         assert _slit_sq(3.0 * math.pi, 1.0) < 1e-30
+
+    def test_overflowing_a_kx_gives_the_zero_limit(self):
+        # F falls like 1/(a kx)^2, so where a |kx| passes the float range it is 0, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            amp = SingleSlitProfile(1e8).amplitude([100.0, 1.7e308, -1.7e308])
+            assert SingleSlitProfile(1e8).amplitude(1.7e308) == 0.0
+        assert amp[0] == SingleSlitProfile(1e8).amplitude(100.0) != 0.0 and amp[1:].tolist() == [0.0, 0.0]
 
     def test_even(self):
         kx = np.array([0.3, 1.0, math.pi, 7.7])

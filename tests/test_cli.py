@@ -289,6 +289,19 @@ class TestField:
         assert out == ""
         assert json.loads(err)["error"]["field"] == "aperture.path"
 
+    @pytest.mark.parametrize("sub", ["field", "absorb"])
+    def test_overflowing_spline_names_the_csv(self, capsys, tmp_path, sub):
+        # finite samples of +-1e308 half a unit apart overflow the spline's chord slopes and coefficients
+        csv_path = tmp_path / "prof.csv"
+        csv_path.write_text("kx,F\n0.0,1.0\n0.5,1e308\n1.0,-1e308\n2.0,0.5\n")
+        cfg = dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)},
+                   grids=dict(BASE_CFG["grids"], kx=[3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
+            rc, out, err = run_main(capsys, sub, "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err)["error"]["field"] == "aperture.path"
+
     @pytest.mark.parametrize("line", ["0.5", "0.5,abc"])
     def test_malformed_tabulated_row_names_its_line(self, capsys, tmp_path, line):
         # a row with one field, or a second field that is not a number, after the samples began
@@ -378,9 +391,9 @@ class TestField:
                                     "kx in [0, 92.0054] (z from 0.5 to 0.5, |x| up to 1e+300)")
 
     def test_wide_row_refused_before_allocating(self, tmp_path):
-        # 200,001 x to |x| = 50 at z = 0.5 make one row of 885,756 components (147,626 distinct |x|) over
-        # 512 seeded panels: its first round would hold 6.8 GiB.  adaptive_quad refuses it unevaluated, so
-        # a fresh process exits 3 within a 1 GB address space
+        # 200,001 x to |x| = 50 at z = 0.5 make one row whose crawling run has 295,252 components (147,626
+        # distinct |x|) over 503 seeded panels: its first round would hold 2.2 GiB.  adaptive_quad refuses it
+        # unevaluated, so a fresh process exits 3 within a 1 GB address space
         resource = pytest.importorskip("resource")
         cfg = dict(BASE_CFG, grids={"x": {"start": -50.0, "stop": 50.0, "num": 200001}, "z": [0.5]})
         limit = 1 << 30
@@ -391,7 +404,7 @@ class TestField:
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert proc.returncode == 3 and proc.stdout == "" and proc.stderr.count("\n") == 1, proc.stderr
         error = json.loads(proc.stderr)["error"]
-        assert error["type"] == "quadrature" and error["message"].startswith("512 seeded panels x 885756 components")
+        assert error["type"] == "quadrature" and error["message"].startswith("503 seeded panels x 295252 components")
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):
@@ -481,6 +494,7 @@ class TestAbsorb:
         ({"kind": "single_slit", "a": 1.0}, 1e200),
         ({"kind": "gaussian", "w": 2.0}, 1e200),  # (kx w)^2 overflows to inf, and exp(-inf) = 0 is the true |F|
         ({"kind": "tabulated"}, 3.0),  # beyond the last sample, at kx = 2
+        ({"kind": "single_slit", "a": 1e8}, 1.7e308),  # a kx overflows to inf, where F's limit is 0
     ])
     def test_zero_amplitude_row_is_written(self, capsys, tmp_path, aperture, kx):
         # probability and its zero-width limit are both 0, and their 0/0 ratio is left empty

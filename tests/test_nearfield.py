@@ -366,9 +366,10 @@ class TestRowEngine:
         calls, _ = _counting_quad(monkeypatch)
         xs = np.linspace(-4.0, 4.0, n)
         grid = field_grid(xs, z, profile)
-        assert len(calls) == 1  # one quadrature over t for the RW and CW ranges, whatever n is
-        if name == "tabulated":  # seeded at its knots, it converges in one sweep, one integrand call
-            assert [len(c) for c in calls] == [1]
+        # the slit's screen run at z = 0, else one quadrature per side of t = 0, whatever n is
+        assert len(calls) == (1 if name == "slit" and z == 0.0 else 2)
+        if name == "tabulated":  # seeded at its knots, each run converges in one sweep, one integrand call
+            assert [len(c) for c in calls] == [1, 1]
         monkeypatch.undo()
         assert grid.psi_rw.shape == (1, n)
         for j in range(n):
@@ -397,9 +398,9 @@ class TestGridEngine:
         grid = field_grid(self.XS, self.ZS, profile)
         if name == "slit":
             _pop_screen_run(calls, n_u=4)
-        assert len(calls) == 1  # one quadrature over t for the RW and CW ranges, whatever the rows
-        if name == "tabulated":  # seeded at its knots, it converges in one sweep, one integrand call
-            assert [len(c) for c in calls] == [1]
+        assert len(calls) == 2  # one quadrature per side of t = 0, the RW and CW ranges, whatever the rows
+        if name == "tabulated":  # seeded at its knots, each run converges in one sweep, one integrand call
+            assert [len(c) for c in calls] == [1, 1]
         monkeypatch.undo()
         assert nearfield.FieldGrid._fields == ("psi_rw", "psi_cw", "dpsi_rw", "dpsi_cw")
         for part in (*grid, current_x(grid)):
@@ -408,6 +409,26 @@ class TestGridEngine:
             for j in range(len(self.XS)):
                 _assert_cell_matches_point(grid, self.XS, self.ZS, i, j, profile)
             _assert_current_odd(grid, i)
+
+    @pytest.mark.parametrize("name", ["slit", "gaussian", "tabulated"])
+    def test_no_left_row_is_zero_on_every_abscissa(self, monkeypatch, name):
+        # each run integrates its own side of t = 0, so every row of its left
+        # factor carries weight; one K31 panel per integrand call shows it
+        # panel by panel
+        monkeypatch.setattr(quadrature, "_MAX_ELEMENTS", 1)
+        lefts = []
+
+        def recorded(f, *args, **kwargs):
+            def g(t):
+                left, right = f(t)
+                lefts.append(left)
+                return left, right
+            return adaptive_quad(g, *args, **kwargs)
+
+        monkeypatch.setattr(nearfield, "adaptive_quad", recorded)
+        field_grid(self.XS, (0.3, 2.0), _row_profiles()[name])
+        assert len(lefts) > 2  # panels on both sides of t = 0
+        assert all(np.any(left != 0.0, axis=1).all() for left in lefts)
 
     def test_screen_row_meets_closed_form(self):
         # at z = 0 the slit superposition is the slit mode, 2 sqrt(pi/a) cos(pi x/a)
@@ -425,7 +446,7 @@ class TestGridEngine:
         calls, _ = _counting_quad(monkeypatch)
         scan = field_grid(0.2, zs, profile)
         _pop_screen_run(calls, n_u=1)
-        assert len(calls) == 1
+        assert len(calls) == 2
         monkeypatch.undo()
         assert scan.psi_rw.shape == (len(zs), 1)
         for z, frac in zip(zs, _cw_fractions(scan)):
@@ -445,7 +466,7 @@ class TestGridEngine:
         if name == "slit":
             _pop_screen_run(calls, n_u=1)
         point, _ = _cell(field_grid(-0.3, 0.3, profile), 0, 0)
-        assert len(calls) == 2
+        assert len(calls) == 4  # a run per side of t = 0 for the scan's z > 0 rows and for the point
         monkeypatch.undo()
         for i, (z, frac) in enumerate(zip(zs, _cw_fractions(scan))):
             s, _ = _cell(grid, i, 1)
@@ -484,13 +505,14 @@ class TestGridEngine:
     def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
         # rounding keeps most +-x of this grid apart: 794 distinct |x|, so a
         # row has 3 x 2 x 794 = 4,764 components and one K31 panel of two
-        # rows would pass the element cap; the 10 rows take 10 runs
+        # rows would pass the element cap; the 10 rows take 10 batches of
+        # two runs each
         profile = GaussianProfile(w=1.3)
         xs = np.linspace(-5.0, 5.0, 999)
         zs = np.linspace(0.0, 3.0, 10)
         calls, sizes = _counting_quad(monkeypatch)
         grid = field_grid(xs, zs, profile)
-        assert len(calls) == 10
+        assert len(calls) == 20
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         monkeypatch.undo()
         for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):  # rows on both sides of the batch edge
@@ -498,14 +520,14 @@ class TestGridEngine:
 
     def test_wide_grid_calls_stay_within_the_element_cap(self, monkeypatch):
         # the 101 x by 40 z slit grid below: the z = 0 row takes its own run;
-        # the others have 51 column pairs per row, 306 components, and 548
-        # seeded panels, so a run's first round holds 6 rows within
-        # _ROUND_ELEMENTS; 39 rows take 7 runs, each chunked by abscissas x
-        # components
+        # the others have 51 column pairs per row, 306 components over both
+        # runs, and 553 seeds, so a batch's first rounds hold 6 rows within
+        # _ROUND_ELEMENTS; 39 rows take 7 batches of two runs, each chunked
+        # by abscissas x components
         calls, sizes = _counting_quad(monkeypatch)
         field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, 1.0, 40), SingleSlitProfile(a=1.0))
         _pop_screen_run(calls, n_u=51)
-        assert len(calls) == 7
+        assert len(calls) == 14
         assert max(sizes) <= quadrature._MAX_ELEMENTS
         assert max(len(c) for c in calls) > 2  # a sweep was split into chunks
 
@@ -772,7 +794,7 @@ class TestTabulatedKnots:
         calls, _ = _counting_quad(monkeypatch)
         xs, zs = [-1.7, 0.3, 4.0], [0.0, 0.4, 2.5]
         grid = field_grid(xs, zs, TabulatedProfile(ks, fs))
-        assert [len(c) for c in calls] == [1]  # one sweep, one integrand call
+        assert [len(c) for c in calls] == [1, 1]  # one sweep, one integrand call per run
         _assert_grid_matches_mpmath(grid, xs, zs, ks, fs, 1e-13)
 
     @pytest.mark.parametrize("k_max", [0.8, 1.3, 4.0])
@@ -791,7 +813,7 @@ class TestTabulatedKnots:
 
 
 class TestMixedHeights:
-    # Rows at z = 0.25 and z = 100 share one run.  Its CW seeds follow the
+    # Rows at z = 0.25 and z = 100 share one batch.  Its CW seeds follow the
     # oscillation of the widest |x| and the decay e^{-chi z} of the highest
     # row alone; panels that span six e-folds of the high row still carry
     # the low row's slower decay in the same first sweep.
@@ -803,7 +825,7 @@ class TestMixedHeights:
         profile = _row_profiles()[name]
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid(self.XS, self.ZS, profile)
-        assert [len(c) for c in calls] == [1]  # one run, one sweep
+        assert [len(c) for c in calls] == [1, 1]  # one run per side, one sweep each
         for i, z in enumerate(self.ZS):
             for j, x in enumerate(self.XS):
                 psi_rw, psi_cw, dpsi_rw, dpsi_cw = _mp_field_parts(profile, x, z)
@@ -818,7 +840,7 @@ class TestMixedHeights:
         fs = np.exp(-0.3 * ks**2) * np.cos(np.pi * ks / 12.0) ** 2
         calls, _ = _counting_quad(monkeypatch)
         grid = field_grid(self.XS, self.ZS, TabulatedProfile(ks, fs))
-        assert [len(c) for c in calls] == [1]
+        assert [len(c) for c in calls] == [1, 1]
         for i, z in enumerate(self.ZS):
             for j, x in enumerate(self.XS):
                 want = _mp_tabulated_field(ks, fs, x, z)

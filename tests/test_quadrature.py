@@ -306,9 +306,9 @@ def _cos_sin_rows(t):
 def _three_blocks(t):
     """Twelve left rows, three blocks of four, each zero on one side of t = 0, against six right rows.
 
-    Split at t = 0 with one ``searchsorted``, as the field integrand is:
-    cos(z t) and sin(z t) for t < 0, e^{-z t} for t > 0, against
-    cos(k u) and -k sin(k u) with k = 1 + t^2.
+    Split at t = 0 with one ``searchsorted``, which needs ascending
+    abscissas: cos(z t) and sin(z t) for t < 0, e^{-z t} for t > 0,
+    against cos(k u) and -k sin(k u) with k = 1 + t^2.
     """
     m = np.searchsorted(t, 0.0)
     z = np.array([0.5, 1.0, 2.0, 4.0])
@@ -335,8 +335,8 @@ class TestSeparable:
         # cos(5t), -5 sin(5t)
         "complex": (lambda t: (_cos_sin_rows(t), np.stack([np.cos(5.0 * t), -5.0 * np.sin(5.0 * t)])),
                     0.0, 6.0, 7.0, 8),
-        # a = 12 left rows in three blocks split at the seed t = 0, as in a field grid; a > b, so
-        # the right factor is the one weighted by the rules
+        # a = 12 left rows in three blocks split at the seed t = 0, mostly zero; a > b, so the
+        # right factor is the one weighted by the rules
         "three-blocks": (_three_blocks, -1.0, 2.0, math.pi, 72),
     }
 
@@ -399,7 +399,8 @@ class TestSeparable:
 
     def test_pending_panels_stay_ascending(self):
         # bisected halves are interleaved, so every sweep passes its
-        # abscissas in ascending order and a split at t = 0 stays exact
+        # abscissas in ascending order, as the searchsorted split of
+        # _three_blocks needs
         seen = []
 
         def f(t):
