@@ -195,10 +195,12 @@ class ApertureProfile:
     :meth:`cutoff` over a row, or None when the profile has no analytic tail.
     :meth:`screen_field` returns psi and d(psi)/dx on the screen plane, or
     None when the profile has no closed form there.
-    :meth:`knots` lists the kx > 0 where integrals over kx put panel edges.
+    :meth:`knots` lists the kx > 0 where integrals over kx put panel edges,
+    and ``rate`` is the rate at which F itself oscillates in kx: none here.
     """
 
     __slots__ = ()
+    rate = 0.0
 
     def amplitude(self, kx):
         raise NotImplementedError
@@ -233,6 +235,11 @@ class SingleSlitProfile(ApertureProfile):
         if not (a > 0):
             raise ValueError(f"slit width must be positive, got {a!r}")
         self.a = a
+
+    @property
+    def rate(self) -> float:
+        """a/2, the rate of the cos(a kx/2) in F."""
+        return 0.5 * self.a
 
     def amplitude(self, kx):
         # u = a |kx| - pi, inf where a |kx| passes the float range; sin(u/2)/u is redone as
@@ -395,19 +402,23 @@ class TabulatedProfile(ApertureProfile):
 
     @classmethod
     def from_csv(cls, path) -> "TabulatedProfile":
-        """Load columns (kx/k0, F); a non-numeric first row is a header."""
+        """Load columns (kx/k0, F); the first non-blank row is a header when its kx is not a number."""
         rows = []
+        first = True
         with open(Path(path), newline="", encoding="utf-8-sig") as fh:  # a spreadsheet export may start with a BOM
             reader = csv.reader(fh)
             for row in reader:
                 if not row or not row[0].strip():
                     continue
+                header, first = first, False
+                kx = None
                 try:
-                    rows.append((float(row[0]), float(row[1])))
+                    kx = float(row[0])
+                    rows.append((kx, float(row[1])))
                 except ValueError as e:
-                    if rows:
-                        raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
-                    continue  # header line
+                    if header and kx is None:
+                        continue
+                    raise ValueError(f"{path}, line {reader.line_num}: {e}") from None
                 except IndexError:
                     raise ValueError(f"{path}, line {reader.line_num}: need two columns kx, F, got one") from None
         if not rows:

@@ -52,24 +52,27 @@ than e^-46 beyond its own end.
 The seeds follow where the integrand changes character (QUADPACK
 practice, Piessens et al. 1983), for the largest |x| and z of the rows
 that share a batch.  Oscillation seeds sit three half-waves of the
-fastest phase apart (a slit's F adds its own a k / 2): on the RW range in
-theta = t + pi/2 (phase k |x| + kz z), and on the CW range t in
-[0, acosh 2] and the range [2, k_hi] in k, mapped by t = acosh k (phase
-k |x|).  The G15 remainder on a 3 pi phase span is ~1e-20 of the panel
-amplitude, and the |K31 - G15| estimate still guards every panel.  On the
-CW side z does not oscillate: e^{-chi z} only decays, so it adds decay
-seeds at t = asinh(6 j / z_max), j = 1..7, six e-folds of the highest row
-apart down to e^-46 (lower rows decay more slowly over the same panels).
-The count of CW seeds below k = 2 thus does not grow with z_max.  The
-seeds also include the profile's knots (``ApertureProfile.knots``, mapped
-to t = -acos k and t = acosh k), the kx where a tabulated spline's third
-derivative jumps or F drops to zero: no panel straddles one, so K31 keeps
-its polynomial exactness there.  Each run keeps the seeds inside its own
-limits.  Rows share a batch as long as its two first rounds together, at
-most (seeds + 1) panels x 6 nu components per row, stay within
-``_ROUND_ELEMENTS`` and one K31 panel within the quadrature's per-call
-element cap; further rows go to further batches.  ``field_grid`` returns
-the RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays.
+fastest phase apart (F adds its own ``profile.rate``, a/2 for a slit):
+on the RW range in theta = t + pi/2 (phase k |x| + kz z), and on the CW
+range t in [0, acosh 2] and the range [2, k_hi] in k, mapped by
+t = acosh k (phase k |x|).  The G15 remainder on a 3 pi phase span is ~1e-20
+of the panel amplitude, and the |K31 - G15| estimate still guards every
+panel.  On the CW side z does not oscillate: e^{-chi z} only decays, so
+it adds decay seeds at t = asinh(6 j / z_max), j = 1..7, six e-folds of
+the highest row apart down to e^-46 (lower rows decay more slowly over
+the same panels).  The count of CW seeds below k = 2 thus does not grow
+with z_max.  The seeds also include the profile's knots
+(``ApertureProfile.knots``, mapped to t = -acos k and t = acosh k), the
+kx where a tabulated spline's third derivative jumps or F drops to zero:
+no panel straddles one, so K31 keeps its polynomial exactness
+there.  Each run keeps the seeds inside its own limits.  Rows share a
+batch as long as its two first rounds together, at most (seeds + 1)
+panels x 6 nu components per row, stay within ``_ROUND_ELEMENTS`` and
+one K31 panel within the quadrature's per-call element cap; further rows
+go to further batches.  ``field_grid`` returns the RW and CW parts of psi
+and d(psi)/dx as (nz, nx) arrays, each integral within quadrature's fixed
+budget.  Quadrature's errors say what failed; ``_in_kx`` adds where: the
+kx range, the rows' z and the largest |x|.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -78,20 +81,17 @@ profile's (unnormalized) amplitude scale.
 from __future__ import annotations
 
 import math
-import re
 from typing import NamedTuple
 
 import numpy as np
 
-from .aperture import ApertureProfile, SingleSlitProfile
+from .aperture import ApertureProfile
 from .errors import QuadratureError
 from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoints
 
-_EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below any tolerance used here
+_EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below quadrature's budget
 _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
 _EFOLDS_PER_PANEL = 6.0  # decay seeds of the CW range span this many e-folds of e^{-chi z_max}
-_ABS_TOL = 5e-13  # every field integral is within max(_ABS_TOL, _REL_TOL |integral|), the field's one budget
-_REL_TOL = 1e-10
 # seeded panels x components of one row batch's two runs: each round holds a few such arrays
 _ROUND_ELEMENTS = 1 << 20
 
@@ -126,20 +126,15 @@ def _cos_sin(x) -> np.ndarray:
 
 
 def _in_kx(e: QuadratureError, k_hi: float, zs: np.ndarray, x_max: float) -> QuadratureError:
-    """``e`` with its interval, in theta, t or k, replaced by kx and the points."""
-    where = f"kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {x_max:g})"
-    return QuadratureError(re.sub(r"\[[^\]]*\]", where, str(e), count=1), achieved=e.achieved)
-
-
-def _own_rate(profile: ApertureProfile) -> float:
-    """The rate at which F itself oscillates in k: a/2 for a slit, none for the other profiles."""
-    return 0.5 * profile.a if isinstance(profile, SingleSlitProfile) else 0.0
+    """``e``, which says what failed, followed by where: the kx range and the points."""
+    where = f" on kx in [0, {k_hi:g}] (z from {zs.min():g} to {zs.max():g}, |x| up to {x_max:g})"
+    return QuadratureError(f"{e}{where}", achieved=e.achieved)
 
 
 def _axis(x_max: float, zs: np.ndarray, profile: ApertureProfile) -> tuple[float, np.ndarray, np.ndarray]:
     """k_hi, each row's exponential end k_exp and the seeds on t of both runs, for rows zs."""
     z_max = float(zs.max())
-    rate0 = _own_rate(profile)
+    rate0 = profile.rate
     with np.errstate(divide="ignore"):
         k_exp = np.sqrt(1.0 + (_EXP_CUT / zs) ** 2)  # inf at z = 0
     k_hi = max(1.5, min(profile.cutoff(), float(k_exp.max())))  # beyond its own end a row carries < e^-46
@@ -187,10 +182,8 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
         return np.exp(np.multiply.outer(-zs, chi)) * (profile.amplitude(k) * chi), _right(u, k)
 
     try:  # crawling first: on wide rows its first round is the larger, refused before any work
-        cw = adaptive_quad(crawling, 0.0, float(np.arccosh(k_hi)), abs_tol=_ABS_TOL, rel_tol=_REL_TOL,
-                           breakpoints=seeds, components=2 * nz * nu).value
-        rw = adaptive_quad(running, -0.5 * math.pi, 0.0, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, breakpoints=seeds,
-                           components=4 * nz * nu).value
+        cw = adaptive_quad(crawling, 0.0, float(np.arccosh(k_hi)), breakpoints=seeds, components=2 * nz * nu).value
+        rw = adaptive_quad(running, -0.5 * math.pi, 0.0, breakpoints=seeds, components=4 * nz * nu).value
     except QuadratureError as e:
         raise _in_kx(e, k_hi, zs, u[-1]) from None
     rw = 2.0 * rw.reshape(2, nz, 2, nu)
@@ -224,9 +217,8 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile):
 
     x_max = float(u[-1])
     try:
-        seeds = oscillation_breakpoints(0.0, 1.0, (x_max + _own_rate(profile)) / _HALF_WAVES_PER_PANEL)
-        res = adaptive_quad(integrand, 0.0, 1.0, abs_tol=_ABS_TOL, rel_tol=_REL_TOL, breakpoints=seeds,
-                            components=2 * len(u))
+        seeds = oscillation_breakpoints(0.0, 1.0, (x_max + profile.rate) / _HALF_WAVES_PER_PANEL)
+        res = adaptive_quad(integrand, 0.0, 1.0, breakpoints=seeds, components=2 * len(u))
     except QuadratureError as e:
         raise _in_kx(e, 1.0, np.zeros(1), x_max) from None
     rw = 2.0 * res.value.reshape(2, len(u))

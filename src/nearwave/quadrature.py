@@ -4,18 +4,19 @@ Each panel is estimated with the Kronrod rule K31 and the 15-point
 Gauss-Legendre rule G15 embedded in it (Kronrod 1965; QUADPACK ``qk31``,
 Piessens et al. 1983): G15 uses the odd-indexed K31 nodes, so one integrand
 call on 31 abscissas gives both.  K31 is the value and |K31 - G15| the
-local error estimate.  Panels whose estimate exceeds their prorated share
-of the error budget are bisected, and every pending panel of a round is
-evaluated in one vectorized sweep, so the integrand must accept numpy
-arrays.  The integrand is real and separable: it returns a component-major
-pair (L, R) of (a, n) and (b, n) arrays for the a*b components
-L[i] * R[j] (row-major), so its elementwise work runs along rows of n
-abscissas.  Each component keeps its own error budget and a panel is
-accepted only when every component is within its share.
-Each panel weights the narrower factor along its 31 nodes by both rules,
-applies the other one to it through a transposed view in one batched
-matmul, and never builds the product.  Every round's pending panels are
-kept in ascending order.  The procedure is deterministic for fixed inputs.
+local error estimate.  The budget is fixed: a run succeeds once each
+component's summed estimate is within max(``_ABS_TOL`` = 5e-13,
+``_REL_TOL`` = 1e-10 |its integral|), and a panel is accepted only when
+every component is within its prorated share; the others are bisected.
+Every pending panel of a round is evaluated in one vectorized sweep, so
+the integrand must accept numpy arrays.  The integrand is real and
+separable: it returns a component-major pair (L, R) of (a, n) and (b, n)
+arrays for the a*b components L[i] * R[j] (row-major), so its
+elementwise work runs along rows of n abscissas.  Each panel weights the
+narrower factor along its 31 nodes by both rules, applies the other one
+to it through a transposed view in one batched matmul, and never builds
+the product.  Every round's pending panels are kept in ascending order.
+The procedure is deterministic for fixed inputs.
 
 A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
 abscissas x components, so one sweep of a wide integrand cannot allocate
@@ -23,10 +24,12 @@ hundreds of MB at once.  The caller states the component count
 (``components``) so that every chunk, the first included, is sized before
 the integrand is called; a result of another width raises ``ValueError``.
 
-Oscillatory integrands should be seeded with breakpoints a few
-half-oscillations apart at most (K31 resolves three per panel to rounding;
-``oscillation_breakpoints(a, b, rate / n)`` spaces them n apart); the
-refinement loop then only has to mop up.
+Every caller passes its seeds (``breakpoints``, possibly none); seeds a
+few half-oscillations apart at most suit an oscillatory integrand (K31
+resolves three per panel to rounding; ``oscillation_breakpoints(a, b,
+rate / n)`` spaces them n apart), and refinement then only mops up.  A
+``QuadratureError`` says what failed, not where: the caller appends what
+the interval stands for.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ import numpy as np
 
 from .errors import QuadratureError
 
+_ABS_TOL = 5e-13  # every integral is within max(_ABS_TOL, _REL_TOL |integral|), per component
+_REL_TOL = 1e-10
 _MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
 _MAX_ROUNDS = 40  # refinement sweeps before a run gives up
 _MAX_PANELS = 400_000  # a refinement that would pass this many panels is refused unevaluated
@@ -133,9 +138,7 @@ def adaptive_quad(
     a: float,
     b: float,
     *,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-10,
-    breakpoints=None,
+    breakpoints,
     components: int,
 ) -> QuadResult:
     """Integrate ``f`` over [a, b].
@@ -148,12 +151,9 @@ def adaptive_quad(
         whose m = a*b components are L[i] * R[j] in row-major order.
     a, b : float
         Integration limits, a < b.
-    abs_tol, rel_tol : float
-        The run succeeds once the summed panel error of every component
-        drops below ``max(abs_tol, rel_tol * |integral of that component|)``.
-    breakpoints : sequence of float, optional
-        Interior seed points, e.g. oscillation nodes.  Points outside
-        (a, b) are ignored.
+    breakpoints : sequence of float
+        Interior seed points, e.g. oscillation nodes, possibly none.
+        Points outside (a, b) are ignored.
     components : int
         The integrand's output width m = a*b.  Integrand calls are sized
         from it, at most ``_MAX_ELEMENTS`` abscissas x components each.
@@ -176,19 +176,18 @@ def adaptive_quad(
         If not a < b, or if the integrand's output width is not ``components``.
     """
     if not a < b:
-        raise ValueError(f"integration limits must satisfy a < b, got [{a!r}, {b!r}]")
+        raise ValueError(f"integration limits must satisfy a < b, got a = {a!r}, b = {b!r}")
 
     edges = np.array([a, b], dtype=float)
-    if breakpoints is not None:
-        bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
-        bp = bp[(bp > a) & (bp < b)]
-        if bp.size:
-            edges = np.sort(np.concatenate([edges, bp]))
-            edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
+    bp = np.atleast_1d(np.asarray(breakpoints, dtype=float))
+    bp = bp[(bp > a) & (bp < b)]
+    if bp.size:
+        edges = np.sort(np.concatenate([edges, bp]))
+        edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
     lo = edges[:-1]
     hi = edges[1:]
     if len(lo) * components > _MAX_ROUND_ELEMENTS:
-        raise QuadratureError(f"{len(lo)} seeded panels x {components} components on [{a:g}, {b:g}] "
+        raise QuadratureError(f"{len(lo)} seeded panels x {components} components "
                               f"exceed the cap of {_MAX_ROUND_ELEMENTS} per round")
 
     total_len = b - a
@@ -201,11 +200,11 @@ def adaptive_quad(
         finite_errs = np.isfinite(errs).all()  # a non-finite rule value makes its error non-finite
         if not (finite_errs and np.isfinite(vals).all()):  # an overflowed sum can carry a finite error
             raise QuadratureError(
-                f"{'panel sums overflow' if finite_errs else 'integrand is not finite'} on [{a:g}, {b:g}]",
+                "panel sums overflow" if finite_errs else "integrand is not finite",
                 achieved=float(np.max(errs)),
             )
         est_total = done_val + vals.sum(axis=0)
-        budget = np.maximum(abs_tol, rel_tol * np.abs(est_total))
+        budget = np.maximum(_ABS_TOL, _REL_TOL * np.abs(est_total))
         total_err = done_err + errs.sum(axis=0)
         if np.all(total_err <= budget):
             return QuadResult(est_total, total_err, n_panels)
@@ -226,11 +225,8 @@ def adaptive_quad(
 
     # budget exhausted: the unaccepted panels count at their last (unrefined) errors
     achieved = float(np.max(done_err + errs[bad].sum(axis=0)))  # worst component
-    raise QuadratureError(
-        f"integration over [{a:g}, {b:g}] did not converge: achieved error "
-        f"{achieved:.3e} with {n_panels} panels",
-        achieved=achieved,
-    )
+    raise QuadratureError(f"integration did not converge: achieved error {achieved:.3e} with {n_panels} panels",
+                          achieved=achieved)
 
 
 def oscillation_breakpoints(a: float, b: float, rate: float) -> np.ndarray:
@@ -245,7 +241,7 @@ def oscillation_breakpoints(a: float, b: float, rate: float) -> np.ndarray:
     step = np.pi / rate
     count = (b - a) / step if step > 0.0 else math.inf  # an infinite rate has no step
     if count >= _MAX_SEEDS + 1:  # int(count) > _MAX_SEEDS, without int(inf)
-        raise QuadratureError(f"oscillation seeding would need more than {_MAX_SEEDS} panels on [{a:g}, {b:g}]")
+        raise QuadratureError(f"oscillation seeding would need more than {_MAX_SEEDS} panels")
     n = int(count)
     if n <= 1:
         return np.empty(0)

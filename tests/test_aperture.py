@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import log_slope
 
+from nearwave import quadrature
 from nearwave.aperture import (
     GaussianProfile,
     SingleSlitProfile,
@@ -306,22 +307,26 @@ class TestTailProbability:
 
 
 class TestGaussianProfile:
-    def test_amplitude_and_norm(self):
+    def test_amplitude_and_norm(self, monkeypatch):
         w = 1.7
         profile = GaussianProfile(w=w)
         assert profile.amplitude(0.0) == 1.0
         assert profile.amplitude(2.0) == pytest.approx(math.exp(-(2.0 * w) ** 2 / 4.0), rel=1e-15)
         want = math.sqrt(2.0 * math.pi) / w
+        monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-12)
+        monkeypatch.setattr(quadrature, "_REL_TOL", 1e-13)
         res = adaptive_quad(lambda k: (profile.amplitude(k)[None] ** 2, np.ones((1, len(k)))), 0.0, 40.0 / w,
-                            rel_tol=1e-13, components=1)
+                            breakpoints=(), components=1)
         got = 2.0 * res.value[0]
         assert got == pytest.approx(want, rel=1e-12)
 
 
 def _norm_sq(profile):
     """Two-sided norm of a tabulated profile: 2 * integral of |F|^2 over [0, k_max], panels seeded at its knots."""
-    return 2.0 * adaptive_quad(lambda k: (profile.amplitude(k)[None] ** 2, np.ones((1, len(k)))), 0.0, profile.k_max,
-                               abs_tol=1e-14, breakpoints=profile.knots(), components=1).value[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_ABS_TOL", 1e-14)
+        return 2.0 * adaptive_quad(lambda k: (profile.amplitude(k)[None] ** 2, np.ones((1, len(k)))), 0.0,
+                                   profile.k_max, breakpoints=profile.knots(), components=1).value[0]
 
 
 class TestTabulatedProfile:
@@ -363,8 +368,6 @@ class TestTabulatedProfile:
         # the first sweep is accepted
         import mpmath
         from scipy.interpolate import CubicSpline
-
-        from nearwave import quadrature
 
         k_max = 5.3
         ks = np.linspace(-k_max, k_max, 81)

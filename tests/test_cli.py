@@ -313,6 +313,23 @@ class TestField:
         error = json.loads(err)["error"]
         assert error["field"] == "aperture.path" and "line 4" in error["message"], error
 
+    @pytest.mark.parametrize("text, line", [
+        ("kx,F\n0.0,\n", 2),  # an empty F under the header
+        ("0.0,abc\n", 1),  # a numeric kx makes line 1 a sample, not a header
+        ("\nkx,F\nkx,F\n0.0,1.0\n", 3),  # only the first non-blank row may be a header
+    ])
+    def test_malformed_row_before_the_first_sample_names_its_line(self, capsys, tmp_path, text, line):
+        csv_path = tmp_path / "prof.csv"
+        csv_path.write_text(text + "0.5,0.9\n1.0,0.5\n1.5,0.2\n2.0,0.1\n")
+        cfg = dict(BASE_CFG, aperture={"kind": "tabulated", "path": str(csv_path)},
+                   grids=dict(BASE_CFG["grids"], kx=[1.5]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr outside pytest
+            rc, out, err = run_main(capsys, "absorb", "--config", write_cfg(tmp_path, cfg))
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["field"] == "aperture.path" and f"line {line}:" in error["message"], error
+
     @staticmethod
     def _tabulated_cfg(tmp_path, top):
         """A field config over a tabulated profile falling linearly from F = top at kx = 0."""
@@ -885,7 +902,8 @@ class TestRecordEmitter:
 
 
 class TestColdImport:
-    def test_scipy_deferred_to_first_use(self, tmp_path):
+    def test_import_and_a_spectrum_call_load_no_scipy(self, tmp_path):
+        # the package computes with numpy alone; scipy is a test dependency only
         cfg = write_cfg(tmp_path, BASE_CFG)
         out = str(tmp_path / "modes.csv")
         code = (

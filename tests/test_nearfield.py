@@ -110,9 +110,12 @@ class TestFieldStructure:
                 return np.abs(profile.amplitude(k)) * np.exp(-z * chi)
 
             # |cos| corners in |F| limit the attainable tolerance; a coarse
-            # absolute target is ample for an upper bound
-            bound = 2.0 * adaptive_quad(lambda k: (envelope(k)[None], np.ones((1, len(k)))), 1.0, 400.0,
-                                        abs_tol=1e-9, rel_tol=1e-8, components=1).value[0]
+            # absolute target is ample for an upper bound, and field_grid keeps its own
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quadrature, "_ABS_TOL", 1e-9)
+                mp.setattr(quadrature, "_REL_TOL", 1e-8)
+                bound = 2.0 * adaptive_quad(lambda k: (envelope(k)[None], np.ones((1, len(k)))), 1.0, 400.0,
+                                            breakpoints=(), components=1).value[0]
             assert abs(psi_cw) <= bound * (1.0 + 1e-9)
 
     def test_far_field_cw_to_rw_ratio(self):
@@ -533,9 +536,10 @@ class TestGridEngine:
 
     @pytest.mark.parametrize("z_max", [100.0, 1.0])
     def test_wide_grid_peak_memory_is_bounded(self, z_max):
-        # 101 x by 40 z of a slit: 51 column pairs per row, every row in one
-        # batch and ~530 panels on the k-range, which carries the 11 rows
-        # below z = 26.6 (z_max = 100) or all 40 (z_max = 1)
+        # 101 x by 40 z of a slit: 51 column pairs per row; the 39 rows above
+        # z = 0 take 2 batches, of 27 and 12 rows (z_max = 100), or 7 batches
+        # of at most 6 rows and 554 seeded panels (z_max = 1, as in
+        # test_wide_grid_calls_stay_within_the_element_cap)
         assert _peak_mb(
             f"field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, {z_max!r}, 40), SingleSlitProfile(a=1.0))"
         ) < 100.0

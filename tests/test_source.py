@@ -79,8 +79,9 @@ def test_every_public_function_and_class_is_referenced():
 
 def test_every_defaulted_parameter_is_passed_by_some_call():
     # a default that no package call overrides is a constant with an option's cost: each one doubles the cases
-    # a test must cover.  A call passes a parameter by keyword, by position (a method called through an
-    # attribute binds its first parameter itself) or through * or ** unpacking.
+    # a test must cover, and so is one that every call sets to the same expression.  A call passes a parameter
+    # by keyword, by position (a method called through an attribute binds its first parameter itself) or
+    # through * or ** unpacking, which counts as a value of its own; a call that omits it passes the default.
     exempt = {("main", "argv")}  # the console entry point reads sys.argv; tests pass argv
     calls = {}
     functions = []  # (function, positional offset of a call through an attribute)
@@ -101,21 +102,30 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
         if fn.name.startswith("_"):
             continue
         positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-        defaulted = positional[len(positional) - len(fn.args.defaults):] + [
-            a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
-        for param in defaulted:
+        defaults = dict(zip(positional[len(positional) - len(fn.args.defaults):], fn.args.defaults))
+        defaults.update((a.arg, d) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None)
+        for param, default in defaults.items():
             if (fn.name, param) in exempt:
                 continue
             index = positional.index(param) if param in positional else None
 
-            def passes(call):
-                if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
-                    return True
+            def passed(call):
+                """The expression ``call`` passes as ``param``, as ast.dump text: "*" if unpacked, None if omitted."""
+                for k in call.keywords:
+                    if k.arg == param:
+                        return ast.dump(k.value)
+                    if k.arg is None:  # **kwargs
+                        return "*"
                 if any(isinstance(a, ast.Starred) for a in call.args):
-                    return True
+                    return "*"
                 shift = offset if isinstance(call.func, ast.Attribute) else 0
-                return index is not None and len(call.args) + shift > index
+                if index is not None and len(call.args) + shift > index:
+                    return ast.dump(call.args[index - shift])
+                return None
 
-            if not any(passes(call) for call in calls.get(fn.name, [])):
+            values = [passed(call) for call in calls.get(fn.name, [])]
+            if all(v is None for v in values):
                 unpassed.append(f"{fn.name}({param})")
+            elif len({ast.dump(default) if v is None else v for v in values}) < 2:
+                unpassed.append(f"{fn.name}({param}) always {values[0]}")
     assert not unpassed, sorted(unpassed)
