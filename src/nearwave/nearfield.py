@@ -32,47 +32,45 @@ a, and any closed form of psi_cw reduces to the same difference.)
 z = 0 row; it asks the profile for its mode, and a profile without one
 sends its z = 0 rows down the general route below.
 
-A grid is two separable quadratures over t, one per side of t = 0, with
+A grid is at most three runs: the screen run, and two separable
+quadratures over t for all its other rows, one per side of t = 0, with
 component-major factors and the same seeds.  The running run's left
 factor is (2 nz, n), Re and Im of F kz e^{i kz z}; the crawling run's is
 (nz, n), F chi e^{-chi z}.  Both take the right factor (2 nu, n) of
 ``_right``, rows cos(k u_j) and -k sin(k u_j) per distinct u_j = |x_j|,
 as the screen run does.  Each run contracts its pair with the K31 weights
 without forming the product: psi_rw = 2 (V_re + i V_im) and
-psi_cw = 2 V_cw plus the tail.  Every cos/sin pair (cos t and sin t on
-t < 0, the RW phase kz z, and k u_j) comes from one tan of the half
-angle (``_cos_sin``).  psi is even in x and d(psi)/dx odd, so each point
-takes its columns and the sign of x.  The distinct |x| are a sorted set
-of Python floats (-0.0 and 0.0 are one), and each x finds its column
-through a dict: ~3 us at a handful of points against ~10 us for
-np.unique, and at 10^6 points a third of what formatting a CSV row costs.
-k_hi is the largest per-row end; a row that ends below it carries less
-than e^-46 beyond its own end.
+psi_cw = 2 V_cw plus the tail.  Quadrature alone bounds what a run holds
+at once, and counts its caps on a round's work a row at a time.  Every
+cos/sin pair (cos t and sin t on t < 0, the RW phase kz z, and k u_j)
+comes from one tan of the half angle (``_cos_sin``).  psi is even in x
+and d(psi)/dx odd, so each point takes its columns and the sign of x.
+The distinct |x| are a sorted set of Python floats (-0.0 and 0.0 are
+one), and each x finds its column through a dict: ~3 us at a handful of
+points against ~10 us for np.unique, and at 10^6 points a third of what
+formatting a CSV row costs.  k_hi is the largest per-row end; a row that
+ends below it carries less than e^-46 beyond its own end.
 
 The seeds follow where the integrand changes character (QUADPACK
-practice, Piessens et al. 1983), for the largest |x| and z of the rows
-that share a batch.  Oscillation seeds sit three half-waves of the
-fastest phase apart (F adds its own ``profile.rate``, a/2 for a slit):
-on the RW range in theta = t + pi/2 (phase k |x| + kz z), and on the CW
-range t in [0, acosh 2] and the range [2, k_hi] in k, mapped by
-t = acosh k (phase k |x|).  The G15 remainder on a 3 pi phase span is ~1e-20
-of the panel amplitude, and the |K31 - G15| estimate still guards every
-panel.  On the CW side z does not oscillate: e^{-chi z} only decays, so
-it adds decay seeds at t = asinh(6 j / z_max), j = 1..7, six e-folds of
-the highest row apart down to e^-46 (lower rows decay more slowly over
-the same panels).  The count of CW seeds below k = 2 thus does not grow
-with z_max.  The seeds also include the profile's knots
+practice, Piessens et al. 1983), for the largest |x| and z of the rows.
+Oscillation seeds sit three half-waves of the fastest phase apart (F adds
+its own ``profile.rate``, a/2 for a slit): on the RW range in
+theta = t + pi/2 (phase k |x| + kz z), and on the CW range t in
+[0, acosh 2] and the range [2, k_hi] in k, mapped by t = acosh k (phase
+k |x|).  The G15 remainder on a 3 pi phase span is ~1e-20 of the panel
+amplitude, and the |K31 - G15| estimate still guards every panel.  On the
+CW side z does not oscillate: e^{-chi z} only decays, so it adds decay
+seeds at t = asinh(6 j / z_max), j = 1..7, six e-folds of the highest
+row apart down to e^-46 (lower rows decay more slowly over the same
+panels).  The count of CW seeds below k = 2 thus does not grow with
+z_max.  The seeds also include the profile's knots
 (``ApertureProfile.knots``, mapped to t = -acos k and t = acosh k), the
 kx where a tabulated spline's third derivative jumps or F drops to zero:
-no panel straddles one, so K31 keeps its polynomial exactness
-there.  Each run keeps the seeds inside its own limits.  Rows share a
-batch as long as its two first rounds together, at most (seeds + 1)
-panels x 6 nu components per row, stay within ``_ROUND_ELEMENTS`` and
-one K31 panel within the quadrature's per-call element cap; further rows
-go to further batches.  ``field_grid`` returns the RW and CW parts of psi
-and d(psi)/dx as (nz, nx) arrays, each integral within quadrature's fixed
-budget.  Quadrature's errors say what failed; ``_in_kx`` adds where: the
-kx range, the rows' z and the largest |x|.
+no panel straddles one, so K31 keeps its polynomial exactness there.
+Each run keeps the seeds inside its own limits.  ``field_grid`` returns
+the RW and CW parts of psi and d(psi)/dx as (nz, nx) arrays, each
+integral within quadrature's fixed budget.  Quadrature's errors say what
+failed; ``_in_kx`` adds where: the kx range, rows' z and largest |x|.
 
 Units: x and z carry k0, wavenumbers are in k0, the field inherits the
 profile's (unnormalized) amplitude scale.
@@ -87,13 +85,11 @@ import numpy as np
 
 from .aperture import ApertureProfile
 from .errors import QuadratureError
-from .quadrature import _MAX_ELEMENTS, _X_K, adaptive_quad, oscillation_breakpoints
+from .quadrature import adaptive_quad, oscillation_breakpoints
 
 _EXP_CUT = 46.0  # exp(-46) ~ 1e-20, below quadrature's budget
 _HALF_WAVES_PER_PANEL = 3  # seed panels span this many half-oscillations of the fastest phase
 _EFOLDS_PER_PANEL = 6.0  # decay seeds of the CW range span this many e-folds of e^{-chi z_max}
-# seeded panels x components of one row batch's two runs: each round holds a few such arrays
-_ROUND_ELEMENTS = 1 << 20
 
 
 class FieldGrid(NamedTuple):
@@ -162,13 +158,13 @@ def _right(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     return right.reshape(2 * len(u), -1)
 
 
-def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
+def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile):
     """The RW and CW integrals of the rows zs at the distances u = |x|, one quadrature per side of t = 0.
 
-    ``axis`` is :func:`_axis` of these rows.  Returns a complex and a real
-    (nz, 2, len(u)) array: per row, the psi integrals, then the d/dx ones.
+    Returns a complex and a real (nz, 2, len(u)) array: per row, the psi
+    integrals, then the d/dx ones.
     """
-    k_hi, k_exp, seeds = axis
+    k_hi, k_exp, seeds = _axis(float(u[-1]), zs, profile)
     nz, nu = len(zs), len(u)
 
     def running(t):  # k = cos t, dk/dt = kz = -sin t
@@ -182,8 +178,8 @@ def _integrals(u: np.ndarray, zs: np.ndarray, profile: ApertureProfile, axis):
         return np.exp(np.multiply.outer(-zs, chi)) * (profile.amplitude(k) * chi), _right(u, k)
 
     try:  # crawling first: on wide rows its first round is the larger, refused before any work
-        cw = adaptive_quad(crawling, 0.0, float(np.arccosh(k_hi)), breakpoints=seeds, components=2 * nz * nu).value
-        rw = adaptive_quad(running, -0.5 * math.pi, 0.0, breakpoints=seeds, components=4 * nz * nu).value
+        cw = adaptive_quad(crawling, 0.0, float(np.arccosh(k_hi)), breakpoints=seeds, components=(nz, 2 * nu)).value
+        rw = adaptive_quad(running, -0.5 * math.pi, 0.0, breakpoints=seeds, components=(nz, 4 * nu)).value
     except QuadratureError as e:
         raise _in_kx(e, k_hi, zs, u[-1]) from None
     rw = 2.0 * rw.reshape(2, nz, 2, nu)
@@ -228,11 +224,10 @@ def _screen_parts(u: np.ndarray, profile: ApertureProfile):
 def field_grid(xs, zs, profile: ApertureProfile) -> FieldGrid:
     """The RW and CW parts of psi and d(psi)/dx at every (x, z) with z >= 0, as (len(zs), len(xs)) arrays.
 
-    The quadratures run over the distinct |x| alone.  Rows at z = 0 of a
-    profile with a closed form there take the one screen run
-    (``_screen_parts``); the other rows go in batches of consecutive rows,
-    each a running and a crawling run (``_integrals``) whose k_hi and seeds
-    come from its own rows, sized as the module docstring says.
+    The quadratures run over the distinct |x| alone, at most three runs a
+    grid: rows at z = 0 of a profile with a closed form there take the one
+    screen run (``_screen_parts``), and all the other rows one running and
+    one crawling run (``_integrals``) whose k_hi and seeds come from them.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
@@ -252,15 +247,7 @@ def field_grid(xs, zs, profile: ApertureProfile) -> FieldGrid:
         parts[0, screen], parts[1, screen] = screen_parts
     rows = [i for i, z in enumerate(z_list) if z != 0.0 or screen_parts is None]
     if rows:
-        axis = _axis(float(u[-1]), zs[rows], profile)  # these rows' seeds outnumber any batch's
-        per_row = 3 * 2 * len(u)
-        per_run = max(1, min(_MAX_ELEMENTS // (_X_K.size * per_row),
-                             _ROUND_ELEMENTS // ((len(axis[2]) + 1) * per_row)))
-        for start in range(0, len(rows), per_run):
-            batch = rows[start:start + per_run]
-            if per_run < len(rows):
-                axis = _axis(float(u[-1]), zs[batch], profile)
-            parts[0, batch], parts[1, batch] = _integrals(u, zs[batch], profile, axis)
+        parts[0, rows], parts[1, rows] = _integrals(u, zs[rows], profile)
     parts = parts[..., at]
     parts[:, :, 1] *= np.where(xs < 0, -1.0, 1.0)
     return FieldGrid(parts[0, :, 0], parts[1, :, 0], parts[0, :, 1], parts[1, :, 1])

@@ -8,21 +8,25 @@ local error estimate.  The budget is fixed: a run succeeds once each
 component's summed estimate is within max(``_ABS_TOL`` = 5e-13,
 ``_REL_TOL`` = 1e-10 |its integral|), and a panel is accepted only when
 every component is within its prorated share; the others are bisected.
-Every pending panel of a round is evaluated in one vectorized sweep, so
+The pending panels of a round are evaluated in vectorized sweeps, so
 the integrand must accept numpy arrays.  The integrand is real and
 separable: it returns a component-major pair (L, R) of (a, n) and (b, n)
 arrays for the a*b components L[i] * R[j] (row-major), so its
 elementwise work runs along rows of n abscissas.  Each panel weights the
 narrower factor along its 31 nodes by both rules, applies the other one
-to it through a transposed view in one batched matmul, and never builds
+to it through a transposed view in batched matmuls, and never builds
 the product.  Every round's pending panels are kept in ascending order.
 The procedure is deterministic for fixed inputs.
 
-A sweep is passed to the integrand in chunks of at most ``_MAX_ELEMENTS``
-abscissas x components, so one sweep of a wide integrand cannot allocate
-hundreds of MB at once.  The caller states the component count
-(``components``) so that every chunk, the first included, is sized before
-the integrand is called; a result of another width raises ``ValueError``.
+A run holds one block of at most ``_ROUND_ELEMENTS`` panels x components
+at a time; integrand calls get at most ``_MAX_ELEMENTS`` abscissas x
+components, and gemms ``_MAX_ELEMENTS`` m*n*k (OpenBLAS's one-thread
+size), one panel or factor row at least.  A first pass sums a round's
+totals and decides every panel but the held last block's against the
+last round's budget; a round that misses its own budget takes a second
+pass, which decides the held block and evaluates again only the panels
+whose decision the budget's move can change.  ``components`` sizes all of
+these before any integrand call; another width raises ``ValueError``.
 
 Every caller passes its seeds (``breakpoints``, possibly none); seeds a
 few half-oscillations apart at most suit an oscillatory integrand (K31
@@ -43,11 +47,11 @@ from .errors import QuadratureError
 
 _ABS_TOL = 5e-13  # every integral is within max(_ABS_TOL, _REL_TOL |integral|), per component
 _REL_TOL = 1e-10
-_MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
+_MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call, and m*n*k per gemm
 _MAX_ROUNDS = 40  # refinement sweeps before a run gives up
+_ROUND_ELEMENTS = 1 << 19  # panels x components of one block of a round, the most a run holds at once
 _MAX_PANELS = 400_000  # a refinement that would pass this many panels is refused unevaluated
-# a round that would hold more pending panels x components is refused unevaluated: ~17 bytes each at peak
-_MAX_ROUND_ELEMENTS = 1 << 27
+_MAX_ROUND_ELEMENTS = 1 << 27  # a round of more panels x components (a row's) is refused: a bound on work, not memory
 _MAX_SEEDS = 200_000  # oscillation_breakpoints refuses to seed more panels
 
 # The K31 rule (Kronrod 1965) and its embedded G15 rule, tabulated as QUADPACK's
@@ -87,39 +91,41 @@ class QuadResult(NamedTuple):
     panels: int
 
 
-def _separable_sums(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
-    """K31 and K31 - G15 sums of left[i] * right[j] on each of p panels, shaped (p, 2, a*b).
+def _separable_sums(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """K31 and K31 - G15 sums of left[i] * right[j] on each of p panels, written into ``out``, (p, 2, a*b).
 
     ``left`` is (a, 31 p) and ``right`` (b, 31 p), 31 nodes per panel.
     The narrower factor is weighted by both rules, (p, 2, a or b, 31), and
     the other one is applied to it through a transposed view, so the
-    product of the two is never built.
+    product of the two is never built.  The wider factor goes in slices.
     """
-    a, b = len(left), len(right)
+    p, a, b = len(out), len(left), len(right)
     left = left.reshape(a, p, _X_K.size).transpose(1, 0, 2)  # (p, a, nodes) views
     right = right.reshape(b, p, _X_K.size).transpose(1, 0, 2)
-    if a <= b:
-        weighted = left[:, None] * _RULES[:, None, :]  # (p, 2, a, nodes)
-        r = weighted.reshape(p, 2 * a, _X_K.size) @ right.transpose(0, 2, 1)  # (p, 2a, b)
-    else:
-        weighted = right[:, None] * _RULES[:, None, :]  # (p, 2, b, nodes)
-        r = left[:, None] @ weighted.transpose(0, 1, 3, 2)  # (p, 2, a, b)
-    return r.reshape(p, 2, a * b)
+    if a <= b:  # gemms of (2a, nodes) by (nodes, step) into columns of (p, 2a, b)
+        weighted = (left[:, None] * _RULES[:, None, :]).reshape(p, 2 * a, _X_K.size)
+        r = out.reshape(p, 2 * a, b)  # a view: out is contiguous
+        step = max(1, _MAX_ELEMENTS // (2 * a * _X_K.size))
+        for j in range(0, b, step):
+            np.matmul(weighted, right[:, j:j + step].transpose(0, 2, 1), out=r[..., j:j + step])
+    else:  # gemms of (step, nodes) by (nodes, b) into rows of (p, 2, a, b)
+        weighted = (right[:, None] * _RULES[:, None, :]).transpose(0, 1, 3, 2)
+        r = out.reshape(p, 2, a, b)
+        step = max(1, _MAX_ELEMENTS // (b * _X_K.size))
+        for i in range(0, a, step):
+            np.matmul(left[:, None, i:i + step], weighted, out=r[:, :, i:i + step])
 
 
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
     """K31 values and |K31 - G15| error estimates on a batch of panels, each shaped (panels, components).
 
-    ``components`` is the integrand's stated output width; each call gets
-    at most ``_MAX_ELEMENTS // (31 * components)`` panels (at least one).
-    Each call's (panels, 2, components) sums are scaled by the half widths
-    straight into one preallocated array, whose two halves are returned as
-    views.
+    Each integrand call gets at most ``_MAX_ELEMENTS // (31 * components)``
+    panels (at least one); the sums of all calls fill one preallocated
+    array in place, whose two halves are returned as views.
     """
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi))[:, None] + half[:, None] * _X_K
     step = max(1, _MAX_ELEMENTS // (_X_K.size * components))
-    # filled in place: a list of chunks plus their concatenation would hold two copies
     sums = np.empty((len(lo), 2, components))
     for start in range(0, len(lo), step):
         h = half[start:start + step, None, None]
@@ -127,20 +133,14 @@ def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
         width = len(left) * len(right)
         if width != components:
             raise ValueError(f"integrand returned {width} components per abscissa, not components={components}")
-        np.multiply(_separable_sums(left, right, len(h)), h, out=sums[start:start + len(h)])
+        _separable_sums(left, right, chunk := sums[start:start + len(h)])
+        chunk *= h
     errs = sums[:, 1]
     np.abs(errs, out=errs)  # the half widths are positive, so |sum| * h = |sum * h|
     return sums[:, 0], errs
 
 
-def adaptive_quad(
-    f,
-    a: float,
-    b: float,
-    *,
-    breakpoints,
-    components: int,
-) -> QuadResult:
+def adaptive_quad(f, a: float, b: float, *, breakpoints, components) -> QuadResult:
     """Integrate ``f`` over [a, b].
 
     Parameters
@@ -154,9 +154,10 @@ def adaptive_quad(
     breakpoints : sequence of float
         Interior seed points, e.g. oscillation nodes, possibly none.
         Points outside (a, b) are ignored.
-    components : int
-        The integrand's output width m = a*b.  Integrand calls are sized
-        from it, at most ``_MAX_ELEMENTS`` abscissas x components each.
+    components : int or (int, int)
+        The integrand's output width m = a*b, or (rows, w) for m = rows*w
+        in rows of w, such as a field grid's: the caps on a round's work
+        then count one row.  Blocks, calls and gemms are sized from m.
 
     Returns
     -------
@@ -168,10 +169,9 @@ def adaptive_quad(
     QuadratureError
         If the budget of ``_MAX_ROUNDS`` sweeps is exhausted; the exception
         carries the achieved error estimate.  A refinement that would
-        exceed ``_MAX_PANELS``, or a round whose panels x components would
-        exceed ``_MAX_ROUND_ELEMENTS``, is refused before it is evaluated,
-        and a sweep that yields a non-finite panel value or error raises at
-        once.
+        exceed ``_MAX_PANELS``, or a round whose panels x components (of
+        a row) would exceed ``_MAX_ROUND_ELEMENTS``, is refused before it
+        is evaluated, and a non-finite panel value or error raises at once.
     ValueError
         If not a < b, or if the integrand's output width is not ``components``.
     """
@@ -184,38 +184,62 @@ def adaptive_quad(
     if bp.size:
         edges = np.sort(np.concatenate([edges, bp]))
         edges = edges[np.concatenate([[True], edges[1:] != edges[:-1]])]  # np.unique would import numpy.ma
-    lo = edges[:-1]
-    hi = edges[1:]
-    if len(lo) * components > _MAX_ROUND_ELEMENTS:
-        raise QuadratureError(f"{len(lo)} seeded panels x {components} components "
+    lo, hi = edges[:-1], edges[1:]
+    rows, width = components if isinstance(components, tuple) else (1, components)
+    components = rows * width
+    if len(lo) * width > _MAX_ROUND_ELEMENTS:
+        raise QuadratureError(f"{len(lo)} seeded panels x {width} components{' a row' if rows > 1 else ''} "
                               f"exceed the cap of {_MAX_ROUND_ELEMENTS} per round")
 
-    total_len = b - a
-    done_val = 0.0
-    done_err = 0.0
-    n_panels = len(lo)
+    total_len, n_panels = b - a, len(lo)
+    done_val = done_err = 0.0
+    step = max(1, _ROUND_ELEMENTS // components)  # panels per block
+    ref = _ABS_TOL  # the budget that a first pass decides against: the last round's
 
     for _ in range(_MAX_ROUNDS):
-        vals, errs = _panel_estimates(f, lo, hi, components)
-        finite_errs = np.isfinite(errs).all()  # a non-finite rule value makes its error non-finite
-        if not (finite_errs and np.isfinite(vals).all()):  # an overflowed sum can carry a finite error
-            raise QuadratureError(
-                "panel sums overflow" if finite_errs else "integrand is not finite",
-                achieved=float(np.max(errs)),
-            )
-        est_total = done_val + vals.sum(axis=0)
+        # first pass: the totals, and each panel but the held last block's decided by its error under ref
+        est_total, total_err, rejected = done_val, done_err, (0.0, 0.0)
+        # the first block takes the remainder, so the held last one is full
+        blocks = [slice(max(0, end - step), end) for end in range(len(lo) % step or step, len(lo) + 1, step)]
+        ratio, share = (np.zeros(len(lo)), (hi - lo) / total_len) if len(blocks) > 1 else (None, None)
+        for block in blocks:
+            vals = errs = None  # the previous block goes before the next is evaluated
+            vals, errs = _panel_estimates(f, lo[block], hi[block], components)
+            finite_errs = np.isfinite(errs).all()  # a non-finite rule value makes its error non-finite
+            if not (finite_errs and np.isfinite(vals).all()):  # an overflowed sum can carry a finite error
+                raise QuadratureError("panel sums overflow" if finite_errs else "integrand is not finite",
+                                      achieved=float(np.max(errs)))
+            est_total, total_err = est_total + vals.sum(axis=0), total_err + errs.sum(axis=0)
+            if block.stop < len(lo):
+                errs /= ref  # in place: a rejected sum below is scaled back
+                ratio[block] = errs.max(axis=1)  # a panel's largest error over ref: accepted up to its share
+                if (reject := ratio[block] > share[block]).any():  # einsum: no rows copied, and no BLAS gemv,
+                    rejected = (rejected[0] + np.einsum("i,ij", reject, vals),  # whose threads can stall
+                                rejected[1] + np.einsum("i,ij", reject, errs) * ref)
         budget = np.maximum(_ABS_TOL, _REL_TOL * np.abs(est_total))
-        total_err = done_err + errs.sum(axis=0)
         if np.all(total_err <= budget):
             return QuadResult(est_total, total_err, n_panels)
-        ok = (errs <= budget * (hi - lo)[:, None] / total_len).all(axis=1)
-        done_val += vals[ok].sum(axis=0)
-        done_err += errs[ok].sum(axis=0)
-        if ok.all():
+        # second pass: the held block, and the panels that the budget's move from ref may flip, evaluated again
+        bad, again = np.empty(len(lo), dtype=bool), []
+        if ratio is not None:  # the first pass accepted every other panel that it did not reject
+            done_val, done_err = est_total - rejected[0] - vals.sum(axis=0), total_err - rejected[1] - errs.sum(axis=0)
+            moved = budget / ref  # a decision flips only if ratio / share lies between 1 and one of these
+            low, high = min(1.0, moved.min()) * (1.0 - 1e-9), max(1.0, moved.max()) * (1.0 + 1e-9)
+            bad, again, moved = ratio > share, np.flatnonzero((ratio > low * share) & (ratio <= high * share)), None
+        ok = (errs <= budget * (hi[block] - lo[block])[:, None] / total_len).all(axis=1)
+        done_val, done_err = done_val + vals[ok].sum(axis=0), done_err + errs[ok].sum(axis=0)
+        np.logical_not(ok, out=bad[block])
+        for at in (again[i:i + step] for i in range(0, len(again), step)):
+            vals = errs = None
+            vals, errs = _panel_estimates(f, lo[at], hi[at], components)
+            ok = (errs <= budget * (hi[at] - lo[at])[:, None] / total_len).all(axis=1)
+            change = ok - (1.0 - bad[at])  # +1 accepted now, -1 accepted by the first pass alone
+            done_val, done_err = done_val + np.einsum("i,ij", change, vals), done_err + np.einsum("i,ij", change, errs)
+            bad[at] = ~ok
+        ref = budget
+        if not (n_bad := np.count_nonzero(bad)):
             return QuadResult(done_val, done_err, n_panels)
-        bad = ~ok
-        n_bad = np.count_nonzero(bad)
-        if n_panels + n_bad > _MAX_PANELS or 2 * n_bad * components > _MAX_ROUND_ELEMENTS:
+        if n_panels + n_bad > _MAX_PANELS or 2 * n_bad * width > _MAX_ROUND_ELEMENTS:
             break
         lo_bad, hi_bad = lo[bad], hi[bad]
         mid_bad = 0.5 * (lo_bad + hi_bad)
@@ -223,8 +247,7 @@ def adaptive_quad(
         hi = np.stack([mid_bad, hi_bad], axis=1).ravel()
         n_panels += len(lo_bad)
 
-    # budget exhausted: the unaccepted panels count at their last (unrefined) errors
-    achieved = float(np.max(done_err + errs[bad].sum(axis=0)))  # worst component
+    achieved = float(np.max(total_err))  # the worst component, its unaccepted panels at their last (unrefined) errors
     raise QuadratureError(f"integration did not converge: achieved error {achieved:.3e} with {n_panels} panels",
                           achieved=achieved)
 

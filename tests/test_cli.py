@@ -409,8 +409,8 @@ class TestField:
 
     def test_wide_row_refused_before_allocating(self, tmp_path):
         # 200,001 x to |x| = 50 at z = 0.5 make one row whose crawling run has 295,252 components (147,626
-        # distinct |x|) over 503 seeded panels: its first round would hold 2.2 GiB.  adaptive_quad refuses it
-        # unevaluated, so a fresh process exits 3 within a 1 GB address space
+        # distinct |x|) over 503 seeded panels: its first round, 1.5e8 panels x components, passes the 2^27 cap on
+        # a round's work.  adaptive_quad refuses it unevaluated, so a fresh process exits 3 within a 1 GB address space
         resource = pytest.importorskip("resource")
         cfg = dict(BASE_CFG, grids={"x": {"start": -50.0, "stop": 50.0, "num": 200001}, "z": [0.5]})
         limit = 1 << 30
@@ -422,6 +422,26 @@ class TestField:
         assert proc.returncode == 3 and proc.stdout == "" and proc.stderr.count("\n") == 1, proc.stderr
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == "quadrature" and error["message"].startswith("503 seeded panels x 295252 components")
+
+    def test_rows_sharing_a_run_are_capped_a_row_at_a_time(self, tmp_path, monkeypatch):
+        # 1000 x to |x| = 50 by 400 z in [0, 1] of a slit: the 399 rows above z = 0 share a crawling run of
+        # 546 seeded panels x 399 rows x 1,732 components, past the 2^27 cap on a round's work as a whole
+        # but within it a row at a time, which is how the cap counts.  So the run starts; as the whole grid
+        # takes seconds, it is stopped at its first integrand call
+        class Evaluated(Exception):
+            pass
+
+        def first_call(t):
+            raise Evaluated
+
+        def stopped(f, a, b, **kwargs):  # the screen run of the z = 0 row, over k in [0, 1], goes through
+            return nearfield_quad(f if (a, b) == (0.0, 1.0) else first_call, a, b, **kwargs)
+
+        nearfield_quad = nearfield.adaptive_quad
+        monkeypatch.setattr(nearfield, "adaptive_quad", stopped)
+        grids = {"x": {"start": -50.0, "stop": 50.0, "num": 1000}, "z": {"start": 0.0, "stop": 1.0, "num": 400}}
+        with pytest.raises(Evaluated):
+            cli.main(["field", "--config", write_cfg(tmp_path, dict(BASE_CFG, grids=grids))])
 
     @pytest.mark.parametrize("num", [0, 10**6 + 1, 10**13])
     def test_grid_num_out_of_range_rejected(self, capsys, tmp_path, num):

@@ -309,6 +309,29 @@ def _counting_quad(monkeypatch):
     return calls, sizes
 
 
+def _counting_blocks_and_gemms(monkeypatch):
+    """Patch quadrature to record the panels x components of every block it evaluates and the m*n*k of every gemm."""
+    blocks, gemms = [], []
+    estimates = quadrature._panel_estimates
+
+    def counted(f, lo, hi, components):
+        blocks.append(len(lo) * components)
+        return estimates(f, lo, hi, components)
+
+    class CountingNumpy:  # numpy, as quadrature sees it, with its matmul counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(x, y, **kwargs):
+            gemms.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+            return np.matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_panel_estimates", counted)
+    monkeypatch.setattr(quadrature, "np", CountingNumpy())
+    return blocks, gemms
+
+
 def _pop_screen_run(calls, n_u: int):
     """Remove a slit grid's screen run from ``calls``: the first run, 2 components per distinct |x| in each result."""
     screen = calls.pop(0)
@@ -505,43 +528,57 @@ class TestGridEngine:
                 assert np.ascontiguousarray(col[:, j]).tobytes() == np.ascontiguousarray(col[:, k]).tobytes()
             assert np.array_equal(current_x(grid)[:, k], sign * current_x(grid)[:, j]), (xs[j], xs[k])
 
-    def test_batches_keep_each_panel_within_the_element_cap(self, monkeypatch):
-        # rounding keeps most +-x of this grid apart: 794 distinct |x|, so a
-        # row has 3 x 2 x 794 = 4,764 components and one K31 panel of two
-        # rows would pass the element cap; the 10 rows take 10 batches of
-        # two runs each
+    def test_wide_rows_keep_each_gemm_within_the_element_cap(self, monkeypatch):
+        # rounding keeps most +-x of this grid apart: 794 distinct |x|, so the
+        # 10 rows' crawling run has 10 x 2 x 794 = 15,880 components and one
+        # K31 panel of it passes the element cap; the grid is still two runs,
+        # whose gemms take slices of the right factor
         profile = GaussianProfile(w=1.3)
         xs = np.linspace(-5.0, 5.0, 999)
         zs = np.linspace(0.0, 3.0, 10)
-        calls, sizes = _counting_quad(monkeypatch)
+        calls, _ = _counting_quad(monkeypatch)
+        blocks, gemms = _counting_blocks_and_gemms(monkeypatch)
         grid = field_grid(xs, zs, profile)
-        assert len(calls) == 20
-        assert max(sizes) <= quadrature._MAX_ELEMENTS
+        assert len(calls) == 2
+        assert 31 * min(calls[0]) > quadrature._MAX_ELEMENTS
+        assert max(gemms) <= quadrature._MAX_ELEMENTS and max(blocks) <= quadrature._ROUND_ELEMENTS
         monkeypatch.undo()
-        for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):  # rows on both sides of the batch edge
+        for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):
             _assert_cell_matches_point(grid, xs, zs, i, j, profile)
 
     def test_wide_grid_calls_stay_within_the_element_cap(self, monkeypatch):
         # the 101 x by 40 z slit grid below: the z = 0 row takes its own run;
-        # the others have 51 column pairs per row, 306 components over both
-        # runs, and 553 seeds, so a batch's first rounds hold 6 rows within
-        # _ROUND_ELEMENTS; 39 rows take 7 batches of two runs, each chunked
-        # by abscissas x components
+        # the 39 others have 51 column pairs per row, 11,934 components over
+        # both runs, and 553 seeds, so their first rounds span several
+        # blocks; each is one run per side, its sweeps chunked by abscissas
+        # x components and its gemms by m*n*k
         calls, sizes = _counting_quad(monkeypatch)
+        blocks, gemms = _counting_blocks_and_gemms(monkeypatch)
         field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, 1.0, 40), SingleSlitProfile(a=1.0))
         _pop_screen_run(calls, n_u=51)
-        assert len(calls) == 14
-        assert max(sizes) <= quadrature._MAX_ELEMENTS
+        assert len(calls) == 2
+        assert max(sizes) <= quadrature._MAX_ELEMENTS  # one panel is within the cap here
+        assert max(gemms) <= quadrature._MAX_ELEMENTS and max(blocks) <= quadrature._ROUND_ELEMENTS
         assert max(len(c) for c in calls) > 2  # a sweep was split into chunks
 
     @pytest.mark.parametrize("z_max", [100.0, 1.0])
     def test_wide_grid_peak_memory_is_bounded(self, z_max):
         # 101 x by 40 z of a slit: 51 column pairs per row; the 39 rows above
-        # z = 0 take 2 batches, of 27 and 12 rows (z_max = 100), or 7 batches
-        # of at most 6 rows and 554 seeded panels (z_max = 1, as in
-        # test_wide_grid_calls_stay_within_the_element_cap)
+        # z = 0 take one run per side, whose first rounds at z_max = 1 span
+        # several blocks (as in test_wide_grid_calls_stay_within_the_element_cap)
         assert _peak_mb(
             f"field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, {z_max!r}, 40), SingleSlitProfile(a=1.0))"
+        ) < 100.0
+
+    def test_dense_tabulated_grid_peak_memory_is_bounded(self):
+        # 2,001 noisy samples pass the knot-seed cap, so refinement sets the
+        # panels: crawling rounds of up to ~5,000 panels x 510 components,
+        # which quadrature evaluates a block at a time
+        assert _peak_mb(
+            "from nearwave.aperture import TabulatedProfile\n"
+            "ks = np.linspace(0.0, 20.0, 2001)\n"
+            "f = np.exp(-ks**2 / 4.0) + 1e-3 * np.random.default_rng(0).standard_normal(ks.size)\n"
+            "field_grid(np.linspace(-20.0, 20.0, 101), [0.0, 0.1, 1.0], TabulatedProfile(ks, f))"
         ) < 100.0
 
 
@@ -817,7 +854,7 @@ class TestTabulatedKnots:
 
 
 class TestMixedHeights:
-    # Rows at z = 0.25 and z = 100 share one batch.  Its CW seeds follow the
+    # Rows at z = 0.25 and z = 100 share their runs.  The CW seeds follow the
     # oscillation of the widest |x| and the decay e^{-chi z} of the highest
     # row alone; panels that span six e-folds of the high row still carry
     # the low row's slower decay in the same first sweep.

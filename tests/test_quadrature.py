@@ -1,3 +1,4 @@
+import collections
 import math
 from fractions import Fraction
 
@@ -188,6 +189,24 @@ class TestAdaptiveQuad:
             adaptive_quad(f, 0.0, 1.0, breakpoints=np.linspace(0.2, 0.8, 4), components=4)
         assert sum(batches) == 31 * (5 + 10)  # the 5 seeded panels, then their 10 halves; 20 halves would pass
         assert math.isfinite(err.value.achieved) and err.value.achieved > 0
+
+    def test_round_cap_counts_one_row(self, monkeypatch):
+        # stated as 2 rows of 2 components, the integrand above is capped a row at a time, as a field
+        # grid's rows are: 6 seeded panels are bisected, as 12 halves x 2 components stay within the cap
+        # of 40 (x 4 would pass it), and the run ends before 24 halves; 21 seeded panels x 2 are refused
+        monkeypatch.setattr(quadrature, "_MAX_ROUND_ELEMENTS", 40)
+        batches = []
+
+        def f(x):
+            batches.append(x.size)
+            return np.cos(np.multiply.outer([1e9, 2e9], x)), np.ones((2, len(x)))
+
+        with pytest.raises(QuadratureError, match="did not converge"):
+            adaptive_quad(f, 0.0, 1.0, breakpoints=np.linspace(1 / 6, 5 / 6, 5), components=(2, 2))
+        assert sum(batches) == 31 * (6 + 12)
+        with pytest.raises(QuadratureError, match=r"^21 seeded panels x 2 components a row exceed the cap of 40"):
+            adaptive_quad(f, 0.0, 1.0, breakpoints=np.linspace(0.025, 0.975, 20), components=(2, 2))
+        assert sum(batches) == 31 * (6 + 12)
 
 
 class TestVectorIntegrand:
@@ -383,6 +402,46 @@ class TestSeparable:
         got = adaptive_quad(f, 0.0, 3.0, breakpoints=seeds, components=6)
         assert seen[0] == 4 * 31 and max(seen) == 4 * 31  # the first chunk is full too
         assert got.panels == want.panels and np.array_equal(got.value, want.value)
+
+    @pytest.mark.parametrize("case", ["oscillatory", "shrinking"])
+    def test_streaming_changes_no_decision(self, monkeypatch, case):
+        # blocks of two panels make rounds of many blocks: the first pass
+        # decides the panels of all blocks but the last against the last
+        # round's budget, and the second pass evaluates again those whose
+        # decision this round's budget may change.  "oscillatory": ten
+        # unseeded oscillations per unit over [0, 30], where the budget
+        # barely moves and no panel is evaluated twice.  "shrinking": a spike
+        # at the centre node of a seed panel inflates the first round's
+        # second component, so its budget shrinks ~20x in the next round and
+        # panels accepted under the old budget are rejected, and others the
+        # other way round
+        if case == "oscillatory":
+            f, a, b, seeds = self.CASES["oscillatory"][0], 0.0, 30.0, ()
+        else:
+            def f(t):
+                spike = 1e3 * np.exp(-(((t - 9.5) / 1e-3) ** 2))
+                return np.ones((1, len(t))), np.stack([10.0 + np.cos(22.0 * t), spike + np.sin(22.0 * t)])
+            a, b, seeds = 0.0, 10.0, np.arange(2.0, 10.0)
+        components = len(f(np.zeros(1))[0]) * len(f(np.zeros(1))[1])
+        held = adaptive_quad(f, a, b, breakpoints=seeds, components=components)
+        evaluated, blocks = collections.Counter(), []
+        estimates = quadrature._panel_estimates
+
+        def counted(f, lo, hi, components):
+            evaluated.update(zip(lo.tolist(), hi.tolist()))
+            blocks.append(len(lo))
+            return estimates(f, lo, hi, components)
+
+        monkeypatch.setattr(quadrature, "_panel_estimates", counted)
+        monkeypatch.setattr(quadrature, "_ROUND_ELEMENTS", 2 * components)
+        streamed = adaptive_quad(f, a, b, breakpoints=seeds, components=components)
+        assert max(blocks) == 2 and len(blocks) > 10
+        assert streamed.panels == held.panels and type(streamed.panels) is int  # a numpy int would not reach JSON
+        assert np.all(np.abs(streamed.value - held.value) <= 1e-14 * np.abs(held.value).max())
+        assert np.all(np.abs(streamed.error - held.error) <= 1e-14 * np.abs(held.value).max())
+        # a panel belongs to one round, and is evaluated at most twice in it
+        twice = sum(n == 2 for n in evaluated.values())
+        assert set(evaluated.values()) <= {1, 2} and (twice == 0) == (case == "oscillatory"), twice
 
     def test_one_integrand_call_per_sweep(self, monkeypatch):
         # a sweep within the element cap is one integrand call, the first
