@@ -39,6 +39,11 @@ import os
 import sys
 from importlib import resources
 
+# One BLAS thread is the whole design, as every gemm of a run is one panel's.  OpenBLAS reads
+# the variable once, as numpy loads, so a process that loaded numpy first is left as it is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # a value the user set is kept
+
 import numpy as np
 
 from . import aperture as aperture_mod

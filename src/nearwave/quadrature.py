@@ -20,13 +20,14 @@ The procedure is deterministic for fixed inputs.
 
 A run holds one block of at most ``_ROUND_ELEMENTS`` panels x components
 at a time; integrand calls get at most ``_MAX_ELEMENTS`` abscissas x
-components, and gemms ``_MAX_ELEMENTS`` m*n*k (OpenBLAS's one-thread
-size), one panel or factor row at least.  A first pass sums a round's
-totals and decides every panel but the held last block's against the
-last round's budget; a round that misses its own budget takes a second
-pass, which decides the held block and evaluates again only the panels
-whose decision the budget's move can change.  ``components`` sizes all of
-these before any integrand call; another width raises ``ValueError``.
+components, one panel at least, and each call's sums are one gemm per
+panel, on the one BLAS thread that :mod:`nearwave.cli` pins.  A first
+pass sums a round's totals and decides every panel but the held last
+block's against the last round's budget; a round that misses its own
+budget takes a second pass, which decides the held block and evaluates
+again only the panels whose decision the budget's move can change.
+``components`` sizes all of these before any integrand call; another
+width raises ``ValueError``.
 
 Every caller passes its seeds (``breakpoints``, possibly none); seeds a
 few half-oscillations apart at most suit an oscillatory integrand (K31
@@ -47,7 +48,7 @@ from .errors import QuadratureError
 
 _ABS_TOL = 5e-13  # every integral is within max(_ABS_TOL, _REL_TOL |integral|), per component
 _REL_TOL = 1e-10
-_MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call, and m*n*k per gemm
+_MAX_ELEMENTS = 1 << 18  # abscissas x components per integrand call
 _MAX_ROUNDS = 40  # refinement sweeps before a run gives up
 _ROUND_ELEMENTS = 1 << 19  # panels x components of one block of a round, the most a run holds at once
 _MAX_PANELS = 400_000  # a refinement that would pass this many panels is refused unevaluated
@@ -96,24 +97,18 @@ def _separable_sums(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> Non
 
     ``left`` is (a, 31 p) and ``right`` (b, 31 p), 31 nodes per panel.
     The narrower factor is weighted by both rules, (p, 2, a or b, 31), and
-    the other one is applied to it through a transposed view, so the
-    product of the two is never built.  The wider factor goes in slices.
+    the other one is applied to it through a transposed view in one
+    batched matmul, so the product of the two is never built.
     """
     p, a, b = len(out), len(left), len(right)
     left = left.reshape(a, p, _X_K.size).transpose(1, 0, 2)  # (p, a, nodes) views
     right = right.reshape(b, p, _X_K.size).transpose(1, 0, 2)
-    if a <= b:  # gemms of (2a, nodes) by (nodes, step) into columns of (p, 2a, b)
+    if a <= b:  # a gemm of (2a, nodes) by (nodes, b) per panel into (p, 2a, b)
         weighted = (left[:, None] * _RULES[:, None, :]).reshape(p, 2 * a, _X_K.size)
-        r = out.reshape(p, 2 * a, b)  # a view: out is contiguous
-        step = max(1, _MAX_ELEMENTS // (2 * a * _X_K.size))
-        for j in range(0, b, step):
-            np.matmul(weighted, right[:, j:j + step].transpose(0, 2, 1), out=r[..., j:j + step])
-    else:  # gemms of (step, nodes) by (nodes, b) into rows of (p, 2, a, b)
+        np.matmul(weighted, right.transpose(0, 2, 1), out=out.reshape(p, 2 * a, b))  # a view: out is contiguous
+    else:  # a gemm of (a, nodes) by (nodes, b) per panel and rule into (p, 2, a, b)
         weighted = (right[:, None] * _RULES[:, None, :]).transpose(0, 1, 3, 2)
-        r = out.reshape(p, 2, a, b)
-        step = max(1, _MAX_ELEMENTS // (b * _X_K.size))
-        for i in range(0, a, step):
-            np.matmul(left[:, None, i:i + step], weighted, out=r[:, :, i:i + step])
+        np.matmul(left[:, None], weighted, out=out.reshape(p, 2, a, b))
 
 
 def _panel_estimates(f, lo: np.ndarray, hi: np.ndarray, components: int):
@@ -213,8 +208,8 @@ def adaptive_quad(f, a: float, b: float, *, breakpoints, components) -> QuadResu
             if block.stop < len(lo):
                 errs /= ref  # in place: a rejected sum below is scaled back
                 ratio[block] = errs.max(axis=1)  # a panel's largest error over ref: accepted up to its share
-                if (reject := ratio[block] > share[block]).any():  # einsum: no rows copied, and no BLAS gemv,
-                    rejected = (rejected[0] + np.einsum("i,ij", reject, vals),  # whose threads can stall
+                if (reject := ratio[block] > share[block]).any():  # einsum: no rejected rows copied out
+                    rejected = (rejected[0] + np.einsum("i,ij", reject, vals),
                                 rejected[1] + np.einsum("i,ij", reject, errs) * ref)
         budget = np.maximum(_ABS_TOL, _REL_TOL * np.abs(est_total))
         if np.all(total_err <= budget):

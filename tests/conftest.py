@@ -6,6 +6,8 @@ import math
 
 from hypothesis import HealthCheck, settings
 
+# nearwave.cli must be imported before numpy, so that it pins OpenBLAS to the one thread
+# the CLI runs on and the whole suite runs that way
 from nearwave import cli
 from nearwave.modes import WaveKind
 from nearwave.recoil import _EPS, ScreenSpec, _branch_conditioning, recoil_solution

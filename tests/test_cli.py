@@ -1014,6 +1014,35 @@ class TestColdImport:
         assert min(seen["erfcx"]) < 26.0 <= max(seen["erfcx"])
         assert seen["series"] > 0
 
+    @staticmethod
+    def _blas_setting(imports: str, value: str | None = None) -> dict:
+        """OPENBLAS_NUM_THREADS and the thread count of a fresh interpreter after ``imports``, started with
+        the variable unset or set to ``value``; the count is None where /proc is absent."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        code = (
+            f"import json, os\n{imports}\n"
+            "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+            "print(json.dumps({'value': os.environ.get('OPENBLAS_NUM_THREADS'), 'tasks': tasks}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        return json.loads(proc.stdout)
+
+    def test_cli_pins_one_blas_thread_before_numpy_loads(self):
+        seen = self._blas_setting("import nearwave.cli")
+        assert seen["value"] == "1"
+        if seen["tasks"] is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert seen["tasks"] == 1
+
+    def test_cli_keeps_a_blas_thread_count_the_user_set(self):
+        assert self._blas_setting("import nearwave.cli", "2")["value"] == "2"
+
+    def test_cli_leaves_blas_alone_once_numpy_is_loaded(self):
+        # the pin could no longer act: OpenBLAS read the variable as numpy loaded
+        assert self._blas_setting("import numpy\nimport nearwave.cli")["value"] is None
+
 
 class TestErrorsAndChecks:
     def test_missing_config(self, capsys):

@@ -310,13 +310,18 @@ def _counting_quad(monkeypatch):
 
 
 def _counting_blocks_and_gemms(monkeypatch):
-    """Patch quadrature to record the panels x components of every block it evaluates and the m*n*k of every gemm."""
+    """Patch quadrature to record the panels x components of every block it evaluates and, per
+    ``_separable_sums`` call, the m*n*k of each matmul it makes (one gemm per panel each)."""
     blocks, gemms = [], []
-    estimates = quadrature._panel_estimates
+    estimates, sums = quadrature._panel_estimates, quadrature._separable_sums
 
     def counted(f, lo, hi, components):
         blocks.append(len(lo) * components)
         return estimates(f, lo, hi, components)
+
+    def counted_sums(left, right, out):
+        gemms.append([])
+        return sums(left, right, out)
 
     class CountingNumpy:  # numpy, as quadrature sees it, with its matmul counted
         def __getattr__(self, name):
@@ -324,10 +329,11 @@ def _counting_blocks_and_gemms(monkeypatch):
 
         @staticmethod
         def matmul(x, y, **kwargs):
-            gemms.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+            gemms[-1].append(x.shape[-2] * x.shape[-1] * y.shape[-1])
             return np.matmul(x, y, **kwargs)
 
     monkeypatch.setattr(quadrature, "_panel_estimates", counted)
+    monkeypatch.setattr(quadrature, "_separable_sums", counted_sums)
     monkeypatch.setattr(quadrature, "np", CountingNumpy())
     return blocks, gemms
 
@@ -528,11 +534,12 @@ class TestGridEngine:
                 assert np.ascontiguousarray(col[:, j]).tobytes() == np.ascontiguousarray(col[:, k]).tobytes()
             assert np.array_equal(current_x(grid)[:, k], sign * current_x(grid)[:, j]), (xs[j], xs[k])
 
-    def test_wide_rows_keep_each_gemm_within_the_element_cap(self, monkeypatch):
+    def test_wide_rows_contract_each_call_in_one_gemm(self, monkeypatch):
         # rounding keeps most +-x of this grid apart: 794 distinct |x|, so the
         # 10 rows' crawling run has 10 x 2 x 794 = 15,880 components and one
         # K31 panel of it passes the element cap; the grid is still two runs,
-        # whose gemms take slices of the right factor
+        # and each integrand call's sums are one matmul over the whole right
+        # factor, whose per-panel gemm passes the cap on the CLI's one BLAS thread
         profile = GaussianProfile(w=1.3)
         xs = np.linspace(-5.0, 5.0, 999)
         zs = np.linspace(0.0, 3.0, 10)
@@ -541,7 +548,8 @@ class TestGridEngine:
         grid = field_grid(xs, zs, profile)
         assert len(calls) == 2
         assert 31 * min(calls[0]) > quadrature._MAX_ELEMENTS
-        assert max(gemms) <= quadrature._MAX_ELEMENTS and max(blocks) <= quadrature._ROUND_ELEMENTS
+        assert gemms and all(len(g) == 1 for g in gemms) and max(blocks) <= quadrature._ROUND_ELEMENTS
+        assert max(g[0] for g in gemms) > quadrature._MAX_ELEMENTS
         monkeypatch.undo()
         for i, j in ((0, 0), (7, 499), (8, 730), (9, 998)):
             _assert_cell_matches_point(grid, xs, zs, i, j, profile)
@@ -551,14 +559,14 @@ class TestGridEngine:
         # the 39 others have 51 column pairs per row, 11,934 components over
         # both runs, and 553 seeds, so their first rounds span several
         # blocks; each is one run per side, its sweeps chunked by abscissas
-        # x components and its gemms by m*n*k
+        # x components, and each chunk's sums one matmul
         calls, sizes = _counting_quad(monkeypatch)
         blocks, gemms = _counting_blocks_and_gemms(monkeypatch)
         field_grid(np.linspace(-50.0, 50.0, 101), np.linspace(0.0, 1.0, 40), SingleSlitProfile(a=1.0))
         _pop_screen_run(calls, n_u=51)
         assert len(calls) == 2
         assert max(sizes) <= quadrature._MAX_ELEMENTS  # one panel is within the cap here
-        assert max(gemms) <= quadrature._MAX_ELEMENTS and max(blocks) <= quadrature._ROUND_ELEMENTS
+        assert gemms and all(len(g) == 1 for g in gemms) and max(blocks) <= quadrature._ROUND_ELEMENTS
         assert max(len(c) for c in calls) > 2  # a sweep was split into chunks
 
     @pytest.mark.parametrize("z_max", [100.0, 1.0])
