@@ -300,11 +300,15 @@ class SingleSlitProfile(ApertureProfile):
         psi = 0 and d(psi)/dx = -sqrt(pi/a) pi/a.
         """
         scale = 2.0 * math.sqrt(math.pi / self.a)
-        phase = math.pi * (u / self.a)
         inside = u < 0.5 * self.a
         weight = np.where(inside, 1.0, np.where(u == 0.5 * self.a, 0.5, 0.0))
-        psi = np.where(inside, scale * np.cos(phase), 0.0)
-        return psi, weight * (-scale * math.pi / self.a) * np.sin(phase)
+        with np.errstate(over="ignore", invalid="ignore"):  # the nan cells of dpsi are mended below
+            phase = math.pi * (u / self.a)  # inf only outside the slit, where its cos and sin are nan
+            psi, sin = np.where(inside, scale * np.cos(phase), 0.0), np.sin(phase)
+            dpsi = weight * (-scale * math.pi / self.a) * sin
+        # a nan is 0*inf (a slope past the float range, a below about 1e-205, times a zero weight or sine) or a zero
+        # weight times a nan sine: d(psi)/dx is 0 there, signed as a finite slope's zero would be
+        return psi, np.where(np.isnan(dpsi), np.where(sin < 0.0, 0.0, -0.0), dpsi)
 
 
 class GaussianProfile(ApertureProfile):

@@ -15,18 +15,20 @@ row echoes the dimensionless inputs it was computed from.  The scenario
 subcommands fall back to bundled example configs when --config is omitted;
 each scenario's keys and defaults are one dict here.  This module builds
 every record, and it and :mod:`nearwave.config` alone name config fields.
+Each subcommand returns its whole text, and :func:`main` alone writes it.
 
-Exit codes: 0 success, 2 configuration errors (an unreadable config file or
-an unwritable --out among them, and a ``tau_max_s`` whose a*k' or cubic
-asymptote leaves the float range, a*k' = 0.0 included), 3 quadrature failure
-(a ``field`` grid whose phase rate, infinite included, needs too many seeds,
-or one quadrature round too large for memory, is refused unevaluated), 4 degenerate
-kinematic input or a record whose numbers overflow or divide by zero
-(:func:`_record` refuses it with its kx, transfer's two ratios or a
-scenario's values; no record or CSV holds NaN or Infinity: the error names
-the JSON path of the first one, such as ``outputs.modes[0].si.Gamma_joule``,
-with the kx of the mode record it sits in, or the CSV row and column), 141
-(128 + SIGPIPE) when the reader of stdout has closed it.
+Exit codes: 0 success, 2 configuration errors (an unreadable config file, an
+unwritable --out or standard output, named ``<stdout>``, among them, and a
+``tau_max_s`` whose a*k' or cubic asymptote leaves the float range, a*k' =
+0.0 included), 3 quadrature failure (a ``field`` grid whose phase rate,
+infinite included, needs too many seeds, or one quadrature round too large
+for memory, is refused unevaluated), 4 degenerate kinematic input or a
+record whose numbers overflow or divide by zero (:func:`_record` refuses it
+with its kx, transfer's two ratios or a scenario's values; no record or CSV
+holds NaN or Infinity: the error names the JSON path of the first one, such
+as ``outputs.modes[0].si.Gamma_joule``, with the kx of the mode record it
+sits in, or the CSV row and column), 141 (128 + SIGPIPE) when the reader of
+stdout has closed it.
 """
 
 from __future__ import annotations
@@ -76,29 +78,39 @@ def _fmt(value) -> str:
 
 
 def _write_text(out_path: str | None, text: str) -> None:
-    """``text`` to stdout or, encoded once, to the file ``out_path``; ConfigError for ``--out`` if writing it fails."""
-    if out_path is None:
-        sys.stdout.write(text)
-        sys.stdout.flush()  # a closed pipe raises here, inside main, not at interpreter exit
+    """``text`` to stdout or, encoded once, to ``out_path``; ConfigError naming ``<stdout>`` or ``--out`` on failure."""
+    if out_path is not None:
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(text.encode())
+        except OSError as e:
+            raise ConfigError("--out", f"cannot write the output file: {e}") from None
         return
+    if sys.stdout is None:  # the process started with stdout closed, as under >&-
+        raise ConfigError("<stdout>", "cannot write the standard output: it is closed")
     try:
-        with open(out_path, "wb") as fh:
-            fh.write(text.encode())
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe or a full device raises here, inside main, not at interpreter exit
     except OSError as e:
-        raise ConfigError("--out", f"cannot write the output file: {e}") from None
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the unwritten bytes: a quiet final flush
+        if isinstance(e, BrokenPipeError):
+            raise  # main's 141: a closed pipe is no error
+        raise ConfigError("<stdout>", f"cannot write the standard output: {e}") from None
 
 
-def _emit_csv(out_path: str | None, header: list[str], rows: list[list]) -> None:
-    """Header and rows as LF-terminated CSV; DegenerateInputError names the row (from 0) and column of an inf or nan."""
-    lines = [",".join(header)]
-    for i, row in enumerate(rows):
-        line = ",".join(map(_fmt, row))
-        if "n" in line:  # "inf" and "nan" print one; no finite float, int or empty cell does
-            for name, value in zip(header, row):
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise DegenerateInputError(f"row {i}, column {name} is {float.__repr__(value)}, which CSV refuses")
-        lines.append(line)
-    _write_text(out_path, "\n".join(lines) + "\n")
+def _csv_rows(rows) -> str:
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _csv_text(header: str, body: str) -> str:
+    """The CSV ``header`` over ``body``; DegenerateInputError names the row (from 0) and column of an inf or nan."""
+    hit = body.find("n")  # "inf", "-inf" and "nan" print one; %.17g floats, ints, RW/CW kinds and empty cells do not
+    if hit < 0:
+        return header + "\n" + body
+    start = body.rfind("\n", 0, hit) + 1
+    row, column = body.count("\n", 0, start), body.count(",", start, hit)
+    cell = body[start:body.index("\n", hit)].split(",")[column]
+    raise DegenerateInputError(f"row {row}, column {header.split(',')[column]} is {cell}, which CSV refuses")
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
@@ -159,15 +171,14 @@ def _json_text(obj, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _emit_json(out_path: str | None, record: dict) -> None:
-    """The record as indented, key-sorted JSON; DegenerateInputError naming the path of an inf or nan."""
+def _json_record(record: dict) -> str:
+    """The record as indented, key-sorted JSON and an LF; DegenerateInputError naming the path of an inf or nan."""
     try:
-        text = _json_text(record)
+        return _json_text(record) + "\n"
     except _NonFinite as e:
         where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in reversed(e.path))
         text = f"{where.removeprefix('.')} is {float.__repr__(e.value)}, which JSON cannot hold"
         raise DegenerateInputError(text if e.kx is None else f"kx={e.kx!r}: {text}") from None
-    _write_text(out_path, text + "\n")
 
 
 def _record(build, names: tuple[str, ...], *args):
@@ -191,32 +202,29 @@ def _emit_error(kind: str, message: str, **extra) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _cmd_spectrum(cfg: dict, out: str | None) -> int:
+def _cmd_spectrum(cfg: dict) -> str:
     period, m_max = grating_from(cfg)
-    header = ["period", "m", "kx", "kind", "re_kz", "im_kz", "z_d", "u_c"]
     rows = []
     for m, mode in modes.grating_modes(period, m_max):
         z_d = 1.0 / mode.chi_z if mode.kind is WaveKind.CRAWLING else None
         u_c = modes.phase_velocity(mode.kx) if m != 0 else None
         rows.append([period, m, mode.kx, mode.kind.value, mode.kz.real, mode.kz.imag, z_d, u_c])
-    _emit_csv(out, header, rows)
-    return 0
+    return _csv_text("period,m,kx,kind,re_kz,im_kz,z_d,u_c", _csv_rows(rows))
 
 
 _MAX_FIELD_POINTS = 4 * 10**6  # largest x-by-z grid; a slit field peaks near 0.75 kB of memory a point
 
 
-def _cmd_field(cfg: dict, out: str | None) -> int:
+def _cmd_field(cfg: dict) -> str:
     profile = aperture_from(cfg)
-    xs = grid_from(cfg, "x")
-    zs = grid_from(cfg, "z")
+    xs, zs = grid_from(cfg, "x"), grid_from(cfg, "z")
     if any(z < 0 for z in zs):
         raise ConfigError("grids.z", "field heights must be non-negative")
     if len(xs) * len(zs) > _MAX_FIELD_POINTS:
         raise ConfigError("grids", f"{len(xs)} x by {len(zs)} z points exceed the cap of {_MAX_FIELD_POINTS}")
     table = np.empty((len(zs), len(xs), 9))  # one row per (z, x)
     psi = table[..., 2:8].view(complex)  # psi_rw, psi_cw and psi_total as (re, im) column pairs
-    with np.errstate(over="ignore", invalid="ignore"):  # the quadrature, then the check below, refuse an inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):  # the quadrature, then _csv_text, refuse an inf or nan
         g = nearfield.field_grid(xs, zs, profile)
         table[..., 0] = xs
         table[..., 1] = np.reshape(zs, (-1, 1))
@@ -224,21 +232,17 @@ def _cmd_field(cfg: dict, out: str | None) -> int:
         psi[..., 1] = g.psi_cw
         np.add(g.psi_rw, g.psi_cw, out=psi[..., 2])
         table[..., 8] = (psi[..., 2].conj() * (g.dpsi_rw + g.dpsi_cw)).imag  # J_x = Im(psi* d(psi)/dx)
-    header = "x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x"
-    if not np.isfinite(table).all():  # then _emit_csv raises, naming the first inf or nan's row and column
-        _emit_csv(out, header.split(","), table.reshape(-1, 9).tolist())
     line = ",".join(["%.17g"] * 9) + "\n"  # "%.17g" % v is format(v, ".17g"), -0.0 included
-    _write_text(out, header + "\n" + (line * (len(zs) * len(xs))) % tuple(table.ravel().tolist()))
-    return 0
+    return _csv_text("x,z,re_psi_rw,im_psi_rw,re_psi_cw,im_psi_cw,re_psi_total,im_psi_total,J_x",
+                     (line * (len(zs) * len(xs))) % tuple(table.ravel().tolist()))
 
 
-def _cmd_absorb(cfg: dict, out: str | None) -> int:
+def _cmd_absorb(cfg: dict) -> str:
     profile = aperture_from(cfg)
     packet = packet_from(cfg)
     kxs = grid_from(cfg, "kx")
     if any(abs(k) <= 1.0 for k in kxs):
         raise ConfigError("grids.kx", "absorption needs evanescent modes, all |kx| > 1")
-    header = ["z0", "delta_z", "kx", "probability", "zero_width_limit", "ratio"]
 
     def row(kx: float, amp: float) -> list:
         p, lim = probe.absorption_probability(kx, packet, amp)
@@ -246,8 +250,8 @@ def _cmd_absorb(cfg: dict, out: str | None) -> int:
         return [packet.z0, packet.delta_z, kx, p, lim, p / lim if lim != 0.0 else None]
 
     amps = profile.amplitude(kxs).tolist()  # F over the whole grid in one call
-    _emit_csv(out, header, [_record(row, ("kx",), kx, amp) for kx, amp in zip(kxs, amps)])
-    return 0
+    return _csv_text("z0,delta_z,kx,probability,zero_width_limit,ratio",
+                     _csv_rows(_record(row, ("kx",), kx, amp) for kx, amp in zip(kxs, amps)))
 
 
 def _transfer_record(K0: float, K_mu: float) -> dict:
@@ -291,10 +295,9 @@ def _transfer_record(K0: float, K_mu: float) -> dict:
     }
 
 
-def _cmd_transfer(cfg: dict, out: str | None) -> int:
+def _cmd_transfer(cfg: dict) -> str:
     K0, K_mu = probe_kinematics_from(cfg)
-    _emit_json(out, _record(_transfer_record, ("K0_ratio", "K_mu_ratio"), K0, K_mu))
-    return 0
+    return _json_record(_record(_transfer_record, ("K0_ratio", "K_mu_ratio"), K0, K_mu))
 
 
 def _residuals(sol: recoil.RecoilSolution, root: str) -> dict:
@@ -336,12 +339,12 @@ def _recoil_mode_record(kx: float, screen, units) -> dict:
     return rec
 
 
-def _cmd_recoil(cfg: dict, out: str | None) -> int:
+def _cmd_recoil(cfg: dict) -> str:
     units = units_from(cfg)
     screen = screen_from(cfg)
     kxs = grid_from(cfg, "kx")
     records = [_record(_recoil_mode_record, ("kx",), kx, screen, units) for kx in kxs]
-    record = {
+    return _json_record({
         "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "kx": kxs},
         "outputs": {"modes": records},
         "residuals": {
@@ -349,9 +352,7 @@ def _cmd_recoil(cfg: dict, out: str | None) -> int:
             "max_energy_ledger": max(r["residuals"]["energy_ledger"] for r in records),
         },
         "warnings": [],
-    }
-    _emit_json(out, record)
-    return 0
+    })
 
 
 def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: ScaledUnits) -> dict:
@@ -379,7 +380,7 @@ def _short_lifetime(tau_max: float, a: float, screen: recoil.ScreenSpec, units: 
     return block | {"probability": probability, "in_regime": True, "cubic_asymptote": asymptote}
 
 
-def _cmd_lifetime(cfg: dict, out: str | None) -> int:
+def _cmd_lifetime(cfg: dict) -> str:
     units = units_from(cfg)
     screen = screen_from(cfg)
     profile = aperture_from(cfg)
@@ -404,20 +405,17 @@ def _cmd_lifetime(cfg: dict, out: str | None) -> int:
             "tau_traverse_s": lt.traverse_s,
         }
 
-    modes_out = [_record(mode, ("kx",), kx) for kx in kxs]
-    outputs = {"modes": modes_out}
+    outputs = {"modes": [_record(mode, ("kx",), kx) for kx in kxs]}
     if tau_max is not None:
         short = outputs["short_lifetime"] = _short_lifetime(tau_max, profile.a, screen, units)
         if not short["in_regime"]:
             warnings.append("tau_max inverts below the evanescence threshold")
-    record = {
+    return _json_record({
         "inputs": {"k0_si": units.k0, "K_M_ratio": screen.K_M, "slit_a": profile.a, "kx": kxs},
         "outputs": outputs,
         "residuals": {},
         "warnings": warnings,
-    }
-    _emit_json(out, record)
-    return 0
+    })
 
 
 # each scenario's keys with their defaults; None leaves an optional output out
@@ -468,12 +466,11 @@ def _probe_spread_record(*values) -> dict:
     }
 
 
-def _cmd_scenario_probe_spread(cfg: dict, out: str | None) -> int:
+def _cmd_scenario_probe_spread(cfg: dict) -> str:
     s = _PROBE_SPREAD | scenario_from(cfg, _PROBE_SPREAD)
     if s["kx_ratio"] <= 1.0:
         raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold 1, got {s['kx_ratio']!r}")
-    _emit_json(out, _record(_probe_spread_record, tuple(s), *s.values()))
-    return 0
+    return _json_record(_record(_probe_spread_record, tuple(s), *s.values()))
 
 
 def _lifetime_scenario_record(kx: float, screen: recoil.ScreenSpec, thr: recoil.Threshold, units: ScaledUnits,
@@ -512,7 +509,7 @@ def _lifetime_scenario_record(kx: float, screen: recoil.ScreenSpec, thr: recoil.
     }
 
 
-def _cmd_scenario_lifetime(cfg: dict, out: str | None) -> int:
+def _cmd_scenario_lifetime(cfg: dict) -> str:
     given = scenario_from(cfg, _LIFETIME)
     s = _LIFETIME | given
     units = ScaledUnits(k0=s["k0_si"])
@@ -521,8 +518,7 @@ def _cmd_scenario_lifetime(cfg: dict, out: str | None) -> int:
     kx, thr = s["kx_ratio"], recoil.critical_threshold(screen)
     if kx <= thr.eta:
         raise ConfigError("scenario.kx_ratio", f"must exceed the evanescence threshold {thr.eta!r}, got {kx!r}")
-    _emit_json(out, _record(_lifetime_scenario_record, ("kx",), kx, screen, thr, units, s))
-    return 0
+    return _json_record(_record(_lifetime_scenario_record, ("kx",), kx, screen, thr, units, s))
 
 
 _HANDLERS = {
@@ -568,7 +564,8 @@ def main(argv=None) -> int:
             cfg = load_config(resources.files("nearwave").joinpath("configs", _BUNDLED[name]))
         else:
             raise ConfigError("<args>", f"{name} requires --config")
-        return _HANDLERS[name](cfg, args.out)
+        _write_text(args.out, _HANDLERS[name](cfg))
+        return 0
     except ConfigError as e:
         _emit_error("config", e.message, field=e.field)
         return 2
@@ -579,8 +576,6 @@ def main(argv=None) -> int:
         _emit_error("degenerate-input", str(e))
         return 4
     except BrokenPipeError:
-        # the unwritten bytes go to devnull, so the interpreter's final flush stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 
 

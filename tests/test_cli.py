@@ -234,9 +234,11 @@ class TestField:
         assert reached == [cap]
 
 
-    @pytest.mark.parametrize("a, x", [(0.5, 20.0), (1.0, 60.0)])
+    @pytest.mark.parametrize("a, x", [(0.5, 20.0), (1.0, 60.0), (1e-210, 1.0), (1e-250, 60.0), (5e-324, 0.0),
+                                      (5e-324, 1.0)])
     def test_screen_plane_far_from_slit(self, capsys, tmp_path, a, x):
-        # the long CW range once ran out to a*k = 1e4 here and hit the panel budget
+        # the long CW range once ran out to a*k = 1e4 here and hit the panel budget; below a ~ 1e-205 the mode's
+        # slope 2 sqrt(pi/a) pi/a overflows, and 5e-324/2 rounds to 0, so x = 0 sits on the slit's edge
         cfg = dict(BASE_CFG, aperture={"kind": "single_slit", "a": a}, grids={"x": [-x, x], "z": [0.0]})
         rc, out, _ = run_main(capsys, "field", "--config", write_cfg(tmp_path, cfg))
         assert rc == 0
@@ -246,6 +248,7 @@ class TestField:
             psi = [complex(float(r[f"re_psi_{p}"]), float(r[f"im_psi_{p}"])) for p in ("rw", "cw", "total")]
             scale = max(abs(v) for v in psi)
             assert abs(psi[2]) <= 4.0 * 3.0 * max(1e-12, 1e-10 * scale)  # closed form: 0 outside the slit
+            assert float(r["J_x"]) == 0.0
         assert float(rows[0]["J_x"]) == -float(rows[1]["J_x"])
 
     def test_overflowing_slit_tail_is_quadrature_error(self, capsys, tmp_path):
@@ -831,16 +834,21 @@ class TestNonFiniteRecords:
         error = json.loads(err)["error"]
         assert error["type"] == "degenerate-input" and "kx=2.0" in error["message"]
 
-    def test_emit_json_rejects_non_finite(self, tmp_path):
-        out = tmp_path / "rec.json"
+    def test_emit_json_rejects_non_finite(self, capsys, tmp_path):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(cli.DegenerateInputError, match=r"^outputs\.value is "):
-                cli._emit_json(str(out), {"outputs": {"value": bad}})
+                cli._json_record({"outputs": {"value": bad}})
         # a lifetime record: the number sits in a mode dict, so the message names that mode's kx
         lifetime = {"inputs": {"kx": [3.0, 7.5]}, "outputs": {"modes": [
             {"kx": 3.0, "tau_exact_s": 2.0}, {"kx": 7.5, "tau_exact_s": math.inf}]}, "warnings": []}
         with pytest.raises(cli.DegenerateInputError, match=r"kx=7\.5: outputs\.modes\[1\]\.tau_exact_s is inf"):
-            cli._emit_json(str(out), lifetime)
+            cli._json_record(lifetime)
+        # a record the JSON writer refuses leaves no --out behind
+        out = tmp_path / "rec.json"
+        cfg = write_cfg(tmp_path, {"scenario": {"velocity_ratio": 1e-320}})
+        rc, stdout, err = run_main(capsys, "scenario-probe-spread", "--config", cfg, "--out", str(out))
+        assert rc == 4 and stdout == ""
+        assert json.loads(err)["error"]["message"] == "outputs.spread_ratio is inf, which JSON cannot hold"
         assert not out.exists()
 
 
@@ -898,7 +906,7 @@ class TestRecordEmitter:
         path = data.draw(st.sampled_from(list(_positions(obj))))
         where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]  # path[0] is a key
         with pytest.raises(cli.DegenerateInputError) as excinfo:
-            cli._emit_json(None, _planted(obj, path, bad))
+            cli._json_record(_planted(obj, path, bad))
         assert f"{where} is {bad!r}, " in str(excinfo.value)
 
     def test_other_types_rejected(self):
@@ -1190,12 +1198,8 @@ class TestParser:
 
     def test_cached_parser_carries_no_option_into_the_next_call(self, tmp_path, monkeypatch):
         outs = []
-
-        def record(cfg, out):
-            outs.append(out)
-            return 0
-
-        monkeypatch.setitem(cli._HANDLERS, "field", record)
+        monkeypatch.setitem(cli._HANDLERS, "field", lambda cfg: "")
+        monkeypatch.setattr(cli, "_write_text", lambda out, text: outs.append(out))
         cfg = write_cfg(tmp_path, BASE_CFG)
         assert cli.main(["field", "--config", cfg, "--out", "p"]) == 0
         assert cli.main(["field", "--config", cfg]) == 0
@@ -1254,6 +1258,25 @@ class TestClosedStdout:
                 os.close(w)
             assert (proc.returncode, proc.stderr) == (141, b""), extra
 
+    @pytest.mark.parametrize("stdout", ["/dev/full", "closed"])
+    def test_unwritable_stdout_exits_2_naming_it(self, stdout):
+        # a full device, or a stdout closed before Python starts (>&-), is refused as an unwritable --out is:
+        # one JSON error line, and no traceback, also from the interpreter's final flush
+        if stdout == "/dev/full" and not os.path.exists(stdout):
+            pytest.skip("this system has no /dev/full")
+        argv = [sys.executable, "-m", "nearwave.cli", "scenario-lifetime"]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            if stdout == "closed":
+                proc = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], stderr=subprocess.PIPE,
+                                      env={**env, **extra}, timeout=120)
+            else:
+                with open(stdout, "wb") as fh:
+                    proc = subprocess.run(argv, stdout=fh, stderr=subprocess.PIPE, env={**env, **extra}, timeout=120)
+            err = proc.stderr.decode()
+            assert proc.returncode == 2 and err.count("\n") == 1, (extra, err)
+            assert json.loads(err)["error"]["field"] == "<stdout>", extra
+
 
 class TestOutFileAndDeterminism:
     def test_out_file_written(self, capsys, tmp_path):
@@ -1265,6 +1288,22 @@ class TestOutFileAndDeterminism:
         text = out_path.read_text()
         assert text.startswith("period,m,kx")
         assert "\r" not in text
+
+    @pytest.mark.parametrize("name", sorted(cli._HANDLERS))
+    def test_handler_returns_the_text_main_writes(self, capsys, tmp_path, monkeypatch, name):
+        # a subcommand maps its config to its text; main alone writes it, so the handler makes no file
+        if name in cli._BUNDLED:
+            cfg = str(resources.files("nearwave").joinpath("configs", cli._BUNDLED[name]))
+        else:
+            cfg = write_cfg(tmp_path, dict(BASE_CFG, grids=dict(BASE_CFG["grids"], kx=[2.0, 10.0])))
+        out_path = tmp_path / "out.txt"
+        assert run_main(capsys, name, "--config", cfg, "--out", str(out_path)) == (0, "", "")
+        written = out_path.read_bytes()
+        out_path.unlink()
+        monkeypatch.chdir(tmp_path)
+        files = sorted(tmp_path.iterdir())
+        assert cli._HANDLERS[name](load_config(cfg)).encode() == written
+        assert sorted(tmp_path.iterdir()) == files and capsys.readouterr() == ("", "")
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         for sub in ("scenario-probe-spread", "scenario-lifetime"):

@@ -53,6 +53,12 @@ def test_every_private_module_level_name_is_referenced():
         assert not private - referenced, (path.name, sorted(private - referenced))
 
 
+def test_only_main_writes_output():
+    # each subcommand returns its text, and main alone hands it to the one writer
+    users = [getattr(node, "name", None) for node in _tree(SRC / "cli.py").body if "_write_text" in _references(node)]
+    assert users == ["main"], users
+
+
 def test_every_public_function_and_class_is_referenced():
     # a public function, class, method or property that only tests reach is a second code path to keep in step.
     # A class is split into its header and body statements, so a method's own body does not count as a use of it
